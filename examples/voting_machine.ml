@@ -30,10 +30,9 @@ let () =
     Probe.Pdevice.heat_run pdev ~start:(slot * dots_per_ballot) pattern
   in
   let read_ballot slot =
-    let heated =
-      Probe.Pdevice.erb_run pdev ~start:(slot * dots_per_ballot)
-        ~len:dots_per_ballot
-    in
+    let heated = Array.make dots_per_ballot false in
+    Probe.Pdevice.erb_run pdev ~start:(slot * dots_per_ballot)
+      ~len:dots_per_ballot ~dst:heated;
     Codec.Manchester.decode ~heated:(fun i -> heated.(i)) ~n_bytes:1
   in
   (* Election day. *)

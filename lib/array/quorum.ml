@@ -316,23 +316,6 @@ let source_meta v ~line ~exclude_slot =
               ignore m0;
               `Unattested (List.map fst metas)))
 
-let pp_attestation ppf = function
-  | Attested { hash; voters; against } ->
-      Format.fprintf ppf "attested %s (%d for%s)"
-        (String.sub (Hash.Sha256.to_hex hash) 0 12)
-        (List.length voters)
-        (match against with
-        | [] -> ""
-        | l -> Printf.sprintf ", outvoted slots %s"
-                 (String.concat "," (List.map string_of_int l)))
-  | Tie_unattested vs ->
-      Format.fprintf ppf "UNATTESTED: %d-way tie" (List.length vs)
-  | All_convicted slots ->
-      Format.fprintf ppf "UNATTESTED: all replicas convicted (slots %s)"
-        (String.concat "," (List.map string_of_int slots))
-  | Line_not_heated -> Format.pp_print_string ppf "not heated"
-  | Line_offline -> Format.pp_print_string ppf "OFFLINE"
-
 let pp_report ppf r =
   Format.fprintf ppf
     "quorum: %d attested, %d unattested, %d not heated, %d offline; %d \

@@ -92,5 +92,4 @@ val source_meta :
     (excluding the slot being rebuilt).  Same voting rules as
     {!attest_line_raw}; no trust charges. *)
 
-val pp_attestation : Format.formatter -> line_attestation -> unit
 val pp_report : Format.formatter -> report -> unit

@@ -601,10 +601,6 @@ let swap_in_spare v ~slot ~spare =
     (Printf.sprintf "slot %d rebuilt onto device %d (was device %d)" slot
        spare old)
 
-let set_spare_pool v pool =
-  List.iter (fun d -> check_dev v d) pool;
-  v.spare_pool <- pool
-
 let note_rebuilt v = v.rebuilds <- v.rebuilds + 1
 
 (* ------------------------------------------------------------------ *)

@@ -278,6 +278,3 @@ val swap_in_spare : t -> slot:int -> spare:int -> unit
 (** Commit point of a rebuild: [slot] is now served by device [spare]
     (removed from the pool); the old device keeps its state as a
     carcass.  Resets the spare's trust entry. *)
-
-val set_spare_pool : t -> int list -> unit
-(** Image restore only. *)

@@ -36,9 +36,6 @@ let rec pow a n =
     let sq = mul half half in
     if n land 1 = 1 then mul sq a else sq
 
-let poly_eval p x =
-  Array.fold_left (fun acc c -> add (mul acc x) c) 0 p
-
 let poly_mul a b =
   let la = Array.length a and lb = Array.length b in
   if la = 0 || lb = 0 then [||]

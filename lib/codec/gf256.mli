@@ -21,9 +21,5 @@ val exp : int -> int
 val log : int -> int
 (** Discrete log base alpha. @raise Invalid_argument on 0. *)
 
-val poly_eval : int array -> int -> int
-(** [poly_eval p x] evaluates the polynomial with coefficients [p]
-    (highest degree first) at [x], Horner style. *)
-
 val poly_mul : int array -> int array -> int array
 (** Product of two polynomials (highest degree first). *)

@@ -1,18 +1,5 @@
 type cell = Zero | One | Blank | Tampered
 
-let equal_cell a b =
-  match (a, b) with
-  | Zero, Zero | One, One | Blank, Blank | Tampered, Tampered -> true
-  | (Zero | One | Blank | Tampered), _ -> false
-
-let pp_cell ppf c =
-  Format.pp_print_string ppf
-    (match c with
-    | Zero -> "HU"
-    | One -> "UH"
-    | Blank -> "UU"
-    | Tampered -> "HH")
-
 let encoded_length n_bytes = 16 * n_bytes
 
 let encode payload =

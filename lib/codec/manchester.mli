@@ -20,9 +20,6 @@ type cell = Zero | One | Blank | Tampered
 (** Decoded value of one two-dot cell: [Zero] = [HU], [One] = [UH],
     [Blank] = [UU], [Tampered] = [HH]. *)
 
-val equal_cell : cell -> cell -> bool
-val pp_cell : Format.formatter -> cell -> unit
-
 val encode : string -> bool array
 (** [encode payload] maps each bit of [payload] (bytes scanned MSB first)
     to a two-dot cell; [true] in the result means "heat this dot".  The

@@ -36,7 +36,9 @@ let naive_read pdev ~start ~cycles =
     Pmedia.Bitops.primitive_ops
       (Pmedia.Bitops.counters (Probe.Pdevice.bitops pdev))
   in
-  let heated = Probe.Pdevice.erb_run ~cycles pdev ~start ~len:Sero.Layout.wo_area_dots in
+  let heated = Array.make Sero.Layout.wo_area_dots false in
+  Probe.Pdevice.erb_run ~cycles pdev ~start ~len:Sero.Layout.wo_area_dots
+    ~dst:heated;
   let decoded =
     Codec.Manchester.decode
       ~heated:(fun i -> heated.(i))

@@ -125,8 +125,3 @@ let ledger_to_string t =
       Buffer.add_char buf '\n')
     (events t);
   Buffer.contents buf
-
-let pp_ledger ppf t =
-  Format.fprintf ppf "@[<v>%a@]"
-    (Format.pp_print_list pp_event)
-    (events t)

@@ -73,5 +73,3 @@ val pp_event : Format.formatter -> event -> unit
 val ledger_to_string : t -> string
 (** One event per line — the replayable record.  Two runs with the same
     plan and the same operation trace compare byte-equal. *)
-
-val pp_ledger : Format.formatter -> t -> unit

@@ -118,8 +118,6 @@ type array_plan = {
   events : timed_event list;
 }
 
-let array_none = { array_seed = 0; member_plans = []; events = [] }
-
 let array_make ?(seed = 0) ?(member_plans = []) ?(events = []) () =
   let seen = Hashtbl.create 8 in
   List.iter

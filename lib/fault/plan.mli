@@ -114,8 +114,6 @@ type array_plan = {
   events : timed_event list;  (** Sorted by [at_op], stable. *)
 }
 
-val array_none : array_plan
-
 val array_make :
   ?seed:int ->
   ?member_plans:(int * t) list ->

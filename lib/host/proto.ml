@@ -51,15 +51,6 @@ let opcode_of_command = function
   | Array_read _ -> 0x06
   | Audit_line _ -> 0x07
 
-let command_name = function
-  | Read _ -> "read"
-  | Write _ -> "write"
-  | Heat _ -> "heat"
-  | Verify _ -> "verify"
-  | Audit -> "audit"
-  | Array_read _ -> "array-read"
-  | Audit_line _ -> "audit-line"
-
 let write_body w { tenant; seq; cmd } =
   let module W = Codec.Binio.W in
   W.u8 w version;

@@ -60,7 +60,6 @@ type command =
 type frame = { tenant : int; seq : int; cmd : command }
 
 val opcode_of_command : command -> int
-val command_name : command -> string
 val encode_frame : frame -> string
 
 val decode_frame : ?off:int -> string -> frame * int

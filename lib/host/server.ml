@@ -66,7 +66,6 @@ let tstate t tenant =
       ts
 
 let slo t ~tenant = (tstate t tenant).slo
-let weight_of t tenant = (tstate t tenant).limits.weight
 
 (* Token-bucket refill on the DES clock; [infinity] rate/burst means
    admission never rejects on rate. *)
@@ -257,9 +256,9 @@ let report t ~tenant =
 
 type session = { server : t; tenant : int; mutable next_seq : int }
 
-let session ?(first_seq = 0) t ~tenant =
+let session t ~tenant =
   ignore (tstate t tenant);
-  { server = t; tenant; next_seq = first_seq }
+  { server = t; tenant; next_seq = 0 }
 
 let next_seq s = s.next_seq
 

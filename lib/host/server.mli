@@ -65,7 +65,6 @@ val submitted : t -> int
 
 val tenants : t -> int list
 val slo : t -> tenant:int -> Slo.t
-val weight_of : t -> int -> float
 
 val report : t -> tenant:int -> Slo.report
 (** The tenant's SLO report with the queue's per-tenant energy and
@@ -76,9 +75,9 @@ val report : t -> tenant:int -> Slo.report
 
 type session
 
-val session : ?first_seq:int -> t -> tenant:int -> session
+val session : t -> tenant:int -> session
 (** A tenant's command stream; sequence numbers auto-increment from
-    [first_seq] (default 0). *)
+    0. *)
 
 val next_seq : session -> int
 (** The sequence number {!submit} will use next — register completion

@@ -107,28 +107,8 @@ let clean_segment st seg =
   let s = st.State.segs.(seg) in
   (* Everything live has been copied out; any residue is accounting
      drift, which would now be a bug. *)
-  if s.State.live > 0 then begin
-    (match Sys.getenv_opt "LFS_CLEAN_DEBUG" with
-    | Some _ ->
-        Array.iteri
-          (fun slot owner ->
-            let pba = State.pba_of_slot st ~seg ~slot in
-            match owner with
-            | Enc.Unused | Enc.Summary_block -> ()
-            | Enc.Data_of { o_ino; block_index } ->
-                Printf.eprintf "residual slot %d pba %d: data ino=%d bi=%d live=%b\n%!"
-                  slot pba o_ino block_index (is_live st ~pba owner)
-            | Enc.Inode_of ino ->
-                Printf.eprintf "residual slot %d pba %d: inode ino=%d live=%b imap=%s\n%!"
-                  slot pba ino (is_live st ~pba owner)
-                  (match State.inode_pba st ino with Some p -> string_of_int p | None -> "-")
-            | Enc.Indirect_of { o_ino; slot = k } ->
-                Printf.eprintf "residual slot %d pba %d: indirect ino=%d k=%d live=%b\n%!"
-                  slot pba o_ino k (is_live st ~pba owner))
-          s.State.owners
-    | None -> ());
-    raise (State.Fs_error (Printf.sprintf "segment %d still live after clean" seg))
-  end;
+  if s.State.live > 0 then
+    raise (State.Fs_error (Printf.sprintf "segment %d still live after clean" seg));
   s.State.state <- Enc.Seg_free;
   st.State.metrics.State.cleaner_copies <-
     st.State.metrics.State.cleaner_copies + !copies;

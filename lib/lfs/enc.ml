@@ -261,14 +261,6 @@ let equal_seg_state a b =
       true
   | (Seg_free | Seg_open | Seg_closed | Seg_heated), _ -> false
 
-let pp_seg_state ppf s =
-  Format.pp_print_string ppf
-    (match s with
-    | Seg_free -> "free"
-    | Seg_open -> "open"
-    | Seg_closed -> "closed"
-    | Seg_heated -> "heated")
-
 let seg_state_to_int = function
   | Seg_free -> 0
   | Seg_open -> 1

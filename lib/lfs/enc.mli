@@ -79,7 +79,6 @@ val decode_summary : string -> summary option
 type seg_state = Seg_free | Seg_open | Seg_closed | Seg_heated
 
 val equal_seg_state : seg_state -> seg_state -> bool
-val pp_seg_state : Format.formatter -> seg_state -> unit
 
 type seg_record = {
   state : seg_state;

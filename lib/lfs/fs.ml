@@ -211,11 +211,6 @@ let is_heated t path =
   let* ino = resolve_file t path in
   guard (fun () -> file_heated t ino)
 
-let clean_now t =
-  match Cleaner.select_victim t.st with
-  | None -> 0
-  | Some seg -> Cleaner.clean_segment t.st seg
-
 type stats = {
   free_segments : int;
   heated_segments : int;

@@ -117,9 +117,6 @@ val is_heated : t -> string -> (bool, string) result
 
 (** {1 Maintenance and statistics} *)
 
-val clean_now : t -> int
-(** Force one cost-benefit cleaner sweep; returns blocks copied. *)
-
 type stats = {
   free_segments : int;
   heated_segments : int;

@@ -58,7 +58,6 @@ type t = {
   metrics : metrics;
   mutable ioq : Sero.Queue.t option;
   mutable io_prio : Sero.Queue.prio;
-  mutable io_tenant : int;
   mutable bcache : Sero.Bcache.t option;
 }
 
@@ -125,7 +124,6 @@ let create ?(policy = default_policy) ?(icache_cap = default_icache_cap)
       };
     ioq = None;
     io_prio = Sero.Queue.Foreground;
-    io_tenant = 0;
     bcache = None;
   }
 
@@ -192,38 +190,31 @@ let queue t = t.ioq
 let cache t = t.bcache
 let set_io_prio t prio = t.io_prio <- prio
 let io_prio t = t.io_prio
-let set_io_tenant t tenant = t.io_tenant <- tenant
-let io_tenant t = t.io_tenant
 
 let dev_read_block t ~pba =
   match t.bcache with
-  | Some c -> Sero.Bcache.read_block ~prio:t.io_prio ~tenant:t.io_tenant c ~pba
+  | Some c -> Sero.Bcache.read_block ~prio:t.io_prio c ~pba
   | None -> (
       match t.ioq with
       | None -> Sero.Device.read_block t.dev ~pba
-      | Some q ->
-          Sero.Queue.read_block ~prio:t.io_prio ~tenant:t.io_tenant q ~pba)
+      | Some q -> Sero.Queue.read_block ~prio:t.io_prio q ~pba)
 
 let dev_write_block t ~pba payload =
   match t.bcache with
-  | Some c ->
-      Sero.Bcache.write_block ~prio:t.io_prio ~tenant:t.io_tenant c ~pba
-        payload
+  | Some c -> Sero.Bcache.write_block ~prio:t.io_prio c ~pba payload
   | None -> (
       match t.ioq with
       | None -> Sero.Device.write_block t.dev ~pba payload
-      | Some q ->
-          Sero.Queue.write_block ~prio:t.io_prio ~tenant:t.io_tenant q ~pba
-            payload)
+      | Some q -> Sero.Queue.write_block ~prio:t.io_prio q ~pba payload)
 
 let heat_line_dev t ~line =
   let timestamp = Probe.Pdevice.elapsed (Sero.Device.pdevice t.dev) in
   match t.bcache with
-  | Some c -> Sero.Bcache.heat_line ~tenant:t.io_tenant c ~line ~timestamp ()
+  | Some c -> Sero.Bcache.heat_line c ~line ~timestamp ()
   | None -> (
       match t.ioq with
       | None -> Sero.Device.heat_line t.dev ~line ~timestamp ()
-      | Some q -> Sero.Queue.heat_line ~tenant:t.io_tenant q ~line ~timestamp ())
+      | Some q -> Sero.Queue.heat_line q ~line ~timestamp ())
 
 let flush_block_cache t = Option.iter Sero.Bcache.sync t.bcache
 

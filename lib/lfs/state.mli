@@ -82,10 +82,6 @@ type t = {
   mutable io_prio : Sero.Queue.prio;
       (** Priority class tagged onto queued block IO ([Foreground]
           except while the cleaner runs). *)
-  mutable io_tenant : int;
-      (** Tenant tag on queued block IO (default [0]) — the hook the
-          host layer's sessions use to make the file system a
-          session-aware entry point; see {!Sero.Queue}. *)
   mutable bcache : Sero.Bcache.t option;
       (** Attached block buffer cache; takes precedence over [ioq] for
           block IO (the cache itself fetches through its queue). *)
@@ -142,13 +138,6 @@ val flush_block_cache : t -> unit
 
 val set_io_prio : t -> Sero.Queue.prio -> unit
 val io_prio : t -> Sero.Queue.prio
-
-val set_io_tenant : t -> int -> unit
-(** Tenant tag for subsequent queued block IO (default [0]).  Set by a
-    host session around each command so per-tenant fair-share and SLO
-    ledgers see file-system traffic under the right account. *)
-
-val io_tenant : t -> int
 
 val heat_line_dev :
   t -> line:int -> (Hash.Sha256.t, Sero.Device.heat_error) result

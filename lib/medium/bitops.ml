@@ -168,67 +168,43 @@ let primitive_ops c = c.mrb + c.mwb
 (* {1 Run kernels}
 
    Bulk variants of mrb/mwb/erb over a run of consecutive dots.  The
-   fast path must be semantically invisible: it is taken only when no
-   fault injector is installed (so there are no per-op ticks, stuck-dot
-   filters or power-cut boundaries to honour), the read BER is zero and
-   the run is provably defect-free.  Under those guards the only
+   magnetic kernels move the run's bits packed MSB-first at a bit offset
+   of a byte buffer, the sector image order.  Their packed path must be
+   semantically invisible: it is taken only for a byte-aligned run with
+   no fault injector installed (so there are no per-op ticks, stuck-dot
+   filters or power-cut boundaries to honour) and, for reads, a zero read
+   BER over a provably defect-free run.  Under those guards the only
    randomness the scalar path would draw is the heated-dot coin flips
    (mrb) and the heated-dot erb protocol reads, which the kernels
    reproduce in the exact same order from the same medium PRNG — so
    medium state, counters and the PRNG stream all stay bit-identical.
-   Anything else falls back to a literal per-dot loop over the scalar
-   ops. *)
+   Anything else runs a literal per-dot loop over the scalar ops. *)
 
 let check_run t start len =
   if start < 0 || len < 0 || start + len > Medium.size t.medium then
     invalid_arg "Bitops: run out of range"
 
+let check_bits name buf pos len =
+  if pos < 0 || pos + len > 8 * Bytes.length buf then
+    invalid_arg (name ^ ": buffer out of range")
+
+let get_bit buf i =
+  Char.code (Bytes.unsafe_get buf (i lsr 3)) land (0x80 lsr (i land 7)) <> 0
+
+let set_bit buf i v =
+  let b = Char.code (Bytes.unsafe_get buf (i lsr 3))
+  and m = 0x80 lsr (i land 7) in
+  Bytes.unsafe_set buf (i lsr 3)
+    (Char.unsafe_chr (if v then b lor m else b land lnot m))
+
+let aligned ~start ~len = len > 0 && start land 7 = 0 && len land 7 = 0
+
 let fast_read_ok t ~start ~len =
   t.fault = None && t.read_ber = 0.
   && Medium.run_defect_free t.medium ~start ~len
 
-let read_fast_available = fast_read_ok
-
-let mrb_run t ~start ~len ~dst ~dst_pos =
-  check_run t start len;
-  if dst_pos < 0 || dst_pos + len > Array.length dst then
-    invalid_arg "Bitops.mrb_run: destination out of range";
-  if not (fast_read_ok t ~start ~len) then
-    for k = 0 to len - 1 do
-      Array.unsafe_set dst (dst_pos + k) (Dot.to_bool (mrb t (start + k)))
-    done
-  else begin
-    t.counters.mrb <- t.counters.mrb + len;
-    let rng = Medium.rng t.medium in
-    (* Chunk boundaries are 4-dot-aligned, so the byte-at-a-time subpath
-       triggers on exactly the same dots as it would over a flat store
-       and the heated coin flips stay in address order. *)
-    Medium.iter_chunks t.medium ~write:false ~start ~len
-      (fun states ~base ~start:cstart ~len:clen ->
-        let dpos = dst_pos + (cstart - start) in
-        let k = ref 0 in
-        while !k < clen do
-          let i = cstart + !k in
-          let byte =
-            Char.code (Bigarray.Array1.unsafe_get states ((i lsr 2) - base))
-          in
-          (* A heated field has its high bit set: mask 0xAA over the byte. *)
-          if i land 3 = 0 && !k + 4 <= clen && byte land 0xAA = 0 then begin
-            let p = dpos + !k in
-            Array.unsafe_set dst p (byte land 1 <> 0);
-            Array.unsafe_set dst (p + 1) (byte land 4 <> 0);
-            Array.unsafe_set dst (p + 2) (byte land 16 <> 0);
-            Array.unsafe_set dst (p + 3) (byte land 64 <> 0);
-            k := !k + 4
-          end
-          else begin
-            let v = (byte lsr (2 * (i land 3))) land 3 in
-            Array.unsafe_set dst (dpos + !k)
-              (if v < 2 then v = 1 else Sim.Prng.bool rng);
-            incr k
-          end
-        done)
-  end
+let mrb_run_fast t ~start ~len =
+  aligned ~start ~len && fast_read_ok t ~start ~len
 
 (* For a state byte with no heated field (byte land 0xAA = 0), the four
    dots' logical bits (Up = code 1 = pair bit 0) reversed into the top
@@ -241,15 +217,10 @@ let rev_up_nibble =
          lor (((b lsr 4) land 1) lsl 1)
          lor ((b lsr 6) land 1)))
 
-let mrb_run_packed t ~start ~len ~dst ~dst_pos =
+let mrb_run t ~start ~len ~dst ~dst_pos =
   check_run t start len;
-  if dst_pos < 0 || dst_pos + (len lsr 3) > Bytes.length dst then
-    invalid_arg "Bitops.mrb_run_packed: destination out of range";
-  if
-    len = 0 || start land 7 <> 0 || len land 7 <> 0
-    || not (fast_read_ok t ~start ~len)
-  then len = 0
-  else begin
+  check_bits "Bitops.mrb_run" dst dst_pos len;
+  if dst_pos land 7 = 0 && mrb_run_fast t ~start ~len then begin
     t.counters.mrb <- t.counters.mrb + len;
     let rng = Medium.rng t.medium in
     let tbl = Lazy.force rev_up_nibble in
@@ -257,7 +228,7 @@ let mrb_run_packed t ~start ~len ~dst ~dst_pos =
        byte-pair framing of the flat kernel. *)
     Medium.iter_chunks t.medium ~write:false ~start ~len
       (fun states ~base ~start:cstart ~len:clen ->
-        let dpos = dst_pos + ((cstart - start) lsr 3) in
+        let dpos = (dst_pos + (cstart - start)) lsr 3 in
         let first = (cstart lsr 2) - base in
         for b = 0 to (clen lsr 3) - 1 do
           let s0 = Char.code (Bigarray.Array1.unsafe_get states (first + (2 * b)))
@@ -281,53 +252,12 @@ let mrb_run_packed t ~start ~len ~dst ~dst_pos =
             end
           in
           Bytes.unsafe_set dst (dpos + b) (Char.unsafe_chr v)
-        done);
-    true
-  end
-
-let mwb_run t ~start ~len ~src ~src_pos =
-  check_run t start len;
-  if src_pos < 0 || src_pos + len > Array.length src then
-    invalid_arg "Bitops.mwb_run: source out of range";
-  (* mwb ignores defects and draws no randomness, so the only guard is
-     the injector's per-op ticks. *)
-  if t.fault <> None then
-    for k = 0 to len - 1 do
-      mwb t (start + k) (Dot.of_bool (Array.unsafe_get src (src_pos + k)))
-    done
-  else begin
-    t.counters.mwb <- t.counters.mwb + len;
-    Medium.iter_chunks t.medium ~write:true ~start ~len
-      (fun states ~base ~start:cstart ~len:clen ->
-        let spos = src_pos + (cstart - start) in
-        let k = ref 0 in
-        while !k < clen do
-          let i = cstart + !k in
-          let idx = (i lsr 2) - base in
-          let byte = Char.code (Bigarray.Array1.unsafe_get states idx) in
-          if i land 3 = 0 && !k + 4 <= clen && byte land 0xAA = 0 then begin
-            (* No heated dot in the byte: all four fields are overwritten. *)
-            let p = spos + !k in
-            let v =
-              (if Array.unsafe_get src p then 1 else 0)
-              lor (if Array.unsafe_get src (p + 1) then 4 else 0)
-              lor (if Array.unsafe_get src (p + 2) then 16 else 0)
-              lor if Array.unsafe_get src (p + 3) then 64 else 0
-            in
-            Bigarray.Array1.unsafe_set states idx (Char.unsafe_chr v);
-            k := !k + 4
-          end
-          else begin
-            let shift = 2 * (i land 3) in
-            if (byte lsr shift) land 2 = 0 then begin
-              let v = if Array.unsafe_get src (spos + !k) then 1 else 0 in
-              Bigarray.Array1.unsafe_set states idx
-                (Char.unsafe_chr (byte land lnot (3 lsl shift) lor (v lsl shift)))
-            end;
-            incr k
-          end
         done)
   end
+  else
+    for k = 0 to len - 1 do
+      set_bit dst (dst_pos + k) (Dot.to_bool (mrb t (start + k)))
+    done
 
 (* Inverse of [rev_up_nibble]: an MSB-first nibble of logical bits
    (bit 3 = lowest dot address) as a state byte of Up/Down codes. *)
@@ -339,51 +269,50 @@ let nibble_states =
          lor (((nib lsr 1) land 1) lsl 4)
          lor ((nib land 1) lsl 6)))
 
-let mwb_run_packed t ~start ~len ~src ~src_pos =
+let mwb_run t ~start ~len ~src ~src_pos =
   check_run t start len;
-  if src_pos < 0 || src_pos + (len lsr 3) > Bytes.length src then
-    invalid_arg "Bitops.mwb_run_packed: source out of range";
-  (* Same decline-without-touching contract as [mrb_run_packed]; mwb
-     ignores defects and draws no randomness, so the only kernel guard
-     is the injector's per-op ticks. *)
-  if len = 0 || start land 7 <> 0 || len land 7 <> 0 || t.fault <> None then
-    len = 0
-  else begin
+  check_bits "Bitops.mwb_run" src src_pos len;
+  (* mwb ignores defects and draws no randomness, so the only guard
+     besides alignment is the injector's per-op ticks. *)
+  if src_pos land 7 = 0 && aligned ~start ~len && t.fault = None then begin
     t.counters.mwb <- t.counters.mwb + len;
     let tbl = Lazy.force nibble_states in
     Medium.iter_chunks t.medium ~write:true ~start ~len
       (fun states ~base ~start:cstart ~len:clen ->
-    let spos = src_pos + ((cstart - start) lsr 3) in
-    let first = (cstart lsr 2) - base in
-    for b = 0 to (clen lsr 3) - 1 do
-      let v = Char.code (Bytes.unsafe_get src (spos + b)) in
-      let i0 = first + (2 * b) in
-      let s0 = Char.code (Bigarray.Array1.unsafe_get states i0)
-      and s1 = Char.code (Bigarray.Array1.unsafe_get states (i0 + 1)) in
-      if (s0 lor s1) land 0xAA = 0 then begin
-        (* No heated dot in either state byte: overwrite all eight. *)
-        Bigarray.Array1.unsafe_set states i0
-          (Char.unsafe_chr (Array.unsafe_get tbl (v lsr 4)));
-        Bigarray.Array1.unsafe_set states (i0 + 1)
-          (Char.unsafe_chr (Array.unsafe_get tbl (v land 15)))
-      end
-      else
-        (* A heated dot ignores the write (no perpendicular axis); the
-           magnetised fields around it are still overwritten. *)
-        for j = 0 to 7 do
-          let idx = i0 + (j lsr 2) in
-          let byte = Char.code (Bigarray.Array1.unsafe_get states idx) in
-          let shift = 2 * (j land 3) in
-          if (byte lsr shift) land 2 = 0 then begin
-            let bit = (v lsr (7 - j)) land 1 in
-            Bigarray.Array1.unsafe_set states idx
-              (Char.unsafe_chr
-                 (byte land lnot (3 lsl shift) lor (bit lsl shift)))
+        let spos = (src_pos + (cstart - start)) lsr 3 in
+        let first = (cstart lsr 2) - base in
+        for b = 0 to (clen lsr 3) - 1 do
+          let v = Char.code (Bytes.unsafe_get src (spos + b)) in
+          let i0 = first + (2 * b) in
+          let s0 = Char.code (Bigarray.Array1.unsafe_get states i0)
+          and s1 = Char.code (Bigarray.Array1.unsafe_get states (i0 + 1)) in
+          if (s0 lor s1) land 0xAA = 0 then begin
+            (* No heated dot in either state byte: overwrite all eight. *)
+            Bigarray.Array1.unsafe_set states i0
+              (Char.unsafe_chr (Array.unsafe_get tbl (v lsr 4)));
+            Bigarray.Array1.unsafe_set states (i0 + 1)
+              (Char.unsafe_chr (Array.unsafe_get tbl (v land 15)))
           end
-        done
-    done);
-    true
+          else
+            (* A heated dot ignores the write (no perpendicular axis); the
+               magnetised fields around it are still overwritten. *)
+            for j = 0 to 7 do
+              let idx = i0 + (j lsr 2) in
+              let byte = Char.code (Bigarray.Array1.unsafe_get states idx) in
+              let shift = 2 * (j land 3) in
+              if (byte lsr shift) land 2 = 0 then begin
+                let bit = (v lsr (7 - j)) land 1 in
+                Bigarray.Array1.unsafe_set states idx
+                  (Char.unsafe_chr
+                     (byte land lnot (3 lsl shift) lor (bit lsl shift)))
+              end
+            done
+        done)
   end
+  else
+    for k = 0 to len - 1 do
+      mwb t (start + k) (Dot.of_bool (get_bit src (src_pos + k)))
+    done
 
 let erb_run ?(cycles = 1) t ~start ~len ~dst ~dst_pos =
   if cycles <= 0 then invalid_arg "Bitops.erb_run: cycles must be positive";

@@ -79,54 +79,48 @@ val primitive_ops : counters -> int
 (** {1 Run kernels}
 
     Bulk mrb/mwb/erb over a run of consecutive dot addresses, with
-    counters charged in bulk.  Each kernel takes a fast, allocation-free
-    path only when that is semantically invisible — no fault injector
-    installed, [read_ber = 0], and (for the read kernels) the run
-    provably defect-free per {!Medium.run_defect_free} — and otherwise
-    falls back to a per-dot loop over the scalar ops, so fault and RAS
-    semantics are bit-identical either way.  The fast paths reproduce
-    the scalar path's PRNG draws (heated-dot coin flips, heated-dot erb
-    protocol reads) in the exact same order from the medium's PRNG. *)
+    counters charged in bulk.  The magnetic kernels move bits packed
+    MSB-first at a bit offset of a byte buffer: dot [start + k] is bit
+    [pos + k], i.e. bit [7 - ((pos + k) mod 8)] of byte [(pos + k) / 8]
+    (the sector image order).  Each kernel takes a fast, allocation-free
+    path only when that is semantically invisible, and otherwise runs a
+    per-dot loop over the scalar ops, so fault and RAS semantics are
+    bit-identical either way.  The fast paths reproduce the scalar
+    path's PRNG draws (heated-dot coin flips, heated-dot erb protocol
+    reads) in the exact same order from the medium's PRNG.
+
+    Fast-path guards:
+    - {!mrb_run}: [len > 0]; [start], [len] and [dst_pos] multiples of
+      8; no injector, [read_ber = 0] and the run defect-free.
+    - {!mwb_run}: [len > 0]; [start], [len] and [src_pos] multiples of
+      8; no injector.
+    - {!erb_run}: no injector, [read_ber = 0] and the run
+      defect-free. *)
+
+val get_bit : Bytes.t -> int -> bool
+(** [get_bit buf i] is bit [i] of [buf] in the kernels' MSB-first
+    order. *)
+
+val set_bit : Bytes.t -> int -> bool -> unit
+
+val mrb_run_fast : ctx -> start:int -> len:int -> bool
+(** Whether {!mrb_run} over the run, into a byte-aligned [dst_pos],
+    takes the packed kernel rather than the per-dot loop. *)
 
 val mrb_run :
-  ctx -> start:int -> len:int -> dst:bool array -> dst_pos:int -> unit
-(** Magnetic read of dots [start, start+len) into [dst.(dst_pos ..)],
-    [true] = Up; equivalent to [len] calls of {!mrb} piped through
-    {!Dot.to_bool}. *)
-
-val read_fast_available : ctx -> start:int -> len:int -> bool
-(** Whether the read kernels' fast path is available over the run: no
-    injector, [read_ber = 0], and the run defect-free.  Lets callers
-    that must not charge anything before committing (see
-    {!mrb_run_packed}) test the guards up front. *)
-
-val mrb_run_packed :
-  ctx -> start:int -> len:int -> dst:Bytes.t -> dst_pos:int -> bool
-(** Magnetic read of an 8-dot-aligned run straight into packed bytes:
-    dot [start + 8b + j] lands in bit [7 - j] of [dst.(dst_pos + b)]
-    (MSB-first, the sector image order), skipping the intermediate bool
-    array entirely.  Only available on the fast path: returns [false]
-    — having charged nothing and drawn nothing — when [start] or [len]
-    is not a multiple of 8 or {!mrb_run}'s fast-path guards fail, and
-    the caller must fall back to {!mrb_run} plus packing.  When it runs
-    it is bit- and draw-identical to that fallback. *)
+  ctx -> start:int -> len:int -> dst:Bytes.t -> dst_pos:int -> unit
+(** Magnetic read of dots [start, start+len) into bits
+    [dst_pos, dst_pos+len) of [dst], [true] = Up; equivalent to [len]
+    calls of {!mrb} piped through {!Dot.to_bool}.  Every bit of the
+    range is written; the bits around it are left alone.
+    @raise Invalid_argument if the run or the bit range is out of
+    range. *)
 
 val mwb_run :
-  ctx -> start:int -> len:int -> src:bool array -> src_pos:int -> unit
-(** Magnetic write of [src.(src_pos ..)] over the run; equivalent to
-    [len] calls of {!mwb} via {!Dot.of_bool} (heated dots ignore the
-    write). *)
-
-val mwb_run_packed :
-  ctx -> start:int -> len:int -> src:Bytes.t -> src_pos:int -> bool
-(** Magnetic write of an 8-dot-aligned run straight from packed bytes
-    (bit [7 - j] of [src.(src_pos + b)] → dot [start + 8b + j], the
-    inverse of {!mrb_run_packed}'s layout).  Returns [false] — having
-    touched nothing — when [start] or [len] is not a multiple of 8 or a
-    fault injector is installed; the caller falls back to {!mwb_run}.
-    When it runs it leaves the medium, counters and PRNG exactly as
-    that fallback would (heated dots ignore the write on both paths,
-    and mwb never draws randomness). *)
+  ctx -> start:int -> len:int -> src:Bytes.t -> src_pos:int -> unit
+(** Magnetic write of bits [src_pos, src_pos+len) of [src] over the
+    run; equivalent to [len] calls of {!mwb} via {!Dot.of_bool} (heated
+    dots ignore the write). *)
 
 val erb_run :
   ?cycles:int ->

@@ -214,8 +214,6 @@ let is_defect t i =
   t.defect_total > 0
   && Char.code (Bytes.get t.defects (i / 8)) land (1 lsl (i mod 8)) <> 0
 
-let defect_count t = t.defect_total
-
 let check_run t start len =
   if len < 0 || start < 0 || start + len > size t then
     invalid_arg "Medium: run out of range"
@@ -421,7 +419,6 @@ let iter_neighbours t i f =
   if row < t.config.rows - 1 then f (i + c)
 
 let heated_count t = t.heated
-let heated_fraction t = float_of_int t.heated /. float_of_int (size t)
 
 let capacity_bits t =
   let area_cm2 =
@@ -429,11 +426,6 @@ let capacity_bits t =
     /. 1e-4
   in
   area_cm2 *. Physics.Constants.areal_density_bits_per_cm2 t.config.geometry
-
-let iter_heated t f =
-  for i = 0 to size t - 1 do
-    if raw_get t i = 2 then f i
-  done
 
 let note_heated t i =
   check_range t i;

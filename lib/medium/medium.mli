@@ -57,9 +57,6 @@ val set : t -> int -> Dot.t -> unit
 
 val is_defect : t -> int -> bool
 
-val defect_count : t -> int
-(** Total manufacturing defects placed at seed time. *)
-
 val run_defect_free : t -> start:int -> len:int -> bool
 (** Whether the run [start, start+len) is guaranteed free of defects.
     Checked at {e row} granularity against a bitmap precomputed at
@@ -155,14 +152,10 @@ val count_heated_run : t -> start:int -> len:int -> int
     time. *)
 
 val heated_count : t -> int
-val heated_fraction : t -> float
 
 val capacity_bits : t -> float
 (** Bits the medium would hold at its areal density — reported, not a
     limit on [size]. *)
-
-val iter_heated : t -> (int -> unit) -> unit
-(** Visit every heated dot (used by the full-medium forensic scan). *)
 
 val note_heated : t -> int -> unit
 (** Bookkeeping hook for {!Bitops}: records that dot [i] became heated

@@ -26,6 +26,8 @@ type t = {
 }
 
 let create ?(config = default_config) medium =
+  if config.erb_cycles <= 0 then
+    invalid_arg "Pdevice.create: erb_cycles must be positive";
   let timing = Timing.create ~costs:config.costs () in
   let tips = Tips.create ~spares:config.spare_tips ~n_tips:config.n_tips medium in
   let bitops = Pmedia.Bitops.make ?profile:config.profile medium in
@@ -80,10 +82,6 @@ let check_run t start len =
   if start < 0 || len < 0 || start + len > size t then
     invalid_arg "Pdevice: run out of range"
 
-let seek_to_dot t dot =
-  let _, offset = Tips.locate t.tips dot in
-  Actuator.seek t.actuator offset
-
 (* How the ledger is charged per scan-offset step of a run. *)
 type charge = Cbits of { read : int; written : int } | Cewb of int
 
@@ -117,148 +115,116 @@ let record_run_wear t ~start ~len =
     Tips.record_full_rows t.tips ~count:!full
   end
 
-(* Iterate a run scan-row by scan-row, charging [charge] once per step.
+let lean t =
+  t.fault = None
+  && Tips.remapped_count t.tips = 0
+  && Tips.all_serving_healthy t.tips
+
+(* Lean dispatch: with no injector and no broken or remapped tip, none
+   of those states can change mid-run, so the per-offset checks hoist
+   out, the seek/charge/wear loops batch (each replays the per-offset
+   float additions in the same order from unboxed locals — see
+   {!Actuator.scan_run} and {!Timing.charge_bits_times} — so the
+   ledgers are bit-identical to the per-offset loop without its
+   boxing), and the kernel takes the whole run in one call, visiting
+   dots in address order exactly as the scalar path would.  Charges the
+   whole run and returns [true] when the dispatch is lean (or the run
+   empty); returns [false] having charged nothing otherwise. *)
+let sweep_lean t ~start ~len charge =
+  len = 0
+  || lean t
+     && begin
+          let n = Tips.n_tips t.tips in
+          let first_off = start / n and last_off = (start + len - 1) / n in
+          Actuator.scan_run t.actuator ~first:first_off ~last:last_off;
+          charge_many t charge ~times:(last_off - first_off + 1);
+          record_run_wear t ~start ~len;
+          true
+        end
+
+(* The per-row dispatch, charging [charge] once per scan-offset step.
    When every logical tip is served by a healthy unit the whole row
    goes through [bulk] in one call (tip index is [dot - off * n], no
    per-dot [Tips.locate]); a row with any broken serving tip falls back
    to per-dot [f dot tip], which keeps the dead-tip noise semantics.
-   Wear is recorded per row either way, and timing is charged per
-   offset either way, so the ledgers are identical on both paths. *)
-let run_offsets t ~start ~len ~charge ~bulk f =
-  if len > 0 then begin
-    let n = Tips.n_tips t.tips in
-    let first_off = start / n and last_off = (start + len - 1) / n in
-    if
-      t.fault = None
-      && Tips.remapped_count t.tips = 0
-      && Tips.all_serving_healthy t.tips
-    then begin
-      (* Lean dispatch: with no injector and no broken or remapped tip,
-         none of those states can change mid-run, so the per-offset
-         checks hoist out, the seek/charge/wear loops batch (each
-         replays the per-offset float additions in the same order from
-         unboxed locals — see {!Actuator.scan_run} and
-         {!Timing.charge_bits_times} — so the ledgers are bit-identical
-         to the per-offset loop without its boxing), and the kernel
-         takes the whole run in one call, visiting dots in address
-         order exactly as the scalar path would. *)
-      Actuator.scan_run t.actuator ~first:first_off ~last:last_off;
-      charge_many t charge ~times:(last_off - first_off + 1);
-      record_run_wear t ~start ~len;
-      bulk ~lo:start ~hi:(start + len - 1)
-    end
+   Wear is recorded per row and timing charged per offset, so the
+   ledgers match the lean sweep's exactly. *)
+let run_rows t ~start ~len charge ~bulk f =
+  let n = Tips.n_tips t.tips in
+  let first_off = start / n and last_off = (start + len - 1) / n in
+  for off = first_off to last_off do
+    Actuator.seek t.actuator off;
+    charge_one t charge;
+    (* Scheduled tip deaths land at scan-row boundaries. *)
+    (match t.fault with
+    | None -> ()
+    | Some inj ->
+        List.iter (Tips.fail_tip t.tips) (Fault.Injector.newly_dead_tips inj));
+    (* A remapped field is served by a spare parked off-pitch on the
+       same sled: each scan row pays one extra settle to line it up. *)
+    if Tips.remapped_count t.tips > 0 then
+      Timing.charge_time t.timing (Timing.costs t.timing).Timing.seek_settle;
+    let row_base = off * n in
+    let lo = max start row_base
+    and hi = min (start + len - 1) (row_base + n - 1) in
+    Tips.record_use_range t.tips ~lo:(lo - row_base) ~hi:(hi - row_base);
+    if Tips.all_serving_healthy t.tips then bulk ~lo ~hi
     else
-      for off = first_off to last_off do
-        Actuator.seek t.actuator off;
-        charge_one t charge;
-        (* Scheduled tip deaths land at scan-row boundaries. *)
-        (match t.fault with
-        | None -> ()
-        | Some inj ->
-            List.iter (Tips.fail_tip t.tips) (Fault.Injector.newly_dead_tips inj));
-        (* A remapped field is served by a spare parked off-pitch on the
-           same sled: each scan row pays one extra settle to line it up. *)
-        if Tips.remapped_count t.tips > 0 then
-          Timing.charge_time t.timing (Timing.costs t.timing).Timing.seek_settle;
-        let row_base = off * n in
-        let lo = max start row_base
-        and hi = min (start + len - 1) (row_base + n - 1) in
-        Tips.record_use_range t.tips ~lo:(lo - row_base) ~hi:(hi - row_base);
-        if Tips.all_serving_healthy t.tips then bulk ~lo ~hi
-        else
-          for dot = lo to hi do
-            f dot (dot - row_base)
-          done
+      for dot = lo to hi do
+        f dot (dot - row_base)
       done
-  end
+  done
+
+let run_offsets t ~start ~len charge ~bulk f =
+  if sweep_lean t ~start ~len charge then bulk ~lo:start ~hi:(start + len - 1)
+  else run_rows t ~start ~len charge ~bulk f
+
+let one_pass t ~start ~len =
+  lean t && Pmedia.Bitops.mrb_run_fast t.bitops ~start ~len
 
 let random_bit t = Sim.Prng.bool (Pmedia.Medium.rng t.medium)
 
-let read_run_into t ~start ~len ~dst =
-  check_run t start len;
-  if Array.length dst < len then
-    invalid_arg "Pdevice.read_run_into: dst too short";
-  run_offsets t ~start ~len
-    ~charge:(Cbits { read = 1; written = 0 })
-    ~bulk:(fun ~lo ~hi ->
-      Pmedia.Bitops.mrb_run t.bitops ~start:lo ~len:(hi - lo + 1) ~dst
-        ~dst_pos:(lo - start))
-    (fun dot tip ->
-      let v =
-        if Tips.tip_failed t.tips tip then random_bit t
-        else Pmedia.Dot.to_bool (Pmedia.Bitops.mrb t.bitops dot)
-      in
-      dst.(dot - start) <- v)
+let check_bytes name buf len =
+  if 8 * Bytes.length buf < len then invalid_arg (name ^ ": buffer too short")
 
-let read_run t ~start ~len =
-  let out = Array.make len false in
-  read_run_into t ~start ~len ~dst:out;
-  out
-
-(* Whole-run packed read: only when the lean dispatch AND the packed
-   kernel are both available, so the decision is made before any charge
-   or draw and a [false] return leaves the device untouched.  The
-   charge/wear sequence is the same as [read_run_into]'s lean branch,
-   and the kernel draws match the bool-array kernel's, so taking this
-   path is invisible to ledgers, counters and the PRNG stream. *)
-let read_run_packed t ~start ~len ~dst =
+(* Reads and writes test the lean dispatch before building the per-row
+   closures, so a whole-run call allocates none of them. *)
+let read_run t ~start ~len ~dst =
   check_run t start len;
-  if Bytes.length dst < len lsr 3 then
-    invalid_arg "Pdevice.read_run_packed: dst too short";
-  len > 0 && start land 7 = 0 && len land 7 = 0
-  && t.fault = None
-  && Tips.remapped_count t.tips = 0
-  && Tips.all_serving_healthy t.tips
-  && Pmedia.Bitops.read_fast_available t.bitops ~start ~len
-  && begin
-       let n = Tips.n_tips t.tips in
-       let first_off = start / n and last_off = (start + len - 1) / n in
-       Actuator.scan_run t.actuator ~first:first_off ~last:last_off;
-       Timing.charge_bits_times t.timing ~read:1 ~written:0
-         ~times:(last_off - first_off + 1);
-       record_run_wear t ~start ~len;
-       Pmedia.Bitops.mrb_run_packed t.bitops ~start ~len ~dst ~dst_pos:0
-     end
+  check_bytes "Pdevice.read_run" dst len;
+  let charge = Cbits { read = 1; written = 0 } in
+  if sweep_lean t ~start ~len charge then
+    Pmedia.Bitops.mrb_run t.bitops ~start ~len ~dst ~dst_pos:0
+  else
+    run_rows t ~start ~len charge
+      ~bulk:(fun ~lo ~hi ->
+        Pmedia.Bitops.mrb_run t.bitops ~start:lo ~len:(hi - lo + 1) ~dst
+          ~dst_pos:(lo - start))
+      (fun dot tip ->
+        Pmedia.Bitops.set_bit dst (dot - start)
+          (if Tips.tip_failed t.tips tip then random_bit t
+           else Pmedia.Dot.to_bool (Pmedia.Bitops.mrb t.bitops dot)))
 
-(* Whole-run packed write, the mirror of [read_run_packed]: all guards
-   are checked before any seek, charge or wear, so a [false] return
-   leaves the device untouched and the caller falls back to
-   [write_run].  mwb draws no randomness and ignores defects, so the
-   only kernel guard is the absence of a fault injector. *)
-let write_run_packed t ~start ~len ~src =
+let write_run t ~start ~len ~src =
   check_run t start len;
-  if Bytes.length src < len lsr 3 then
-    invalid_arg "Pdevice.write_run_packed: src too short";
-  len > 0 && start land 7 = 0 && len land 7 = 0
-  && t.fault = None
-  && Tips.remapped_count t.tips = 0
-  && Tips.all_serving_healthy t.tips
-  && begin
-       let n = Tips.n_tips t.tips in
-       let first_off = start / n and last_off = (start + len - 1) / n in
-       Actuator.scan_run t.actuator ~first:first_off ~last:last_off;
-       Timing.charge_bits_times t.timing ~read:0 ~written:1
-         ~times:(last_off - first_off + 1);
-       record_run_wear t ~start ~len;
-       Pmedia.Bitops.mwb_run_packed t.bitops ~start ~len ~src ~src_pos:0
-     end
-
-let write_run t ~start bits =
-  let len = Array.length bits in
-  check_run t start len;
-  run_offsets t ~start ~len
-    ~charge:(Cbits { read = 0; written = 1 })
-    ~bulk:(fun ~lo ~hi ->
-      Pmedia.Bitops.mwb_run t.bitops ~start:lo ~len:(hi - lo + 1) ~src:bits
-        ~src_pos:(lo - start))
-    (fun dot tip ->
-      if not (Tips.tip_failed t.tips tip) then
-        Pmedia.Bitops.mwb t.bitops dot (Pmedia.Dot.of_bool bits.(dot - start)))
+  check_bytes "Pdevice.write_run" src len;
+  let charge = Cbits { read = 0; written = 1 } in
+  if sweep_lean t ~start ~len charge then
+    Pmedia.Bitops.mwb_run t.bitops ~start ~len ~src ~src_pos:0
+  else
+    run_rows t ~start ~len charge
+      ~bulk:(fun ~lo ~hi ->
+        Pmedia.Bitops.mwb_run t.bitops ~start:lo ~len:(hi - lo + 1) ~src
+          ~src_pos:(lo - start))
+      (fun dot tip ->
+        if not (Tips.tip_failed t.tips tip) then
+          Pmedia.Bitops.mwb t.bitops dot
+            (Pmedia.Dot.of_bool (Pmedia.Bitops.get_bit src (dot - start))))
 
 let heat_run t ~start pattern =
   let len = Array.length pattern in
   check_run t start len;
-  run_offsets t ~start ~len ~charge:(Cewb 1)
+  run_offsets t ~start ~len (Cewb 1)
     ~bulk:(fun ~lo ~hi ->
       for dot = lo to hi do
         if pattern.(dot - start) then Pmedia.Bitops.ewb t.bitops dot
@@ -267,29 +233,20 @@ let heat_run t ~start pattern =
       if pattern.(dot - start) && not (Tips.tip_failed t.tips tip) then
         Pmedia.Bitops.ewb t.bitops dot)
 
-let erb_run_into ?cycles t ~start ~len ~dst =
-  check_run t start len;
-  if Array.length dst < len then
-    invalid_arg "Pdevice.erb_run_into: dst too short";
+let erb_run ?cycles t ~start ~len ~dst =
   let cycles = Option.value cycles ~default:t.config.erb_cycles in
+  if cycles <= 0 then invalid_arg "Pdevice.erb_run: cycles must be positive";
+  check_run t start len;
+  if Array.length dst < len then invalid_arg "Pdevice.erb_run: dst too short";
   (* Each cycle is read, write, read, write, read = 3 reads + 2 writes
      of the whole tip row. *)
   run_offsets t ~start ~len
-    ~charge:(Cbits { read = 3 * cycles; written = 2 * cycles })
+    (Cbits { read = 3 * cycles; written = 2 * cycles })
     ~bulk:(fun ~lo ~hi ->
       Pmedia.Bitops.erb_run ~cycles t.bitops ~start:lo ~len:(hi - lo + 1)
         ~dst ~dst_pos:(lo - start))
     (fun dot tip ->
-      let heated =
-        if Tips.tip_failed t.tips tip then
-          (* A dead tip cannot run the protocol; its verification reads
-             are noise, which reports as heated. *)
-          true
-        else Pmedia.Bitops.erb ~cycles t.bitops dot
-      in
-      dst.(dot - start) <- heated)
-
-let erb_run ?cycles t ~start ~len =
-  let out = Array.make len false in
-  erb_run_into ?cycles t ~start ~len ~dst:out;
-  out
+      (* A dead tip cannot run the protocol; its verification reads
+         are noise, which reports as heated. *)
+      dst.(dot - start) <-
+        Tips.tip_failed t.tips tip || Pmedia.Bitops.erb ~cycles t.bitops dot)

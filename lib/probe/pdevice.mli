@@ -36,6 +36,8 @@ val default_config : config
     cycles. *)
 
 val create : ?config:config -> Pmedia.Medium.t -> t
+(** @raise Invalid_argument if [erb_cycles] is not positive, or (from
+    {!Tips.create}) [n_tips] is not. *)
 
 val clone : t -> t
 (** Copy-on-write device snapshot: the medium is {!Pmedia.Medium.clone}d
@@ -55,57 +57,46 @@ val config : t -> config
 val size : t -> int
 (** Logical dot addresses, = medium size. *)
 
-val read_run : t -> start:int -> len:int -> bool array
-(** Magnetic read; [true] = up = logical 1.  Heated or failed-tip dots
-    yield random values, as the physics dictates. *)
+(** {2 Runs}
 
-val read_run_into : t -> start:int -> len:int -> dst:bool array -> unit
-(** {!read_run} into a caller-owned buffer (filling [dst.(0..len-1)]) —
-    the allocation-free form for hot paths that reuse a scratch array.
-    @raise Invalid_argument if [dst] holds fewer than [len] cells. *)
+    One call per medium operation.  Bits travel packed MSB-first, the
+    sector image order: dot [start + k] is bit [7 - (k mod 8)] of byte
+    [k / 8].  Every call completes, charging one scan-offset step per
+    scan row the run touches: a lean dispatch (no injector, no broken or
+    remapped tip) sweeps the whole run through one kernel call; anything
+    else walks it row by row, per dot under a broken tip.  Both leave
+    identical ledgers, wear, counters and PRNG draws. *)
 
-val read_run_packed : t -> start:int -> len:int -> dst:Bytes.t -> bool
-(** Magnetic read of an 8-dot-aligned run straight into packed
-    MSB-first bytes (dot [start + 8b + j] → bit [7 - j] of
-    [dst.(b)]), skipping the bool-array representation.  Only taken
-    when both the healthy-tips dispatch and the defect-free read kernel
-    are available; returns [false] with the device completely untouched
-    otherwise, and the caller falls back to {!read_run_into} plus
-    packing.  When taken, ledgers, wear, counters and PRNG draws are
-    identical to the fallback.
-    @raise Invalid_argument if [dst] holds fewer than [len/8] bytes. *)
+val read_run : t -> start:int -> len:int -> dst:Bytes.t -> unit
+(** Magnetic read into bits [0, len) of [dst]; [true] = up = logical
+    1.  Heated or failed-tip dots yield random values, as the physics
+    dictates.
+    @raise Invalid_argument if [dst] holds fewer than [len] bits. *)
 
-val write_run : t -> start:int -> bool array -> unit
-(** Magnetic write of consecutive dots. *)
+val one_pass : t -> start:int -> len:int -> bool
+(** Whether {!read_run} over the run is served by one packed kernel
+    pass: the lean dispatch, and {!Pmedia.Bitops.mrb_run_fast} over the
+    run (8-dot-aligned, no read noise, defect-free).  Decided before any
+    charge or draw. *)
 
-val write_run_packed : t -> start:int -> len:int -> src:Bytes.t -> bool
-(** Magnetic write of an 8-dot-aligned run straight from packed
-    MSB-first bytes (bit [7 - j] of [src.(b)] → dot [start + 8b + j]),
-    the mirror of {!read_run_packed}.  Only taken on the healthy-tips
-    dispatch with no fault injector; returns [false] with the device
-    completely untouched otherwise, and the caller falls back to
-    {!write_run}.  When taken, ledgers, wear, counters and medium state
-    are identical to the fallback (mwb draws no randomness and skips
-    heated dots on both paths).
-    @raise Invalid_argument if [src] holds fewer than [len/8] bytes. *)
+val write_run : t -> start:int -> len:int -> src:Bytes.t -> unit
+(** Magnetic write of bits [0, len) of [src] over consecutive dots.
+    @raise Invalid_argument if [src] holds fewer than [len] bits. *)
 
 val heat_run : t -> start:int -> bool array -> unit
 (** Electrical write: heats dot [start + i] wherever the pattern is
     [true].  Dots under failed tips receive no pulse. *)
 
-val erb_run : ?cycles:int -> t -> start:int -> len:int -> bool array
-(** Electrical read: [true] = detected heated.  [cycles] overrides the
-    config's [erb_cycles].  One cycle misses a heated dot with
-    probability 1/4 (the two verification reads of the paper's sequence
-    both agree by luck), so callers that must not miss escalate the
-    cycle count on suspicious dots. *)
-
-val erb_run_into :
+val erb_run :
   ?cycles:int -> t -> start:int -> len:int -> dst:bool array -> unit
-(** {!erb_run} into a caller-owned buffer, like {!read_run_into}. *)
-
-val seek_to_dot : t -> int -> unit
-(** Pre-position the sled (exposes seek cost to scheduling studies). *)
+(** Electrical read into [dst.(0 .. len-1)]: [true] = detected heated.
+    [cycles] overrides the config's [erb_cycles].  One cycle misses a
+    heated dot with probability 1/4 (the two verification reads of the
+    paper's sequence both agree by luck), so callers that must not miss
+    escalate the cycle count on suspicious dots.
+    @raise Invalid_argument, before any seek, charge or wear, if
+    [cycles] is not positive, the run is out of range or [dst] holds
+    fewer than [len] cells. *)
 
 val elapsed : t -> float
 val energy : t -> float

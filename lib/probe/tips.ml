@@ -112,11 +112,7 @@ let failed_count t =
   done;
   !n
 
-let is_remapped t i = i < t.n_tips && t.remap.(i) >= 0
-
 let remapped_count t = t.n_remapped
-
-let spares_used t = t.next_spare
 
 let spares_free t =
   let free = ref 0 in

@@ -81,9 +81,7 @@ val remap_tip : t -> int -> bool
     spare.  Returns [false] (and does nothing) when the tip is serving
     fine already or no healthy spare remains. *)
 
-val is_remapped : t -> int -> bool
 val remapped_count : t -> int
-val spares_used : t -> int
 val spares_free : t -> int
 
 val record_use : t -> tip:int -> unit

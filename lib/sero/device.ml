@@ -96,17 +96,16 @@ type migration = {
   m_timestamp : float;
 }
 
-(* Reusable bit buffers for the sector and write-once hot paths; a
-   block image is 38 KB as a bool array, too much to allocate per read.
-   Every buffer size is a layout constant, so scratch sets are
-   interchangeable between devices: they live in a per-domain free list
-   and a device only holds one from first I/O until [park] — a parked
-   or freshly-cloned device pins no transient buffers.  Contents are
-   dead between device calls (always fully overwritten before being
-   read), so recycling is semantically invisible. *)
+(* Reusable buffers for the sector and write-once hot paths, so a read
+   allocates no image.  Every buffer size is a layout constant, so
+   scratch sets are interchangeable between devices: they live in a
+   per-domain free list and a device only holds one from first I/O
+   until [park] — a parked or freshly-cloned device pins no transient
+   buffers.  Contents are dead between device calls (always fully
+   overwritten before being read), so recycling is semantically
+   invisible. *)
 type scratch = {
-  sc_block : bool array;
-  sc_wo : bool array;
+  sc_wo : bool array; (* one write-once area's erb results *)
   sc_image : Bytes.t; (* one packed block image, block_dots / 8 *)
   mutable sc_span : Bytes.t; (* coalesced-span images, grown on demand *)
 }
@@ -122,7 +121,6 @@ let scratch_acquire () =
       s
   | [] ->
       {
-        sc_block = Array.make Layout.block_dots false;
         sc_wo = Array.make Layout.wo_area_dots false;
         sc_image = Bytes.create (Layout.block_dots / 8);
         sc_span = Bytes.empty;
@@ -157,10 +155,9 @@ type t = {
   (* Scratch buffers, pooled per domain: materialised on first use,
      given back by [park].  Never live across a nested device call. *)
   mutable scratch : scratch option;
-  (* Payload-sized memory traffic on paths that had to materialise a
-     fresh buffer (bool-array fallbacks, retained string copies).  The
-     zero-copy read/write paths leave it untouched, which is what the
-     bench counters assert. *)
+  (* Payload-sized memory traffic into fresh buffers: the string copy
+     [unsafe_read_raw] hands out.  Sector reads and writes never copy,
+     which is what the bench counters assert. *)
   mutable bytes_copied : int;
   mutable reads : int;
   mutable writes : int;
@@ -416,43 +413,6 @@ let service_failed_tips t =
     !n
   end
 
-(* Bits are bytes scanned MSB-first, matching Codec.Manchester. *)
-let bits_of_string_into out s =
-  let n = String.length s in
-  for i = 0 to n - 1 do
-    let v = Char.code (String.unsafe_get s i) in
-    let base = 8 * i in
-    Array.unsafe_set out base (v land 0x80 <> 0);
-    Array.unsafe_set out (base + 1) (v land 0x40 <> 0);
-    Array.unsafe_set out (base + 2) (v land 0x20 <> 0);
-    Array.unsafe_set out (base + 3) (v land 0x10 <> 0);
-    Array.unsafe_set out (base + 4) (v land 0x08 <> 0);
-    Array.unsafe_set out (base + 5) (v land 0x04 <> 0);
-    Array.unsafe_set out (base + 6) (v land 0x02 <> 0);
-    Array.unsafe_set out (base + 7) (v land 0x01 <> 0)
-  done;
-  out
-
-(* Pack a bool array into MSB-first bytes, into a caller-owned buffer
-   (the bridge from the bool-array fallback read to the packed image
-   the decoders consume). *)
-let pack_bits_into bits (dst : Bytes.t) =
-  let n = Bytes.length dst in
-  for byte = 0 to n - 1 do
-    let base = 8 * byte in
-    let v =
-      (if Array.unsafe_get bits base then 0x80 else 0)
-      lor (if Array.unsafe_get bits (base + 1) then 0x40 else 0)
-      lor (if Array.unsafe_get bits (base + 2) then 0x20 else 0)
-      lor (if Array.unsafe_get bits (base + 3) then 0x10 else 0)
-      lor (if Array.unsafe_get bits (base + 4) then 0x08 else 0)
-      lor (if Array.unsafe_get bits (base + 5) then 0x04 else 0)
-      lor (if Array.unsafe_get bits (base + 6) then 0x02 else 0)
-      lor if Array.unsafe_get bits (base + 7) then 0x01 else 0
-    in
-    Bytes.unsafe_set dst byte (Char.unsafe_chr v)
-  done
-
 (* {1 Magnetic sector ops} *)
 
 type write_error = Reserved_hash_block | In_heated_line | Read_only_device
@@ -479,21 +439,10 @@ let frame_kind pba t =
   if Layout.is_hash_block t.layout pba then Codec.Sector.Hash_meta
   else Codec.Sector.Data
 
-(* Write a block image at a physical first dot, preferring the packed
-   kernel (which consumes the encoded image bytes directly); the
-   bool-array unpack only happens when the kernel declines (faults,
-   broken or remapped tips).  Both sides leave identical medium state,
-   ledgers and wear. *)
+(* Write a block image at a physical first dot, straight from the
+   encoded image bytes. *)
 let write_image_at t ~start image =
-  if
-    not
-      (Probe.Pdevice.write_run_packed t.pdevice ~start ~len:Layout.block_dots
-         ~src:image)
-  then begin
-    t.bytes_copied <- t.bytes_copied + Bytes.length image;
-    Probe.Pdevice.write_run t.pdevice ~start
-      (bits_of_string_into (scratch t).sc_block (Bytes.unsafe_to_string image))
-  end
+  Probe.Pdevice.write_run t.pdevice ~start ~len:Layout.block_dots ~src:image
 
 let unsafe_write_block t ~pba payload =
   t.writes <- t.writes + 1;
@@ -512,24 +461,10 @@ let unsafe_write_raw t ~pba image =
   write_image_at t ~start:(block_start t pba) (Bytes.unsafe_of_string image);
   notify_mutation t ~pba ~n:1
 
-(* Read the raw image of [pba] into [scratch_image].  The packed read
-   skips the bool-array unpack/repack round trip; it declines (touching
-   nothing) under faults, broken tips, defects or read noise, and the
-   classic path takes over and packs into the same scratch. *)
 let read_image_into_scratch t ~pba =
   t.reads <- t.reads + 1;
-  let sc = scratch t in
-  let start = block_start t pba in
-  if
-    not
-      (Probe.Pdevice.read_run_packed t.pdevice ~start ~len:Layout.block_dots
-         ~dst:sc.sc_image)
-  then begin
-    Probe.Pdevice.read_run_into t.pdevice ~start ~len:Layout.block_dots
-      ~dst:sc.sc_block;
-    t.bytes_copied <- t.bytes_copied + Bytes.length sc.sc_image;
-    pack_bits_into sc.sc_block sc.sc_image
-  end
+  Probe.Pdevice.read_run t.pdevice ~start:(block_start t pba)
+    ~len:Layout.block_dots ~dst:(scratch t).sc_image
 
 let read_raw_view t ~pba =
   read_image_into_scratch t ~pba;
@@ -610,10 +545,10 @@ let read_block t ~pba =
       if not t.config.ras.ras_enabled then first else ras_reread t ~pba first
 
 (* Coalesced sector reads: [n] consecutive blocks in one sled pass.
-   When the packed whole-span kernel is available (healthy tips, no
-   faults, defect-free, and block boundaries aligned with scan rows so
-   the per-offset charges land exactly as n single reads would), the
-   span is read in one [read_run_packed] and sliced into frames;
+   When the span is served in one kernel pass ({!Probe.Pdevice.one_pass}:
+   healthy tips, no faults, defect-free) and block boundaries align with
+   scan rows so the per-offset charges land exactly as n single reads
+   would, the span is read in one [read_run] and sliced into frames;
    otherwise each block goes through the ordinary [read_block].  Either
    way, results, counters, ledger charges and PRNG draws match the
    sequential loop — the only divergence is {e when} RAS retries of a
@@ -631,14 +566,14 @@ let read_blocks t ~pba ~n =
   let sc = scratch t in
   if n > 1 && Bytes.length sc.sc_span < n * bytes_per_block then
     sc.sc_span <- Bytes.create (n * bytes_per_block);
+  let start = Layout.block_first_dot t.layout pba in
   if
     n > 1
     && Layout.block_dots mod t.config.n_tips = 0
     && span_identity t ~pba ~n
-    && Probe.Pdevice.read_run_packed t.pdevice
-         ~start:(Layout.block_first_dot t.layout pba)
-         ~len ~dst:sc.sc_span
+    && Probe.Pdevice.one_pass t.pdevice ~start ~len
   then begin
+    Probe.Pdevice.read_run t.pdevice ~start ~len ~dst:sc.sc_span;
     t.reads <- t.reads + n;
     Array.init n (fun k ->
         let pba = pba + k in
@@ -706,7 +641,7 @@ let escalation_cycles = 24
 
 let read_wo_area t ~start =
   let heated_dots = (scratch t).sc_wo in
-  Probe.Pdevice.erb_run_into t.pdevice ~start ~len:Layout.wo_area_dots
+  Probe.Pdevice.erb_run t.pdevice ~start ~len:Layout.wo_area_dots
     ~dst:heated_dots;
   let decode () =
     Codec.Manchester.decode
@@ -725,11 +660,9 @@ let read_wo_area t ~start =
          dots hard before believing them. *)
       List.iter
         (fun cell ->
-          let d0 = start + (2 * cell) in
-          let re =
-            Probe.Pdevice.erb_run ~cycles:escalation_cycles t.pdevice
-              ~start:d0 ~len:2
-          in
+          let re = Array.make 2 false in
+          Probe.Pdevice.erb_run ~cycles:escalation_cycles t.pdevice
+            ~start:(start + (2 * cell)) ~len:2 ~dst:re;
           heated_dots.(2 * cell) <- heated_dots.(2 * cell) || re.(0);
           heated_dots.((2 * cell) + 1) <- heated_dots.((2 * cell) + 1) || re.(1))
         first.Codec.Manchester.blank_cells;
@@ -1048,7 +981,8 @@ let classify_block t ~pba =
              dots do not. *)
           let start = block_start t pba in
           let sample = 128 in
-          let heated = Probe.Pdevice.erb_run t.pdevice ~start ~len:sample in
+          let heated = Array.make sample false in
+          Probe.Pdevice.erb_run t.pdevice ~start ~len:sample ~dst:heated;
           let n =
             Array.fold_left (fun acc h -> if h then acc + 1 else acc) 0 heated
           in

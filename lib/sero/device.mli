@@ -181,10 +181,11 @@ val read_blocks :
   t -> pba:int -> n:int -> (string, read_error) result array
 (** [n] consecutive sectors [pba .. pba+n-1] in one sled pass — the
     coalescing primitive behind {!Queue}'s adjacent-request batching.
-    When the bulk packed kernel applies (healthy tips, no fault
-    injector, zero read noise, defect-free span, and block boundaries
-    aligned on scan rows) the whole span is transferred in a single
-    run; otherwise every block falls back to {!read_block}.  Results,
+    When the span is served in one kernel pass
+    ({!Probe.Pdevice.one_pass}: healthy tips, no fault injector, zero
+    read noise, defect-free span) and block boundaries align on scan
+    rows, the whole span is transferred in a single run; otherwise
+    every block goes through {!read_block}.  Results,
     counters, ledger charges and PRNG draws are identical to calling
     {!read_block} sequentially; the only possible divergence is the
     position of RAS retry re-reads for a corrupted non-blank frame
@@ -364,10 +365,11 @@ val read_raw_view : t -> pba:int -> Bytes.t
     the image past the next call must copy ({!unsafe_read_raw}). *)
 
 val bytes_copied : t -> int
-(** Running total of payload-sized bytes the device had to copy into
-    freshly materialised buffers (bool-array fallback paths, retained
-    {!unsafe_read_raw} strings).  The packed zero-copy read/write paths
-    leave it untouched — the bench counters assert exactly that. *)
+(** Running total of payload-sized bytes the device copied into fresh
+    buffers: the strings {!unsafe_read_raw} hands out.  Sector reads and
+    writes pass images straight between the medium and the device's
+    scratch, on every path, and leave it untouched — the bench counters
+    assert exactly that. *)
 
 val unsafe_forge_burn :
   t -> hash_pba:int -> data_pbas:int list -> claim_line:int -> unit

@@ -297,7 +297,13 @@ let load path =
                 endurance;
               }
             in
-            let dev = Device.create config in
+            (* Fields Device.create rejects are a bad image, not a
+               crash. *)
+            let dev =
+              match Device.create config with
+              | dev -> dev
+              | exception Invalid_argument e -> failwith e
+            in
             (match version with
             | `V3 -> ()
             | `V4 -> restore_endurance_state r dev);

@@ -17,11 +17,8 @@ let create ?(spare_lines = 0) ~n_blocks ~line_exp () =
 let blocks_per_line t = 1 lsl t.line_exp
 let data_blocks_per_line t = blocks_per_line t - 1
 let n_lines t = t.n_blocks / blocks_per_line t
-let n_spare_lines t = t.spare_lines
 let usable_lines t = n_lines t - t.spare_lines
-let usable_blocks t = usable_lines t * blocks_per_line t
 let is_spare_line t l = l >= usable_lines t && l < n_lines t
-let total_dots t = t.n_blocks * block_dots
 
 let check_block t pba =
   if pba < 0 || pba >= t.n_blocks then

@@ -30,13 +30,9 @@ val data_blocks_per_line : t -> int
 
 val n_lines : t -> int
 
-val n_spare_lines : t -> int
 val usable_lines : t -> int
 (** [n_lines - spare_lines]: the lines honest software may allocate in.
     The spare region above is owned by the device's endurance layer. *)
-
-val usable_blocks : t -> int
-(** [usable_lines * blocks_per_line]. *)
 
 val is_spare_line : t -> int -> bool
 (** Whether line [l] lies in the reserved spare region. *)
@@ -51,8 +47,6 @@ val wo_area_dots : int
 
 val wo_area_bytes : int
 (** Logical bytes the Manchester-encoded write-once area holds: 256. *)
-
-val total_dots : t -> int
 
 val line_of_block : t -> int -> int
 (** @raise Invalid_argument if the PBA is out of range. *)

@@ -54,10 +54,8 @@ type t = {
   dev : Device.t;
   policy : Probe.Sched.policy;
   coalesce : bool;
-  max_span : int;
   read_retry_limit : int;
   retry_backoff : float;
-  watchdog_age : float;
   mutable pending_fg : req list; (* newest first *)
   mutable pending_bg : req list; (* newest first *)
   mutable busy : bool;
@@ -76,7 +74,6 @@ type t = {
          must see them or [drain] stops with the request in flight. *)
   mutable retried_reads : int;
   mutable abandoned_reads : int;
-  mutable watchdog_trips : int;
 }
 
 let class_stats_create name =
@@ -88,10 +85,11 @@ let class_stats_create name =
     last_completion = 0.;
   }
 
-let create ?(policy = Probe.Sched.Elevator) ?(coalesce = true) ?(max_span = 8)
-    ?(read_retry_limit = 0) ?(retry_backoff = 1e-4)
-    ?(watchdog_age = infinity) des dev =
-  if max_span < 1 then invalid_arg "Queue.create: max_span must be >= 1";
+(* Longest coalesced read span, in blocks. *)
+let max_span = 8
+
+let create ?(policy = Probe.Sched.Elevator) ?(coalesce = true)
+    ?(read_retry_limit = 0) ?(retry_backoff = 1e-4) des dev =
   if read_retry_limit < 0 then
     invalid_arg "Queue.create: read_retry_limit must be >= 0";
   if retry_backoff <= 0. then
@@ -101,10 +99,8 @@ let create ?(policy = Probe.Sched.Elevator) ?(coalesce = true) ?(max_span = 8)
     dev;
     policy;
     coalesce;
-    max_span;
     read_retry_limit;
     retry_backoff;
-    watchdog_age;
     pending_fg = [];
     pending_bg = [];
     busy = false;
@@ -121,7 +117,6 @@ let create ?(policy = Probe.Sched.Elevator) ?(coalesce = true) ?(max_span = 8)
     retry_pending = 0;
     retried_reads = 0;
     abandoned_reads = 0;
-    watchdog_trips = 0;
   }
 
 let device t = t.dev
@@ -280,8 +275,6 @@ let rec serve_group t group =
         cs.last_completion <- now;
         (tenant_stats_of t r.tenant).t_completed <-
           (tenant_stats_of t r.tenant).t_completed + 1;
-        if now -. r.submitted > t.watchdog_age then
-          t.watchdog_trips <- t.watchdog_trips + 1;
         fire ()
       in
       List.iter2
@@ -292,7 +285,7 @@ let rec serve_group t group =
               if r.attempts < t.read_retry_limit then begin
                 (* Deterministic exponential backoff off the DES clock:
                    backoff * 2^(attempt-1), original submit time kept so
-                   latency and the watchdog see the whole ordeal. *)
+                   latency sees the whole ordeal. *)
                 r.attempts <- r.attempts + 1;
                 t.retried_reads <- t.retried_reads + 1;
                 let delay =
@@ -376,7 +369,7 @@ and dispatch t =
           | KOther _ -> [ head ]
           | KRead { pba = first; _ } when t.coalesce ->
               let rec absorb acc last_pba = function
-                | _ when List.length acc >= t.max_span -> acc
+                | _ when List.length acc >= max_span -> acc
                 | [] -> acc
                 | off :: rest -> (
                     let next_pba = last_pba + 1 in
@@ -501,11 +494,6 @@ let submit_heat_line t ?(prio = Foreground) ?(tenant = 0) ~line ?timestamp k =
       let r = Device.heat_line t.dev ~line ~timestamp () in
       fun () -> k r)
 
-let submit_erb t ?(prio = Foreground) ?(tenant = 0) ~line k =
-  submit_other t prio tenant (offset_of_line t line) (fun () ->
-      let r = Device.read_hash_block t.dev ~line in
-      fun () -> k r)
-
 let submit_scrub_line t ?(prio = Background) ?config prog ~line k =
   submit_other t prio 0 (offset_of_line t line) (fun () ->
       Scrub.add_remapped prog (Device.service_failed_tips t.dev);
@@ -622,7 +610,6 @@ let served_offsets t = List.rev t.served_rev
 let coalesced_requests t = t.coalesced
 let retried_reads t = t.retried_reads
 let abandoned_reads t = t.abandoned_reads
-let watchdog_trips t = t.watchdog_trips
 
 let pp_summary ppf t =
   let pc prio =
@@ -636,10 +623,9 @@ let pp_summary ppf t =
   Format.fprintf ppf "queue [%a]: %d pending, %d coalesced, service mean=%.4g s@."
     Probe.Sched.pp_policy t.policy (pending t) t.coalesced
     (Sim.Stats.mean t.service);
-  if t.read_retry_limit > 0 || t.watchdog_trips > 0 then
-    Format.fprintf ppf
-      "  retries: %d re-served, %d abandoned, %d watchdog trips@."
-      t.retried_reads t.abandoned_reads t.watchdog_trips;
+  if t.read_retry_limit > 0 then
+    Format.fprintf ppf "  retries: %d re-served, %d abandoned@."
+      t.retried_reads t.abandoned_reads;
   pc Foreground;
   pc Background;
   match tenants t with

@@ -52,29 +52,23 @@ val pp_prio : Format.formatter -> prio -> unit
 val create :
   ?policy:Probe.Sched.policy ->
   ?coalesce:bool ->
-  ?max_span:int ->
   ?read_retry_limit:int ->
   ?retry_backoff:float ->
-  ?watchdog_age:float ->
   Sim.Des.t ->
   Device.t ->
   t
 (** A queue serving [dev] on the [des] clock.  [policy] defaults to
     {!Probe.Sched.Elevator}; [coalesce] (default [true]) merges reads
     of consecutive PBAs that are also adjacent in service order into
-    one {!Device.read_blocks} span of at most [max_span] (default 8)
-    blocks.
+    one {!Device.read_blocks} span of at most 8 blocks.
 
     Request-level RAS: a read that completes with [Error] is re-queued
     up to [read_retry_limit] times (default 0 — deliver errors
     immediately) with deterministic exponential backoff off the DES
     clock: the nth retry waits [retry_backoff * 2^(n-1)] simulated
     seconds (default backoff 100 us).  The original submit time is
-    kept, so latency percentiles and the watchdog see the whole ordeal;
-    only the final delivery updates the completion counters.  Any
-    request whose completion takes longer than [watchdog_age] simulated
-    seconds (default [infinity]) trips {!watchdog_trips} — a liveness
-    canary for stuck retry storms, not an abort. *)
+    kept, so latency percentiles see the whole ordeal; only the final
+    delivery updates the completion counters. *)
 
 val device : t -> Device.t
 val des : t -> Sim.Des.t
@@ -163,20 +157,6 @@ val submit_heat_line :
   ((Hash.Sha256.t, Device.heat_error) result -> unit) ->
   unit
 (** [timestamp] defaults to the DES clock at submit time. *)
-
-val submit_erb :
-  t ->
-  ?prio:prio ->
-  ?tenant:int ->
-  line:int ->
-  ([ `Not_heated
-   | `Burned of Device.burned_meta
-   | `Torn of Device.torn
-   | `Tampered of Tamper.evidence list ] ->
-  unit) ->
-  unit
-(** Electrical read of a line's write-once area
-    ({!Device.read_hash_block}) as a queued request. *)
 
 val submit_scrub_line :
   t ->
@@ -319,7 +299,5 @@ val abandoned_reads : t -> int
 (** Reads whose error was delivered after the retry budget ran out
     (only counted when [read_retry_limit > 0]). *)
 
-val watchdog_trips : t -> int
-(** Completions that took longer than [watchdog_age] end to end. *)
 
 val pp_summary : Format.formatter -> t -> unit

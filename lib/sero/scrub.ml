@@ -154,8 +154,6 @@ let planner ?(policy = Sequential) dev =
     todo = [];
   }
 
-let planner_policy p = p.pol
-
 let refill p =
   let n = Layout.n_lines (Device.layout p.pdev) in
   match p.pol with

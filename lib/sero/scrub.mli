@@ -110,8 +110,6 @@ val planner : ?policy:policy -> Device.t -> planner
     {!Sequential}, which yields exactly the 0,1,…,n-1,0,… sequence the
     pre-planner scheduler used. *)
 
-val planner_policy : planner -> policy
-
 val planner_position : planner -> int
 (** The line the next {!planner_next} will return, without consuming
     it.  This is precisely what a scheduling-aware insider can observe

@@ -7,17 +7,6 @@ type op =
   | Heat of string
   | Sync
 
-let pp_op ppf = function
-  | Mkdir p -> Format.fprintf ppf "mkdir %s" p
-  | Create { path; heat_group } -> Format.fprintf ppf "create %s g%d" path heat_group
-  | Write { path; offset; data } ->
-      Format.fprintf ppf "write %s @%d +%d" path offset (String.length data)
-  | Append { path; data } ->
-      Format.fprintf ppf "append %s +%d" path (String.length data)
-  | Unlink p -> Format.fprintf ppf "unlink %s" p
-  | Heat p -> Format.fprintf ppf "heat %s" p
-  | Sync -> Format.pp_print_string ppf "sync"
-
 type t = op list
 
 let magic = "SEROTRC1"

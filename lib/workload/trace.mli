@@ -15,8 +15,6 @@ type op =
   | Heat of string
   | Sync
 
-val pp_op : Format.formatter -> op -> unit
-
 type t = op list
 
 val encode : t -> string

@@ -371,43 +371,67 @@ let twins_agree (m1, ctx1) (m2, ctx2) =
   && Sim.Prng.bits64 (Pmedia.Medium.rng m1)
      = Sim.Prng.bits64 (Pmedia.Medium.rng m2)
 
+(* The last component is (start, length), erb cycles, a destination bit
+   offset, and whether to byte-align the magnetic run (half the cases,
+   so the packed kernels get their share). *)
 let equiv_arb =
   QCheck.(
     quad
       (pair (int_range 1 9999) (int_range 0 2))
       (pair (int_range 0 2) (int_range 0 2))
       (small_list (pair (int_range 0 255) (int_range 0 9)))
-      (pair (pair (int_range 0 255) (int_range 0 255)) (int_range 1 3)))
+      (quad (pair (int_range 0 255) (int_range 0 255)) (int_range 1 3)
+         (int_range 0 15) bool))
 
 let clamp_run start len_raw = (start, min len_raw (256 - start))
 
+(* A magnetic run with its bit offset, aligned to whole bytes on
+   request. *)
+let magnetic_run start len_raw off aligned =
+  let a x = if aligned then x land lnot 7 else x in
+  let start = a start in
+  (start, a (min len_raw (256 - start)), a off)
+
+(* A buffer of random bytes with room for [len] bits at [off], so the
+   kernels must leave the bits around the run alone. *)
+let noise_bytes seed ~off ~len =
+  let rng = Sim.Prng.create seed in
+  Bytes.init (((off + len) / 8) + 2) (fun _ -> Char.chr (Sim.Prng.int rng 256))
+
+let test_bit b i = Char.code (Bytes.get b (i / 8)) land (0x80 lsr (i mod 8)) <> 0
+
+let put_bit b i v =
+  let m = 0x80 lsr (i mod 8) and c = Char.code (Bytes.get b (i / 8)) in
+  Bytes.set b (i / 8) (Char.chr (if v then c lor m else c land lnot m))
+
 let mrb_run_equiv =
-  QCheck.Test.make ~name:"mrb_run == per-dot mrb loop" ~count:300 equiv_arb
-    (fun (seeds, modes, ops, ((start, len_raw), _cycles)) ->
-      let start, len = clamp_run start len_raw in
+  QCheck.Test.make ~name:"mrb_run == per-dot mrb loop" ~count:400 equiv_arb
+    (fun (((seed, _) as seeds), modes, ops, ((start, len_raw), _, off, aligned)) ->
+      let start, len, off = magnetic_run start len_raw off aligned in
       let ((_, ctx1) as t1), ((_, ctx2) as t2) = make_twin seeds modes ops in
-      let d1 = Array.make (len + 1) false and d2 = Array.make (len + 1) false in
-      Pmedia.Bitops.mrb_run ctx1 ~start ~len ~dst:d1 ~dst_pos:1;
+      let d1 = noise_bytes seed ~off ~len in
+      let d2 = Bytes.copy d1 in
+      Pmedia.Bitops.mrb_run ctx1 ~start ~len ~dst:d1 ~dst_pos:off;
       for k = 0 to len - 1 do
-        d2.(k + 1) <- Pmedia.Dot.to_bool (Pmedia.Bitops.mrb ctx2 (start + k))
+        put_bit d2 (off + k) (Pmedia.Dot.to_bool (Pmedia.Bitops.mrb ctx2 (start + k)))
       done;
-      d1 = d2 && twins_agree t1 t2)
+      Bytes.equal d1 d2 && twins_agree t1 t2)
 
 let mwb_run_equiv =
-  QCheck.Test.make ~name:"mwb_run == per-dot mwb loop" ~count:300 equiv_arb
-    (fun (seeds, modes, ops, ((start, len_raw), _cycles)) ->
-      let start, len = clamp_run start len_raw in
+  QCheck.Test.make ~name:"mwb_run == per-dot mwb loop" ~count:400 equiv_arb
+    (fun (((seed, _) as seeds), modes, ops, ((start, len_raw), _, off, aligned)) ->
+      let start, len, off = magnetic_run start len_raw off aligned in
       let ((_, ctx1) as t1), ((_, ctx2) as t2) = make_twin seeds modes ops in
-      let src = Array.init (len + 2) (fun i -> i land 1 = 0) in
-      Pmedia.Bitops.mwb_run ctx1 ~start ~len ~src ~src_pos:2;
+      let src = noise_bytes (seed + 1) ~off ~len in
+      Pmedia.Bitops.mwb_run ctx1 ~start ~len ~src ~src_pos:off;
       for k = 0 to len - 1 do
-        Pmedia.Bitops.mwb ctx2 (start + k) (Pmedia.Dot.of_bool src.(k + 2))
+        Pmedia.Bitops.mwb ctx2 (start + k) (Pmedia.Dot.of_bool (test_bit src (off + k)))
       done;
       twins_agree t1 t2)
 
 let erb_run_equiv =
   QCheck.Test.make ~name:"erb_run == per-dot erb loop" ~count:200 equiv_arb
-    (fun (seeds, modes, ops, ((start, len_raw), cycles)) ->
+    (fun (seeds, modes, ops, ((start, len_raw), cycles, _, _)) ->
       let start, len = clamp_run start len_raw in
       let ((_, ctx1) as t1), ((_, ctx2) as t2) = make_twin seeds modes ops in
       let d1 = Array.make len false and d2 = Array.make len false in

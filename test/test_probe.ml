@@ -137,14 +137,43 @@ let timing_cases =
 
 let bools = QCheck.array_of_size (QCheck.Gen.int_range 1 200) QCheck.bool
 
+(* Runs move bits packed MSB-first; these convert to and from bools
+   independently of the library's own bit helpers. *)
+let pack bits =
+  let b = Bytes.make ((Array.length bits + 7) / 8) '\000' in
+  Array.iteri
+    (fun i v ->
+      if v then
+        Bytes.set b (i / 8)
+          (Char.chr (Char.code (Bytes.get b (i / 8)) lor (0x80 lsr (i mod 8)))))
+    bits;
+  b
+
+let unpack b len =
+  Array.init len (fun i ->
+      Char.code (Bytes.get b (i / 8)) land (0x80 lsr (i mod 8)) <> 0)
+
+let read_bits p ~start ~len =
+  let dst = Bytes.make ((len + 7) / 8) '\000' in
+  Probe.Pdevice.read_run p ~start ~len ~dst;
+  unpack dst len
+
+let write_bits p ~start bits =
+  Probe.Pdevice.write_run p ~start ~len:(Array.length bits) ~src:(pack bits)
+
+let erb_bits ?cycles p ~start ~len =
+  let dst = Array.make len false in
+  Probe.Pdevice.erb_run ?cycles p ~start ~len ~dst;
+  dst
+
 let write_read_roundtrip =
   QCheck.Test.make ~name:"write_run/read_run roundtrip" ~count:100
     QCheck.(pair bools (int_range 0 200))
     (fun (bits, start) ->
       let p = make_pdev () in
       let start = min start (Probe.Pdevice.size p - Array.length bits) in
-      Probe.Pdevice.write_run p ~start bits;
-      let got = Probe.Pdevice.read_run p ~start ~len:(Array.length bits) in
+      write_bits p ~start bits;
+      let got = read_bits p ~start ~len:(Array.length bits) in
       got = bits)
 
 let heat_then_erb =
@@ -153,7 +182,7 @@ let heat_then_erb =
     (fun pattern ->
       let p = make_pdev () in
       Probe.Pdevice.heat_run p ~start:0 pattern;
-      let got = Probe.Pdevice.erb_run ~cycles:30 p ~start:0 ~len:(Array.length pattern) in
+      let got = erb_bits ~cycles:30 p ~start:0 ~len:(Array.length pattern) in
       got = pattern)
 
 let pdevice_cases =
@@ -161,13 +190,13 @@ let pdevice_cases =
     Alcotest.test_case "failed tip turns its dots to noise" `Quick (fun () ->
         let p = make_pdev ~n_tips:16 () in
         let bits = Array.make 64 true in
-        Probe.Pdevice.write_run p ~start:0 bits;
+        write_bits p ~start:0 bits;
         Probe.Tips.fail_tip (Probe.Pdevice.tips p) 5;
         (* Dots 5, 21, 37, 53 belong to tip 5: reads become random; over
            several trials at least one disagrees. *)
         let diffs = ref 0 in
         for _ = 1 to 20 do
-          let got = Probe.Pdevice.read_run p ~start:0 ~len:64 in
+          let got = read_bits p ~start:0 ~len:64 in
           for k = 0 to 3 do
             if not got.((16 * k) + 5) then incr diffs
           done
@@ -177,23 +206,47 @@ let pdevice_cases =
       `Quick (fun () ->
         let p = make_pdev ~n_tips:16 () in
         Probe.Tips.fail_tip (Probe.Pdevice.tips p) 0;
-        let got = Probe.Pdevice.erb_run p ~start:0 ~len:16 in
+        let got = erb_bits p ~start:0 ~len:16 in
         Alcotest.(check bool) "dot 0 heated-looking" true got.(0));
     Alcotest.test_case "parallelism: run cost scales with offsets not bits"
       `Quick (fun () ->
         let p = make_pdev ~n_tips:16 () in
         Probe.Pdevice.reset_ledger p;
-        Probe.Pdevice.write_run p ~start:0 (Array.make 16 true);
+        write_bits p ~start:0 (Array.make 16 true);
         let one_row = Probe.Pdevice.elapsed p in
         Probe.Pdevice.reset_ledger p;
-        Probe.Pdevice.write_run p ~start:0 (Array.make 160 true);
+        write_bits p ~start:0 (Array.make 160 true);
         let ten_rows = Probe.Pdevice.elapsed p in
         Alcotest.(check bool) "10x not 160x" true
           (ten_rows < 12. *. one_row && ten_rows > 8. *. one_row));
     Alcotest.test_case "out-of-range run rejected" `Quick (fun () ->
         let p = make_pdev () in
         Alcotest.check_raises "range" (Invalid_argument "Pdevice: run out of range")
-          (fun () -> ignore (Probe.Pdevice.read_run p ~start:0 ~len:(Probe.Pdevice.size p + 1))));
+          (fun () -> ignore (read_bits p ~start:0 ~len:(Probe.Pdevice.size p + 1))));
+    Alcotest.test_case "rejected erb_run leaves the device untouched" `Quick
+      (fun () ->
+        let p = make_pdev () in
+        write_bits p ~start:0 (Array.make 64 true);
+        let before =
+          ( Probe.Pdevice.elapsed p,
+            Probe.Pdevice.energy p,
+            Probe.Tips.uses (Probe.Pdevice.tips p) ~tip:0,
+            Pmedia.Bitops.primitive_ops
+              (Pmedia.Bitops.counters (Probe.Pdevice.bitops p)) )
+        in
+        List.iter
+          (fun cycles ->
+            Alcotest.check_raises "cycles"
+              (Invalid_argument "Pdevice.erb_run: cycles must be positive")
+              (fun () -> ignore (erb_bits ~cycles p ~start:16 ~len:32)))
+          [ 0; -1 ];
+        Alcotest.(check bool) "ledger, wear and counters unchanged" true
+          (before
+          = ( Probe.Pdevice.elapsed p,
+              Probe.Pdevice.energy p,
+              Probe.Tips.uses (Probe.Pdevice.tips p) ~tip:0,
+              Pmedia.Bitops.primitive_ops
+                (Pmedia.Bitops.counters (Probe.Pdevice.bitops p)) )));
     Alcotest.test_case "energy grows with electrical writes" `Quick (fun () ->
         let p = make_pdev () in
         let e0 = Probe.Pdevice.energy p in
@@ -262,13 +315,14 @@ let sched_cases =
 
 (* {1 Run dispatch equivalence}
 
-   The per-scan-row bulk dispatch must be invisible: a device whose
-   kernels run the fast path and a twin forced onto the scalar fallback
-   (by installing an empty-plan fault injector — inert, but its
-   presence disables the fast path) must produce the same outputs,
-   medium state, timing ledger and tip wear. *)
+   The dispatch must be invisible: a device whose kernels run the packed
+   path and a twin forced onto the per-dot scalar loops (by installing
+   an empty-plan fault injector — inert, but its presence disables every
+   fast path) must produce the same outputs, medium state, timing ledger
+   and tip wear.  With [~remap], both twins have one failed tip remapped
+   onto a spare, which sends every run through the row-by-row dispatch. *)
 
-let twin_pdevs (seed, ops) =
+let twin_pdevs ?(remap = false) (seed, ops) =
   let make ~forced_scalar =
     let cfg =
       { (Pmedia.Medium.default_config ~rows:32 ~cols:32) with
@@ -276,9 +330,19 @@ let twin_pdevs (seed, ops) =
     in
     let p =
       Probe.Pdevice.create
-        ~config:{ Probe.Pdevice.default_config with Probe.Pdevice.n_tips = 16 }
+        ~config:
+          {
+            Probe.Pdevice.default_config with
+            Probe.Pdevice.n_tips = 16;
+            spare_tips = 1;
+          }
         (Pmedia.Medium.create cfg)
     in
+    if remap then begin
+      let tips = Probe.Pdevice.tips p in
+      Probe.Tips.fail_tip tips 5;
+      assert (Probe.Tips.remap_tip tips 5)
+    end;
     if forced_scalar then
       Probe.Pdevice.install_fault p
         (Fault.Injector.create (Fault.Plan.make ()));
@@ -287,9 +351,7 @@ let twin_pdevs (seed, ops) =
       (fun (i, v) ->
         if v mod 7 = 0 then
           Probe.Pdevice.heat_run p ~start:i [| true; true; false |]
-        else
-          Probe.Pdevice.write_run p ~start:i
-            [| v land 1 = 0; v land 2 = 0; v land 4 = 0 |])
+        else write_bits p ~start:i [| v land 1 = 0; v land 2 = 0; v land 4 = 0 |])
       ops;
     p
   in
@@ -308,105 +370,70 @@ let pdev_state p =
     Pmedia.Medium.heated_count m,
     Probe.Pdevice.elapsed p,
     Probe.Pdevice.energy p,
-    List.init (Probe.Tips.n_tips tips) (fun tip -> Probe.Tips.uses tips ~tip) )
+    List.init (Probe.Tips.n_tips tips) (fun tip -> Probe.Tips.uses tips ~tip),
+    Sim.Prng.bits64 (Pmedia.Medium.rng m) )
 
 let scramble_arb =
   QCheck.(
     pair (int_range 1 9999)
       (small_list (pair (int_range 0 1000) (int_range 0 99))))
 
+(* Half the runs are byte-aligned, so the packed kernels get exercised
+   on the fast twin. *)
 let run_arb =
-  QCheck.(pair scramble_arb (pair (int_range 0 1000) (int_range 0 23)))
+  QCheck.(pair scramble_arb (triple (int_range 0 1000) (int_range 0 23) bool))
+
+let run_of (start, len, aligned) =
+  if aligned then
+    let start = 8 * (start mod 120) in
+    (start, 8 * min len ((1024 - start) / 8))
+  else (start, len)
 
 let dispatch_read_equiv =
   QCheck.Test.make ~name:"bulk vs forced-scalar dispatch: read_run" ~count:100
     run_arb
-    (fun (scramble, (start, len)) ->
+    (fun (scramble, run) ->
+      let start, len = run_of run in
       let fast, scalar = twin_pdevs scramble in
-      let a = Probe.Pdevice.read_run fast ~start ~len in
-      let b = Probe.Pdevice.read_run scalar ~start ~len in
+      let a = read_bits fast ~start ~len in
+      let b = read_bits scalar ~start ~len in
       a = b && pdev_state fast = pdev_state scalar)
-
-(* The packed read must be byte- and ledger-identical to reading the
-   same run as bools and packing by hand — and on the forced-scalar
-   twin it must decline without touching anything. *)
-let dispatch_packed_read_equiv =
-  QCheck.Test.make ~name:"packed vs bool read_run: bytes and ledger"
-    ~count:100 run_arb
-    (fun (scramble, (start8, len8)) ->
-      let start = 8 * (start8 mod 120) in
-      let len = 8 * min len8 ((1024 - start) lsr 3) in
-      let fast, scalar = twin_pdevs scramble in
-      let dst = Bytes.create (len lsr 3) in
-      let taken = Probe.Pdevice.read_run_packed fast ~start ~len ~dst in
-      let before = pdev_state scalar in
-      let declined =
-        not (Probe.Pdevice.read_run_packed scalar ~start ~len ~dst:(Bytes.create (len lsr 3)))
-      in
-      let untouched = pdev_state scalar = before in
-      let bits = Probe.Pdevice.read_run scalar ~start ~len in
-      let packed_by_hand =
-        String.init (len lsr 3) (fun b ->
-            let v = ref 0 in
-            for j = 0 to 7 do
-              if bits.((8 * b) + j) then v := !v lor (1 lsl (7 - j))
-            done;
-            Char.chr !v)
-      in
-      (len = 0 || taken)
-      && declined && untouched
-      && Bytes.to_string dst = packed_by_hand
-      && pdev_state fast = pdev_state scalar)
 
 let dispatch_erb_equiv =
   QCheck.Test.make ~name:"bulk vs forced-scalar dispatch: erb_run" ~count:60
     run_arb
-    (fun (scramble, (start, len)) ->
+    (fun (scramble, run) ->
+      let start, len = run_of run in
       let fast, scalar = twin_pdevs scramble in
-      let a = Probe.Pdevice.erb_run ~cycles:2 fast ~start ~len in
-      let b = Probe.Pdevice.erb_run ~cycles:2 scalar ~start ~len in
+      let a = erb_bits ~cycles:2 fast ~start ~len in
+      let b = erb_bits ~cycles:2 scalar ~start ~len in
       a = b && pdev_state fast = pdev_state scalar)
-
-(* The packed write must leave the medium, ledger and wear exactly as
-   writing the same bits through the scalar path — including skipping
-   heated dots — and decline without touching anything on the
-   forced-scalar twin. *)
-let dispatch_packed_write_equiv =
-  QCheck.Test.make ~name:"packed vs bool write_run: medium and ledger"
-    ~count:100 run_arb
-    (fun (scramble, (start8, len8)) ->
-      let start = 8 * (start8 mod 120) in
-      let len = 8 * min len8 ((1024 - start) lsr 3) in
-      let fast, scalar = twin_pdevs scramble in
-      let src =
-        Bytes.init (max 1 (len lsr 3)) (fun i ->
-            Char.chr (((i * 37) + 11) land 0xFF))
-      in
-      let taken = Probe.Pdevice.write_run_packed fast ~start ~len ~src in
-      let before = pdev_state scalar in
-      let declined =
-        not (Probe.Pdevice.write_run_packed scalar ~start ~len ~src)
-      in
-      let untouched = pdev_state scalar = before in
-      let bits =
-        Array.init len (fun i ->
-            (Char.code (Bytes.get src (i lsr 3)) lsr (7 - (i land 7))) land 1
-            = 1)
-      in
-      if len > 0 then Probe.Pdevice.write_run scalar ~start bits;
-      (len = 0 || taken)
-      && declined && untouched
-      && pdev_state fast = pdev_state scalar)
 
 let dispatch_write_equiv =
   QCheck.Test.make ~name:"bulk vs forced-scalar dispatch: write_run" ~count:100
     run_arb
-    (fun (scramble, (start, len)) ->
+    (fun (scramble, run) ->
+      let start, len = run_of run in
       let fast, scalar = twin_pdevs scramble in
       let bits = Array.init len (fun i -> (start + i) land 1 = 0) in
-      Probe.Pdevice.write_run fast ~start bits;
-      Probe.Pdevice.write_run scalar ~start bits;
+      write_bits fast ~start bits;
+      write_bits scalar ~start bits;
       pdev_state fast = pdev_state scalar)
+
+let dispatch_remapped_equiv =
+  QCheck.Test.make ~name:"one remapped tip: row-by-row read, write, erb"
+    ~count:100 run_arb
+    (fun (scramble, run) ->
+      let start, len = run_of run in
+      let rows, scalar = twin_pdevs ~remap:true scramble in
+      let bits = Array.init len (fun i -> (start + i) mod 3 = 0) in
+      let script p =
+        write_bits p ~start bits;
+        let r = read_bits p ~start ~len in
+        let e = erb_bits ~cycles:2 p ~start ~len in
+        (r, e)
+      in
+      script rows = script scalar && pdev_state rows = pdev_state scalar)
 
 let () =
   Alcotest.run "probe"
@@ -419,10 +446,9 @@ let () =
         List.map qtest
           [
             dispatch_read_equiv;
-            dispatch_packed_read_equiv;
             dispatch_erb_equiv;
-            dispatch_packed_write_equiv;
             dispatch_write_equiv;
+            dispatch_remapped_equiv;
           ] );
       ( "sched",
         sched_cases

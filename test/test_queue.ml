@@ -174,17 +174,14 @@ let coalescing_cases =
     Alcotest.test_case "span respects max_span" `Quick (fun () ->
         let dev = mk_dev () in
         prefill dev;
-        let pbas = data_pbas dev in
-        let q =
-          Sero.Queue.create ~coalesce:true ~max_span:2 (Sim.Des.create ()) dev
-        in
-        for i = 0 to 5 do
-          Sero.Queue.submit_read q ~pba:pbas.(i) (fun _ -> ())
+        let q = Sero.Queue.create ~coalesce:true (Sim.Des.create ()) dev in
+        for pba = 1 to 17 do
+          Sero.Queue.submit_read q ~pba (fun _ -> ())
         done;
         Sim.Des.run (Sero.Queue.des q);
-        (* Six consecutive reads, spans of at most 2: at most one
-           absorption per span. *)
-        Alcotest.(check int) "three absorptions" 3
+        (* Seventeen consecutive reads, spans of at most 8: blocks 1-8
+           and 9-16 each absorb seven, block 17 rides alone. *)
+        Alcotest.(check int) "fourteen absorptions" 14
           (Sero.Queue.coalesced_requests q));
   ]
 

@@ -493,6 +493,56 @@ let image_cases =
             match Sero.Image.load path with
             | Error e -> Alcotest.(check string) "magic" "bad magic" e
             | Ok _ -> Alcotest.fail "bad magic accepted"));
+    Alcotest.test_case "crafted header fields are typed errors" `Quick
+      (fun () ->
+        (* Each image carries a recomputed, valid CRC over one hostile
+           header field: the loader must answer [Error], never raise. *)
+        let image_of cfg =
+          let path = Filename.temp_file "sero" ".img" in
+          Fun.protect
+            ~finally:(fun () -> Sys.remove path)
+            (fun () ->
+              Sero.Image.save (Sero.Device.create cfg) path;
+              In_channel.with_open_bin path In_channel.input_all)
+        in
+        let cfg = Sero.Device.default_config ~n_blocks:32 () in
+        let good = image_of cfg in
+        let other = image_of { cfg with Sero.Device.erb_cycles = 9 } in
+        let rec first_diff i = if good.[i] <> other.[i] then i else first_diff (i + 1) in
+        let erb_at = first_diff 0 in
+        let load_patched patches =
+          let b = Bytes.of_string good in
+          List.iter (fun (off, v) -> Bytes.set b off (Char.chr v)) patches;
+          let tl = Bytes.length b - 4 in
+          let crc =
+            Int32.to_int (Codec.Crc32.bytes b 0 tl) land 0xFFFFFFFF
+          in
+          List.iteri
+            (fun k shift -> Bytes.set b (tl + k) (Char.chr ((crc lsr shift) land 0xFF)))
+            [ 24; 16; 8; 0 ];
+          let path = Filename.temp_file "sero" ".img" in
+          Fun.protect
+            ~finally:(fun () -> Sys.remove path)
+            (fun () ->
+              Out_channel.with_open_bin path (fun oc ->
+                  Out_channel.output_bytes oc b);
+              Sero.Image.load path)
+        in
+        (match load_patched [] with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "unpatched image: %s" e);
+        List.iter
+          (fun (what, patches) ->
+            match load_patched patches with
+            | Error _ -> ()
+            | Ok _ -> Alcotest.failf "%s accepted" what
+            | exception e ->
+                Alcotest.failf "%s raised %s" what (Printexc.to_string e))
+          [
+            ("n_tips = 0", [ (13, 0); (14, 0) ]);
+            ("line_exp = 0", [ (12, 0) ]);
+            ("erb_cycles = 0", [ (erb_at, 0) ]);
+          ]);
   ]
   @
   (* A ≥64k-line geometry exercises the O(chunk) streaming paths at
@@ -1197,8 +1247,7 @@ let endurance_cases =
         let dev = make_dev () in
         let des = Sim.Des.create () in
         let q =
-          Sero.Queue.create ~read_retry_limit:3 ~retry_backoff:1e-4
-            ~watchdog_age:1e-12 des dev
+          Sero.Queue.create ~read_retry_limit:3 ~retry_backoff:1e-4 des dev
         in
         let got = ref None in
         (* A blank PBA fails deterministically on every attempt. *)
@@ -1210,8 +1259,6 @@ let endurance_cases =
         | None -> Alcotest.fail "callback never fired");
         Alcotest.(check int) "re-served twice" 2 (Sero.Queue.retried_reads q);
         Alcotest.(check int) "abandoned once" 1 (Sero.Queue.abandoned_reads q);
-        Alcotest.(check bool) "watchdog saw the ordeal" true
-          (Sero.Queue.watchdog_trips q > 0);
         (* A good read is untouched by the retry machinery. *)
         ignore (Sero.Device.write_block dev ~pba:9 "fine");
         let ok = ref false in
@@ -1378,6 +1425,118 @@ let endurance_twin =
              Sero.Device.phys_of_line dev_on ~line:l
              = Sero.Device.phys_of_line dev_off ~line:l)
            (List.init (Sero.Layout.n_lines lay) Fun.id))
+
+(* {1 Packed kernels vs per-dot loops, above the probe}
+
+   A healthy device serves sectors through the packed run kernels (and
+   coalesced spans through one kernel pass); a twin with an empty-plan
+   injector — inert, but its presence forces every per-dot path — must
+   agree with it on every result and every ledger. *)
+
+type dot_op =
+  | D_write of int * int
+  | D_read of int
+  | D_read_span of int * int
+  | D_heat of int
+  | D_verify of int
+  | D_raw_write of int * int
+  | D_heat_dots of int * int
+
+let packed_vs_per_dot =
+  let n_blocks = 64 and line_exp = 3 in
+  let lay = Sero.Layout.create ~n_blocks ~line_exp () in
+  let n_lines = Sero.Layout.n_lines lay in
+  let n_dots = n_blocks * Sero.Layout.block_dots in
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 4,
+            map2 (fun p t -> D_write (p, t)) (int_range 0 (n_blocks - 1))
+              (int_range 0 999) );
+          (3, map (fun p -> D_read p) (int_range 0 (n_blocks - 1)));
+          ( 3,
+            map2
+              (fun p n -> D_read_span (p, min n (n_blocks - p)))
+              (int_range 0 (n_blocks - 1))
+              (int_range 1 8) );
+          (2, map (fun l -> D_heat l) (int_range 0 (n_lines - 1)));
+          (2, map (fun l -> D_verify l) (int_range 0 (n_lines - 1)));
+          ( 1,
+            map2 (fun p t -> D_raw_write (p, t)) (int_range 0 (n_blocks - 1))
+              (int_range 0 999) );
+          ( 1,
+            map2
+              (fun d n -> D_heat_dots (d, min n (n_dots - d)))
+              (int_range 0 (n_dots - 1))
+              (int_range 1 64) );
+        ])
+  in
+  let print_op = function
+    | D_write (p, t) -> Printf.sprintf "write %d #%d" p t
+    | D_read p -> Printf.sprintf "read %d" p
+    | D_read_span (p, n) -> Printf.sprintf "read_blocks %d+%d" p n
+    | D_heat l -> Printf.sprintf "heat %d" l
+    | D_verify l -> Printf.sprintf "verify %d" l
+    | D_raw_write (p, t) -> Printf.sprintf "unsafe_write %d #%d" p t
+    | D_heat_dots (d, n) -> Printf.sprintf "heat_dots %d+%d" d n
+  in
+  let read_face = function
+    | Ok s -> s
+    | Error e -> Format.asprintf "%a" Sero.Device.pp_read_error e
+  in
+  let step dev = function
+    | D_write (pba, t) -> (
+        match Sero.Device.write_block dev ~pba (Printf.sprintf "twin %d" t) with
+        | Ok () -> "ok"
+        | Error e -> Format.asprintf "%a" Sero.Device.pp_write_error e)
+    | D_read pba -> read_face (Sero.Device.read_block dev ~pba)
+    | D_read_span (pba, n) ->
+        String.concat "|"
+          (Array.to_list
+             (Array.map read_face (Sero.Device.read_blocks dev ~pba ~n)))
+    | D_heat line -> (
+        match Sero.Device.heat_line dev ~line () with
+        | Ok h -> Hash.Sha256.to_hex h
+        | Error e -> Format.asprintf "%a" Sero.Device.pp_heat_error e)
+    | D_verify line ->
+        Format.asprintf "%a" Sero.Tamper.pp_verdict
+          (Sero.Device.verify_line dev ~line)
+    | D_raw_write (pba, t) ->
+        Sero.Device.unsafe_write_block dev ~pba (Printf.sprintf "raw %d" t);
+        ""
+    | D_heat_dots (dot, n) ->
+        Sero.Device.unsafe_heat_dots dev ~dot ~n;
+        ""
+  in
+  let state dev =
+    let pd = Sero.Device.pdevice dev in
+    let m = Probe.Pdevice.medium pd in
+    let image = Bytes.create (Pmedia.Medium.packed_length m) in
+    Pmedia.Medium.blit_packed m ~pos:0 ~dst:image ~dst_off:0
+      ~len:(Bytes.length image);
+    let c = Pmedia.Bitops.counters (Probe.Pdevice.bitops pd) in
+    ( Bytes.to_string image,
+      (Probe.Pdevice.elapsed pd, Probe.Pdevice.energy pd),
+      Pmedia.Bitops.(c.mrb, c.mwb, c.ewb, c.erb, c.collateral),
+      Sero.Device.stats dev,
+      Sim.Prng.bits64 (Pmedia.Medium.rng m) )
+  in
+  QCheck.Test.make ~name:"packed kernels == per-dot loops, device twin"
+    ~count:40
+    QCheck.(
+      make
+        Gen.(list_size (5 -- 30) op_gen)
+        ~print:(fun ops -> String.concat "; " (List.map print_op ops)))
+    (fun ops ->
+      let mk () =
+        Sero.Device.create (Sero.Device.default_config ~n_blocks ~line_exp ())
+      in
+      let packed = mk () and per_dot = mk () in
+      Sero.Device.install_fault per_dot
+        (Fault.Injector.create (Fault.Plan.make ()));
+      List.for_all (fun op -> String.equal (step packed op) (step per_dot op)) ops
+      && state packed = state per_dot)
 
 (* {1 CoW device clones} *)
 
@@ -1612,4 +1771,5 @@ let () =
       ("endurance", endurance_cases @ [ qtest endurance_twin ]);
       ("clone",
         clone_cases @ [ qtest clone_parent_churn; qtest clone_rearm_isolation ]);
+      ("packed-twin", [ qtest packed_vs_per_dot ]);
     ]
