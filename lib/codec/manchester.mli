@@ -31,14 +31,24 @@ val encoded_length : int -> int
 
 type decode_result = {
   payload : string;  (** Best-effort decoded bytes (tampered/blank cells decode as 0). *)
-  tampered_cells : int list;  (** Cell indices found in state [HH]. *)
-  blank_cells : int list;  (** Cell indices found in state [UU]. *)
+  n_tampered : int;  (** Cells found in state [HH]. *)
+  n_blank : int;  (** Cells found in state [UU]. *)
 }
 
-val decode : heated:(int -> bool) -> n_bytes:int -> decode_result
-(** [decode ~heated ~n_bytes] reads [16 * n_bytes] dots through the
-    [heated] predicate (dot index -> is the dot heated?) and decodes the
-    cells.  A clean read has no tampered and no blank cells. *)
+val decode : Bytes.t -> n_bytes:int -> decode_result
+(** [decode dots ~n_bytes] decodes the cells of the first
+    [16 * n_bytes] dots of a heated-dot bitmap packed MSB-first (dot
+    [i] is bit [7 - i mod 8] of byte [i / 8], set = heated; the layout
+    {!Probe.Pdevice.erb_run} writes), one dot byte (four cells) per
+    table lookup.  A clean read has no tampered and no blank cells.
+    @raise Invalid_argument if [dots] holds fewer than [16 * n_bytes]
+    bits. *)
+
+val blank_cells : Bytes.t -> n_bytes:int -> int list
+(** Indices of the cells {!decode} counts in [n_blank], ascending. *)
+
+val tampered_cells : Bytes.t -> n_bytes:int -> int list
+(** Indices of the cells {!decode} counts in [n_tampered], ascending. *)
 
 val is_clean : decode_result -> bool
 (** No tampered and no blank cells. *)

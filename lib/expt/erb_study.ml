@@ -36,19 +36,17 @@ let naive_read pdev ~start ~cycles =
     Pmedia.Bitops.primitive_ops
       (Pmedia.Bitops.counters (Probe.Pdevice.bitops pdev))
   in
-  let heated = Array.make Sero.Layout.wo_area_dots false in
+  let heated = Bytes.create (Sero.Layout.wo_area_dots / 8) in
   Probe.Pdevice.erb_run ~cycles pdev ~start ~len:Sero.Layout.wo_area_dots
     ~dst:heated;
   let decoded =
-    Codec.Manchester.decode
-      ~heated:(fun i -> heated.(i))
-      ~n_bytes:Sero.Layout.wo_area_bytes
+    Codec.Manchester.decode heated ~n_bytes:Sero.Layout.wo_area_bytes
   in
   let after =
     Pmedia.Bitops.primitive_ops
       (Pmedia.Bitops.counters (Probe.Pdevice.bitops pdev))
   in
-  (decoded.Codec.Manchester.blank_cells <> [], after - before)
+  (decoded.Codec.Manchester.n_blank > 0, after - before)
 
 (* The device's adaptive strategy, measured through read_hash_block. *)
 let adaptive_read dev ~line =

@@ -191,7 +191,7 @@ let check_bits name buf pos len =
 let get_bit buf i =
   Char.code (Bytes.unsafe_get buf (i lsr 3)) land (0x80 lsr (i land 7)) <> 0
 
-let set_bit buf i v =
+let[@inline] set_bit buf i v =
   let b = Char.code (Bytes.unsafe_get buf (i lsr 3))
   and m = 0x80 lsr (i land 7) in
   Bytes.unsafe_set buf (i lsr 3)
@@ -314,67 +314,222 @@ let mwb_run t ~start ~len ~src ~src_pos =
       mwb t (start + k) (Dot.of_bool (get_bit src (src_pos + k)))
     done
 
+(* Clear bits [pos, pos+len) of [buf], leaving the bits around them. *)
+let clear_bits buf pos len =
+  if len > 0 then begin
+    let first = pos lsr 3 and last = (pos + len - 1) lsr 3 in
+    let head = 0xFF lsr (pos land 7)
+    and tail = (0xFF00 lsr (((pos + len - 1) land 7) + 1)) land 0xFF in
+    let clear i m =
+      Bytes.unsafe_set buf i
+        (Char.unsafe_chr (Char.code (Bytes.unsafe_get buf i) land lnot m))
+    in
+    if first = last then clear first (head land tail)
+    else begin
+      clear first head;
+      Bytes.unsafe_fill buf (first + 1) (last - first - 1) '\x00';
+      clear last tail
+    end
+  end
+
+(* The erb protocol on a heated dot as a function of its draws: every
+   mrb is a coin flip and every mwb a no-op, so a round reads
+   [original], [check1] and, unless [check1 = original] already
+   detected, [check2], detecting unless [check2 = original].  Entry
+   [(c - 1) * 4096 + w] is the outcome when bit [k] of [w] is the [k]-th
+   draw and [cycles = c] ([c = 5] stands for every [cycles >= 5]):
+   draws consumed in bits 0-3, rounds run in bits 4-6, detected in bit
+   7 — or 0 when twelve draws do not settle it, which takes four
+   passing rounds (probability 1/256) with [cycles > 4]. *)
+let erb_outcomes =
+  String.init (5 * 4096) (fun idx ->
+      let cycles = (idx lsr 12) + 1 and w = idx land 4095 in
+      let bit k = (w lsr k) land 1 in
+      let rec round r pos =
+        if r = cycles then pos lor (r lsl 4)
+        else if pos + 3 > 12 then 0
+        else if bit (pos + 1) = bit pos then
+          (pos + 2) lor ((r + 1) lsl 4) lor 0x80
+        else if bit (pos + 2) <> bit pos then
+          (pos + 3) lor ((r + 1) lsl 4) lor 0x80
+        else round (r + 1) (pos + 3)
+      in
+      Char.chr (round 0 0))
+
+let[@inline] outcome table win =
+  Char.code (String.unsafe_get erb_outcomes (table lor (win land 4095)))
+
+(* Heated dots of a state byte as a mask, bit [j] = dot [j] of the
+   byte; and for each 4-bit mask its population (bits 0-2) and its set
+   bits' offsets, ascending, two bits each from bit 3. *)
+let heated_mask =
+  Array.init 256 (fun b ->
+      let m = ref 0 in
+      for j = 0 to 3 do
+        m := !m lor (((b lsr ((2 * j) + 1)) land 1) lsl j)
+      done;
+      !m)
+
+let mask_dots =
+  Array.init 16 (fun m ->
+      let e = ref 0 and k = ref 0 in
+      for j = 0 to 3 do
+        if m land (1 lsl j) <> 0 then begin
+          e := !e lor (j lsl (3 + (2 * !k)));
+          incr k
+        end
+      done;
+      !e lor !k)
+
+(* Where an electrical run stands.  [win] holds the next [avail] draws'
+   bits, bit 0 first, out of the [limit] bits the last refill loaded;
+   the PRNG itself still stands [limit - avail] draws behind them and
+   catches up (exactly, by [skip]) before each refill and at the end of
+   the run.  [rem] lists the heated dots of the state byte at dot [q4]
+   not yet visited, as {!mask_dots} does. *)
+type erb_walk = {
+  mutable q4 : int;
+  mutable rem : int;
+  mutable win : int;
+  mutable avail : int;
+  mutable limit : int;
+  mutable clean : int;
+  mutable heated_mrb : int;
+  mutable heated_mwb : int;
+}
+
+(* The heated dots of the state byte at dot [q4] within [lo, hi). *)
+let[@inline] heated_dots (states : Medium.states) ~base q4 ~lo ~hi =
+  Array.unsafe_get mask_dots
+    (Array.unsafe_get heated_mask
+       (Char.code (Bigarray.Array1.unsafe_get states ((q4 lsr 2) - base)))
+    land ((1 lsl hi) - (1 lsl lo)))
+
+(* [rem] without its first dot. *)
+let[@inline] next_dot rem = ((rem lsr 2) land lnot 7) lor ((rem land 7) - 1)
+
+(* Catch the PRNG up with the draws taken from the window. *)
+let commit rng walk =
+  let used = walk.limit - walk.avail in
+  Sim.Prng.skip rng used;
+  walk.heated_mrb <- walk.heated_mrb + used;
+  walk.limit <- walk.avail
+
+(* One chunk of the electrical run: dot [d] lands on bit [d + dst_off]
+   of [dst].  State bytes are taken four dots at a time and only their
+   heated dots visited, so the Manchester pattern (one heated dot per
+   cell) costs no per-dot branch.  [step] settles heated dots from the
+   window for as long as it can; it makes no call, so the walk stays in
+   registers, and it returns (storing the walk) at the end of the chunk
+   or at a dot the window cannot settle.  Every heated dot's draws are
+   its mrb charges, so those are counted at each [commit]. *)
+let erb_chunk ~cycles ~table rng walk dst ~dst_off states ~base ~start ~len =
+  let stop = start + len in
+  let rec step q4 rem win avail clean mwb =
+    let k = rem land 7 in
+    if k = 0 && q4 + 4 < stop then begin
+      let q4 = q4 + 4 in
+      let hi = if stop - q4 < 4 then stop - q4 else 4 in
+      let rem = heated_dots states ~base q4 ~lo:0 ~hi in
+      step q4 rem win avail (clean + hi - (rem land 7)) mwb
+    end
+    else begin
+      let e = if k = 0 then 0 else outcome table win in
+      let n = e land 15 in
+      if n = 0 || n > avail then begin
+        walk.q4 <- q4;
+        walk.rem <- rem;
+        walk.win <- win;
+        walk.avail <- avail;
+        walk.clean <- clean;
+        walk.heated_mwb <- mwb
+      end
+      else begin
+        if e land 0x80 <> 0 then
+          set_bit dst (q4 + ((rem lsr 3) land 3) + dst_off) true;
+        step q4 (next_dot rem) (win lsr n) (avail - n) clean
+          (mwb + (2 * ((e lsr 4) land 7)))
+      end
+    end
+  in
+  let q4 = start land lnot 3 in
+  let hi = if stop - q4 < 4 then stop - q4 else 4 in
+  let rem = heated_dots states ~base q4 ~lo:(start - q4) ~hi in
+  walk.q4 <- q4;
+  walk.rem <- rem;
+  walk.clean <- walk.clean + hi - (start - q4) - (rem land 7);
+  let continue = ref true in
+  while !continue do
+    step walk.q4 walk.rem walk.win walk.avail walk.clean walk.heated_mwb;
+    if walk.rem land 7 = 0 then continue := false
+    else begin
+      commit rng walk;
+      walk.win <- Sim.Prng.bool_window rng;
+      walk.avail <- 62;
+      walk.limit <- 62;
+      if outcome table walk.win = 0 then begin
+        (* Past four passing rounds: the rounds one by one, straight
+           from the PRNG (which the commit left at this dot's first
+           draw). *)
+        let detected = ref false in
+        let cyc = ref 0 in
+        while (not !detected) && !cyc < cycles do
+          incr cyc;
+          let original = Sim.Prng.bool rng in
+          let check1 = Sim.Prng.bool rng in
+          walk.heated_mwb <- walk.heated_mwb + 2;
+          if check1 = original then begin
+            walk.heated_mrb <- walk.heated_mrb + 2;
+            detected := true
+          end
+          else begin
+            let check2 = Sim.Prng.bool rng in
+            walk.heated_mrb <- walk.heated_mrb + 3;
+            if check2 <> original then detected := true
+          end
+        done;
+        if !detected then
+          set_bit dst (walk.q4 + ((walk.rem lsr 3) land 3) + dst_off) true;
+        walk.rem <- next_dot walk.rem;
+        walk.win <- 0;
+        walk.avail <- 0;
+        walk.limit <- 0
+      end
+    end
+  done
+
 let erb_run ?(cycles = 1) t ~start ~len ~dst ~dst_pos =
   if cycles <= 0 then invalid_arg "Bitops.erb_run: cycles must be positive";
   check_run t start len;
-  if dst_pos < 0 || dst_pos + len > Array.length dst then
-    invalid_arg "Bitops.erb_run: destination out of range";
+  check_bits "Bitops.erb_run" dst dst_pos len;
   if not (fast_read_ok t ~start ~len) then
     for k = 0 to len - 1 do
-      Array.unsafe_set dst (dst_pos + k) (erb ~cycles t (start + k))
+      set_bit dst (dst_pos + k) (erb ~cycles t (start + k))
     done
   else begin
     t.counters.erb <- t.counters.erb + len;
+    clear_bits dst dst_pos len;
     let rng = Medium.rng t.medium in
-    let n_clean = ref 0 in
-    (* Heated-dot charges accumulate in locals and land on the shared
-       counters once, after the loop (they are int sums, so the totals
-       are exactly the per-dot ones). *)
-    let mrb_acc = ref 0 and mwb_acc = ref 0 in
+    let walk =
+      {
+        q4 = 0;
+        rem = 0;
+        win = 0;
+        avail = 0;
+        limit = 0;
+        clean = 0;
+        heated_mrb = 0;
+        heated_mwb = 0;
+      }
+    in
     Medium.iter_chunks t.medium ~write:false ~start ~len
-      (fun states ~base ~start:cstart ~len:clen ->
-        let dpos = dst_pos + (cstart - start) in
-        for k = 0 to clen - 1 do
-          let i = cstart + k in
-          let v =
-            (Char.code (Bigarray.Array1.unsafe_get states ((i lsr 2) - base))
-            lsr (2 * (i land 3)))
-            land 3
-          in
-          if v < 2 then begin
-            (* A healthy dot passes every round (the invert/restore writes
-               cancel out), so only the op charges remain. *)
-            incr n_clean;
-            Array.unsafe_set dst (dpos + k) false
-          end
-          else begin
-            (* The protocol on a heated dot: every mrb is a coin flip and
-               every mwb is a no-op, so the rounds collapse to PRNG draws
-               plus counter charges — in the scalar draw order (original,
-               check1[, check2] per round, stopping at the round that
-               detects; check1 = original means check1 differs from the
-               written inverse, detection after 2 reads + 2 writes). *)
-            let detected = ref false in
-            let cyc = ref 0 in
-            while (not !detected) && !cyc < cycles do
-              incr cyc;
-              let original = Sim.Prng.bool rng in
-              let check1 = Sim.Prng.bool rng in
-              if check1 = original then begin
-                mrb_acc := !mrb_acc + 2;
-                mwb_acc := !mwb_acc + 2;
-                detected := true
-              end
-              else begin
-                let check2 = Sim.Prng.bool rng in
-                mrb_acc := !mrb_acc + 3;
-                mwb_acc := !mwb_acc + 2;
-                if check2 <> original then detected := true
-              end
-            done;
-            Array.unsafe_set dst (dpos + k) !detected
-          end
-        done);
-    t.counters.mrb <- t.counters.mrb + (3 * cycles * !n_clean) + !mrb_acc;
-    t.counters.mwb <- t.counters.mwb + (2 * cycles * !n_clean) + !mwb_acc
+      (erb_chunk ~cycles ~table:((min cycles 5 - 1) lsl 12) rng walk dst
+         ~dst_off:(dst_pos - start));
+    commit rng walk;
+    (* A healthy dot passes every round (the invert/restore writes
+       cancel out), so only its op charges remain.  The charges are int
+       sums, so landing them once leaves exactly the per-dot totals. *)
+    let c = t.counters in
+    c.mrb <- c.mrb + (3 * cycles * walk.clean) + walk.heated_mrb;
+    c.mwb <- c.mwb + (2 * cycles * walk.clean) + walk.heated_mwb
   end

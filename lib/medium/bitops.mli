@@ -95,7 +95,7 @@ val primitive_ops : counters -> int
     - {!mwb_run}: [len > 0]; [start], [len] and [src_pos] multiples of
       8; no injector.
     - {!erb_run}: no injector, [read_ber = 0] and the run
-      defect-free. *)
+      defect-free (any start, length and bit offset). *)
 
 val get_bit : Bytes.t -> int -> bool
 (** [get_bit buf i] is bit [i] of [buf] in the kernels' MSB-first
@@ -127,9 +127,15 @@ val erb_run :
   ctx ->
   start:int ->
   len:int ->
-  dst:bool array ->
+  dst:Bytes.t ->
   dst_pos:int ->
   unit
-(** Electrical read of the run; [dst.(dst_pos + k)] is [true] iff dot
-    [start + k] is detected heated.  Equivalent to [len] calls of
-    {!erb}. *)
+(** Electrical read of the run into bits [dst_pos, dst_pos+len) of
+    [dst] (same packing as {!mrb_run}): a set bit means dot [start + k]
+    is detected heated.  Equivalent to [len] calls of {!erb}; every bit
+    of the range is written, the bits around it are left alone.  The
+    fast path settles each heated dot from the next twelve draws'
+    bits through a per-[cycles] outcome table ({!Sim.Prng.bool_window}),
+    running the rounds one by one only when twelve draws leave it open.
+    @raise Invalid_argument if [cycles] is not positive, or the run or
+    the bit range is out of range. *)

@@ -187,8 +187,9 @@ let random_bit t = Sim.Prng.bool (Pmedia.Medium.rng t.medium)
 let check_bytes name buf len =
   if 8 * Bytes.length buf < len then invalid_arg (name ^ ": buffer too short")
 
-(* Reads and writes test the lean dispatch before building the per-row
-   closures, so a whole-run call allocates none of them. *)
+(* Reads, writes and electrical reads test the lean dispatch before
+   building the per-row closures, so a whole-run call allocates none of
+   them. *)
 let read_run t ~start ~len ~dst =
   check_run t start len;
   check_bytes "Pdevice.read_run" dst len;
@@ -237,16 +238,20 @@ let erb_run ?cycles t ~start ~len ~dst =
   let cycles = Option.value cycles ~default:t.config.erb_cycles in
   if cycles <= 0 then invalid_arg "Pdevice.erb_run: cycles must be positive";
   check_run t start len;
-  if Array.length dst < len then invalid_arg "Pdevice.erb_run: dst too short";
+  check_bytes "Pdevice.erb_run" dst len;
   (* Each cycle is read, write, read, write, read = 3 reads + 2 writes
      of the whole tip row. *)
-  run_offsets t ~start ~len
-    (Cbits { read = 3 * cycles; written = 2 * cycles })
-    ~bulk:(fun ~lo ~hi ->
-      Pmedia.Bitops.erb_run ~cycles t.bitops ~start:lo ~len:(hi - lo + 1)
-        ~dst ~dst_pos:(lo - start))
-    (fun dot tip ->
-      (* A dead tip cannot run the protocol; its verification reads
-         are noise, which reports as heated. *)
-      dst.(dot - start) <-
-        Tips.tip_failed t.tips tip || Pmedia.Bitops.erb ~cycles t.bitops dot)
+  let charge = Cbits { read = 3 * cycles; written = 2 * cycles } in
+  if sweep_lean t ~start ~len charge then
+    Pmedia.Bitops.erb_run ~cycles t.bitops ~start ~len ~dst ~dst_pos:0
+  else
+    run_rows t ~start ~len charge
+      ~bulk:(fun ~lo ~hi ->
+        Pmedia.Bitops.erb_run ~cycles t.bitops ~start:lo ~len:(hi - lo + 1)
+          ~dst ~dst_pos:(lo - start))
+      (fun dot tip ->
+        (* A dead tip cannot run the protocol; its verification reads
+           are noise, which reports as heated. *)
+        Pmedia.Bitops.set_bit dst (dot - start)
+          (Tips.tip_failed t.tips tip
+          || Pmedia.Bitops.erb ~cycles t.bitops dot))

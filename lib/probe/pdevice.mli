@@ -87,16 +87,16 @@ val heat_run : t -> start:int -> bool array -> unit
 (** Electrical write: heats dot [start + i] wherever the pattern is
     [true].  Dots under failed tips receive no pulse. *)
 
-val erb_run :
-  ?cycles:int -> t -> start:int -> len:int -> dst:bool array -> unit
-(** Electrical read into [dst.(0 .. len-1)]: [true] = detected heated.
-    [cycles] overrides the config's [erb_cycles].  One cycle misses a
-    heated dot with probability 1/4 (the two verification reads of the
-    paper's sequence both agree by luck), so callers that must not miss
+val erb_run : ?cycles:int -> t -> start:int -> len:int -> dst:Bytes.t -> unit
+(** Electrical read into bits [0, len) of [dst], packed as in
+    {!read_run}: a set bit means the dot was detected heated.  [cycles]
+    overrides the config's [erb_cycles].  One cycle misses a heated dot
+    with probability 1/4 (the two verification reads of the paper's
+    sequence both agree by luck), so callers that must not miss
     escalate the cycle count on suspicious dots.
     @raise Invalid_argument, before any seek, charge or wear, if
     [cycles] is not positive, the run is out of range or [dst] holds
-    fewer than [len] cells. *)
+    fewer than [len] bits. *)
 
 val elapsed : t -> float
 val energy : t -> float

@@ -105,7 +105,7 @@ type migration = {
    overwritten before being read), so recycling is semantically
    invisible. *)
 type scratch = {
-  sc_wo : bool array; (* one write-once area's erb results *)
+  sc_wo : Bytes.t; (* one write-once area's heated-dot bitmap *)
   sc_image : Bytes.t; (* one packed block image, block_dots / 8 *)
   mutable sc_span : Bytes.t; (* coalesced-span images, grown on demand *)
 }
@@ -121,7 +121,7 @@ let scratch_acquire () =
       s
   | [] ->
       {
-        sc_wo = Array.make Layout.wo_area_dots false;
+        sc_wo = Bytes.create (Layout.wo_area_dots / 8);
         sc_image = Bytes.create (Layout.block_dots / 8);
         sc_span = Bytes.empty;
       }
@@ -640,56 +640,51 @@ let parse_wo_payload payload =
 let escalation_cycles = 24
 
 let read_wo_area t ~start =
-  let heated_dots = (scratch t).sc_wo in
-  Probe.Pdevice.erb_run t.pdevice ~start ~len:Layout.wo_area_dots
-    ~dst:heated_dots;
-  let decode () =
-    Codec.Manchester.decode
-      ~heated:(fun i -> heated_dots.(i))
-      ~n_bytes:Layout.wo_area_bytes
-  in
-  let first = decode () in
-  let n_cells = 8 * Layout.wo_area_bytes in
-  let all_blank =
-    List.length first.Codec.Manchester.blank_cells = n_cells
-  in
-  let decoded =
-    if all_blank || first.Codec.Manchester.blank_cells = [] then first
-    else begin
-      (* Suspicious blanks inside a burned area: re-probe those cells'
-         dots hard before believing them. *)
-      List.iter
-        (fun cell ->
-          let re = Array.make 2 false in
-          Probe.Pdevice.erb_run ~cycles:escalation_cycles t.pdevice
-            ~start:(start + (2 * cell)) ~len:2 ~dst:re;
-          heated_dots.(2 * cell) <- heated_dots.(2 * cell) || re.(0);
-          heated_dots.((2 * cell) + 1) <- heated_dots.((2 * cell) + 1) || re.(1))
-        first.Codec.Manchester.blank_cells;
-      decode ()
-    end
-  in
-  if all_blank then `Not_heated
-  else if decoded.Codec.Manchester.tampered_cells <> [] then
-    `Tampered
-      [ Tamper.Invalid_cells (List.length decoded.Codec.Manchester.tampered_cells) ]
-  else if decoded.Codec.Manchester.blank_cells <> [] then
-    (* Burned and blank cells mixed, but no HH evidence anywhere: the
-       signature of an interrupted or underpowered burn (cells are
-       written low-to-high, so a power cut leaves a burned prefix;
-       weak pulses leave isolated holes).  Verification still treats
-       this as [Partially_burned] evidence; [heat_line] can complete
-       it. *)
-    `Torn
-      {
-        burned_cells =
-          n_cells - List.length decoded.Codec.Manchester.blank_cells;
-        partial_payload = decoded.Codec.Manchester.payload;
-      }
+  let dots = (scratch t).sc_wo in
+  Probe.Pdevice.erb_run t.pdevice ~start ~len:Layout.wo_area_dots ~dst:dots;
+  let n_bytes = Layout.wo_area_bytes in
+  let n_cells = 8 * n_bytes in
+  let first = Codec.Manchester.decode dots ~n_bytes in
+  if first.Codec.Manchester.n_blank = n_cells then `Not_heated
   else
-    match parse_wo_payload decoded.Codec.Manchester.payload with
-    | None -> `Tampered [ Tamper.Meta_corrupt ]
-    | Some meta -> `Burned meta
+    let decoded =
+      if first.Codec.Manchester.n_blank = 0 then first
+      else begin
+        (* Suspicious blanks inside a burned area: re-probe those cells'
+           dots hard before believing them, one call per cell.  Both
+           dots of a blank cell read unheated, so the re-probe's bits
+           replace them. *)
+        let re = Bytes.create 1 in
+        List.iter
+          (fun cell ->
+            Probe.Pdevice.erb_run ~cycles:escalation_cycles t.pdevice
+              ~start:(start + (2 * cell)) ~len:2 ~dst:re;
+            for k = 0 to 1 do
+              Pmedia.Bitops.set_bit dots ((2 * cell) + k)
+                (Pmedia.Bitops.get_bit re k)
+            done)
+          (Codec.Manchester.blank_cells dots ~n_bytes);
+        Codec.Manchester.decode dots ~n_bytes
+      end
+    in
+    if decoded.Codec.Manchester.n_tampered > 0 then
+      `Tampered [ Tamper.Invalid_cells decoded.Codec.Manchester.n_tampered ]
+    else if decoded.Codec.Manchester.n_blank > 0 then
+      (* Burned and blank cells mixed, but no HH evidence anywhere: the
+         signature of an interrupted or underpowered burn (cells are
+         written low-to-high, so a power cut leaves a burned prefix;
+         weak pulses leave isolated holes).  Verification still treats
+         this as [Partially_burned] evidence; [heat_line] can complete
+         it. *)
+      `Torn
+        {
+          burned_cells = n_cells - decoded.Codec.Manchester.n_blank;
+          partial_payload = decoded.Codec.Manchester.payload;
+        }
+    else
+      match parse_wo_payload decoded.Codec.Manchester.payload with
+      | None -> `Tampered [ Tamper.Meta_corrupt ]
+      | Some meta -> `Burned meta
 
 let read_hash_block t ~line = read_wo_area t ~start:(wo_start t ~line)
 
@@ -981,11 +976,13 @@ let classify_block t ~pba =
              dots do not. *)
           let start = block_start t pba in
           let sample = 128 in
-          let heated = Array.make sample false in
+          let heated = Bytes.create (sample / 8) in
           Probe.Pdevice.erb_run t.pdevice ~start ~len:sample ~dst:heated;
-          let n =
-            Array.fold_left (fun acc h -> if h then acc + 1 else acc) 0 heated
-          in
+          let n = ref 0 in
+          for k = 0 to sample - 1 do
+            if Pmedia.Bitops.get_bit heated k then incr n
+          done;
+          let n = !n in
           if 4 * n >= sample then Heated_block else Bad_block)
 
 type stats = {

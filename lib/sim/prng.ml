@@ -1,12 +1,25 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state is a Weyl counter: draw [n] mixes
+   [s0 + n * golden].  It lives in 8 bytes rather than a mutable
+   [int64] field, whose every store would box; through the unboxed
+   accessors below the step allocates nothing, and every draw that
+   returns an immediate ([bool], [int]) is allocation-free. *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
-let copy t = { state = t.state }
+let of_state s =
+  let t = Bytes.create 8 in
+  set64 t 0 s;
+  t
+
+let create seed = of_state (Int64.of_int seed)
+let copy = Bytes.copy
 
 (* The splitmix64 output finalizer, used as a mixing function. *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -17,29 +30,40 @@ let mix z =
    stream [i+1]).  A pure function of (seed, index), so fleet shards can
    derive device streams independently of worker count or order. *)
 let stream ~seed index =
-  { state = mix (Int64.logxor (Int64.of_int seed) (mix (Int64.of_int index))) }
+  of_state (mix (Int64.logxor (Int64.of_int seed) (mix (Int64.of_int index))))
 
-let bits64 t =
-  let z = Int64.add t.state golden in
-  t.state <- z;
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
+let[@inline] next t =
+  let z = Int64.add (get64 t 0) golden in
+  set64 t 0 z;
+  mix z
 
-let split t = { state = bits64 t }
+let bits64 t = next t
+let split t = of_state (next t)
 
 let int t n =
   if n <= 0 then invalid_arg "Prng.int: bound must be positive";
-  let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
+  let v = Int64.to_int (Int64.shift_right_logical (next t) 2) in
   v mod n
 
-let uniform t =
+let[@inline] uniform t =
   (* 53 random bits scaled into [0, 1). *)
-  let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
+  let v = Int64.to_int (Int64.shift_right_logical (next t) 11) in
   float_of_int v /. 9007199254740992.
 
 let float t x = uniform t *. x
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
+
+let bool_window t =
+  let z = ref (get64 t 0) in
+  let w = ref 0 in
+  for k = 0 to 61 do
+    z := Int64.add !z golden;
+    w := !w lor ((Int64.to_int (mix !z) land 1) lsl k)
+  done;
+  !w
+
+let skip t n =
+  set64 t 0 (Int64.add (get64 t 0) (Int64.mul (Int64.of_int n) golden))
 
 let bernoulli t p =
   if p <= 0. then false else if p >= 1. then true else uniform t < p

@@ -5,17 +5,59 @@ let qtest = QCheck_alcotest.to_alcotest
 
 (* {1 Manchester} *)
 
-let heated_of_array a i = a.(i)
+(* The decoder the library had before it went packed, kept as the
+   oracle: it reads each dot through a closure and collects the cell
+   lists as it goes. *)
+module Oracle = struct
+  type decode_result = {
+    payload : string;
+    tampered_cells : int list;
+    blank_cells : int list;
+  }
+
+  let decode ~heated ~n_bytes =
+    let out = Bytes.make n_bytes '\x00' in
+    let tampered = ref [] and blank = ref [] in
+    for byte = 0 to n_bytes - 1 do
+      let v = ref 0 in
+      for bit = 0 to 7 do
+        let cell = (byte * 8) + bit in
+        let a = heated (2 * cell) and b = heated ((2 * cell) + 1) in
+        (match (a, b) with
+        | true, false -> () (* HU = 0 *)
+        | false, true -> v := !v lor (1 lsl (7 - bit)) (* UH = 1 *)
+        | false, false -> blank := cell :: !blank
+        | true, true -> tampered := cell :: !tampered)
+      done;
+      Bytes.set out byte (Char.chr !v)
+    done;
+    {
+      payload = Bytes.unsafe_to_string out;
+      tampered_cells = List.rev !tampered;
+      blank_cells = List.rev !blank;
+    }
+end
+
+(* Dots packed MSB-first, set = heated: the bitmap an electrical read
+   hands the decoder. *)
+let pack_dots dots =
+  let b = Bytes.make ((Array.length dots + 7) / 8) '\000' in
+  Array.iteri
+    (fun i h ->
+      if h then
+        Bytes.set b (i / 8)
+          (Char.chr (Char.code (Bytes.get b (i / 8)) lor (0x80 lsr (i mod 8)))))
+    dots;
+  b
+
+let decode_dots dots =
+  Codec.Manchester.decode (pack_dots dots) ~n_bytes:(Array.length dots / 16)
 
 let manchester_roundtrip =
   QCheck.Test.make ~name:"encode/decode roundtrip" ~count:300
     QCheck.(string_of_size Gen.(1 -- 64))
     (fun payload ->
-      let dots = Codec.Manchester.encode payload in
-      let d =
-        Codec.Manchester.decode ~heated:(heated_of_array dots)
-          ~n_bytes:(String.length payload)
-      in
+      let d = decode_dots (Codec.Manchester.encode payload) in
       Codec.Manchester.is_clean d && String.equal d.Codec.Manchester.payload payload)
 
 let manchester_spreading =
@@ -44,24 +86,49 @@ let manchester_tamper =
       in
       let victim = List.nth unheated (idx mod List.length unheated) in
       dots.(victim) <- true;
-      let d =
-        Codec.Manchester.decode ~heated:(heated_of_array dots)
-          ~n_bytes:(String.length payload)
+      let d = decode_dots dots in
+      d.Codec.Manchester.n_tampered = 1
+      && Codec.Manchester.tampered_cells (pack_dots dots)
+           ~n_bytes:(String.length payload)
+         = [ victim / 2 ])
+
+(* Random dot bytes put every cell state everywhere, blank and tampered
+   cells included. *)
+let manchester_oracle =
+  QCheck.Test.make ~name:"packed decode == closure oracle" ~count:500
+    QCheck.(string_of_size Gen.(0 -- 96))
+    (fun raw ->
+      let dots = Bytes.of_string raw in
+      let n_bytes = Bytes.length dots / 2 in
+      let d = Codec.Manchester.decode dots ~n_bytes in
+      let o =
+        Oracle.decode
+          ~heated:(fun i ->
+            Char.code (Bytes.get dots (i / 8)) land (0x80 lsr (i mod 8)) <> 0)
+          ~n_bytes
       in
-      List.length d.Codec.Manchester.tampered_cells = 1)
+      let blank = Codec.Manchester.blank_cells dots ~n_bytes
+      and tampered = Codec.Manchester.tampered_cells dots ~n_bytes in
+      String.equal d.Codec.Manchester.payload o.Oracle.payload
+      && blank = o.Oracle.blank_cells
+      && tampered = o.Oracle.tampered_cells
+      && d.Codec.Manchester.n_blank = List.length o.Oracle.blank_cells
+      && d.Codec.Manchester.n_tampered = List.length o.Oracle.tampered_cells)
 
 let manchester_cases =
   [
     Alcotest.test_case "blank area decodes as all-blank cells" `Quick (fun () ->
-        let d =
-          Codec.Manchester.decode ~heated:(fun _ -> false) ~n_bytes:4
-        in
-        Alcotest.(check int) "blank cells" 32
-          (List.length d.Codec.Manchester.blank_cells));
+        let dots = Bytes.make 8 '\000' in
+        let d = Codec.Manchester.decode dots ~n_bytes:4 in
+        Alcotest.(check int) "blank cells" 32 d.Codec.Manchester.n_blank;
+        Alcotest.(check (list int)) "blank indices" (List.init 32 Fun.id)
+          (Codec.Manchester.blank_cells dots ~n_bytes:4));
     Alcotest.test_case "fully heated area is all-tampered" `Quick (fun () ->
-        let d = Codec.Manchester.decode ~heated:(fun _ -> true) ~n_bytes:2 in
-        Alcotest.(check int) "tampered" 16
-          (List.length d.Codec.Manchester.tampered_cells));
+        let dots = Bytes.make 4 '\xff' in
+        let d = Codec.Manchester.decode dots ~n_bytes:2 in
+        Alcotest.(check int) "tampered" 16 d.Codec.Manchester.n_tampered;
+        Alcotest.(check (list int)) "tampered indices" (List.init 16 Fun.id)
+          (Codec.Manchester.tampered_cells dots ~n_bytes:2));
     Alcotest.test_case "encoded_length" `Quick (fun () ->
         Alcotest.(check int) "16 dots per byte" 160 (Codec.Manchester.encoded_length 10));
     Alcotest.test_case "cell convention: 0 -> HU, 1 -> UH (Fig. 3)" `Quick
@@ -436,7 +503,7 @@ let () =
         manchester_cases
         @ List.map qtest
             [ manchester_roundtrip; manchester_spreading; manchester_density;
-              manchester_tamper ] );
+              manchester_tamper; manchester_oracle ] );
       ("crc32", crc_cases @ [ qtest crc_detects_flip ]);
       ("gf256", List.map qtest gf_tests);
       ( "reed-solomon",

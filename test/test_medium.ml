@@ -371,17 +371,22 @@ let twins_agree (m1, ctx1) (m2, ctx2) =
   && Sim.Prng.bits64 (Pmedia.Medium.rng m1)
      = Sim.Prng.bits64 (Pmedia.Medium.rng m2)
 
-(* The last component is (start, length), erb cycles, a destination bit
-   offset, and whether to byte-align the magnetic run (half the cases,
-   so the packed kernels get their share). *)
+(* The last component is (start, length), an erb cycles index into
+   {!erb_cycles}, a destination bit offset, and whether to byte-align
+   the magnetic run (half the cases, so the packed kernels get their
+   share). *)
 let equiv_arb =
   QCheck.(
     quad
       (pair (int_range 1 9999) (int_range 0 2))
       (pair (int_range 0 2) (int_range 0 2))
       (small_list (pair (int_range 0 255) (int_range 0 9)))
-      (quad (pair (int_range 0 255) (int_range 0 255)) (int_range 1 3)
+      (quad (pair (int_range 0 255) (int_range 0 255)) (int_range 0 4)
          (int_range 0 15) bool))
+
+(* Up to four cycles the lookahead table settles every heated dot; from
+   five on it leaves four passing rounds to the per-round loop. *)
+let erb_cycles = [| 1; 2; 3; 8; 24 |]
 
 let clamp_run start len_raw = (start, min len_raw (256 - start))
 
@@ -429,17 +434,61 @@ let mwb_run_equiv =
       done;
       twins_agree t1 t2)
 
+(* [len] per-dot erb calls written into a copy of [dst], the kernel's
+   reference. *)
+let erb_loop ~cycles ctx ~start ~len dst ~off =
+  let d = Bytes.copy dst in
+  for k = 0 to len - 1 do
+    put_bit d (off + k) (Pmedia.Bitops.erb ~cycles ctx (start + k))
+  done;
+  d
+
 let erb_run_equiv =
   QCheck.Test.make ~name:"erb_run == per-dot erb loop" ~count:200 equiv_arb
-    (fun (seeds, modes, ops, ((start, len_raw), cycles, _, _)) ->
+    (fun (((seed, _) as seeds), modes, ops, ((start, len_raw), cyc, off, _)) ->
       let start, len = clamp_run start len_raw in
+      let cycles = erb_cycles.(cyc) in
       let ((_, ctx1) as t1), ((_, ctx2) as t2) = make_twin seeds modes ops in
-      let d1 = Array.make len false and d2 = Array.make len false in
-      Pmedia.Bitops.erb_run ~cycles ctx1 ~start ~len ~dst:d1 ~dst_pos:0;
-      for k = 0 to len - 1 do
-        d2.(k) <- Pmedia.Bitops.erb ~cycles ctx2 (start + k)
-      done;
-      d1 = d2 && twins_agree t1 t2)
+      let d1 = noise_bytes seed ~off ~len in
+      let d2 = erb_loop ~cycles ctx2 ~start ~len d1 ~off in
+      Pmedia.Bitops.erb_run ~cycles ctx1 ~start ~len ~dst:d1 ~dst_pos:off;
+      Bytes.equal d1 d2 && twins_agree t1 t2)
+
+(* A mostly heated medium, read over and over: thousands of heated dots
+   per cycle count, so the window refills mid-byte, pairs fall back to
+   single dots and, from five cycles on, dozens of dots need the
+   per-round loop. *)
+let erb_run_dense =
+  Alcotest.test_case "erb_run == per-dot erb loop over dense heat" `Quick
+    (fun () ->
+      Array.iter
+        (fun cycles ->
+          let make () =
+            let m =
+              Pmedia.Medium.create
+                (Pmedia.Medium.default_config ~rows:16 ~cols:16)
+            in
+            let ctx = Pmedia.Bitops.make m in
+            for i = 0 to 255 do
+              if i mod 7 <> 3 then Pmedia.Bitops.ewb ctx i
+            done;
+            (m, ctx)
+          in
+          let ((_, ctx1) as t1), ((_, ctx2) as t2) = (make (), make ()) in
+          for pass = 0 to 39 do
+            let start = pass mod 5 and off = pass mod 11 in
+            let len = 256 - start - (pass mod 3) in
+            let d1 = noise_bytes pass ~off ~len in
+            let d2 = erb_loop ~cycles ctx2 ~start ~len d1 ~off in
+            Pmedia.Bitops.erb_run ~cycles ctx1 ~start ~len ~dst:d1 ~dst_pos:off;
+            Alcotest.(check bool)
+              (Printf.sprintf "cycles %d pass %d bits" cycles pass)
+              true (Bytes.equal d1 d2)
+          done;
+          Alcotest.(check bool)
+            (Printf.sprintf "cycles %d twins" cycles)
+            true (twins_agree t1 t2))
+        erb_cycles)
 
 (* {1 CoW segments} *)
 
@@ -542,6 +591,7 @@ let () =
       ("bitops", bitops_cases @ [ erb_false_negative_rate ]);
       ( "run kernels",
         run_access_cases
-        @ List.map qtest [ mrb_run_equiv; mwb_run_equiv; erb_run_equiv ] );
+        @ List.map qtest [ mrb_run_equiv; mwb_run_equiv; erb_run_equiv ]
+        @ [ erb_run_dense ] );
       ("cow", cow_cases @ [ qtest cow_matches_deep_copy ]);
     ]

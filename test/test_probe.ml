@@ -161,10 +161,15 @@ let read_bits p ~start ~len =
 let write_bits p ~start bits =
   Probe.Pdevice.write_run p ~start ~len:(Array.length bits) ~src:(pack bits)
 
-let erb_bits ?cycles p ~start ~len =
-  let dst = Array.make len false in
+(* An electrical read into a buffer of noise one byte longer than the
+   run needs, returned whole: the bits past the run must survive. *)
+let erb_raw ?cycles p ~start ~len =
+  let rng = Sim.Prng.create (start + len) in
+  let dst = Bytes.init ((len / 8) + 2) (fun _ -> Char.chr (Sim.Prng.int rng 256)) in
   Probe.Pdevice.erb_run ?cycles p ~start ~len ~dst;
   dst
+
+let erb_bits ?cycles p ~start ~len = unpack (erb_raw ?cycles p ~start ~len) len
 
 let write_read_roundtrip =
   QCheck.Test.make ~name:"write_run/read_run roundtrip" ~count:100
@@ -402,12 +407,13 @@ let dispatch_read_equiv =
 let dispatch_erb_equiv =
   QCheck.Test.make ~name:"bulk vs forced-scalar dispatch: erb_run" ~count:60
     run_arb
-    (fun (scramble, run) ->
+    (fun (scramble, ((start, _, _) as run)) ->
+      let cycles = [| 1; 2; 3; 8; 24 |].(start mod 5) in
       let start, len = run_of run in
       let fast, scalar = twin_pdevs scramble in
-      let a = erb_bits ~cycles:2 fast ~start ~len in
-      let b = erb_bits ~cycles:2 scalar ~start ~len in
-      a = b && pdev_state fast = pdev_state scalar)
+      let a = erb_raw ~cycles fast ~start ~len in
+      let b = erb_raw ~cycles scalar ~start ~len in
+      Bytes.equal a b && pdev_state fast = pdev_state scalar)
 
 let dispatch_write_equiv =
   QCheck.Test.make ~name:"bulk vs forced-scalar dispatch: write_run" ~count:100
@@ -430,8 +436,8 @@ let dispatch_remapped_equiv =
       let script p =
         write_bits p ~start bits;
         let r = read_bits p ~start ~len in
-        let e = erb_bits ~cycles:2 p ~start ~len in
-        (r, e)
+        let e = erb_raw ~cycles:2 p ~start ~len in
+        (r, Bytes.to_string e)
       in
       script rows = script scalar && pdev_state rows = pdev_state scalar)
 

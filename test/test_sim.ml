@@ -73,6 +73,60 @@ let int_in_range =
       let v = Sim.Prng.int rng n in
       v >= 0 && v < n)
 
+(* Literal outputs recorded before the state moved off the boxed
+   [int64]: every seeded experiment depends on this exact stream.
+   [create 0] is the reference splitmix64 vector. *)
+let stream_pins =
+  let draws rng n = List.init n (fun _ -> Sim.Prng.bits64 rng) in
+  let pin name expected rng =
+    Alcotest.(check (list int64)) name expected (draws rng (List.length expected))
+  in
+  [
+    Alcotest.test_case "outputs pinned: create, stream, split, copy" `Quick
+      (fun () ->
+        pin "create 0"
+          [ 0xe220a8397b1dcdafL; 0x6e789e6aa1b965f4L; 0x06c45d188009454fL ]
+          (Sim.Prng.create 0);
+        pin "stream ~seed:42 7"
+          [ 0x75a694080932a32fL; 0x369337cb7f52cb3aL; 0xd3c8e8adda98012aL ]
+          (Sim.Prng.stream ~seed:42 7);
+        let parent = Sim.Prng.create 7 in
+        pin "split child of create 7"
+          [ 0xb8b4c2977eabce45L; 0xa65305fd338ec8feL; 0x8ca3cbb6ca63129bL ]
+          (Sim.Prng.split parent);
+        pin "copy after the split" [ 0x044c3cd7f43c661cL; 0xe6984080bab12a02L ]
+          (Sim.Prng.copy parent));
+    Alcotest.test_case "bool and int draws allocate nothing" `Quick (fun () ->
+        let rng = Sim.Prng.create 1 in
+        let before = Gc.minor_words () in
+        for i = 1 to 10_000 do
+          ignore (Sim.Prng.bool rng);
+          ignore (Sim.Prng.int rng i)
+        done;
+        Alcotest.(check (float 0.)) "minor words" 0. (Gc.minor_words () -. before));
+  ]
+
+let window_and_skip =
+  QCheck.Test.make ~name:"bool_window is the next bools; skip n is n draws"
+    ~count:300
+    QCheck.(pair int (int_range 0 62))
+    (fun (seed, n) ->
+      let rng = Sim.Prng.create seed in
+      let seq = Sim.Prng.copy rng in
+      let w = Sim.Prng.bool_window rng in
+      let window_ok =
+        List.for_all
+          (fun k -> (w lsr k) land 1 = 1 = Sim.Prng.bool seq)
+          (List.init 62 Fun.id)
+        && w lsr 62 = 0
+      in
+      let seq = Sim.Prng.copy rng in
+      for _ = 1 to n do
+        ignore (Sim.Prng.bits64 seq)
+      done;
+      Sim.Prng.skip rng n;
+      window_ok && Sim.Prng.bits64 rng = Sim.Prng.bits64 seq)
+
 (* {1 Stats} *)
 
 let stats_cases =
@@ -907,7 +961,9 @@ let fleet_cases =
 let () =
   Alcotest.run "sim"
     [
-      ("prng", prng_cases @ stream_cases @ [ qtest int_in_range ]);
+      ( "prng",
+        prng_cases @ stream_cases @ [ qtest int_in_range ] @ stream_pins
+        @ [ qtest window_and_skip ] );
       ("stats",
        stats_cases @ stats_merge_cases
        @ [
