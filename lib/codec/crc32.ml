@@ -1,16 +1,17 @@
 (* The polynomial arithmetic runs on native ints (every intermediate
    fits in 32 bits, masked where a shift could carry past them) so the
    inner loop stays allocation-free; boxed [Int32] appears only at the
-   interface. *)
+   interface.  The tables are built at module initialisation, before any
+   worker domain exists: a lazy table forced by two domains at once
+   raises [CamlinternalLazy.Undefined]. *)
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           if !c land 1 <> 0 then c := 0xEDB88320 lxor (!c lsr 1)
-           else c := !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        if !c land 1 <> 0 then c := 0xEDB88320 lxor (!c lsr 1)
+        else c := !c lsr 1
+      done;
+      !c)
 
 (* Slicing-by-8: tables.(k).(n) is the CRC of byte [n] followed by [k]
    zero bytes, so eight input bytes fold into eight independent lookups
@@ -18,22 +19,19 @@ let table =
    over the same polynomial — the result is bit-identical to the
    byte-at-a-time loop, which still handles the head and tail. *)
 let tables =
-  lazy
-    (let t0 = Lazy.force table in
-     let ts = Array.make 8 t0 in
-     for k = 1 to 7 do
-       ts.(k) <-
-         Array.map
-           (fun c -> Array.unsafe_get t0 (c land 0xFF) lxor (c lsr 8))
-           ts.(k - 1)
-     done;
-     ts)
+  let ts = Array.make 8 table in
+  for k = 1 to 7 do
+    ts.(k) <-
+      Array.map
+        (fun c -> Array.unsafe_get table (c land 0xFF) lxor (c lsr 8))
+        ts.(k - 1)
+  done;
+  ts
 
 let bytes ?(crc = 0l) b off len =
   if off < 0 || len < 0 || off + len > Bytes.length b then
     invalid_arg "Crc32.bytes: out of bounds";
-  let tbl = Lazy.force table in
-  let ts = Lazy.force tables in
+  let tbl = table and ts = tables in
   let t7 = ts.(7) and t6 = ts.(6) and t5 = ts.(5) and t4 = ts.(4) in
   let t3 = ts.(3) and t2 = ts.(2) and t1 = ts.(1) in
   let c = ref (Int32.to_int (Int32.lognot crc) land 0xFFFFFFFF) in

@@ -57,10 +57,31 @@ let tick_ewb t =
   | _ -> ());
   t.ewbs <- t.ewbs + 1
 
+(* A cut at [n] fires on the tick that finds the counter at [n], so
+   [count] more ticks from [base] reach it only when [n < base + count].
+   Unfired, the counter never stands past [n]. *)
+let cut_clear cut ~base ~count =
+  match cut with None -> true | Some n -> n >= base + count
+
+let rec deaths_clear ~until = function
+  | [] -> true
+  | d :: rest -> d.Plan.after_ops >= until && deaths_clear ~until rest
+
+let inert ?(pulses = 0) t ~first_dot ~n_dots ~ops =
+  let p = t.plan in
+  Plan.flip_free p ~first_dot ~n_dots
+  && (t.cut_fired
+     || cut_clear p.Plan.power_cut_after_ops ~base:t.ops ~count:ops
+        && cut_clear p.Plan.power_cut_after_ewb ~base:t.ewbs ~count:pulses)
+  && deaths_clear ~until:(t.ops + ops) t.pending_deaths
+
+let advance t n = t.ops <- t.ops + n
+
 let flip_read t ~dot =
   let ber =
-    if t.plan.Plan.targeted = [] then t.plan.Plan.read_ber
-    else Plan.region_ber t.plan ~dot
+    match t.plan.Plan.targeted with
+    | [] -> t.plan.Plan.read_ber
+    | _ -> Plan.region_ber t.plan ~dot
   in
   ber > 0.
   && Sim.Prng.bernoulli t.rng ber

@@ -6,7 +6,11 @@
     the plan, never the medium's own stream, so installing an injector
     does not perturb the simulation's existing randomness.  Identical
     plans driven by identical operation traces produce bit-identical
-    ledgers ({!ledger_to_string}).
+    ledgers ({!ledger_to_string}) and op counts ({!ops}).  That holds
+    whether an operation was ticked one by one or credited in bulk by
+    {!advance} after {!inert} cleared the run: a fast kernel charges
+    exactly the ticks its per-dot twin would have made, so op numbers,
+    cut points and tip-death boundaries land where they would have.
 
     The hook points live in [Pmedia.Bitops] ({!tick}/{!flip_read}/
     {!stuck}/{!tick_ewb}/{!weak_pulse}) and [Probe.Pdevice]
@@ -45,6 +49,21 @@ val tick : t -> unit
 val tick_ewb : t -> unit
 (** Count one ewb pulse; fires {!Power_cut} at the boundary configured
     by [power_cut_after_ewb].  Call before the pulse takes effect. *)
+
+val inert : ?pulses:int -> t -> first_dot:int -> n_dots:int -> ops:int -> bool
+(** Whether the injector provably cannot act on a run of dots
+    [first_dot, first_dot + n_dots) that ticks at most [ops] more times
+    and pulses at most [pulses] (default 0) ewbs: no read there can flip
+    or stick ({!Plan.flip_free}), no armed power cut falls within those
+    ticks or pulses, and no pending tip death comes due within the
+    ticks.  A kernel may then skip the per-op hooks and {!advance} by
+    the ticks it made.  Weak pulses are not covered: ewbs keep their
+    per-dot hooks. *)
+
+val advance : t -> int -> unit
+(** [advance t n] credits [n] primitive operations at once, as [n]
+    {!tick}s that fire nothing would.  Callers establish that with
+    {!inert} first. *)
 
 val flip_read : t -> dot:int -> bool
 (** Decide (and log) whether this magnetic read flips, at the plan's

@@ -64,15 +64,27 @@ let make ?(seed = 0) ?(read_ber = 0.) ?(targeted = []) ?(stuck_rate = 0.)
     power_cut_after_ewb;
   }
 
-let region_ber t ~dot =
-  let rec find = function
-    | [] -> t.read_ber
-    | r :: rest ->
-        if r.ber > 0. && dot >= r.first_dot && dot < r.first_dot + r.n_dots
-        then r.ber
-        else find rest
-  in
-  find t.targeted
+(* Top-level recursions, so a per-read lookup builds no closure. *)
+let rec ber_in dot default = function
+  | [] -> default
+  | r :: rest ->
+      if r.ber > 0. && dot >= r.first_dot && dot < r.first_dot + r.n_dots then
+        r.ber
+      else ber_in dot default rest
+
+let region_ber t ~dot = ber_in dot t.read_ber t.targeted
+
+let rec noisy_overlap ~first_dot ~n_dots = function
+  | [] -> false
+  | r :: rest ->
+      (r.ber > 0.
+      && r.first_dot < first_dot + n_dots
+      && first_dot < r.first_dot + r.n_dots)
+      || noisy_overlap ~first_dot ~n_dots rest
+
+let flip_free t ~first_dot ~n_dots =
+  t.read_ber = 0. && t.stuck_rate = 0.
+  && not (noisy_overlap ~first_dot ~n_dots t.targeted)
 
 let quiet t =
   t.read_ber = 0.

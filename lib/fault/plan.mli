@@ -74,6 +74,12 @@ val region_ber : t -> dot:int -> float
 (** Effective flip probability for [dot]: the first matching targeted
     region's [ber] when one covers the dot, else [read_ber]. *)
 
+val flip_free : t -> first_dot:int -> n_dots:int -> bool
+(** Whether no read of a dot in [first_dot, first_dot + n_dots) can be
+    altered: [read_ber] and [stuck_rate] are zero and no region of
+    nonzero [ber] overlaps the range.  Such reads draw nothing from the
+    injector's stream. *)
+
 val quiet : t -> bool
 (** Whether the plan can never inject anything (all rates zero, no tip
     deaths, no power cut) — its seed aside, it is {!none}.  Quiet plans

@@ -171,13 +171,15 @@ let primitive_ops c = c.mrb + c.mwb
    magnetic kernels move the run's bits packed MSB-first at a bit offset
    of a byte buffer, the sector image order.  Their packed path must be
    semantically invisible: it is taken only for a byte-aligned run with
-   no fault injector installed (so there are no per-op ticks, stuck-dot
-   filters or power-cut boundaries to honour) and, for reads, a zero read
-   BER over a provably defect-free run.  Under those guards the only
-   randomness the scalar path would draw is the heated-dot coin flips
-   (mrb) and the heated-dot erb protocol reads, which the kernels
-   reproduce in the exact same order from the same medium PRNG — so
-   medium state, counters and the PRNG stream all stay bit-identical.
+   no fault injector, or one that cannot act on the run (no stuck-dot
+   or flip filter can fire there and no power cut or tip death falls
+   within its ticks), and, for reads, a zero read BER over a provably
+   defect-free run.  Under those guards the only randomness the scalar
+   path would draw is the heated-dot coin flips (mrb) and the heated-dot
+   erb protocol reads, which the kernels reproduce in the exact same
+   order from the same medium PRNG, and the only injector effect is its
+   op count, which the kernels credit in one step — so medium state,
+   counters, the injector and the PRNG stream all stay bit-identical.
    Anything else runs a literal per-dot loop over the scalar ops. *)
 
 let check_run t start len =
@@ -199,31 +201,44 @@ let[@inline] set_bit buf i v =
 
 let aligned ~start ~len = len > 0 && start land 7 = 0 && len land 7 = 0
 
-let fast_read_ok t ~start ~len =
-  t.fault = None && t.read_ber = 0.
+(* No injector, or one inert over the run's next [ops] ticks. *)
+let unfaulted t ~start ~len ~ops =
+  match t.fault with
+  | None -> true
+  | Some inj -> Fault.Injector.inert inj ~first_dot:start ~n_dots:len ~ops
+
+(* The ticks a fast kernel made, credited as its scalar twin's. *)
+let credit t n =
+  match t.fault with None -> () | Some inj -> Fault.Injector.advance inj n
+
+let fast_read_ok t ~start ~len ~ops =
+  t.read_ber = 0.
+  && unfaulted t ~start ~len ~ops
   && Medium.run_defect_free t.medium ~start ~len
 
 let mrb_run_fast t ~start ~len =
-  aligned ~start ~len && fast_read_ok t ~start ~len
+  aligned ~start ~len && fast_read_ok t ~start ~len ~ops:len
 
 (* For a state byte with no heated field (byte land 0xAA = 0), the four
    dots' logical bits (Up = code 1 = pair bit 0) reversed into the top
-   or bottom nibble of an MSB-first output byte. *)
+   or bottom nibble of an MSB-first output byte.  Like every table here,
+   built at module initialisation: worker domains share it, and a lazy
+   forced by two of them at once raises [CamlinternalLazy.Undefined]. *)
 let rev_up_nibble =
-  lazy
-    (Array.init 256 (fun b ->
-         ((b land 1) lsl 3)
-         lor (((b lsr 2) land 1) lsl 2)
-         lor (((b lsr 4) land 1) lsl 1)
-         lor ((b lsr 6) land 1)))
+  Array.init 256 (fun b ->
+      ((b land 1) lsl 3)
+      lor (((b lsr 2) land 1) lsl 2)
+      lor (((b lsr 4) land 1) lsl 1)
+      lor ((b lsr 6) land 1))
 
 let mrb_run t ~start ~len ~dst ~dst_pos =
   check_run t start len;
   check_bits "Bitops.mrb_run" dst dst_pos len;
   if dst_pos land 7 = 0 && mrb_run_fast t ~start ~len then begin
+    credit t len;
     t.counters.mrb <- t.counters.mrb + len;
     let rng = Medium.rng t.medium in
-    let tbl = Lazy.force rev_up_nibble in
+    let tbl = rev_up_nibble in
     (* Segment boundaries are 8-dot-aligned, so every chunk keeps the
        byte-pair framing of the flat kernel. *)
     Medium.iter_chunks t.medium ~write:false ~start ~len
@@ -262,21 +277,23 @@ let mrb_run t ~start ~len ~dst ~dst_pos =
 (* Inverse of [rev_up_nibble]: an MSB-first nibble of logical bits
    (bit 3 = lowest dot address) as a state byte of Up/Down codes. *)
 let nibble_states =
-  lazy
-    (Array.init 16 (fun nib ->
-         ((nib lsr 3) land 1)
-         lor (((nib lsr 2) land 1) lsl 2)
-         lor (((nib lsr 1) land 1) lsl 4)
-         lor ((nib land 1) lsl 6)))
+  Array.init 16 (fun nib ->
+      ((nib lsr 3) land 1)
+      lor (((nib lsr 2) land 1) lsl 2)
+      lor (((nib lsr 1) land 1) lsl 4)
+      lor ((nib land 1) lsl 6))
 
 let mwb_run t ~start ~len ~src ~src_pos =
   check_run t start len;
   check_bits "Bitops.mwb_run" src src_pos len;
   (* mwb ignores defects and draws no randomness, so the only guard
      besides alignment is the injector's per-op ticks. *)
-  if src_pos land 7 = 0 && aligned ~start ~len && t.fault = None then begin
+  if
+    src_pos land 7 = 0 && aligned ~start ~len && unfaulted t ~start ~len ~ops:len
+  then begin
+    credit t len;
     t.counters.mwb <- t.counters.mwb + len;
-    let tbl = Lazy.force nibble_states in
+    let tbl = nibble_states in
     Medium.iter_chunks t.medium ~write:true ~start ~len
       (fun states ~base ~start:cstart ~len:clen ->
         let spos = (src_pos + (cstart - start)) lsr 3 in
@@ -502,7 +519,9 @@ let erb_run ?(cycles = 1) t ~start ~len ~dst ~dst_pos =
   if cycles <= 0 then invalid_arg "Bitops.erb_run: cycles must be positive";
   check_run t start len;
   check_bits "Bitops.erb_run" dst dst_pos len;
-  if not (fast_read_ok t ~start ~len) then
+  (* A round is at most 3 mrb + 2 mwb, so 5 ticks a cycle bound each
+     dot's share. *)
+  if not (fast_read_ok t ~start ~len ~ops:(5 * cycles * len)) then
     for k = 0 to len - 1 do
       set_bit dst (dst_pos + k) (erb ~cycles t (start + k))
     done
@@ -530,6 +549,7 @@ let erb_run ?(cycles = 1) t ~start ~len ~dst ~dst_pos =
        cancel out), so only its op charges remain.  The charges are int
        sums, so landing them once leaves exactly the per-dot totals. *)
     let c = t.counters in
+    credit t ((5 * cycles * walk.clean) + walk.heated_mrb + walk.heated_mwb);
     c.mrb <- c.mrb + (3 * cycles * walk.clean) + walk.heated_mrb;
     c.mwb <- c.mwb + (2 * cycles * walk.clean) + walk.heated_mwb
   end

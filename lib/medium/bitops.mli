@@ -59,7 +59,10 @@ val set_fault : ctx -> Fault.Injector.t option -> unit
     raises {!Fault.Injector.Power_cut} {e before} the op touches the
     medium); mrb results pass through the stuck-dot and bit-flip
     filters; ewb pulses may be underpowered and leave their dot
-    magnetic.  [None] (the default) restores fault-free behaviour. *)
+    magnetic.  A run kernel over which the injector is
+    {!Fault.Injector.inert} skips the per-op hooks and credits the
+    same ticks in one {!Fault.Injector.advance}.  [None] (the default)
+    restores fault-free behaviour. *)
 
 val mrb : ctx -> int -> Dot.direction
 val mwb : ctx -> int -> Dot.direction -> unit
@@ -89,12 +92,16 @@ val primitive_ops : counters -> int
     path's PRNG draws (heated-dot coin flips, heated-dot erb protocol
     reads) in the exact same order from the medium's PRNG.
 
-    Fast-path guards:
+    Fast-path guards ("unfaulted over [k] ticks": no injector, or one
+    {!Fault.Injector.inert} over the run for [k] ticks, which the
+    kernel then credits exactly):
     - {!mrb_run}: [len > 0]; [start], [len] and [dst_pos] multiples of
-      8; no injector, [read_ber = 0] and the run defect-free.
+      8; unfaulted over [len] ticks, [read_ber = 0] and the run
+      defect-free.
     - {!mwb_run}: [len > 0]; [start], [len] and [src_pos] multiples of
-      8; no injector.
-    - {!erb_run}: no injector, [read_ber = 0] and the run
+      8; unfaulted over [len] ticks.
+    - {!erb_run}: unfaulted over [5 * cycles * len] ticks (it credits
+      the [mrb + mwb] it charged), [read_ber = 0] and the run
       defect-free (any start, length and bit offset). *)
 
 val get_bit : Bytes.t -> int -> bool

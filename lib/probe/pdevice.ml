@@ -115,16 +115,29 @@ let record_run_wear t ~start ~len =
     Tips.record_full_rows t.tips ~count:!full
   end
 
-let lean t =
-  t.fault = None
-  && Tips.remapped_count t.tips = 0
-  && Tips.all_serving_healthy t.tips
+let healthy t =
+  Tips.remapped_count t.tips = 0 && Tips.all_serving_healthy t.tips
 
-(* Lean dispatch: with no injector and no broken or remapped tip, none
-   of those states can change mid-run, so the per-offset checks hoist
-   out, the seek/charge/wear loops batch (each replays the per-offset
-   float additions in the same order from unboxed locals — see
-   {!Actuator.scan_run} and {!Timing.charge_bits_times} — so the
+(* No injector, or one that cannot act on the run: the charge bounds
+   its ticks ([read + written] per dot, one per pulse) and its pulses. *)
+let unfaulted t ~start ~len charge =
+  match t.fault with
+  | None -> true
+  | Some inj -> (
+      match charge with
+      | Cbits { read; written } ->
+          Fault.Injector.inert inj ~first_dot:start ~n_dots:len
+            ~ops:((read + written) * len)
+      | Cewb n ->
+          Fault.Injector.inert inj ~first_dot:start ~n_dots:len ~ops:(n * len)
+            ~pulses:(n * len))
+
+(* Lean dispatch: with no broken or remapped tip and no injector that
+   can act on the run, none of those states can change mid-run (no tip
+   death comes due, no cut fires between rows), so the per-offset
+   checks hoist out, the seek/charge/wear loops batch (each replays the
+   per-offset float additions in the same order from unboxed locals —
+   see {!Actuator.scan_run} and {!Timing.charge_bits_times} — so the
    ledgers are bit-identical to the per-offset loop without its
    boxing), and the kernel takes the whole run in one call, visiting
    dots in address order exactly as the scalar path would.  Charges the
@@ -132,7 +145,8 @@ let lean t =
    empty); returns [false] having charged nothing otherwise. *)
 let sweep_lean t ~start ~len charge =
   len = 0
-  || lean t
+  || healthy t
+     && unfaulted t ~start ~len charge
      && begin
           let n = Tips.n_tips t.tips in
           let first_off = start / n and last_off = (start + len - 1) / n in
@@ -179,8 +193,11 @@ let run_offsets t ~start ~len charge ~bulk f =
   if sweep_lean t ~start ~len charge then bulk ~lo:start ~hi:(start + len - 1)
   else run_rows t ~start ~len charge ~bulk f
 
+(* Keyed on no injector at all, not an inert one: RAS retry placement
+   after a coalesced span depends on it. *)
 let one_pass t ~start ~len =
-  lean t && Pmedia.Bitops.mrb_run_fast t.bitops ~start ~len
+  t.fault = None && healthy t
+  && Pmedia.Bitops.mrb_run_fast t.bitops ~start ~len
 
 let random_bit t = Sim.Prng.bool (Pmedia.Medium.rng t.medium)
 

@@ -62,10 +62,12 @@ val size : t -> int
     One call per medium operation.  Bits travel packed MSB-first, the
     sector image order: dot [start + k] is bit [7 - (k mod 8)] of byte
     [k / 8].  Every call completes, charging one scan-offset step per
-    scan row the run touches: a lean dispatch (no injector, no broken or
-    remapped tip) sweeps the whole run through one kernel call; anything
-    else walks it row by row, per dot under a broken tip.  Both leave
-    identical ledgers, wear, counters and PRNG draws. *)
+    scan row the run touches: a lean dispatch (no injector that can act
+    on the run — see {!Fault.Injector.inert} — and no broken or
+    remapped tip) sweeps the whole run through one kernel call;
+    anything else walks it row by row, per dot under a broken tip.
+    Both leave identical ledgers, wear, counters, PRNG draws and
+    injector op counts. *)
 
 val read_run : t -> start:int -> len:int -> dst:Bytes.t -> unit
 (** Magnetic read into bits [0, len) of [dst]; [true] = up = logical
@@ -75,9 +77,11 @@ val read_run : t -> start:int -> len:int -> dst:Bytes.t -> unit
 
 val one_pass : t -> start:int -> len:int -> bool
 (** Whether {!read_run} over the run is served by one packed kernel
-    pass: the lean dispatch, and {!Pmedia.Bitops.mrb_run_fast} over the
-    run (8-dot-aligned, no read noise, defect-free).  Decided before any
-    charge or draw. *)
+    pass with no injector installed: the lean dispatch, and
+    {!Pmedia.Bitops.mrb_run_fast} over the run (8-dot-aligned, no read
+    noise, defect-free).  An inert injector does not qualify — callers
+    use this to decide when RAS retries run — though its reads take the
+    same kernels.  Decided before any charge or draw. *)
 
 val write_run : t -> start:int -> len:int -> src:Bytes.t -> unit
 (** Magnetic write of bits [0, len) of [src] over consecutive dots.

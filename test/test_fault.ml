@@ -454,6 +454,253 @@ let lfs_cases =
             Sero.Queue.drain q2);
   ]
 
+(* {1 Injector twin law}
+
+   An injector that provably cannot act on a run lets the packed kernels
+   and the whole-run sweep serve it, credited with the run's ticks in
+   one step.  The law: a device script under a plan leaves exactly what
+   it leaves under the same plan plus a stuck rate so small it never
+   fires — a dot is stuck only when its hashed draw is exactly 0, odds
+   2^-53 — which the inertness predicate never clears, so that twin
+   takes the per-dot path on every run. *)
+
+let never_stuck plan = { plan with Fault.Plan.stuck_rate = Float.min_float }
+
+type law_op =
+  | L_read of int
+  | L_read_span of int * int
+  | L_write of int * int
+  | L_heat of int
+  | L_verify of int
+  | L_raw_write of int * int
+
+let law_blocks = 64
+
+(* Lines 1 to 4 written, line 1 heated: reads, verifies and heats all
+   meet real content, and heats of lines 2 to 4 burn.  Twins are clones
+   of it, taken fresh per case. *)
+let law_golden ~ras =
+  let dev =
+    Sero.Device.create
+      {
+        (Sero.Device.default_config ~n_blocks:law_blocks ~line_exp:3 ()) with
+        Sero.Device.ras =
+          (if ras then Sero.Device.active_ras else Sero.Device.default_ras);
+      }
+  in
+  List.iter (fill_line dev) [ 1; 2; 3; 4 ];
+  ignore (heat_ok dev 1);
+  dev
+
+let law_goldens = lazy (law_golden ~ras:false, law_golden ~ras:true)
+
+(* Plans placed where runs begin and end: targeted regions inside a
+   block, straddling two and covering one, ops cuts and tip deaths a
+   tick either side of a whole number of sector runs, ewb cuts inside
+   or just past a burn. *)
+let law_plan_gen =
+  let open QCheck.Gen in
+  let bd = Sero.Layout.block_dots in
+  let lay = Sero.Layout.create ~n_blocks:law_blocks ~line_exp:3 () in
+  let near_runs = map2 (fun k d -> max 0 ((k * bd) + d)) (0 -- 14) (-1 -- 1) in
+  (* One pulse per Manchester cell of a burn. *)
+  let pulses_per_burn = Sero.Layout.wo_area_dots / 2 in
+  let region =
+    map3
+      (fun pba kind ber ->
+        let first = Sero.Layout.block_first_dot lay pba in
+        let first_dot, n_dots =
+          match kind with
+          | 0 -> (first + 100, 50)
+          | 1 -> (first + bd - 20, 40)
+          | _ -> (first, bd)
+        in
+        { Fault.Plan.first_dot; n_dots; ber })
+      (0 -- (law_blocks - 2))
+      (0 -- 2)
+      (oneofl [ 1e-12; 0.001; 0.02 ])
+  in
+  map3
+    (fun (seed, targeted, read_ber) (cut_ops, cut_ewb, weak_ewb_p) deaths ->
+      Fault.Plan.make ~seed ~targeted ~read_ber ~weak_ewb_p ~tip_deaths:deaths
+        ?power_cut_after_ops:cut_ops ?power_cut_after_ewb:cut_ewb ())
+    (triple (1 -- 9999) (list_size (0 -- 2) region)
+       (frequencyl [ (9, 0.); (1, 0.0005) ]))
+    (triple (opt near_runs)
+       (opt
+          (map2
+             (fun k d -> max 0 ((k * pulses_per_burn) + d))
+             (0 -- 2) (-1 -- 300)))
+       (oneofl [ 0.; 0.; 0.001 ]))
+    (list_size (0 -- 1)
+       (map2 (fun tip after_ops -> { Fault.Plan.tip; after_ops }) (0 -- 31)
+          near_runs))
+
+let law_script_gen =
+  let open QCheck.Gen in
+  let lay = Sero.Layout.create ~n_blocks:law_blocks ~line_exp:3 () in
+  let n_lines = Sero.Layout.n_lines lay in
+  let data_pba =
+    map2
+      (fun line k ->
+        List.nth (Sero.Layout.data_blocks_of_line lay line) k)
+      (0 -- (n_lines - 1))
+      (0 -- (Sero.Layout.data_blocks_per_line lay - 1))
+  in
+  list_size (4 -- 14)
+    (frequency
+       [
+         (4, map (fun p -> L_read p) data_pba);
+         ( 2,
+           map2
+             (fun p n -> L_read_span (p, min n (law_blocks - p)))
+             (0 -- (law_blocks - 1))
+             (1 -- 6) );
+         (3, map2 (fun p t -> L_write (p, t)) data_pba (0 -- 999));
+         (2, map (fun l -> L_heat l) (0 -- 4));
+         (2, map (fun l -> L_verify l) (0 -- (n_lines - 1)));
+         (1, map2 (fun p t -> L_raw_write (p, t)) data_pba (0 -- 999));
+       ])
+
+let print_law_op = function
+  | L_read p -> Printf.sprintf "read %d" p
+  | L_read_span (p, n) -> Printf.sprintf "read_blocks %d+%d" p n
+  | L_write (p, t) -> Printf.sprintf "write %d #%d" p t
+  | L_heat l -> Printf.sprintf "heat %d" l
+  | L_verify l -> Printf.sprintf "verify %d" l
+  | L_raw_write (p, t) -> Printf.sprintf "unsafe_write %d #%d" p t
+
+let law_step dev inj op =
+  let read_face = function
+    | Ok s -> s
+    | Error e -> Format.asprintf "%a" Sero.Device.pp_read_error e
+  in
+  match
+    match op with
+    | L_read pba -> read_face (Sero.Device.read_block dev ~pba)
+    | L_read_span (pba, n) ->
+        String.concat "|"
+          (Array.to_list (Array.map read_face (Sero.Device.read_blocks dev ~pba ~n)))
+    | L_write (pba, t) -> (
+        match Sero.Device.write_block dev ~pba (Printf.sprintf "law %d" t) with
+        | Ok () -> "ok"
+        | Error e -> Format.asprintf "%a" Sero.Device.pp_write_error e)
+    | L_heat line -> (
+        match Sero.Device.heat_line dev ~line () with
+        | Ok h -> Hash.Sha256.to_hex h
+        | Error e -> Format.asprintf "%a" Sero.Device.pp_heat_error e)
+    | L_verify line ->
+        Format.asprintf "%a" Sero.Tamper.pp_verdict
+          (Sero.Device.verify_line dev ~line)
+    | L_raw_write (pba, t) ->
+        Sero.Device.unsafe_write_block dev ~pba (Printf.sprintf "raw %d" t);
+        ""
+  with
+  | face -> face
+  | exception Fault.Injector.Power_cut ->
+      Printf.sprintf "power cut at op %d" (Fault.Injector.ops inj)
+
+let law_state dev inj =
+  let pd = Sero.Device.pdevice dev in
+  let m = Probe.Pdevice.medium pd in
+  let tips = Probe.Pdevice.tips pd in
+  let image = Bytes.create (Pmedia.Medium.packed_length m) in
+  Pmedia.Medium.blit_packed m ~pos:0 ~dst:image ~dst_off:0
+    ~len:(Bytes.length image);
+  let c = Pmedia.Bitops.counters (Probe.Pdevice.bitops pd) in
+  ( (Fault.Injector.ledger_to_string inj, Fault.Injector.ops inj),
+    (Probe.Pdevice.elapsed pd, Probe.Pdevice.energy pd),
+    List.init (Probe.Tips.n_tips tips) (fun tip -> Probe.Tips.uses tips ~tip),
+    Bytes.to_string image,
+    Pmedia.Bitops.(c.mrb, c.mwb, c.ewb, c.erb, c.collateral),
+    Sim.Prng.bits64 (Pmedia.Medium.rng m) )
+
+let injector_twin_law =
+  QCheck.Test.make ~name:"inert-injector fast paths == forced per-dot twin"
+    ~count:40
+    QCheck.(
+      make
+        Gen.(triple bool law_plan_gen law_script_gen)
+        ~print:(fun (ras, plan, ops) ->
+          Format.asprintf "ras %b %a: %s" ras Fault.Plan.pp plan
+            (String.concat "; " (List.map print_law_op ops))))
+    (fun (ras, plan, ops) ->
+      let plain, with_ras = Lazy.force law_goldens in
+      let golden = if ras then with_ras else plain in
+      let twin plan =
+        let dev = Sero.Device.clone golden in
+        let inj = Fault.Injector.create plan in
+        Sero.Device.install_fault dev inj;
+        (dev, inj)
+      in
+      let (d1, i1), (d2, i2) = (twin plan, twin (never_stuck plan)) in
+      List.for_all
+        (fun op -> String.equal (law_step d1 i1 op) (law_step d2 i2 op))
+        ops
+      && law_state d1 i1 = law_state d2 i2)
+
+(* Op numbers recorded with every run ticked per dot.  A miscounted
+   credit moves them, and no E-study prints one: E-studies only report
+   whether two ledgers match. *)
+let law_cases =
+  [
+    Alcotest.test_case "a burn torn mid-run charges only the rows it ran"
+      `Quick (fun () ->
+        let plan = Fault.Plan.make ~power_cut_after_ewb:700 () in
+        let twin plan =
+          let dev = make_dev ~ras:true () in
+          fill_line dev 1;
+          let inj = Fault.Injector.create plan in
+          Sero.Device.install_fault dev inj;
+          let face = law_step dev inj (L_heat 1) in
+          (face, law_state dev inj)
+        in
+        Alcotest.(check bool)
+          "per-dot twin agrees" true
+          (twin plan = twin (never_stuck plan)));
+    Alcotest.test_case "pinned op numbers: torn burn and targeted sweep"
+      `Quick (fun () ->
+        let dev = make_dev ~ras:true () in
+        fill_line dev 1;
+        let inj =
+          Fault.Injector.create (Fault.Plan.make ~power_cut_after_ewb:700 ())
+        in
+        Sero.Device.install_fault dev inj;
+        (match Sero.Device.heat_line dev ~line:1 () with
+        | exception Fault.Injector.Power_cut -> ()
+        | _ -> Alcotest.fail "expected the power cut to interrupt the burn");
+        Alcotest.(check string)
+          "tear ledger" "op=198365 power-cut\n"
+          (Fault.Injector.ledger_to_string inj);
+        let dev = make_dev ~ras:true () in
+        let lay = Sero.Device.layout dev in
+        fill_line dev 1;
+        fill_line dev 2;
+        let first = Sero.Layout.first_data_block lay 2 in
+        let inj =
+          Fault.Injector.create
+            (Fault.Plan.make ~seed:5
+               ~targeted:
+                 [
+                   {
+                     Fault.Plan.first_dot = Sero.Layout.block_first_dot lay first;
+                     n_dots = 2 * Sero.Layout.block_dots;
+                     ber = 0.002;
+                   };
+                 ]
+               ())
+        in
+        Sero.Device.install_fault dev inj;
+        for line = 0 to 3 do
+          List.iter
+            (fun pba -> ignore (Sero.Device.read_block dev ~pba))
+            (Sero.Layout.data_blocks_of_line lay line)
+        done;
+        Alcotest.(check (pair int int))
+          "sweep ops and events" (135296, 23)
+          (Fault.Injector.ops inj, Fault.Injector.n_events inj));
+  ]
+
 let () =
   Alcotest.run "fault"
     [
@@ -463,4 +710,5 @@ let () =
       ("scrub", scrub_cases);
       ("verdict invariance", [ qtest verdict_invariance ]);
       ("lfs recovery", lfs_cases);
+      ("injector twin law", law_cases @ [ qtest injector_twin_law ]);
     ]

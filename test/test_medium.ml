@@ -323,11 +323,46 @@ let run_access_cases =
         done);
   ]
 
-(* Twin setups for the equivalence properties.  [fault_idx = 2] installs
-   an empty-plan injector: behaviourally inert (no draws, no cuts) but
-   it forces the kernels onto their scalar fallback, so the properties
-   cover both paths. *)
-let make_twin (seed, dr_idx) (ber_idx, fault_idx) ops =
+(* The injector plan of a twin pair, placed against the run about to
+   be raced: the run covers dots [start, start + len), begins at
+   injector op [ops0] (the scramble ticks once per op) and ticks
+   [ticks] times, or at most that for erb.  Inert plans let the kernel
+   credit the run's ticks in one step; the rest must send it down the
+   per-dot loop, so the cut fires and the ledger fills exactly as the
+   hand-written loop's do. *)
+let run_plan fault ~start ~len ~ops0 ~ticks =
+  let cut n = Some (Fault.Plan.make ~power_cut_after_ops:(max 0 n) ()) in
+  let death after_ops =
+    Some
+      (Fault.Plan.make ~tip_deaths:[ { Fault.Plan.tip = 0; after_ops } ] ())
+  in
+  let region first_dot n_dots = { Fault.Plan.first_dot; n_dots; ber = 0.3 } in
+  match fault with
+  | 1 -> Some (Fault.Plan.make ())
+  | 2 ->
+      (* A noisy window over the middle of the run. *)
+      Some
+        (Fault.Plan.make ~seed:11
+           ~targeted:[ region (start + (len / 2)) 8 ]
+           ())
+  | 3 ->
+      (* Noisy windows flush against both ends, touching no dot of it. *)
+      Some
+        (Fault.Plan.make ~seed:11
+           ~targeted:[ region (start + len) 8; region (max 0 (start - 8)) (min 8 start) ]
+           ())
+  | 4 -> cut (ops0 - 1) (* fires in the scramble: disarmed by the run *)
+  | 5 -> cut ops0 (* on the run's first tick *)
+  | 6 -> cut (ops0 + (ticks / 2))
+  | 7 -> cut (ops0 + ticks - 1) (* on its last tick *)
+  | 8 -> cut (ops0 + ticks) (* on the op after it *)
+  | 9 -> cut (ops0 + ticks + 7)
+  | 10 -> death (ops0 + (ticks / 2))
+  | 11 -> death (ops0 + ticks)
+  | _ -> None
+
+(* Twin setups for the equivalence properties, both under [plan]. *)
+let make_twin ?plan (seed, dr_idx) ber_idx ops =
   let defect_rate = [| 0.; 0.02; 0.1 |].(dr_idx) in
   let read_ber = [| 0.; 0.; 0.3 |].(ber_idx) in
   let cfg =
@@ -337,19 +372,29 @@ let make_twin (seed, dr_idx) (ber_idx, fault_idx) ops =
   let make () =
     let m = Pmedia.Medium.create cfg in
     let ctx = Pmedia.Bitops.make ~read_ber m in
-    if fault_idx = 2 then
-      Pmedia.Bitops.set_fault ctx
-        (Some (Fault.Injector.create (Fault.Plan.make ())));
+    Option.iter
+      (fun p -> Pmedia.Bitops.set_fault ctx (Some (Fault.Injector.create p)))
+      plan;
     (* Scramble: same deterministic prefix of scalar ops on both twins
-       so runs cross heated, Up and Down dots. *)
+       so runs cross heated, Up and Down dots.  A cut in it is the
+       reboot the run starts from. *)
     List.iter
       (fun (i, v) ->
-        if v mod 5 = 0 then Pmedia.Bitops.ewb ctx i
-        else Pmedia.Bitops.mwb ctx i (Pmedia.Dot.of_bool (v mod 2 = 0)))
+        try
+          if v mod 5 = 0 then Pmedia.Bitops.ewb ctx i
+          else Pmedia.Bitops.mwb ctx i (Pmedia.Dot.of_bool (v mod 2 = 0))
+        with Fault.Injector.Power_cut -> ())
       ops;
     (m, ctx)
   in
   (make (), make ())
+
+(* [f ()], and the injector op at which it was cut short, if it was. *)
+let cut_op ctx f =
+  match f () with
+  | () -> None
+  | exception Fault.Injector.Power_cut ->
+      Option.map Fault.Injector.ops (Pmedia.Bitops.fault ctx)
 
 let packed_string m =
   let len = Pmedia.Medium.packed_length m in
@@ -358,10 +403,17 @@ let packed_string m =
   Bytes.unsafe_to_string b
 
 (* Equality of everything the kernel could disturb: medium state bytes,
-   heated count, op counters, and the PRNG stream position. *)
+   heated count, op counters, the PRNG stream position, and the
+   injector's op count and ledger. *)
 let twins_agree (m1, ctx1) (m2, ctx2) =
   let c1 = Pmedia.Bitops.counters ctx1 and c2 = Pmedia.Bitops.counters ctx2 in
-  String.equal (packed_string m1) (packed_string m2)
+  let injector ctx =
+    Option.map
+      (fun inj -> (Fault.Injector.ops inj, Fault.Injector.ledger_to_string inj))
+      (Pmedia.Bitops.fault ctx)
+  in
+  injector ctx1 = injector ctx2
+  && String.equal (packed_string m1) (packed_string m2)
   && Pmedia.Medium.heated_count m1 = Pmedia.Medium.heated_count m2
   && c1.Pmedia.Bitops.mrb = c2.Pmedia.Bitops.mrb
   && c1.Pmedia.Bitops.mwb = c2.Pmedia.Bitops.mwb
@@ -371,15 +423,16 @@ let twins_agree (m1, ctx1) (m2, ctx2) =
   && Sim.Prng.bits64 (Pmedia.Medium.rng m1)
      = Sim.Prng.bits64 (Pmedia.Medium.rng m2)
 
-(* The last component is (start, length), an erb cycles index into
-   {!erb_cycles}, a destination bit offset, and whether to byte-align
-   the magnetic run (half the cases, so the packed kernels get their
-   share). *)
+(* The second component is a read-BER index and a {!run_plan} variant
+   (five values in sixteen install no injector).  The last is (start,
+   length), an erb cycles index into {!erb_cycles}, a destination bit
+   offset, and whether to byte-align the magnetic run (half the cases,
+   so the packed kernels get their share). *)
 let equiv_arb =
   QCheck.(
     quad
       (pair (int_range 1 9999) (int_range 0 2))
-      (pair (int_range 0 2) (int_range 0 2))
+      (pair (int_range 0 2) (int_range 0 15))
       (small_list (pair (int_range 0 255) (int_range 0 9)))
       (quad (pair (int_range 0 255) (int_range 0 255)) (int_range 0 4)
          (int_range 0 15) bool))
@@ -411,48 +464,99 @@ let put_bit b i v =
 
 let mrb_run_equiv =
   QCheck.Test.make ~name:"mrb_run == per-dot mrb loop" ~count:400 equiv_arb
-    (fun (((seed, _) as seeds), modes, ops, ((start, len_raw), _, off, aligned)) ->
+    (fun (((seed, _) as seeds), (ber, fault), ops, ((start, len_raw), _, off, aligned)) ->
       let start, len, off = magnetic_run start len_raw off aligned in
-      let ((_, ctx1) as t1), ((_, ctx2) as t2) = make_twin seeds modes ops in
+      let plan = run_plan fault ~start ~len ~ops0:(List.length ops) ~ticks:len in
+      let ((_, ctx1) as t1), ((_, ctx2) as t2) = make_twin ?plan seeds ber ops in
       let d1 = noise_bytes seed ~off ~len in
       let d2 = Bytes.copy d1 in
-      Pmedia.Bitops.mrb_run ctx1 ~start ~len ~dst:d1 ~dst_pos:off;
-      for k = 0 to len - 1 do
-        put_bit d2 (off + k) (Pmedia.Dot.to_bool (Pmedia.Bitops.mrb ctx2 (start + k)))
-      done;
-      Bytes.equal d1 d2 && twins_agree t1 t2)
+      let cut1 =
+        cut_op ctx1 (fun () ->
+            Pmedia.Bitops.mrb_run ctx1 ~start ~len ~dst:d1 ~dst_pos:off)
+      in
+      let cut2 =
+        cut_op ctx2 (fun () ->
+            for k = 0 to len - 1 do
+              put_bit d2 (off + k)
+                (Pmedia.Dot.to_bool (Pmedia.Bitops.mrb ctx2 (start + k)))
+            done)
+      in
+      cut1 = cut2 && Bytes.equal d1 d2 && twins_agree t1 t2)
 
 let mwb_run_equiv =
   QCheck.Test.make ~name:"mwb_run == per-dot mwb loop" ~count:400 equiv_arb
-    (fun (((seed, _) as seeds), modes, ops, ((start, len_raw), _, off, aligned)) ->
+    (fun (((seed, _) as seeds), (ber, fault), ops, ((start, len_raw), _, off, aligned)) ->
       let start, len, off = magnetic_run start len_raw off aligned in
-      let ((_, ctx1) as t1), ((_, ctx2) as t2) = make_twin seeds modes ops in
+      let plan = run_plan fault ~start ~len ~ops0:(List.length ops) ~ticks:len in
+      let ((_, ctx1) as t1), ((_, ctx2) as t2) = make_twin ?plan seeds ber ops in
       let src = noise_bytes (seed + 1) ~off ~len in
-      Pmedia.Bitops.mwb_run ctx1 ~start ~len ~src ~src_pos:off;
-      for k = 0 to len - 1 do
-        Pmedia.Bitops.mwb ctx2 (start + k) (Pmedia.Dot.of_bool (test_bit src (off + k)))
-      done;
-      twins_agree t1 t2)
+      let cut1 =
+        cut_op ctx1 (fun () ->
+            Pmedia.Bitops.mwb_run ctx1 ~start ~len ~src ~src_pos:off)
+      in
+      let cut2 =
+        cut_op ctx2 (fun () ->
+            for k = 0 to len - 1 do
+              Pmedia.Bitops.mwb ctx2 (start + k)
+                (Pmedia.Dot.of_bool (test_bit src (off + k)))
+            done)
+      in
+      cut1 = cut2 && twins_agree t1 t2)
 
-(* [len] per-dot erb calls written into a copy of [dst], the kernel's
-   reference. *)
-let erb_loop ~cycles ctx ~start ~len dst ~off =
-  let d = Bytes.copy dst in
+(* [len] per-dot erb calls written into [d], the kernel's reference. *)
+let erb_loop_into ~cycles ctx ~start ~len d ~off =
   for k = 0 to len - 1 do
     put_bit d (off + k) (Pmedia.Bitops.erb ~cycles ctx (start + k))
-  done;
+  done
+
+let erb_loop ~cycles ctx ~start ~len dst ~off =
+  let d = Bytes.copy dst in
+  erb_loop_into ~cycles ctx ~start ~len d ~off;
   d
 
+(* A plan's ticks are placed against the kernel's bound, five a cycle
+   per dot: the exact count is only known after the run. *)
 let erb_run_equiv =
   QCheck.Test.make ~name:"erb_run == per-dot erb loop" ~count:200 equiv_arb
-    (fun (((seed, _) as seeds), modes, ops, ((start, len_raw), cyc, off, _)) ->
+    (fun (((seed, _) as seeds), (ber, fault), ops, ((start, len_raw), cyc, off, _)) ->
       let start, len = clamp_run start len_raw in
       let cycles = erb_cycles.(cyc) in
-      let ((_, ctx1) as t1), ((_, ctx2) as t2) = make_twin seeds modes ops in
+      let plan =
+        run_plan fault ~start ~len ~ops0:(List.length ops)
+          ~ticks:(5 * cycles * len)
+      in
+      let ((_, ctx1) as t1), ((_, ctx2) as t2) = make_twin ?plan seeds ber ops in
       let d1 = noise_bytes seed ~off ~len in
-      let d2 = erb_loop ~cycles ctx2 ~start ~len d1 ~off in
-      Pmedia.Bitops.erb_run ~cycles ctx1 ~start ~len ~dst:d1 ~dst_pos:off;
-      Bytes.equal d1 d2 && twins_agree t1 t2)
+      let d2 = Bytes.copy d1 in
+      let cut1 =
+        cut_op ctx1 (fun () ->
+            Pmedia.Bitops.erb_run ~cycles ctx1 ~start ~len ~dst:d1 ~dst_pos:off)
+      in
+      let cut2 =
+        cut_op ctx2 (fun () -> erb_loop_into ~cycles ctx2 ~start ~len d2 ~off)
+      in
+      cut1 = cut2 && Bytes.equal d1 d2 && twins_agree t1 t2)
+
+(* Which plans the packed read kernel may run under: only those that
+   cannot act on the run's own ticks and dots. *)
+let inert_keeps_packed =
+  Alcotest.test_case "an injector that cannot act keeps the packed kernel"
+    `Quick (fun () ->
+      let start = 64 and len = 64 in
+      List.iter
+        (fun (fault, want) ->
+          let _, (_, ctx) =
+            make_twin ?plan:(run_plan fault ~start ~len ~ops0:0 ~ticks:len)
+              (1, 0) 0 []
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "plan variant %d" fault)
+            want
+            (Pmedia.Bitops.mrb_run_fast ctx ~start ~len))
+        [
+          (0, true); (1, true); (2, false); (3, true); (5, false); (6, false);
+          (7, false); (8, true); (9, true); (10, false); (11, true);
+        ])
 
 (* A mostly heated medium, read over and over: thousands of heated dots
    per cycle count, so the window refills mid-byte, pairs fall back to
@@ -592,6 +696,6 @@ let () =
       ( "run kernels",
         run_access_cases
         @ List.map qtest [ mrb_run_equiv; mwb_run_equiv; erb_run_equiv ]
-        @ [ erb_run_dense ] );
+        @ [ erb_run_dense; inert_keeps_packed ] );
       ("cow", cow_cases @ [ qtest cow_matches_deep_copy ]);
     ]

@@ -321,14 +321,27 @@ let sched_cases =
 (* {1 Run dispatch equivalence}
 
    The dispatch must be invisible: a device whose kernels run the packed
-   path and a twin forced onto the per-dot scalar loops (by installing
-   an empty-plan fault injector — inert, but its presence disables every
-   fast path) must produce the same outputs, medium state, timing ledger
-   and tip wear.  With [~remap], both twins have one failed tip remapped
-   onto a spare, which sends every run through the row-by-row dispatch. *)
+   path, a twin with an empty-plan injector (inert, so the same fast
+   paths run and credit their ticks in bulk) and a twin forced onto the
+   per-dot scalar loops must produce the same outputs, medium state,
+   timing ledger and tip wear, and the two injectors the same op count.
+   The scalar twin's plan has a stuck rate so small it never fires (a
+   dot is stuck only when its hashed draw is exactly 0, odds 2^-53):
+   the inertness predicate never clears it, and its ledger staying
+   empty checks that it changed nothing.  With [~remap], every twin
+   has one failed tip remapped onto a spare, which sends every run
+   through the row-by-row dispatch. *)
+
+let never_stuck = Fault.Plan.make ~stuck_rate:Float.min_float ()
+
+type twins = {
+  fast : Probe.Pdevice.t;
+  inert : Probe.Pdevice.t;
+  scalar : Probe.Pdevice.t;
+}
 
 let twin_pdevs ?(remap = false) (seed, ops) =
-  let make ~forced_scalar =
+  let make plan =
     let cfg =
       { (Pmedia.Medium.default_config ~rows:32 ~cols:32) with
         Pmedia.Medium.seed }
@@ -348,9 +361,9 @@ let twin_pdevs ?(remap = false) (seed, ops) =
       Probe.Tips.fail_tip tips 5;
       assert (Probe.Tips.remap_tip tips 5)
     end;
-    if forced_scalar then
-      Probe.Pdevice.install_fault p
-        (Fault.Injector.create (Fault.Plan.make ()));
+    Option.iter
+      (fun plan -> Probe.Pdevice.install_fault p (Fault.Injector.create plan))
+      plan;
     (* Same scramble on both devices: writes and a few heats. *)
     List.iter
       (fun (i, v) ->
@@ -360,7 +373,11 @@ let twin_pdevs ?(remap = false) (seed, ops) =
       ops;
     p
   in
-  (make ~forced_scalar:false, make ~forced_scalar:true)
+  {
+    fast = make None;
+    inert = make (Some (Fault.Plan.make ()));
+    scalar = make (Some never_stuck);
+  }
 
 let packed_string m =
   let len = Pmedia.Medium.packed_length m in
@@ -371,12 +388,25 @@ let packed_string m =
 let pdev_state p =
   let m = Probe.Pdevice.medium p in
   let tips = Probe.Pdevice.tips p in
-  ( packed_string m,
-    Pmedia.Medium.heated_count m,
-    Probe.Pdevice.elapsed p,
-    Probe.Pdevice.energy p,
-    List.init (Probe.Tips.n_tips tips) (fun tip -> Probe.Tips.uses tips ~tip),
-    Sim.Prng.bits64 (Pmedia.Medium.rng m) )
+  ( Option.map
+      (fun inj -> (Fault.Injector.ops inj, Fault.Injector.ledger_to_string inj))
+      (Probe.Pdevice.fault p),
+    ( packed_string m,
+      Pmedia.Medium.heated_count m,
+      Probe.Pdevice.elapsed p,
+      Probe.Pdevice.energy p,
+      List.init (Probe.Tips.n_tips tips) (fun tip -> Probe.Tips.uses tips ~tip),
+      Sim.Prng.bits64 (Pmedia.Medium.rng m) ) )
+
+(* [script] on every twin gives one answer, and leaves every twin in
+   one state: the injectors agree on their op count and log nothing. *)
+let twins_agree tw script =
+  let a = script tw.fast and b = script tw.inert and c = script tw.scalar in
+  let _, f = pdev_state tw.fast
+  and inert_inj, i = pdev_state tw.inert
+  and scalar_inj, sc = pdev_state tw.scalar in
+  a = b && b = c && f = i && i = sc && inert_inj = scalar_inj
+  && Option.map snd scalar_inj = Some ""
 
 let scramble_arb =
   QCheck.(
@@ -399,10 +429,7 @@ let dispatch_read_equiv =
     run_arb
     (fun (scramble, run) ->
       let start, len = run_of run in
-      let fast, scalar = twin_pdevs scramble in
-      let a = read_bits fast ~start ~len in
-      let b = read_bits scalar ~start ~len in
-      a = b && pdev_state fast = pdev_state scalar)
+      twins_agree (twin_pdevs scramble) (fun p -> read_bits p ~start ~len))
 
 let dispatch_erb_equiv =
   QCheck.Test.make ~name:"bulk vs forced-scalar dispatch: erb_run" ~count:60
@@ -410,36 +437,28 @@ let dispatch_erb_equiv =
     (fun (scramble, ((start, _, _) as run)) ->
       let cycles = [| 1; 2; 3; 8; 24 |].(start mod 5) in
       let start, len = run_of run in
-      let fast, scalar = twin_pdevs scramble in
-      let a = erb_raw ~cycles fast ~start ~len in
-      let b = erb_raw ~cycles scalar ~start ~len in
-      Bytes.equal a b && pdev_state fast = pdev_state scalar)
+      twins_agree (twin_pdevs scramble) (fun p ->
+          Bytes.to_string (erb_raw ~cycles p ~start ~len)))
 
 let dispatch_write_equiv =
   QCheck.Test.make ~name:"bulk vs forced-scalar dispatch: write_run" ~count:100
     run_arb
     (fun (scramble, run) ->
       let start, len = run_of run in
-      let fast, scalar = twin_pdevs scramble in
       let bits = Array.init len (fun i -> (start + i) land 1 = 0) in
-      write_bits fast ~start bits;
-      write_bits scalar ~start bits;
-      pdev_state fast = pdev_state scalar)
+      twins_agree (twin_pdevs scramble) (fun p -> write_bits p ~start bits))
 
 let dispatch_remapped_equiv =
   QCheck.Test.make ~name:"one remapped tip: row-by-row read, write, erb"
     ~count:100 run_arb
     (fun (scramble, run) ->
       let start, len = run_of run in
-      let rows, scalar = twin_pdevs ~remap:true scramble in
       let bits = Array.init len (fun i -> (start + i) mod 3 = 0) in
-      let script p =
-        write_bits p ~start bits;
-        let r = read_bits p ~start ~len in
-        let e = erb_raw ~cycles:2 p ~start ~len in
-        (r, Bytes.to_string e)
-      in
-      script rows = script scalar && pdev_state rows = pdev_state scalar)
+      twins_agree (twin_pdevs ~remap:true scramble) (fun p ->
+          write_bits p ~start bits;
+          let r = read_bits p ~start ~len in
+          let e = erb_raw ~cycles:2 p ~start ~len in
+          (r, Bytes.to_string e)))
 
 let () =
   Alcotest.run "probe"

@@ -1429,9 +1429,16 @@ let endurance_twin =
 (* {1 Packed kernels vs per-dot loops, above the probe}
 
    A healthy device serves sectors through the packed run kernels (and
-   coalesced spans through one kernel pass); a twin with an empty-plan
-   injector — inert, but its presence forces every per-dot path — must
-   agree with it on every result and every ledger. *)
+   coalesced spans through one kernel pass).  A twin with an empty-plan
+   injector runs the same kernels and credits their ticks in bulk; a
+   twin whose plan has a stuck rate so small it never fires (a dot is
+   stuck only when its hashed draw is exactly 0, odds 2^-53) is never
+   cleared as inert, so it takes every per-dot path.  All three must
+   agree on every result and every ledger, the two injectors on their
+   op count, and the per-dot twin's ledger must stay empty — the check
+   that its plan changed nothing. *)
+
+let never_stuck = Fault.Plan.make ~stuck_rate:Float.min_float ()
 
 type dot_op =
   | D_write of int * int
@@ -1562,11 +1569,20 @@ let packed_vs_per_dot =
             Sero.Device.erb_cycles;
           }
       in
-      let packed = mk () and per_dot = mk () in
-      Sero.Device.install_fault per_dot
-        (Fault.Injector.create (Fault.Plan.make ()));
-      List.for_all (fun op -> String.equal (step packed op) (step per_dot op)) ops
-      && state packed = state per_dot)
+      let packed = mk () and inert = mk () and per_dot = mk () in
+      let inert_inj = Fault.Injector.create (Fault.Plan.make ())
+      and per_dot_inj = Fault.Injector.create never_stuck in
+      Sero.Device.install_fault inert inert_inj;
+      Sero.Device.install_fault per_dot per_dot_inj;
+      List.for_all
+        (fun op ->
+          let a = step packed op in
+          String.equal a (step inert op) && String.equal a (step per_dot op))
+        ops
+      && (let s = state inert in
+          s = state packed && s = state per_dot)
+      && Fault.Injector.ops inert_inj = Fault.Injector.ops per_dot_inj
+      && Fault.Injector.n_events per_dot_inj = 0)
 
 (* {1 CoW device clones} *)
 
@@ -1812,6 +1828,70 @@ let audit_alloc_cases =
           true (verify < 2000.));
   ]
 
+(* {1 Fault-path allocation}
+
+   The same kind of counts under an installed injector that cannot act
+   on what is read: a targeted plan over one line's data blocks leaves
+   every other run to the packed kernels and the whole-run sweep, on a
+   device with RAS and endurance active.  A guard that slips back to
+   "no injector" sends those runs down the per-dot path, tens of
+   thousands of words a sector.  Inside the region every read is a
+   per-dot Bernoulli draw, which must stay free of closures. *)
+let fault_alloc_cases =
+  [
+    Alcotest.test_case "reads and verifies beside a targeted region" `Quick
+      (fun () ->
+        let dev =
+          Sero.Device.create
+            {
+              (Sero.Device.default_config ~n_blocks:128 ~line_exp:3 ()) with
+              Sero.Device.ras = Sero.Device.active_ras;
+              endurance = Sero.Device.active_endurance;
+            }
+        in
+        let lay = Sero.Device.layout dev in
+        List.iter (fill_line dev) [ 1; 2; 3 ];
+        ignore (heat_ok dev 3);
+        let region = Sero.Layout.first_data_block lay 2 in
+        Sero.Device.install_fault dev
+          (Fault.Injector.create
+             (Fault.Plan.make ~seed:3
+                ~targeted:
+                  [
+                    {
+                      Fault.Plan.first_dot = Sero.Layout.block_first_dot lay region;
+                      n_dots =
+                        Sero.Layout.data_blocks_per_line lay
+                        * Sero.Layout.block_dots;
+                      ber = 1e-12;
+                    };
+                  ]
+                ()));
+        let outside = Sero.Layout.first_data_block lay 1 in
+        let words f =
+          let before = Gc.minor_words () in
+          f ();
+          Gc.minor_words () -. before
+        in
+        let read pba () = ignore (Sero.Device.read_block dev ~pba) in
+        let verify () = ignore (Sero.Device.verify_line dev ~line:3) in
+        read outside ();
+        verify ();
+        read region ();
+        let r_out = words (read outside) in
+        let v = words verify in
+        let r_in = words (read region) in
+        Alcotest.(check bool)
+          (Printf.sprintf "read_block outside %.0f words < 500" r_out)
+          true (r_out < 500.);
+        Alcotest.(check bool)
+          (Printf.sprintf "verify_line outside %.0f words < 2500" v)
+          true (v < 2500.);
+        Alcotest.(check bool)
+          (Printf.sprintf "read_block inside %.0f words < 6000" r_in)
+          true (r_in < 6000.));
+  ]
+
 let () =
   Alcotest.run "sero"
     [
@@ -1831,5 +1911,5 @@ let () =
       ("clone",
         clone_cases @ [ qtest clone_parent_churn; qtest clone_rearm_isolation ]);
       ("packed-twin", [ qtest packed_vs_per_dot ]);
-      ("audit-alloc", audit_alloc_cases);
+      ("audit-alloc", audit_alloc_cases @ fault_alloc_cases);
     ]
