@@ -1,11 +1,10 @@
 type code = {
   npar : int;
-  gen : int array; (* generator, highest degree first *)
   lanes : int; (* ceil(npar / 6): 48-bit lanes holding the remainder *)
   gpack : int array;
       (* 256 x lanes: row f is the npar bytes f * gen.(j+1), packed
          big-endian and left-justified into 48-bit integer lanes, so
-         [parity] can shift and xor whole lanes instead of walking an
+         [remainder] can shift and xor whole lanes instead of walking an
          npar-element byte array per input byte. *)
   stab : int array; (* npar x 256: stab.(i*256 + s) = s * alpha^i *)
 }
@@ -23,7 +22,7 @@ let make ~nparity =
   done;
   let gen = !gen in
   (* One GF multiply per table cell here buys multiply-free inner loops
-     in [parity] and [syndromes] below. *)
+     in [remainder] and [syndromes] below. *)
   let lanes = (nparity + lane_bytes - 1) / lane_bytes in
   let gpack = Array.make (256 * lanes) 0 in
   for f = 0 to 255 do
@@ -41,33 +40,27 @@ let make ~nparity =
       stab.((i * 256) + s) <- Gf256.mul s x
     done
   done;
-  { npar = nparity; gen; lanes; gpack; stab }
+  { npar = nparity; lanes; gpack; stab }
 
 let nparity c = c.npar
 let max_data c = 255 - c.npar
 
-(* Polynomial long division of data * x^npar by the generator; the
-   remainder is the parity.
+(* Polynomial long division of src[off, off+len) * x^npar by the
+   generator, leaving the remainder in [rem]'s first [c.lanes] lanes.
 
    The remainder lives in 48-bit integer lanes (6 bytes each,
    big-endian, left-justified; low pad bytes of the last lane stay
    zero), so the per-input-byte "shift remainder left one symbol and
    xor in factor * (gen minus lead)" step costs a few integer ops per
    lane instead of an npar-element byte-array walk. *)
-let parity c data =
-  let len = String.length data in
-  if len > max_data c then invalid_arg "Rs.parity: data too long";
-  let npar = c.npar in
+let remainder c src ~off ~len rem =
   let gpack = c.gpack in
-  let byte_of lanes i =
-    (lanes.(i / lane_bytes) lsr (40 - (8 * (i mod lane_bytes)))) land 0xFF
-  in
   if c.lanes = 4 then begin
     (* The hot shape (the sector code's npar = 24): four lanes kept in
        locals, fully unrolled. *)
     let r0 = ref 0 and r1 = ref 0 and r2 = ref 0 and r3 = ref 0 in
-    for i = 0 to len - 1 do
-      let factor = Char.code (String.unsafe_get data i) lxor (!r0 lsr 40) in
+    for i = off to off + len - 1 do
+      let factor = Char.code (Bytes.unsafe_get src i) lxor (!r0 lsr 40) in
       let base = factor lsl 2 in
       let t0 =
         (((!r0 lsl 8) land mask48) lor (!r1 lsr 40))
@@ -84,15 +77,17 @@ let parity c data =
       r2 := t2;
       r3 := t3
     done;
-    let lanes = [| !r0; !r1; !r2; !r3 |] in
-    String.init npar (fun i -> Char.chr (byte_of lanes i))
+    rem.(0) <- !r0;
+    rem.(1) <- !r1;
+    rem.(2) <- !r2;
+    rem.(3) <- !r3
   end
   else begin
     let n_lanes = c.lanes in
-    let rem = Array.make n_lanes 0 in
-    for i = 0 to len - 1 do
+    Array.fill rem 0 n_lanes 0;
+    for i = off to off + len - 1 do
       let factor =
-        Char.code (String.unsafe_get data i) lxor (Array.unsafe_get rem 0 lsr 40)
+        Char.code (Bytes.unsafe_get src i) lxor (Array.unsafe_get rem 0 lsr 40)
       in
       let base = factor * n_lanes in
       for j = 0 to n_lanes - 2 do
@@ -104,31 +99,104 @@ let parity c data =
       Array.unsafe_set rem (n_lanes - 1)
         (((Array.unsafe_get rem (n_lanes - 1) lsl 8) land mask48)
         lxor Array.unsafe_get gpack (base + n_lanes - 1))
-    done;
-    String.init npar (fun i -> Char.chr (byte_of rem i))
+    done
   end
+
+(* Byte [i] of the npar-byte remainder, highest degree first. *)
+let rem_byte rem i =
+  (rem.(i / lane_bytes) lsr (40 - (8 * (i mod lane_bytes)))) land 0xFF
+
+let parity c data =
+  let len = String.length data in
+  if len > max_data c then invalid_arg "Rs.parity: data too long";
+  let rem = Array.make c.lanes 0 in
+  remainder c (Bytes.unsafe_of_string data) ~off:0 ~len rem;
+  String.init c.npar (fun i -> Char.chr (rem_byte rem i))
 
 type decode_outcome = Ok_clean | Corrected of int | Uncorrectable
 
-let syndromes c cw =
-  let n = Bytes.length cw in
-  let npar = c.npar in
-  let stab = c.stab in
-  let synd = Array.make npar 0 in
-  (* Horner per syndrome, bytes outermost so each input byte is loaded
-     once for all npar accumulators. *)
-  for j = 0 to n - 1 do
-    let b = Char.code (Bytes.unsafe_get cw j) in
-    for i = 0 to npar - 1 do
-      Array.unsafe_set synd i
-        (Array.unsafe_get stab ((i lsl 8) + Array.unsafe_get synd i) lxor b)
-    done
+(* Every [Corrected k] a decoder can return, built once, so returning
+   one allocates nothing. *)
+let corrected = Array.init 256 (fun k -> Corrected k)
+
+(* GF(256) in the log domain.  [exp_t] runs to 509 so that a sum of two
+   logs, or a log plus an exponent below 255, needs no reduction. *)
+let exp_t = Array.init 510 Gf256.exp
+let log_t = Array.init 256 (fun a -> if a = 0 then 0 else Gf256.log a)
+let[@inline] exp_u e = Array.unsafe_get exp_t e
+let[@inline] log_u a = Array.unsafe_get log_t a
+let[@inline] gmul a b = if a = 0 || b = 0 then 0 else exp_u (log_u a + log_u b)
+
+(* [a / b], [b <> 0]. *)
+let[@inline] gdiv a b = if a = 0 then 0 else exp_u (log_u a + 255 - log_u b)
+let[@inline] add_mod255 e d = if e + d >= 255 then e + d - 255 else e + d
+
+(* Per-domain work space sized for any code.  The code itself is shared
+   by every domain (the sector code is a global), so it cannot carry
+   mutable buffers; {!Domain.DLS.get} finds these without allocating. *)
+type scratch = {
+  rem : int array; (* remainder lanes *)
+  synd : int array; (* S_i = r(alpha^i) *)
+  lam : int array; (* error locator, lowest degree first *)
+  prev : int array; (* Berlekamp–Massey's last locator before a length change *)
+  tmp : int array; (* the word mod g, then [lam] across a length change *)
+  omega : int array; (* Forney's evaluator: S * lam mod x^npar *)
+  ex : int array; (* running exponents: Chien's terms, then the check's *)
+  step : int array; (* each Chien term's degree *)
+  roots : int array; (* error positions, ascending *)
+  mags : int array; (* log of each root's magnitude, -1 for zero *)
+}
+
+let scratch_key =
+  Domain.DLS.new_key (fun () ->
+      let a () = Array.make 256 0 in
+      {
+        rem = a ();
+        synd = a ();
+        lam = a ();
+        prev = a ();
+        tmp = a ();
+        omega = a ();
+        ex = a ();
+        step = a ();
+        roots = a ();
+        mags = a ();
+      })
+
+(* Syndromes S_i = r(alpha^i), i < npar, of the received word
+   cw[off, off+n) into [s.synd]; [true] when all are zero.  Since
+   r = q g + (r mod g) and g(alpha^i) = 0, S_i is the remainder
+   evaluated at alpha^i, and the remainder is the data's recomputed
+   parity xor the received parity: one lane-packed division plus
+   npar^2 log-domain steps instead of n * npar.  A word shorter than the
+   parity is its own remainder (leading zeros change no polynomial).  A
+   zero remainder is a codeword: a clean word skips the table steps. *)
+let syndromes c cw ~off ~n s =
+  let npar = c.npar and d = s.tmp and nonzero = ref 0 in
+  remainder c cw ~off ~len:(max 0 (n - npar)) s.rem;
+  for m = 0 to npar - 1 do
+    let j = n - npar + m in
+    d.(m) <-
+      rem_byte s.rem m lxor if j < 0 then 0 else Char.code (Bytes.get cw (off + j));
+    nonzero := !nonzero lor d.(m)
   done;
-  let all_zero = ref true in
-  for i = 0 to npar - 1 do
-    if synd.(i) <> 0 then all_zero := false
-  done;
-  (synd, !all_zero)
+  !nonzero = 0
+  || begin
+       (* Term m, D_m x^(npar-1-m), adds alpha^(log D_m + i (npar-1-m))
+          to S_i: one running exponent per term, no carried chain. *)
+       let synd = s.synd in
+       Array.fill synd 0 npar 0;
+       for m = 0 to npar - 1 do
+         if d.(m) <> 0 then begin
+           let e = ref (log_u d.(m)) in
+           for i = 0 to npar - 1 do
+             Array.unsafe_set synd i (Array.unsafe_get synd i lxor exp_u !e);
+             e := add_mod255 !e (npar - 1 - m)
+           done
+         end
+       done;
+       false
+     end
 
 (* How many leading syndromes [probably_clean] evaluates. *)
 let quick_syndromes = 4
@@ -137,8 +205,7 @@ let probably_clean c cw ~off ~len =
   if off < 0 || len < 0 || off + len > Bytes.length cw then
     invalid_arg "Rs.probably_clean: out of bounds";
   if c.npar < quick_syndromes then
-    let (_ : int array), clean = syndromes c (Bytes.sub cw off len) in
-    clean
+    syndromes c cw ~off ~n:len (Domain.DLS.get scratch_key)
   else begin
     let stab = c.stab in
     (* alpha^0 = 1, so syndrome 0 is a plain running XOR. *)
@@ -153,118 +220,147 @@ let probably_clean c cw ~off ~len =
     !s0 lor !s1 lor !s2 lor !s3 = 0
   end
 
-(* Berlekamp–Massey: error-locator polynomial from the syndromes.
-   Returns the locator with lowest degree first. *)
-let berlekamp_massey synd =
-  let n = Array.length synd in
-  let c = Array.make (n + 1) 0 and b = Array.make (n + 1) 0 in
+(* Berlekamp–Massey over syn.(off .. off+n-1): the shortest LFSR that
+   generates them.  Leaves its connection polynomial (the locator),
+   lowest degree first, in s.lam.(0 .. n) and returns its length.
+   [top_c] and [top_b] bound the nonzero coefficients of [c] and [b], so
+   an update skips [b]'s zero tail. *)
+let berlekamp_massey syn ~off ~n s =
+  let c = s.lam and b = s.prev in
+  Array.fill c 0 (n + 1) 0;
+  Array.fill b 0 (n + 1) 0;
   c.(0) <- 1;
   b.(0) <- 1;
-  let l = ref 0 and m = ref 1 and bb = ref 1 in
+  let l = ref 0 and m = ref 1 and bb = ref 1 and top_c = ref 0 and top_b = ref 0 in
   for i = 0 to n - 1 do
-    let d = ref synd.(i) in
+    let d = ref syn.(off + i) in
     for j = 1 to !l do
-      d := Gf256.add !d (Gf256.mul c.(j) synd.(i - j))
+      d := !d lxor gmul c.(j) syn.(off + i - j)
     done;
     if !d = 0 then incr m
-    else if 2 * !l <= i then begin
-      let t = Array.copy c in
-      let coef = Gf256.div !d !bb in
-      for j = 0 to n - !m do
-        c.(j + !m) <- Gf256.add c.(j + !m) (Gf256.mul coef b.(j))
-      done;
-      l := i + 1 - !l;
-      Array.blit t 0 b 0 (n + 1);
-      bb := !d;
-      m := 1
-    end
     else begin
-      let coef = Gf256.div !d !bb in
-      for j = 0 to n - !m do
-        c.(j + !m) <- Gf256.add c.(j + !m) (Gf256.mul coef b.(j))
+      let coef = gdiv !d !bb and grow = 2 * !l <= i and last = !top_c in
+      if grow then Array.blit c 0 s.tmp 0 (n + 1);
+      let top = min (n - !m) !top_b in
+      for j = 0 to top do
+        c.(j + !m) <- c.(j + !m) lxor gmul coef b.(j)
       done;
-      incr m
+      top_c := max !top_c (!m + top);
+      if grow then begin
+        l := i + 1 - !l;
+        Array.blit s.tmp 0 b 0 (n + 1);
+        top_b := last;
+        bb := !d;
+        m := 1
+      end
+      else incr m
     end
   done;
-  (Array.sub c 0 (!l + 1), !l)
+  !l
+
+(* sum_k a.(first + stride k) y^(stride k) over first + stride k <= last,
+   at y = alpha^ly. *)
+let poly_at a ~first ~last ~stride ly =
+  let step = stride * ly mod 255 in
+  let acc = ref 0 and e = ref 0 and i = ref first in
+  while !i <= last do
+    if a.(!i) <> 0 then acc := !acc lxor exp_t.(log_t.(a.(!i)) + !e);
+    e := add_mod255 !e step;
+    i := !i + stride
+  done;
+  !acc
+
+(* Chien search, Forney and the final check for the locator
+   s.lam.(0 .. deg) of the n-byte word [cw], correcting it in place.
+   Byte [p] is the coefficient of x^(n-1-p): an error there has locator
+   X = alpha^(n-1-p), and lam(X^-1) = 0. *)
+let correct c cw ~n s ~deg =
+  let npar = c.npar and lam = s.lam in
+  (* Chien, in the log domain and incremental: at byte p, term j of
+     lam(X^-1) is alpha^(log lam_j - j (n-1-p)), so each step adds j to
+     its exponent.  Only nonzero terms are kept.  A degree-[deg]
+     locator has at most [deg] roots, so the search stops at the last. *)
+  let terms = ref 0 in
+  for j = 0 to deg do
+    if lam.(j) <> 0 then begin
+      s.ex.(!terms) <- (log_t.(lam.(j)) + (j * (256 - n))) mod 255;
+      s.step.(!terms) <- j;
+      incr terms
+    end
+  done;
+  let found = ref 0 and p = ref 0 and ex = s.ex and step = s.step in
+  while !found < deg && !p < n do
+    let v = ref 0 in
+    for t = 0 to !terms - 1 do
+      let e = Array.unsafe_get ex t in
+      v := !v lxor exp_u e;
+      Array.unsafe_set ex t (add_mod255 e (Array.unsafe_get step t))
+    done;
+    if !v = 0 then begin
+      s.roots.(!found) <- !p;
+      incr found
+    end;
+    incr p
+  done;
+  if !found < deg then Uncorrectable
+  else begin
+    (* Forney: the magnitude at X is X omega(X^-1) / lam'(X^-1), and
+       the formal derivative keeps lam's odd terms.  Omega's terms from
+       x^deg up are lam's recurrence over the syndromes, which lam
+       generates: zero. *)
+    for i = 0 to deg - 1 do
+      let acc = ref 0 in
+      for j = 0 to i do
+        acc := !acc lxor gmul lam.(j) s.synd.(i - j)
+      done;
+      s.omega.(i) <- !acc
+    done;
+    let ok = ref true in
+    for r = 0 to deg - 1 do
+      let lx = n - 1 - s.roots.(r) in
+      let linv = (255 - lx) mod 255 in
+      let num = poly_at s.omega ~first:0 ~last:(deg - 1) ~stride:1 linv
+      and den = poly_at lam ~first:1 ~last:deg ~stride:2 linv in
+      if den = 0 then ok := false
+      else if num = 0 then s.mags.(r) <- -1
+      else begin
+        let ly = (lx + log_t.(num) + 255 - log_t.(den)) mod 255 in
+        s.mags.(r) <- ly;
+        let pos = s.roots.(r) in
+        Bytes.set cw pos (Char.chr (Char.code (Bytes.get cw pos) lxor exp_t.(ly)))
+      end
+    done;
+    (* The corrected word's syndromes, by linearity: S_i plus
+       sum_r Y_r X_r^i over the magnitudes just applied. *)
+    Array.blit s.mags 0 s.ex 0 deg;
+    let i = ref 0 in
+    while !ok && !i < npar do
+      let acc = ref s.synd.(!i) in
+      for r = 0 to deg - 1 do
+        if s.ex.(r) >= 0 then begin
+          acc := !acc lxor exp_t.(s.ex.(r));
+          s.ex.(r) <- add_mod255 s.ex.(r) (n - 1 - s.roots.(r))
+        end
+      done;
+      if !acc <> 0 then ok := false;
+      incr i
+    done;
+    if !ok then corrected.(deg) else Uncorrectable
+  end
 
 let decode c cw =
   let n = Bytes.length cw in
   if n > 255 then invalid_arg "Rs.decode: codeword too long";
-  let synd, clean = syndromes c cw in
-  if clean then Ok_clean
-  else begin
-    let locator, nerrors = berlekamp_massey synd in
-    if 2 * nerrors > c.npar then Uncorrectable
-    else begin
-      (* Chien search: roots of the locator give error positions. *)
-      let positions = ref [] in
-      for pos = 0 to n - 1 do
-        (* Position [pos] (from the left) corresponds to x = alpha^(n-1-pos);
-           it is an error location iff locator(alpha^{-(n-1-pos)}) = 0. *)
-        let xinv = Gf256.exp (255 - ((n - 1 - pos) mod 255)) in
-        let v = ref 0 and xp = ref 1 in
-        Array.iter
-          (fun coef ->
-            v := Gf256.add !v (Gf256.mul coef !xp);
-            xp := Gf256.mul !xp xinv)
-          locator;
-        if !v = 0 then positions := pos :: !positions
-      done;
-      let positions = !positions in
-      if List.length positions <> nerrors then Uncorrectable
-      else begin
-        (* Forney: error magnitudes.  Omega = (S(x) * locator(x)) mod x^npar,
-           with S(x) = sum synd_i x^i (lowest degree first). *)
-        let omega = Array.make c.npar 0 in
-        for i = 0 to c.npar - 1 do
-          let s = ref 0 in
-          for j = 0 to min i (Array.length locator - 1) do
-            s := Gf256.add !s (Gf256.mul locator.(j) synd.(i - j))
-          done;
-          omega.(i) <- !s
-        done;
-        (* Formal derivative of the locator (lowest degree first):
-           odd-degree terms survive. *)
-        let deriv =
-          Array.init
-            (max 0 (Array.length locator - 1))
-            (fun i -> if i land 1 = 0 then locator.(i + 1) else 0)
-        in
-        let eval_low p x =
-          let v = ref 0 and xp = ref 1 in
-          Array.iter
-            (fun coef ->
-              v := Gf256.add !v (Gf256.mul coef !xp);
-              xp := Gf256.mul !xp x)
-            p;
-          !v
-        in
-        let ok = ref true in
-        List.iter
-          (fun pos ->
-            let xinv = Gf256.exp (255 - ((n - 1 - pos) mod 255)) in
-            let num = eval_low omega xinv in
-            let den = eval_low deriv xinv in
-            if den = 0 then ok := false
-            else begin
-              let magnitude = Gf256.mul (Gf256.exp ((n - 1 - pos) mod 255)) (Gf256.div num den) in
-              Bytes.set cw pos
-                (Char.chr (Gf256.add (Char.code (Bytes.get cw pos)) magnitude))
-            end)
-          positions;
-        if not !ok then Uncorrectable
-        else
-          let _, clean_now = syndromes c cw in
-          if clean_now then Corrected nerrors else Uncorrectable
-      end
-    end
-  end
+  let s = Domain.DLS.get scratch_key in
+  if syndromes c cw ~off:0 ~n s then Ok_clean
+  else
+    let deg = berlekamp_massey s.synd ~off:0 ~n:c.npar s in
+    if 2 * deg > c.npar then Uncorrectable else correct c cw ~n s ~deg
 
 (* Erasure-and-error decoding: build the erasure-locator polynomial,
-   compute the modified (Forney) syndromes, run Berlekamp-Massey on
-   those for the unknown errors, then correct at the union of both
-   location sets with Forney's formula over the combined locator. *)
+   compute the modified (Forney) syndromes, run Berlekamp–Massey on
+   those for the unknown errors, then correct at the roots of the
+   combined locator with the same Chien/Forney core. *)
 let decode_with_erasures c cw ~erasures =
   let n = Bytes.length cw in
   if n > 255 then invalid_arg "Rs.decode_with_erasures: codeword too long";
@@ -274,104 +370,26 @@ let decode_with_erasures c cw ~erasures =
         invalid_arg "Rs.decode_with_erasures: erasure position out of range")
     erasures;
   let erasures = List.sort_uniq compare erasures in
-  if List.length erasures > c.npar then Uncorrectable
+  let e = List.length erasures and npar = c.npar in
+  let s = Domain.DLS.get scratch_key in
+  if e > npar then Uncorrectable
+  else if syndromes c cw ~off:0 ~n s then Ok_clean
   else begin
-    let synd, clean = syndromes c cw in
-    if clean then Ok_clean
+    (* Polynomials lowest degree first ([Gf256.poly_mul] convolves either
+       way round).  Erasure locator: prod (1 + alpha^(n-1-p) x). *)
+    let gamma =
+      List.fold_left
+        (fun g p -> Gf256.poly_mul g [| 1; exp_t.(n - 1 - p) |])
+        [| 1 |] erasures
+    in
+    (* Modified syndromes S * gamma; BM skips the first e. *)
+    let t = Gf256.poly_mul (Array.sub s.synd 0 npar) gamma in
+    let nerrors = berlekamp_massey t ~off:e ~n:(npar - e) s in
+    if (2 * nerrors) + e > npar then Uncorrectable
     else begin
-      (* Work lowest-degree-first throughout. *)
-      let mul_low a b =
-        let la = Array.length a and lb = Array.length b in
-        let out = Array.make (la + lb - 1) 0 in
-        for i = 0 to la - 1 do
-          for j = 0 to lb - 1 do
-            out.(i + j) <- Gf256.add out.(i + j) (Gf256.mul a.(i) b.(j))
-          done
-        done;
-        out
-      in
-      (* Erasure locator: prod (1 + x * alpha^{n-1-pos}), lowest first. *)
-      let gamma =
-        List.fold_left
-          (fun acc pos -> mul_low acc [| 1; Gf256.exp ((n - 1 - pos) mod 255) |])
-          [| 1 |] erasures
-      in
-      (* Modified syndromes T(x) = S(x) * gamma(x) mod x^npar. *)
-      let t = Array.make c.npar 0 in
-      for i = 0 to c.npar - 1 do
-        let s = ref 0 in
-        for j = 0 to min i (Array.length gamma - 1) do
-          s := Gf256.add !s (Gf256.mul gamma.(j) synd.(i - j))
-        done;
-        t.(i) <- !s
-      done;
-      let e = List.length erasures in
-      (* BM on the modified syndromes, skipping the first e of them. *)
-      let usable = c.npar - e in
-      let t' = Array.sub t e usable in
-      let sigma, nerrors = berlekamp_massey t' in
-      if (2 * nerrors) + e > c.npar then Uncorrectable
-      else begin
-        (* Combined locator psi = sigma * gamma (lowest first). *)
-        let psi = mul_low sigma gamma in
-        let positions = ref [] in
-        for pos = 0 to n - 1 do
-          let xinv = Gf256.exp (255 - ((n - 1 - pos) mod 255)) in
-          let v = ref 0 and xp = ref 1 in
-          Array.iter
-            (fun coef ->
-              v := Gf256.add !v (Gf256.mul coef !xp);
-              xp := Gf256.mul !xp xinv)
-            psi;
-          if !v = 0 then positions := pos :: !positions
-        done;
-        let positions = !positions in
-        if List.length positions <> Array.length psi - 1 then Uncorrectable
-        else begin
-          let omega = Array.make c.npar 0 in
-          for i = 0 to c.npar - 1 do
-            let s = ref 0 in
-            for j = 0 to min i (Array.length psi - 1) do
-              s := Gf256.add !s (Gf256.mul psi.(j) synd.(i - j))
-            done;
-            omega.(i) <- !s
-          done;
-          let deriv =
-            Array.init
-              (max 0 (Array.length psi - 1))
-              (fun i -> if i land 1 = 0 then psi.(i + 1) else 0)
-          in
-          let eval_low p x =
-            let v = ref 0 and xp = ref 1 in
-            Array.iter
-              (fun coef ->
-                v := Gf256.add !v (Gf256.mul coef !xp);
-                xp := Gf256.mul !xp x)
-              p;
-            !v
-          in
-          let ok = ref true in
-          List.iter
-            (fun pos ->
-              let xinv = Gf256.exp (255 - ((n - 1 - pos) mod 255)) in
-              let num = eval_low omega xinv in
-              let den = eval_low deriv xinv in
-              if den = 0 then ok := false
-              else begin
-                let magnitude =
-                  Gf256.mul (Gf256.exp ((n - 1 - pos) mod 255)) (Gf256.div num den)
-                in
-                Bytes.set cw pos
-                  (Char.chr (Gf256.add (Char.code (Bytes.get cw pos)) magnitude))
-              end)
-            positions;
-          if not !ok then Uncorrectable
-          else
-            let _, clean_now = syndromes c cw in
-            if clean_now then Corrected (List.length positions)
-            else Uncorrectable
-        end
-      end
+      let psi = Gf256.poly_mul (Array.sub s.lam 0 (nerrors + 1)) gamma in
+      Array.blit psi 0 s.lam 0 (Array.length psi);
+      correct c cw ~n s ~deg:(nerrors + e)
     end
   end
 
@@ -395,24 +413,3 @@ let encode_blocks c data =
     off := !off + take
   done;
   Buffer.contents buf
-
-let decode_blocks c coded ~data_len =
-  let m = max_data c in
-  let out = Buffer.create data_len in
-  let bad = ref 0 in
-  let off = ref 0 and remaining = ref data_len in
-  (try
-     while !remaining > 0 do
-       let take = min m !remaining in
-       let cw_len = take + c.npar in
-       if !off + cw_len > Bytes.length coded then raise Exit;
-       let cw = Bytes.sub coded !off cw_len in
-       (match decode c cw with
-       | Ok_clean | Corrected _ -> ()
-       | Uncorrectable -> incr bad);
-       Buffer.add_subbytes out cw 0 take;
-       off := !off + cw_len;
-       remaining := !remaining - take
-     done
-   with Exit -> incr bad);
-  if !bad = 0 then Ok (Buffer.contents out) else Error !bad

@@ -29,7 +29,9 @@ type decode_outcome =
 
 val decode : code -> bytes -> decode_outcome
 (** [decode c codeword] checks and repairs a systematic codeword
-    (data followed by parity, total length at most 255) in place. *)
+    (data followed by parity, total length at most 255) in place.
+    Allocates nothing: its buffers are per-domain.  An [Uncorrectable]
+    codeword may be left partly modified. *)
 
 val probably_clean : code -> bytes -> off:int -> len:int -> bool
 (** Cheap probabilistic cleanliness test for the codeword at
@@ -53,11 +55,6 @@ val encode_blocks : code -> string -> string
 (** [encode_blocks c data] splits [data] into [max_data c]-byte slices
     and appends each slice's parity, producing
     [data_len + nslices * nparity] bytes laid out slice-by-slice. *)
-
-val decode_blocks : code -> bytes -> data_len:int -> (string, int) result
-(** Inverse of {!encode_blocks} for a known original [data_len]:
-    [Ok data] (errors silently corrected) or [Error n] with [n] the
-    number of uncorrectable slices. *)
 
 val encoded_length : code -> int -> int
 (** [encoded_length c data_len] is the size {!encode_blocks} produces. *)

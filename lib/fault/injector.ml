@@ -10,7 +10,6 @@ type event =
 type t = {
   plan : Plan.t;
   rng : Sim.Prng.t;
-  stuck_memo : (int, bool) Hashtbl.t;
   mutable ops : int;
   mutable ewbs : int;
   mutable cut_fired : bool;
@@ -23,7 +22,6 @@ let create (plan : Plan.t) =
   {
     plan;
     rng = Sim.Prng.create plan.Plan.seed;
-    stuck_memo = Hashtbl.create 64;
     ops = 0;
     ewbs = 0;
     cut_fired = false;
@@ -67,9 +65,10 @@ let rec deaths_clear ~until = function
   | [] -> true
   | d :: rest -> d.Plan.after_ops >= until && deaths_clear ~until rest
 
-let inert ?(pulses = 0) t ~first_dot ~n_dots ~ops =
+let inert ?(pulses = 0) ?(read = false) t ~first_dot ~n_dots ~ops =
   let p = t.plan in
-  Plan.flip_free p ~first_dot ~n_dots
+  (if read then p.Plan.stuck_rate = 0.
+   else Plan.flip_free p ~first_dot ~n_dots)
   && (t.cut_fired
      || cut_clear p.Plan.power_cut_after_ops ~base:t.ops ~count:ops
         && cut_clear p.Plan.power_cut_after_ewb ~base:t.ewbs ~count:pulses)
@@ -77,35 +76,30 @@ let inert ?(pulses = 0) t ~first_dot ~n_dots ~ops =
 
 let advance t n = t.ops <- t.ops + n
 
+let flip_mask t ~ber ~op ~dot mask =
+  let fired = Sim.Prng.bernoulli_mask t.rng ber mask in
+  if fired <> 0 then
+    for k = 0 to 61 do
+      if (fired lsr k) land 1 = 1 then
+        record t (Read_flip { op = op + k; dot = dot + k })
+    done;
+  fired
+
 let flip_read t ~dot =
-  let ber =
-    match t.plan.Plan.targeted with
-    | [] -> t.plan.Plan.read_ber
-    | _ -> Plan.region_ber t.plan ~dot
-  in
-  ber > 0.
-  && Sim.Prng.bernoulli t.rng ber
-  &&
-  (record t (Read_flip { op = t.ops; dot });
-   true)
+  flip_mask t ~ber:(Plan.region_ber t.plan ~dot) ~op:t.ops ~dot 1 = 1
 
 (* Stuck membership hashes the dot address into its own single-use
    stream: order-independent, so the stuck set is a property of the
    plan, not of which reads happened first. *)
 let stuck t ~dot =
-  t.plan.Plan.stuck_rate > 0.
+  let rate = t.plan.Plan.stuck_rate in
+  rate > 0.
+  && Sim.Prng.bernoulli
+       (Sim.Prng.create (t.plan.Plan.seed lxor ((dot + 1) * 0x2545F491)))
+       rate
   &&
-  let is_stuck =
-    match Hashtbl.find_opt t.stuck_memo dot with
-    | Some v -> v
-    | None ->
-        let h = Sim.Prng.create (t.plan.Plan.seed lxor ((dot + 1) * 0x2545F491)) in
-        let v = Sim.Prng.bernoulli h t.plan.Plan.stuck_rate in
-        Hashtbl.add t.stuck_memo dot v;
-        v
-  in
-  if is_stuck then record t (Stuck_read { op = t.ops; dot });
-  is_stuck
+  (record t (Stuck_read { op = t.ops; dot });
+   true)
 
 let weak_pulse t ~dot =
   t.plan.Plan.weak_ewb_p > 0.

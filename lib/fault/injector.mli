@@ -50,15 +50,18 @@ val tick_ewb : t -> unit
 (** Count one ewb pulse; fires {!Power_cut} at the boundary configured
     by [power_cut_after_ewb].  Call before the pulse takes effect. *)
 
-val inert : ?pulses:int -> t -> first_dot:int -> n_dots:int -> ops:int -> bool
+val inert :
+  ?pulses:int -> ?read:bool -> t -> first_dot:int -> n_dots:int -> ops:int -> bool
 (** Whether the injector provably cannot act on a run of dots
     [first_dot, first_dot + n_dots) that ticks at most [ops] more times
-    and pulses at most [pulses] (default 0) ewbs: no read there can flip
-    or stick ({!Plan.flip_free}), no armed power cut falls within those
-    ticks or pulses, and no pending tip death comes due within the
-    ticks.  A kernel may then skip the per-op hooks and {!advance} by
-    the ticks it made.  Weak pulses are not covered: ewbs keep their
-    per-dot hooks. *)
+    and pulses at most [pulses] (default 0) ewbs: no read there can
+    stick or flip ({!Plan.flip_free}), no armed power cut falls within
+    those ticks or pulses, and no pending tip death comes due within the
+    ticks.  A [read] run (default [false]) is a pure magnetic read whose
+    kernel replays the flips with {!flip_mask}, so it only needs
+    [stuck_rate = 0] there.  A kernel may then skip the per-op hooks and
+    {!advance} by the ticks it made.  Weak pulses are not covered: ewbs
+    keep their per-dot hooks. *)
 
 val advance : t -> int -> unit
 (** [advance t n] credits [n] primitive operations at once, as [n]
@@ -68,7 +71,18 @@ val advance : t -> int -> unit
 val flip_read : t -> dot:int -> bool
 (** Decide (and log) whether this magnetic read flips, at the plan's
     effective probability for [dot] ({!Plan.region_ber}): targeted
-    regions raise the rate locally, the baseline applies elsewhere. *)
+    regions raise the rate locally, the baseline applies elsewhere:
+    {!flip_mask} of the one dot at the current op. *)
+
+val flip_mask : t -> ber:float -> op:int -> dot:int -> int -> int
+(** [flip_mask t ~ber ~op ~dot mask] decides the flips of reads of dots
+    [dot + k] for the set bits [k] of [mask] ([< 2^62]), lowest first,
+    at probability [ber]: one draw from the injector's stream each when
+    [0 < ber < 1] and none otherwise ([ber >= 1] flips them all), as
+    {!Sim.Prng.bernoulli_mask}.  Each flip is logged as a read of op
+    [op + k]; the mask of flipped dots is returned.  A packed read
+    kernel calls it over a run's magnetised dots in address order, with
+    the op numbers their own ticks would have had. *)
 
 val stuck : t -> dot:int -> bool
 (** Whether [dot] is stuck at Down — a pure function of the plan seed

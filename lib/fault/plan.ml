@@ -74,6 +74,15 @@ let rec ber_in dot default = function
 
 let region_ber t ~dot = ber_in dot t.read_ber t.targeted
 
+let rec next_edge dot stop = function
+  | [] -> stop
+  | r :: rest ->
+      let stop = if r.first_dot > dot && r.first_dot < stop then r.first_dot else stop in
+      let e = r.first_dot + r.n_dots in
+      next_edge dot (if e > dot && e < stop then e else stop) rest
+
+let region_end t ~dot ~stop = next_edge dot stop t.targeted
+
 let rec noisy_overlap ~first_dot ~n_dots = function
   | [] -> false
   | r :: rest ->

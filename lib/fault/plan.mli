@@ -74,6 +74,11 @@ val region_ber : t -> dot:int -> float
 (** Effective flip probability for [dot]: the first matching targeted
     region's [ber] when one covers the dot, else [read_ber]. *)
 
+val region_end : t -> dot:int -> stop:int -> int
+(** The end of the stretch from [dot] over which {!region_ber} keeps its
+    value at [dot]: the nearest targeted-region boundary past [dot], or
+    [stop] if none comes first. *)
+
 val flip_free : t -> first_dot:int -> n_dots:int -> bool
 (** Whether no read of a dot in [first_dot, first_dot + n_dots) can be
     altered: [read_ber] and [stuck_rate] are zero and no region of

@@ -172,15 +172,17 @@ let primitive_ops c = c.mrb + c.mwb
    of a byte buffer, the sector image order.  Their packed path must be
    semantically invisible: it is taken only for a byte-aligned run with
    no fault injector, or one that cannot act on the run (no stuck-dot
-   or flip filter can fire there and no power cut or tip death falls
-   within its ticks), and, for reads, a zero read BER over a provably
-   defect-free run.  Under those guards the only randomness the scalar
-   path would draw is the heated-dot coin flips (mrb) and the heated-dot
-   erb protocol reads, which the kernels reproduce in the exact same
-   order from the same medium PRNG, and the only injector effect is its
-   op count, which the kernels credit in one step — so medium state,
-   counters, the injector and the PRNG stream all stay bit-identical.
-   Anything else runs a literal per-dot loop over the scalar ops. *)
+   filter can fire there, no flip filter either unless the run is a
+   magnetic read, and no power cut or tip death falls within its
+   ticks), and, for reads, a zero read BER over a provably defect-free
+   run.  Under those guards the only randomness the scalar path would
+   draw is the heated-dot coin flips (mrb) and the heated-dot erb
+   protocol reads, which the kernels reproduce in the exact same order
+   from the same medium PRNG, plus a read's flip draws, which mrb_run
+   replays from the injector's own PRNG; the injector's op count is
+   credited in one step — so medium state, counters, the injector, its
+   ledger and both PRNG streams all stay bit-identical.  Anything else
+   runs a literal per-dot loop over the scalar ops. *)
 
 let check_run t start len =
   if start < 0 || len < 0 || start + len > Medium.size t.medium then
@@ -201,23 +203,24 @@ let[@inline] set_bit buf i v =
 
 let aligned ~start ~len = len > 0 && start land 7 = 0 && len land 7 = 0
 
-(* No injector, or one inert over the run's next [ops] ticks. *)
-let unfaulted t ~start ~len ~ops =
+(* No injector, or one inert over the run's next [ops] ticks; a [read]
+   run's kernel replays its flips. *)
+let unfaulted ?read t ~start ~len ~ops =
   match t.fault with
   | None -> true
-  | Some inj -> Fault.Injector.inert inj ~first_dot:start ~n_dots:len ~ops
+  | Some inj -> Fault.Injector.inert ?read inj ~first_dot:start ~n_dots:len ~ops
 
 (* The ticks a fast kernel made, credited as its scalar twin's. *)
 let credit t n =
   match t.fault with None -> () | Some inj -> Fault.Injector.advance inj n
 
-let fast_read_ok t ~start ~len ~ops =
+let fast_read_ok ?read t ~start ~len ~ops =
   t.read_ber = 0.
-  && unfaulted t ~start ~len ~ops
+  && unfaulted ?read t ~start ~len ~ops
   && Medium.run_defect_free t.medium ~start ~len
 
 let mrb_run_fast t ~start ~len =
-  aligned ~start ~len && fast_read_ok t ~start ~len ~ops:len
+  aligned ~start ~len && fast_read_ok ~read:true t ~start ~len ~ops:len
 
 (* For a state byte with no heated field (byte land 0xAA = 0), the four
    dots' logical bits (Up = code 1 = pair bit 0) reversed into the top
@@ -231,10 +234,59 @@ let rev_up_nibble =
       lor (((b lsr 4) land 1) lsl 1)
       lor ((b lsr 6) land 1))
 
+(* Heated dots of a state byte as a mask, bit [j] = dot [j] of the
+   byte. *)
+let heated_mask =
+  Array.init 256 (fun b ->
+      let m = ref 0 in
+      for j = 0 to 3 do
+        m := !m lor (((b lsr ((2 * j) + 1)) land 1) lsl j)
+      done;
+      !m)
+
+(* The injector's read flips over dots [d, stop) of a packed read,
+   replayed as the scalar path's flip filter draws them: in address
+   order, one draw per magnetised dot at its effective BER, logged at
+   [op_off + dot], the op its own tick would have had.  Heated dots
+   never reach the filter.  Dots go to {!Fault.Injector.flip_mask} up
+   to 60 at a time (15 state bytes), as a mask of the magnetised ones.
+   The injector's PRNG is not the medium's, so replaying after the
+   heated-dot coin flips leaves both streams where the interleaved
+   scalar path does.  Dot [dot] is bit [dot + dst_off] of [dst]. *)
+let rec replay_flips inj plan ~op_off states ~base dst ~dst_off d stop =
+  if d < stop then begin
+    let e = Fault.Plan.region_end plan ~dot:d ~stop in
+    let ber = Fault.Plan.region_ber plan ~dot:d in
+    if ber > 0. then replay_window inj ~ber ~op_off states ~base dst ~dst_off d e;
+    replay_flips inj plan ~op_off states ~base dst ~dst_off e stop
+  end
+
+and replay_window inj ~ber ~op_off states ~base dst ~dst_off d e =
+  if d < e then begin
+    let q = d land lnot 3 in
+    let hi = min e (q + 60) in
+    let m = ref 0 in
+    for b = 0 to (hi - 1 - q) lsr 2 do
+      let s = Char.code (Bigarray.Array1.unsafe_get states ((q lsr 2) + b - base)) in
+      m := !m lor ((Array.unsafe_get heated_mask s lxor 15) lsl (4 * b))
+    done;
+    let live = ((1 lsl (hi - q)) - 1) land lnot ((1 lsl (d - q)) - 1) in
+    let fired =
+      Fault.Injector.flip_mask inj ~ber ~op:(op_off + q) ~dot:q (!m land live)
+    in
+    if fired <> 0 then
+      for k = d - q to hi - q - 1 do
+        if (fired lsr k) land 1 = 1 then
+          set_bit dst (q + k + dst_off) (not (get_bit dst (q + k + dst_off)))
+      done;
+    replay_window inj ~ber ~op_off states ~base dst ~dst_off hi e
+  end
+
 let mrb_run t ~start ~len ~dst ~dst_pos =
   check_run t start len;
   check_bits "Bitops.mrb_run" dst dst_pos len;
   if dst_pos land 7 = 0 && mrb_run_fast t ~start ~len then begin
+    let ops0 = match t.fault with None -> 0 | Some inj -> Fault.Injector.ops inj in
     credit t len;
     t.counters.mrb <- t.counters.mrb + len;
     let rng = Medium.rng t.medium in
@@ -267,7 +319,19 @@ let mrb_run t ~start ~len ~dst ~dst_pos =
             end
           in
           Bytes.unsafe_set dst (dpos + b) (Char.unsafe_chr v)
-        done)
+        done);
+    match t.fault with
+    | None -> ()
+    | Some inj ->
+        let plan = Fault.Injector.plan inj in
+        if not (Fault.Plan.flip_free plan ~first_dot:start ~n_dots:len) then begin
+          (* Dot [start + k] ticked op [ops0 + k + 1]. *)
+          let op_off = ops0 - start + 1 and dst_off = dst_pos - start in
+          Medium.iter_chunks t.medium ~write:false ~start ~len
+            (fun states ~base ~start:cstart ~len:clen ->
+              replay_flips inj plan ~op_off states ~base dst ~dst_off cstart
+                (cstart + clen))
+        end
   end
   else
     for k = 0 to len - 1 do
@@ -376,17 +440,8 @@ let erb_outcomes =
 let[@inline] outcome table win =
   Char.code (String.unsafe_get erb_outcomes (table lor (win land 4095)))
 
-(* Heated dots of a state byte as a mask, bit [j] = dot [j] of the
-   byte; and for each 4-bit mask its population (bits 0-2) and its set
-   bits' offsets, ascending, two bits each from bit 3. *)
-let heated_mask =
-  Array.init 256 (fun b ->
-      let m = ref 0 in
-      for j = 0 to 3 do
-        m := !m lor (((b lsr ((2 * j) + 1)) land 1) lsl j)
-      done;
-      !m)
-
+(* For each 4-bit mask of heated dots, its population (bits 0-2) and
+   its set bits' offsets, ascending, two bits each from bit 3. *)
 let mask_dots =
   Array.init 16 (fun m ->
       let e = ref 0 and k = ref 0 in

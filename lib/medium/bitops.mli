@@ -61,7 +61,8 @@ val set_fault : ctx -> Fault.Injector.t option -> unit
     filters; ewb pulses may be underpowered and leave their dot
     magnetic.  A run kernel over which the injector is
     {!Fault.Injector.inert} skips the per-op hooks and credits the
-    same ticks in one {!Fault.Injector.advance}.  [None] (the default)
+    same ticks in one {!Fault.Injector.advance}; a packed read replays
+    the flips the filter would have drawn.  [None] (the default)
     restores fault-free behaviour. *)
 
 val mrb : ctx -> int -> Dot.direction
@@ -96,8 +97,12 @@ val primitive_ops : counters -> int
     {!Fault.Injector.inert} over the run for [k] ticks, which the
     kernel then credits exactly):
     - {!mrb_run}: [len > 0]; [start], [len] and [dst_pos] multiples of
-      8; unfaulted over [len] ticks, [read_ber = 0] and the run
-      defect-free.
+      8; unfaulted over [len] ticks as a read run (read flips allowed),
+      [read_ber = 0] and the run defect-free.  The kernel replays the
+      injector's flips: one draw from its PRNG per magnetised dot of
+      nonzero effective BER ({!Fault.Plan.region_ber}), in address
+      order, each flip logged at the op its dot's own tick would have
+      had ({!Fault.Injector.flip_mask}).
     - {!mwb_run}: [len > 0]; [start], [len] and [src_pos] multiples of
       8; unfaulted over [len] ticks.
     - {!erb_run}: unfaulted over [5 * cycles * len] ticks (it credits

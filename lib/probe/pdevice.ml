@@ -118,16 +118,17 @@ let record_run_wear t ~start ~len =
 let healthy t =
   Tips.remapped_count t.tips = 0 && Tips.all_serving_healthy t.tips
 
-(* No injector, or one that cannot act on the run: the charge bounds
+(* No injector, or one that cannot act on the run other than by the
+   flips of a [read] run, which its kernel replays: the charge bounds
    its ticks ([read + written] per dot, one per pulse) and its pulses. *)
-let unfaulted t ~start ~len charge =
+let unfaulted ?read t ~start ~len charge =
   match t.fault with
   | None -> true
   | Some inj -> (
       match charge with
-      | Cbits { read; written } ->
-          Fault.Injector.inert inj ~first_dot:start ~n_dots:len
-            ~ops:((read + written) * len)
+      | Cbits { read = reads; written } ->
+          Fault.Injector.inert ?read inj ~first_dot:start ~n_dots:len
+            ~ops:((reads + written) * len)
       | Cewb n ->
           Fault.Injector.inert inj ~first_dot:start ~n_dots:len ~ops:(n * len)
             ~pulses:(n * len))
@@ -143,10 +144,10 @@ let unfaulted t ~start ~len charge =
    dots in address order exactly as the scalar path would.  Charges the
    whole run and returns [true] when the dispatch is lean (or the run
    empty); returns [false] having charged nothing otherwise. *)
-let sweep_lean t ~start ~len charge =
+let sweep_lean ?read t ~start ~len charge =
   len = 0
   || healthy t
-     && unfaulted t ~start ~len charge
+     && unfaulted ?read t ~start ~len charge
      && begin
           let n = Tips.n_tips t.tips in
           let first_off = start / n and last_off = (start + len - 1) / n in
@@ -211,7 +212,7 @@ let read_run t ~start ~len ~dst =
   check_run t start len;
   check_bytes "Pdevice.read_run" dst len;
   let charge = Cbits { read = 1; written = 0 } in
-  if sweep_lean t ~start ~len charge then
+  if sweep_lean ~read:true t ~start ~len charge then
     Pmedia.Bitops.mrb_run t.bitops ~start ~len ~dst ~dst_pos:0
   else
     run_rows t ~start ~len charge

@@ -63,8 +63,9 @@ val size : t -> int
     sector image order: dot [start + k] is bit [7 - (k mod 8)] of byte
     [k / 8].  Every call completes, charging one scan-offset step per
     scan row the run touches: a lean dispatch (no injector that can act
-    on the run — see {!Fault.Injector.inert} — and no broken or
-    remapped tip) sweeps the whole run through one kernel call;
+    on the run — see {!Fault.Injector.inert}; a {!read_run} may carry
+    read flips, which its kernel replays — and no broken or remapped
+    tip) sweeps the whole run through one kernel call;
     anything else walks it row by row, per dot under a broken tip.
     Both leave identical ledgers, wear, counters, PRNG draws and
     injector op counts. *)

@@ -68,6 +68,28 @@ let skip t n =
 let bernoulli t p =
   if p <= 0. then false else if p >= 1. then true else uniform t < p
 
+(* [uniform t < p] compares [v / 2^53] with [p] for the draw's top 53
+   bits [v]; scaling both sides by 2^53 is exact, so for an integer [v]
+   it holds exactly when [v < ceil (p * 2^53)]: no float per draw. *)
+let bernoulli_mask t p mask =
+  if p <= 0. then 0
+  else if p >= 1. then mask
+  else begin
+    let bound = int_of_float (Float.ceil (p *. 9007199254740992.)) in
+    let z = ref (get64 t 0) and m = ref mask and k = ref 0 and hits = ref 0 in
+    while !m <> 0 do
+      if !m land 1 = 1 then begin
+        z := Int64.add !z golden;
+        if Int64.to_int (Int64.shift_right_logical (mix !z) 11) < bound then
+          hits := !hits lor (1 lsl !k)
+      end;
+      m := !m lsr 1;
+      incr k
+    done;
+    set64 t 0 !z;
+    !hits
+  end
+
 let exponential t mean =
   let u = 1. -. uniform t in
   -.mean *. log u

@@ -44,6 +44,12 @@ val skip : t -> int -> unit
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p] (clamped to [0,1]). *)
 
+val bernoulli_mask : t -> float -> int -> int
+(** [bernoulli_mask t p mask], for [0 <= mask < 2^62], makes one
+    [bernoulli t p] per set bit of [mask], lowest bit first, and returns
+    the set bits whose draw came out [true]: the same draws, the same
+    answers and the same final state.  Allocates nothing. *)
+
 val uniform : t -> float
 (** Uniform in [0, 1). *)
 

@@ -199,6 +199,134 @@ let gf_tests =
 
 let rs = Codec.Rs.make ~nparity:24
 
+(* The decoder the library had before it went allocation-free, kept as
+   the oracle: Horner syndromes over every byte, Berlekamp–Massey on
+   fresh arrays, a Chien search that walks every position through a
+   closure into a list, Forney, and a second full syndrome pass. *)
+module Rs_oracle = struct
+  let syndromes npar cw =
+    let synd = Array.make npar 0 in
+    Bytes.iter
+      (fun ch ->
+        for i = 0 to npar - 1 do
+          synd.(i) <-
+            Codec.Gf256.add
+              (Codec.Gf256.mul synd.(i) (Codec.Gf256.exp i))
+              (Char.code ch)
+        done)
+      cw;
+    (synd, Array.for_all (fun s -> s = 0) synd)
+
+  let berlekamp_massey synd =
+    let n = Array.length synd in
+    let c = Array.make (n + 1) 0 and b = Array.make (n + 1) 0 in
+    c.(0) <- 1;
+    b.(0) <- 1;
+    let l = ref 0 and m = ref 1 and bb = ref 1 in
+    for i = 0 to n - 1 do
+      let d = ref synd.(i) in
+      for j = 1 to !l do
+        d := Codec.Gf256.add !d (Codec.Gf256.mul c.(j) synd.(i - j))
+      done;
+      if !d = 0 then incr m
+      else begin
+        let t = Array.copy c in
+        let coef = Codec.Gf256.div !d !bb in
+        for j = 0 to n - !m do
+          c.(j + !m) <- Codec.Gf256.add c.(j + !m) (Codec.Gf256.mul coef b.(j))
+        done;
+        if 2 * !l <= i then begin
+          l := i + 1 - !l;
+          Array.blit t 0 b 0 (n + 1);
+          bb := !d;
+          m := 1
+        end
+        else incr m
+      end
+    done;
+    (Array.sub c 0 (!l + 1), !l)
+
+  let eval_low p x =
+    let v = ref 0 and xp = ref 1 in
+    Array.iter
+      (fun coef ->
+        v := Codec.Gf256.add !v (Codec.Gf256.mul coef !xp);
+        xp := Codec.Gf256.mul !xp x)
+      p;
+    !v
+
+  let decode c cw =
+    let n = Bytes.length cw and npar = Codec.Rs.nparity c in
+    let synd, clean = syndromes npar cw in
+    if clean then Codec.Rs.Ok_clean
+    else begin
+      let locator, nerrors = berlekamp_massey synd in
+      if 2 * nerrors > npar then Codec.Rs.Uncorrectable
+      else begin
+        let xinv pos = Codec.Gf256.exp (255 - ((n - 1 - pos) mod 255)) in
+        let positions = ref [] in
+        for pos = 0 to n - 1 do
+          if eval_low locator (xinv pos) = 0 then positions := pos :: !positions
+        done;
+        if List.length !positions <> nerrors then Codec.Rs.Uncorrectable
+        else begin
+          let omega =
+            Array.init npar (fun i ->
+                let s = ref 0 in
+                for j = 0 to min i (Array.length locator - 1) do
+                  s := Codec.Gf256.add !s (Codec.Gf256.mul locator.(j) synd.(i - j))
+                done;
+                !s)
+          in
+          let deriv =
+            Array.init
+              (max 0 (Array.length locator - 1))
+              (fun i -> if i land 1 = 0 then locator.(i + 1) else 0)
+          in
+          let ok = ref true in
+          List.iter
+            (fun pos ->
+              let num = eval_low omega (xinv pos) in
+              let den = eval_low deriv (xinv pos) in
+              if den = 0 then ok := false
+              else
+                let magnitude =
+                  Codec.Gf256.mul
+                    (Codec.Gf256.exp ((n - 1 - pos) mod 255))
+                    (Codec.Gf256.div num den)
+                in
+                Bytes.set cw pos
+                  (Char.chr (Codec.Gf256.add (Char.code (Bytes.get cw pos)) magnitude)))
+            !positions;
+          if !ok && snd (syndromes npar cw) then Codec.Rs.Corrected nerrors
+          else Codec.Rs.Uncorrectable
+        end
+      end
+    end
+end
+
+(* Inverse of {!Codec.Rs.encode_blocks} for a known original
+   [data_len]: [Ok data] (errors silently corrected) or [Error n] with
+   [n] the number of uncorrectable slices. *)
+let decode_blocks c coded ~data_len =
+  let m = Codec.Rs.max_data c and npar = Codec.Rs.nparity c in
+  let out = Buffer.create data_len in
+  let rec go off remaining bad =
+    if remaining <= 0 then bad
+    else
+      let take = min m remaining in
+      if off + take + npar > Bytes.length coded then bad + 1
+      else begin
+        let cw = Bytes.sub coded off (take + npar) in
+        let bad =
+          if Codec.Rs.decode c cw = Codec.Rs.Uncorrectable then bad + 1 else bad
+        in
+        Buffer.add_subbytes out cw 0 take;
+        go (off + take + npar) (remaining - take) bad
+      end
+  in
+  match go 0 data_len 0 with 0 -> Ok (Buffer.contents out) | bad -> Error bad
+
 let corrupt rng cw nerr =
   (* Flip [nerr] distinct byte positions. *)
   let n = Bytes.length cw in
@@ -213,6 +341,45 @@ let corrupt rng cw nerr =
       incr flipped
     end
   done
+
+(* The decoder against its oracle on one word: the same outcome, and
+   the same bytes unless neither could correct it. *)
+let races_oracle c cw =
+  let mine = Bytes.copy cw and theirs = Bytes.copy cw in
+  let outcome = Codec.Rs.decode c mine in
+  outcome = Rs_oracle.decode c theirs
+  && (outcome = Codec.Rs.Uncorrectable || Bytes.equal mine theirs)
+
+let rs_oracle_errors =
+  QCheck.Test.make ~name:"decode == oracle: 0-24 errors, data 1-231 bytes"
+    ~count:1000
+    QCheck.(
+      triple (string_of_size Gen.(1 -- 231)) (int_range 0 24) (int_range 0 9999))
+    (fun (data, nerr, seed) ->
+      let cw = Bytes.of_string (data ^ Codec.Rs.parity rs data) in
+      corrupt (Sim.Prng.create seed) cw nerr;
+      races_oracle rs cw)
+
+let rs_oracle_random =
+  QCheck.Test.make ~name:"decode == oracle: random words" ~count:1000
+    QCheck.(string_of_size Gen.(0 -- 255))
+    (fun raw -> races_oracle rs (Bytes.of_string raw))
+
+(* Smaller codes put the generic lane loop and short words under the
+   same race. *)
+let rs_oracle_codes =
+  QCheck.Test.make ~name:"decode == oracle: other parity counts" ~count:500
+    QCheck.(
+      quad (int_range 1 40) (string_of_size Gen.(0 -- 200)) (int_range 0 24)
+        (int_range 0 9999))
+    (fun (npar, data, nerr, seed) ->
+      let c = Codec.Rs.make ~nparity:npar in
+      let data =
+        String.sub data 0 (min (String.length data) (Codec.Rs.max_data c))
+      in
+      let cw = Bytes.of_string (data ^ Codec.Rs.parity c data) in
+      corrupt (Sim.Prng.create seed) cw (min nerr (Bytes.length cw));
+      races_oracle c cw)
 
 let rs_corrects =
   QCheck.Test.make ~name:"corrects up to nparity/2 errors" ~count:200
@@ -249,7 +416,7 @@ let rs_blocks_roundtrip =
     QCheck.(string_of_size Gen.(0 -- 1000))
     (fun data ->
       match
-        Codec.Rs.decode_blocks rs
+        decode_blocks rs
           (Bytes.of_string (Codec.Rs.encode_blocks rs data))
           ~data_len:(String.length data)
       with
@@ -392,6 +559,64 @@ let sector_error_correction =
       | Ok d -> d.Codec.Sector.pba = 7 && d.Codec.Sector.corrected_symbols > 0
       | Error _ -> false)
 
+(* {!Codec.Sector.decode} composed by hand around the RS oracle: the
+   same slices, framing and checks. *)
+let oracle_sector_decode image =
+  let npar = Codec.Rs.nparity rs and m = Codec.Rs.max_data rs in
+  let framed = Buffer.create 532 in
+  let rec slices off corrected =
+    let have = Buffer.length framed in
+    if have = 532 then Some corrected
+    else
+      let take = min m (532 - have) in
+      let cw = Bytes.of_string (String.sub image off (take + npar)) in
+      let n =
+        match Rs_oracle.decode rs cw with
+        | Codec.Rs.Ok_clean -> Some 0
+        | Codec.Rs.Corrected n -> Some n
+        | Codec.Rs.Uncorrectable -> None
+      in
+      Buffer.add_subbytes framed cw 0 take;
+      Option.bind n (fun n -> slices (off + take + npar) (corrected + n))
+  in
+  match slices 0 0 with
+  | None -> Error Codec.Sector.Uncorrectable
+  | Some corrected_symbols -> (
+      let framed = Buffer.contents framed in
+      let r = Codec.Binio.R.of_string framed in
+      let magic = Codec.Binio.R.u16 r in
+      let kind = Codec.Binio.R.u8 r in
+      let _reserved = Codec.Binio.R.u8 r in
+      let pba = Codec.Binio.R.u64 r in
+      let generation = Codec.Binio.R.u32 r in
+      let payload = Codec.Binio.R.raw r 512 in
+      let crc = Codec.Binio.R.u32 r in
+      match Codec.Sector.kind_of_int kind with
+      | Some kind when magic = 0x5E20 ->
+          if
+            crc
+            <> Int32.to_int (Codec.Crc32.string (String.sub framed 0 528))
+               land 0xFFFFFFFF
+          then Error Codec.Sector.Bad_crc
+          else
+            Ok { Codec.Sector.pba; kind; generation; payload; corrected_symbols }
+      | _ -> Error Codec.Sector.Bad_header)
+
+let sector_oracle =
+  QCheck.Test.make ~name:"decode == oracle-composed decode, corrupted images"
+    ~count:300
+    QCheck.(
+      triple (string_of_size Gen.(0 -- 512)) (int_range 0 40) (int_range 0 9999))
+    (fun (payload, nerr, seed) ->
+      let image =
+        Bytes.of_string
+          (Codec.Sector.encode ~pba:seed ~kind:Codec.Sector.Data
+             ~generation:(seed mod 7) payload)
+      in
+      corrupt (Sim.Prng.create seed) image nerr;
+      let image = Bytes.to_string image in
+      Codec.Sector.decode image = oracle_sector_decode image)
+
 let sector_cases =
   [
     Alcotest.test_case "overhead about 15%" `Quick (fun () ->
@@ -510,9 +735,12 @@ let () =
         rs_cases @ rs_erasure_cases
         @ List.map qtest
             [ rs_corrects; rs_overload; rs_blocks_roundtrip;
-              rs_erasures_correct; rs_erasures_plus_errors ] );
+              rs_erasures_correct; rs_erasures_plus_errors; rs_oracle_errors;
+              rs_oracle_random; rs_oracle_codes ] );
       ( "sector",
-        sector_cases @ List.map qtest [ sector_roundtrip; sector_error_correction ] );
+        sector_cases
+        @ List.map qtest
+            [ sector_roundtrip; sector_error_correction; sector_oracle ] );
       ("wom", wom_cases @ List.map qtest [ wom_two_generations; wom_monotone ]);
       ("binio", binio_cases @ [ qtest binio_roundtrip ]);
     ]

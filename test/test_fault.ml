@@ -458,11 +458,13 @@ let lfs_cases =
 
    An injector that provably cannot act on a run lets the packed kernels
    and the whole-run sweep serve it, credited with the run's ticks in
-   one step.  The law: a device script under a plan leaves exactly what
-   it leaves under the same plan plus a stuck rate so small it never
-   fires — a dot is stuck only when its hashed draw is exactly 0, odds
-   2^-53 — which the inertness predicate never clears, so that twin
-   takes the per-dot path on every run. *)
+   one step; on a magnetic read run it may carry read flips, which the
+   packed kernel replays from the injector's stream.  The law: a device
+   script under a plan leaves exactly what it leaves under the same
+   plan plus a stuck rate so small it never fires — a dot is stuck only
+   when its hashed draw is exactly 0, odds 2^-53 — which the inertness
+   predicate never clears, so that twin takes the per-dot path on every
+   run. *)
 
 let never_stuck plan = { plan with Fault.Plan.stuck_rate = Float.min_float }
 
@@ -495,9 +497,10 @@ let law_golden ~ras =
 let law_goldens = lazy (law_golden ~ras:false, law_golden ~ras:true)
 
 (* Plans placed where runs begin and end: targeted regions inside a
-   block, straddling two and covering one, ops cuts and tip deaths a
-   tick either side of a whole number of sector runs, ewb cuts inside
-   or just past a burn. *)
+   block, straddling two and covering one (at the wear ramp's 0.005 and
+   at 1, where every read flips without a draw), often over a global
+   read BER, ops cuts and tip deaths a tick either side of a whole
+   number of sector runs, ewb cuts inside or just past a burn. *)
 let law_plan_gen =
   let open QCheck.Gen in
   let bd = Sero.Layout.block_dots in
@@ -518,14 +521,14 @@ let law_plan_gen =
         { Fault.Plan.first_dot; n_dots; ber })
       (0 -- (law_blocks - 2))
       (0 -- 2)
-      (oneofl [ 1e-12; 0.001; 0.02 ])
+      (oneofl [ 1e-12; 0.001; 0.005; 0.02; 1. ])
   in
   map3
     (fun (seed, targeted, read_ber) (cut_ops, cut_ewb, weak_ewb_p) deaths ->
       Fault.Plan.make ~seed ~targeted ~read_ber ~weak_ewb_p ~tip_deaths:deaths
         ?power_cut_after_ops:cut_ops ?power_cut_after_ewb:cut_ewb ())
     (triple (1 -- 9999) (list_size (0 -- 2) region)
-       (frequencyl [ (9, 0.); (1, 0.0005) ]))
+       (frequencyl [ (3, 0.); (2, 0.0005); (1, 0.002) ]))
     (triple (opt near_runs)
        (opt
           (map2
@@ -640,8 +643,8 @@ let injector_twin_law =
       && law_state d1 i1 = law_state d2 i2)
 
 (* Op numbers recorded with every run ticked per dot.  A miscounted
-   credit moves them, and no E-study prints one: E-studies only report
-   whether two ledgers match. *)
+   credit or a misnumbered replayed flip moves them, and no E-study
+   prints one: E-studies only report whether two ledgers match. *)
 let law_cases =
   [
     Alcotest.test_case "a burn torn mid-run charges only the rows it ran"
@@ -698,7 +701,21 @@ let law_cases =
         done;
         Alcotest.(check (pair int int))
           "sweep ops and events" (135296, 23)
-          (Fault.Injector.ops inj, Fault.Injector.n_events inj));
+          (Fault.Injector.ops inj, Fault.Injector.n_events inj);
+        Alcotest.(check string)
+          "sweep ledger"
+          (String.concat ""
+             (List.map
+                (fun (op, dot) -> Printf.sprintf "op=%d read-flip dot=%d\n" op dot)
+                [
+                  (67688, 82183); (67712, 82207); (67724, 82219); (69152, 83647);
+                  (69198, 83693); (69788, 84283); (70016, 84511); (71074, 85569);
+                  (71227, 85722); (71234, 85729); (71510, 86005); (72096, 86591);
+                  (72249, 86744); (72310, 86805); (72993, 87488); (73863, 88358);
+                  (74789, 89284); (75451, 89946); (75985, 90480); (76020, 90515);
+                  (76519, 91014); (76774, 91269); (76906, 91401);
+                ]))
+          (Fault.Injector.ledger_to_string inj));
   ]
 
 let () =

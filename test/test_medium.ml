@@ -327,9 +327,10 @@ let run_access_cases =
    be raced: the run covers dots [start, start + len), begins at
    injector op [ops0] (the scramble ticks once per op) and ticks
    [ticks] times, or at most that for erb.  Inert plans let the kernel
-   credit the run's ticks in one step; the rest must send it down the
-   per-dot loop, so the cut fires and the ledger fills exactly as the
-   hand-written loop's do. *)
+   credit the run's ticks in one step, and a noisy window leaves a
+   magnetic read to the packed kernel, which replays its flips; the rest
+   must send it down the per-dot loop, so the cut fires and the ledger
+   fills exactly as the hand-written loop's do. *)
 let run_plan fault ~start ~len ~ops0 ~ticks =
   let cut n = Some (Fault.Plan.make ~power_cut_after_ops:(max 0 n) ()) in
   let death after_ops =
@@ -359,6 +360,24 @@ let run_plan fault ~start ~len ~ops0 ~ticks =
   | 9 -> cut (ops0 + ticks + 7)
   | 10 -> death (ops0 + (ticks / 2))
   | 11 -> death (ops0 + ticks)
+  | 12 ->
+      (* A window over the whole run, under a BER-1 window (the no-draw
+         edge) over its middle half, which takes precedence there. *)
+      Some
+        (Fault.Plan.make ~seed:11
+           ~targeted:
+             [
+               { Fault.Plan.first_dot = start + (len / 4); n_dots = len / 2; ber = 1. };
+               region (max 0 (start - 4)) (len + 8);
+             ]
+           ())
+  | 13 ->
+      (* Windows straddling either end, over a global read BER. *)
+      let straddle dot = region (max 0 (dot - 8)) 16 in
+      Some
+        (Fault.Plan.make ~seed:11 ~read_ber:0.01
+           ~targeted:[ straddle start; straddle (start + len) ]
+           ())
   | _ -> None
 
 (* Twin setups for the equivalence properties, both under [plan]. *)
@@ -424,7 +443,7 @@ let twins_agree (m1, ctx1) (m2, ctx2) =
      = Sim.Prng.bits64 (Pmedia.Medium.rng m2)
 
 (* The second component is a read-BER index and a {!run_plan} variant
-   (five values in sixteen install no injector).  The last is (start,
+   (three values in sixteen install no injector).  The last is (start,
    length), an erb cycles index into {!erb_cycles}, a destination bit
    offset, and whether to byte-align the magnetic run (half the cases,
    so the packed kernels get their share). *)
@@ -503,6 +522,41 @@ let mwb_run_equiv =
       in
       cut1 = cut2 && twins_agree t1 t2)
 
+(* Packed reads through noise over heated dots, the kernel's draw
+   edges: every [gap]-th dot of the run heated, a noisy window over its
+   first half (at the wear ramp's 0.005, at 0.3, or at 1, which flips
+   without drawing) over a global read BER.  The replayed flips must
+   skip each heated dot, draw once per magnetised one and carry the op
+   number of its own tick; the run must take the packed kernel. *)
+let mrb_run_flips_equiv =
+  QCheck.Test.make ~name:"mrb_run replays read flips around heated dots"
+    ~count:200
+    QCheck.(
+      quad (int_range 1 9999) (int_range 2 5)
+        (oneofl [ 0.005; 0.3; 1. ])
+        (pair (int_range 0 31) (int_range 1 32)))
+    (fun (seed, gap, ber, (s8, l8)) ->
+      let start = 8 * s8 in
+      let len = 8 * min l8 (32 - s8) in
+      let plan =
+        Fault.Plan.make ~seed ~read_ber:0.01
+          ~targeted:
+            [ { Fault.Plan.first_dot = max 0 (start - 4); n_dots = (len / 2) + 4; ber } ]
+          ()
+      in
+      let ops =
+        List.init len (fun k ->
+            (start + k, if k mod gap = 0 then 0 else 1 + ((seed + k) mod 4)))
+      in
+      let ((_, ctx1) as t1), ((_, ctx2) as t2) = make_twin ~plan (seed, 0) 0 ops in
+      let packed = Pmedia.Bitops.mrb_run_fast ctx1 ~start ~len in
+      let d1 = Bytes.make (len / 8) '\000' and d2 = Bytes.make (len / 8) '\000' in
+      Pmedia.Bitops.mrb_run ctx1 ~start ~len ~dst:d1 ~dst_pos:0;
+      for k = 0 to len - 1 do
+        put_bit d2 k (Pmedia.Dot.to_bool (Pmedia.Bitops.mrb ctx2 (start + k)))
+      done;
+      packed && Bytes.equal d1 d2 && twins_agree t1 t2)
+
 (* [len] per-dot erb calls written into [d], the kernel's reference. *)
 let erb_loop_into ~cycles ctx ~start ~len d ~off =
   for k = 0 to len - 1 do
@@ -538,7 +592,7 @@ let erb_run_equiv =
       cut1 = cut2 && Bytes.equal d1 d2 && twins_agree t1 t2)
 
 (* Which plans the packed read kernel may run under: only those that
-   cannot act on the run's own ticks and dots. *)
+   cannot act on the run's own ticks and dots other than by read flips. *)
 let inert_keeps_packed =
   Alcotest.test_case "an injector that cannot act keeps the packed kernel"
     `Quick (fun () ->
@@ -554,8 +608,9 @@ let inert_keeps_packed =
             want
             (Pmedia.Bitops.mrb_run_fast ctx ~start ~len))
         [
-          (0, true); (1, true); (2, false); (3, true); (5, false); (6, false);
-          (7, false); (8, true); (9, true); (10, false); (11, true);
+          (0, true); (1, true); (2, true); (3, true); (5, false); (6, false);
+          (7, false); (8, true); (9, true); (10, false); (11, true); (12, true);
+          (13, true);
         ])
 
 (* A mostly heated medium, read over and over: thousands of heated dots
@@ -695,7 +750,8 @@ let () =
       ("bitops", bitops_cases @ [ erb_false_negative_rate ]);
       ( "run kernels",
         run_access_cases
-        @ List.map qtest [ mrb_run_equiv; mwb_run_equiv; erb_run_equiv ]
+        @ List.map qtest
+            [ mrb_run_equiv; mrb_run_flips_equiv; mwb_run_equiv; erb_run_equiv ]
         @ [ erb_run_dense; inert_keeps_packed ] );
       ("cow", cow_cases @ [ qtest cow_matches_deep_copy ]);
     ]

@@ -1835,8 +1835,9 @@ let audit_alloc_cases =
    every other run to the packed kernels and the whole-run sweep, on a
    device with RAS and endurance active.  A guard that slips back to
    "no injector" sends those runs down the per-dot path, tens of
-   thousands of words a sector.  Inside the region every read is a
-   per-dot Bernoulli draw, which must stay free of closures. *)
+   thousands of words a sector.  Inside the region a read is the packed
+   kernel plus its flip replay, which must stay free of closures per
+   dot. *)
 let fault_alloc_cases =
   [
     Alcotest.test_case "reads and verifies beside a targeted region" `Quick
@@ -1888,8 +1889,33 @@ let fault_alloc_cases =
           (Printf.sprintf "verify_line outside %.0f words < 2500" v)
           true (v < 2500.);
         Alcotest.(check bool)
-          (Printf.sprintf "read_block inside %.0f words < 6000" r_in)
-          true (r_in < 6000.));
+          (Printf.sprintf "read_block inside %.0f words < 500" r_in)
+          true (r_in < 500.));
+    (* The full decoder runs in per-domain buffers: what a corrected
+       sector allocates is its slice copies and the decoded frame. *)
+    Alcotest.test_case "Sector.decode correcting 10 symbols" `Quick (fun () ->
+        let image =
+          Bytes.of_string
+            (Codec.Sector.encode ~pba:7 ~kind:Codec.Sector.Data ~generation:1
+               (String.init 512 (fun i -> Char.chr (i land 255))))
+        in
+        for k = 0 to 9 do
+          let i = 23 * k in
+          Bytes.set image i (Char.chr (Char.code (Bytes.get image i) lxor 0xA5))
+        done;
+        let image = Bytes.unsafe_to_string image in
+        let decode () =
+          match Codec.Sector.decode image with
+          | Ok d -> d.Codec.Sector.corrected_symbols
+          | Error _ -> -1
+        in
+        Alcotest.(check int) "corrected" 10 (decode ());
+        let before = Gc.minor_words () in
+        ignore (decode ());
+        let w = Gc.minor_words () -. before in
+        Alcotest.(check bool)
+          (Printf.sprintf "Sector.decode %.0f words < 500" w)
+          true (w < 500.));
   ]
 
 let () =

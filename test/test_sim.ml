@@ -127,6 +127,25 @@ let window_and_skip =
       Sim.Prng.skip rng n;
       window_ok && Sim.Prng.bits64 rng = Sim.Prng.bits64 seq)
 
+let bernoulli_mask_bits =
+  QCheck.Test.make ~name:"bernoulli_mask is one bernoulli per set bit"
+    ~count:500
+    QCheck.(
+      triple int (int_range 0 ((1 lsl 62) - 1))
+        (oneof
+           [ oneofl [ 0.; 1e-12; 0.005; 0.3; 0.5; 0.999; 1. ];
+             float_bound_inclusive 1. ]))
+    (fun (seed, mask, p) ->
+      let rng = Sim.Prng.create seed in
+      let seq = Sim.Prng.copy rng in
+      let hits = Sim.Prng.bernoulli_mask rng p mask in
+      let expect = ref 0 in
+      for k = 0 to 61 do
+        if (mask lsr k) land 1 = 1 && Sim.Prng.bernoulli seq p then
+          expect := !expect lor (1 lsl k)
+      done;
+      hits = !expect && Sim.Prng.bits64 rng = Sim.Prng.bits64 seq)
+
 (* {1 Stats} *)
 
 let stats_cases =
@@ -963,7 +982,7 @@ let () =
     [
       ( "prng",
         prng_cases @ stream_cases @ [ qtest int_in_range ] @ stream_pins
-        @ [ qtest window_and_skip ] );
+        @ [ qtest window_and_skip; qtest bernoulli_mask_bits ] );
       ("stats",
        stats_cases @ stats_merge_cases
        @ [
