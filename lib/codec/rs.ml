@@ -106,13 +106,6 @@ let remainder c src ~off ~len rem =
 let rem_byte rem i =
   (rem.(i / lane_bytes) lsr (40 - (8 * (i mod lane_bytes)))) land 0xFF
 
-let parity c data =
-  let len = String.length data in
-  if len > max_data c then invalid_arg "Rs.parity: data too long";
-  let rem = Array.make c.lanes 0 in
-  remainder c (Bytes.unsafe_of_string data) ~off:0 ~len rem;
-  String.init c.npar (fun i -> Char.chr (rem_byte rem i))
-
 type decode_outcome = Ok_clean | Corrected of int | Uncorrectable
 
 (* Every [Corrected k] a decoder can return, built once, so returning
@@ -162,6 +155,22 @@ let scratch_key =
         roots = a ();
         mags = a ();
       })
+
+let parity_into c b ~off ~len =
+  if len > max_data c || off < 0 || len < 0 || off + len + c.npar > Bytes.length b
+  then invalid_arg "Rs.parity_into: out of bounds";
+  let rem = (Domain.DLS.get scratch_key).rem in
+  remainder c b ~off ~len rem;
+  for i = 0 to c.npar - 1 do
+    Bytes.unsafe_set b (off + len + i) (Char.unsafe_chr (rem_byte rem i))
+  done
+
+let parity c data =
+  let len = String.length data in
+  if len > max_data c then invalid_arg "Rs.parity: data too long";
+  let b = Bytes.extend (Bytes.unsafe_of_string data) 0 c.npar in
+  parity_into c b ~off:0 ~len;
+  Bytes.sub_string b len c.npar
 
 (* Syndromes S_i = r(alpha^i), i < npar, of the received word
    cw[off, off+n) into [s.synd]; [true] when all are zero.  Since
@@ -399,17 +408,3 @@ let nslices c data_len =
 
 let encoded_length c data_len =
   if data_len = 0 then 0 else data_len + (nslices c data_len * c.npar)
-
-let encode_blocks c data =
-  let m = max_data c in
-  let len = String.length data in
-  let buf = Buffer.create (encoded_length c len) in
-  let off = ref 0 in
-  while !off < len do
-    let take = min m (len - !off) in
-    let slice = String.sub data !off take in
-    Buffer.add_string buf slice;
-    Buffer.add_string buf (parity c slice);
-    off := !off + take
-  done;
-  Buffer.contents buf

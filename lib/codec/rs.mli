@@ -22,6 +22,13 @@ val parity : code -> string -> string
 (** [parity c data] is the [nparity c]-byte checksum of [data].
     @raise Invalid_argument if [data] is longer than [max_data c]. *)
 
+val parity_into : code -> bytes -> off:int -> len:int -> unit
+(** [parity_into c b ~off ~len] writes the parity of the [len] bytes of
+    [b] at [off] right after them: the [nparity c] bytes at
+    [off + len].  Allocates nothing.
+    @raise Invalid_argument if [len > max_data c] or a range is out of
+    bounds. *)
+
 type decode_outcome =
   | Ok_clean  (** Codeword already consistent. *)
   | Corrected of int  (** Errors were found and fixed (count given). *)
@@ -51,10 +58,6 @@ val decode_with_erasures : code -> bytes -> erasures:int list -> decode_outcome
     [e + 2t <= nparity].  Positions out of range raise
     [Invalid_argument]; duplicates are ignored. *)
 
-val encode_blocks : code -> string -> string
-(** [encode_blocks c data] splits [data] into [max_data c]-byte slices
-    and appends each slice's parity, producing
-    [data_len + nslices * nparity] bytes laid out slice-by-slice. *)
-
 val encoded_length : code -> int -> int
-(** [encoded_length c data_len] is the size {!encode_blocks} produces. *)
+(** [encoded_length c data_len] is the size of [data_len] bytes cut
+    into [max_data c]-byte slices, each followed by its parity. *)

@@ -34,22 +34,58 @@ let pp_kind ppf k =
     | Checkpoint -> "checkpoint"
     | Hash_meta -> "hash-meta")
 
+(* The image is the framed bytes cut into RS slices, each slice's data
+   followed by its parity: framed byte [p] lies at image byte
+   [image_pos p]. *)
+let slice_data = Rs.max_data rs_code
+let image_pos p = p + (p / slice_data * Rs.nparity rs_code)
+
+(* [f p take] over framed [p, stop), one call per slice-bounded run. *)
+let rec each_run f p stop =
+  if p < stop then begin
+    let take = min stop ((p / slice_data + 1) * slice_data) - p in
+    f p take;
+    each_run f (p + take) stop
+  end
+
+let set_u16 b p v = Bytes.set_uint16_be b p (v land 0xFFFF)
+
+(* One buffer, no intermediate copies: header and payload go straight to
+   their image positions, the CRC runs over the framed runs, and each
+   slice's parity is computed in place. *)
 let encode ~pba ~kind ~generation payload =
-  if String.length payload > payload_bytes then
+  let len = String.length payload in
+  if len > payload_bytes then
     invalid_arg "Sector.encode: payload longer than 512 bytes";
-  let w = Binio.W.create ~capacity:framed_bytes () in
-  Binio.W.u16 w magic;
-  Binio.W.u8 w (kind_to_int kind);
-  Binio.W.u8 w 0 (* reserved *);
-  Binio.W.u64 w pba;
-  Binio.W.u32 w generation;
-  Binio.W.raw w payload;
-  if String.length payload < payload_bytes then
-    Binio.W.raw w (String.make (payload_bytes - String.length payload) '\x00');
-  let framed_no_crc = Binio.W.contents w in
-  let crc = Crc32.string framed_no_crc in
-  Binio.W.u32 w (Int32.to_int crc land 0xFFFFFFFF);
-  Rs.encode_blocks rs_code (Binio.W.contents w)
+  let image = Bytes.make physical_bytes '\x00' in
+  (* The header lies inside slice 0; byte 3 is reserved. *)
+  set_u16 image 0 magic;
+  Bytes.set_uint8 image 2 (kind_to_int kind);
+  set_u16 image 4 (pba lsr 48);
+  set_u16 image 6 (pba lsr 32);
+  set_u16 image 8 (pba lsr 16);
+  set_u16 image 10 pba;
+  set_u16 image 12 (generation lsr 16);
+  set_u16 image 14 generation;
+  each_run
+    (fun p take ->
+      Bytes.blit_string payload (p - header_bytes) image (image_pos p) take)
+    header_bytes (header_bytes + len);
+  let crc = ref 0 in
+  each_run
+    (fun p take ->
+      crc :=
+        Int32.to_int
+          (Crc32.bytes ~crc:(Int32.of_int !crc) image (image_pos p) take)
+        land 0xFFFFFFFF)
+    0 (framed_bytes - crc_bytes);
+  let at = image_pos (framed_bytes - crc_bytes) in
+  set_u16 image at (!crc lsr 16);
+  set_u16 image (at + 2) !crc;
+  each_run
+    (fun p take -> Rs.parity_into rs_code image ~off:(image_pos p) ~len:take)
+    0 framed_bytes;
+  Bytes.unsafe_to_string image
 
 type decoded = {
   pba : int;

@@ -8,52 +8,64 @@ let check_dir st ino =
     raise (State.Fs_error (Printf.sprintf "inode %d is not a directory" ino));
   i
 
-(* Entries are stored one decodable list per block, never spanning. *)
-let entries st ino =
-  let inode = check_dir st ino in
-  let n_blocks = File.block_count inode in
-  List.concat
-    (List.init n_blocks (fun bi ->
-         let payload =
-           File.read st ino ~offset:(bi * File.block_size) ~len:File.block_size
-         in
-         match Enc.decode_dirents payload with
-         | Some es -> es
-         | None ->
-             raise
-               (State.Fs_error
-                  (Printf.sprintf "directory %d block %d corrupt" ino bi))))
+(* The memo slots of directory [ino] for its [n] blocks, installed
+   empty on first use; an empty slot matches no payload. *)
+let memo_slots st ino n =
+  match Hashtbl.find_opt st.State.dir_memo ino with
+  | Some m when Array.length m = n -> m
+  | Some _ | None ->
+      let m = Array.make n ("", []) in
+      Hashtbl.replace st.State.dir_memo ino m;
+      m
 
-(* Rewrite the whole directory: pack entries greedily into blocks. *)
-let store st ino (es : Enc.dirent list) =
-  let blocks = ref [] and current = ref [] in
-  let flush_current () =
-    if !current <> [] || !blocks = [] then begin
-      blocks := Enc.encode_dirents (List.rev !current) :: !blocks;
-      current := []
-    end
+(* The entries of block [bi], read as [File.read] would read it (the
+   same inode, pointer and block calls, without its copies) and decoded
+   through the memo: equal bytes decode to equal entries, so a slot is
+   used only when its payload equals the one just read. *)
+let block_entries st ino memo bi =
+  let inode = State.load_inode st ino in
+  let take = min File.block_size (inode.Enc.size - (bi * File.block_size)) in
+  let ptrs = File.pointers st ino in
+  let corrupt () =
+    raise (State.Fs_error (Printf.sprintf "directory %d block %d corrupt" ino bi))
   in
-  List.iter
-    (fun e ->
-      if Enc.dirent_fits (List.rev (e :: !current)) then current := e :: !current
-      else begin
-        flush_current ();
-        if not (Enc.dirent_fits [ e ]) then
-          raise (State.Fs_error "directory entry name too long");
-        current := [ e ]
-      end)
-    es;
-  flush_current ();
-  let blocks = List.rev !blocks in
-  List.iteri
-    (fun bi payload ->
-      (* Pad so each directory block is a full, framed block. *)
-      let padded =
-        payload ^ String.make (File.block_size - String.length payload) '\x00'
-      in
-      File.write st ino ~offset:(bi * File.block_size) padded)
-    blocks;
-  File.truncate st ino ~size:(List.length blocks * File.block_size)
+  (* A hole reads as zeros, which never decode. *)
+  if bi >= Array.length ptrs || ptrs.(bi) = 0 then corrupt ();
+  let payload = State.read_payload st ~pba:ptrs.(bi) in
+  let payload =
+    if take = File.block_size then payload else String.sub payload 0 take
+  in
+  let seen, es = memo.(bi) in
+  if String.equal seen payload then es
+  else
+    match Enc.decode_dirents payload with
+    | Some es ->
+        memo.(bi) <- (payload, es);
+        es
+    | None -> corrupt ()
+
+(* Entries are stored one decodable list per block, never spanning:
+   each block's list, in block order. *)
+let block_lists st ino =
+  let inode = check_dir st ino in
+  let n = File.block_count inode in
+  let memo = memo_slots st ino n in
+  List.init n (block_entries st ino memo)
+
+let entries st ino = List.concat (block_lists st ino)
+
+(* Rewrite the whole directory, one packed block at a time, and seed
+   the memo with what was written. *)
+let store st ino (es : Enc.dirent list) =
+  match Enc.pack_dirents es with
+  | None -> raise (State.Fs_error "directory entry name too long")
+  | Some blocks ->
+      List.iteri
+        (fun bi (payload, _) ->
+          File.write st ino ~offset:(bi * File.block_size) payload)
+        blocks;
+      File.truncate st ino ~size:(List.length blocks * File.block_size);
+      Hashtbl.replace st.State.dir_memo ino (Array.of_list blocks)
 
 let store_empty st ino = store st ino []
 
@@ -98,9 +110,9 @@ let split_path path =
 (* A directory that no longer parses (e.g. scrubbed by an attacker)
    simply fails the resolution — the forensic scan, not the namespace,
    is the recovery path. *)
-let entries_opt st ino =
-  match entries st ino with
-  | es -> Some es
+let find_in st ino name =
+  match block_lists st ino with
+  | lists -> List.find_map (fun es -> find_entry es name) lists
   | exception State.Fs_error _ -> None
 
 let lookup st path =
@@ -112,7 +124,7 @@ let lookup st path =
         | name :: rest -> (
             if not (Enc.equal_kind kind Enc.Directory) then None
             else
-              match Option.bind (entries_opt st ino) (fun es -> find_entry es name) with
+              match find_in st ino name with
               | None -> None
               | Some e -> walk e.Enc.entry_ino e.Enc.entry_kind rest)
       in
@@ -132,9 +144,7 @@ let parent_of st path =
       let rec walk ino = function
         | [] -> Ok (ino, base)
         | name :: rest -> (
-            match
-              Option.bind (entries_opt st ino) (fun es -> find_entry es name)
-            with
+            match find_in st ino name with
             | Some e when Enc.equal_kind e.Enc.entry_kind Enc.Directory ->
                 walk e.Enc.entry_ino rest
             | Some _ -> Error (Printf.sprintf "%S is not a directory" name)

@@ -1,8 +1,10 @@
 (** Directories and path resolution.
 
     A directory is a regular-looking file whose blocks each hold an
-    independently decodable entry list ({!Enc.encode_dirents}); entries
+    independently decodable entry list ({!Enc.pack_dirents}); entries
     never span blocks, so fsck can parse any single recovered block.
+    Each block read is decoded through [State.t.dir_memo], whose slot
+    serves only a byte-equal payload, so answers never depend on it.
     Paths are slash-separated, absolute ("/a/b/c"); the root directory
     is inode 1. *)
 

@@ -129,25 +129,47 @@ type dirent = { name : string; entry_ino : int; entry_kind : kind }
 
 let dirent_magic = 0x4452 (* "DR" *)
 
-let encode_dirents entries =
-  let w = Codec.Binio.W.create ~capacity:payload () in
-  Codec.Binio.W.u16 w dirent_magic;
-  Codec.Binio.W.u16 w (List.length entries);
-  List.iter
-    (fun e ->
-      Codec.Binio.W.u32 w e.entry_ino;
-      Codec.Binio.W.u8 w (kind_to_int e.entry_kind);
-      Codec.Binio.W.str w e.name)
-    entries;
-  let s = Codec.Binio.W.contents w in
-  if String.length s > payload then
-    invalid_arg "Enc.encode_dirents: does not fit one block";
-  s
+(* Exact encoded sizes: a u16 magic and a u16 count, then per entry a
+   u32 ino, a u8 kind and a u32-length-prefixed name. *)
+let dirents_header = 4
+let dirent_size e = 9 + String.length e.name
 
-let dirent_fits entries =
-  match encode_dirents entries with
-  | _ -> true
-  | exception Invalid_argument _ -> false
+(* Write [es] from byte 0 of [b], which must hold their encoding. *)
+let write_dirents b es =
+  let u32 pos v =
+    Bytes.set_uint16_be b pos ((v lsr 16) land 0xFFFF);
+    Bytes.set_uint16_be b (pos + 2) (v land 0xFFFF)
+  in
+  Bytes.set_uint16_be b 0 dirent_magic;
+  Bytes.set_uint16_be b 2 (List.length es land 0xFFFF);
+  ignore
+    (List.fold_left
+       (fun pos e ->
+         let n = String.length e.name in
+         u32 pos e.entry_ino;
+         Bytes.set_uint8 b (pos + 4) (kind_to_int e.entry_kind);
+         u32 (pos + 5) n;
+         Bytes.blit_string e.name 0 b (pos + 9) n;
+         pos + 9 + n)
+       dirents_header es)
+
+let pack_dirents entries =
+  (* One zero-padded block per run of entries, encoded once. *)
+  let block es =
+    let b = Bytes.make payload '\x00' in
+    let es = List.rev es in
+    write_dirents b es;
+    (Bytes.unsafe_to_string b, es)
+  in
+  let rec go blocks current size = function
+    | [] -> Some (List.rev (block current :: blocks))
+    | e :: rest ->
+        let n = dirent_size e in
+        if size + n <= payload then go blocks (e :: current) (size + n) rest
+        else if dirents_header + n > payload then None
+        else go (block current :: blocks) [ e ] (dirents_header + n) rest
+  in
+  go [] [] dirents_header entries
 
 let decode_dirents s =
   let r = Codec.Binio.R.of_string s in

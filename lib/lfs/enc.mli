@@ -46,15 +46,17 @@ val decode_pointer_block : string -> int array option
 
 type dirent = { name : string; entry_ino : int; entry_kind : kind }
 
-val encode_dirents : dirent list -> string
-(** @raise Invalid_argument if the encoding exceeds one block payload;
-    directories span multiple blocks by encoding each block's worth of
-    entries separately (see {!Dirops}). *)
+val pack_dirents : dirent list -> (string * dirent list) list option
+(** Pack entries in order into directory blocks, each an independently
+    decodable entry list: a u16 magic and a u16 count, then per entry a
+    u32 inode number, a u8 kind and a u32-length-prefixed name — 4
+    bytes plus [9 + String.length name] per entry.  Blocks fill
+    greedily up to the block payload by that exact size; each is
+    encoded once, zero-padded to a full block and paired with the
+    entries it holds.  No entries give one empty block.  [None] if some
+    entry alone does not fit a block. *)
 
 val decode_dirents : string -> dirent list option
-
-val dirent_fits : dirent list -> bool
-(** Would {!encode_dirents} fit a block payload? *)
 
 (** {1 Segment summary} *)
 

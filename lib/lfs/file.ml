@@ -319,4 +319,5 @@ let delete st ino =
   Hashtbl.remove st.State.imap ino;
   Sim.Lru.remove st.State.icache ino;
   Sim.Lru.remove st.State.pcache ino;
-  Hashtbl.remove st.State.dirty ino
+  Hashtbl.remove st.State.dirty ino;
+  Hashtbl.remove st.State.dir_memo ino

@@ -90,16 +90,29 @@ let any_line_heated t ino =
     (fun l -> Sero.Device.is_line_heated t.st.State.dev ~line:l)
     (Heat.file_lines t.st ~ino)
 
+(* Allocate an inode of [kind] and run [link] on it.  If [link] raises
+   (a duplicate or over-long name), the inode and any blocks it got are
+   freed and its number handed back, so a refused call leaves no orphan
+   to reach the medium at the next sync. *)
+let with_new_inode t ~kind ~heat_group link =
+  let ino = (File.create_inode t.st ~kind ~heat_group).Enc.ino in
+  match link ino with
+  | () -> ()
+  | exception e ->
+      File.delete t.st ino;
+      t.st.State.next_ino <- ino;
+      raise e
+
 let mkdir t path =
   guard (fun () ->
       match Dirops.parent_of t.st path with
       | Error e -> raise (State.Fs_error e)
       | Ok (parent, name) ->
           Cleaner.maybe_clean t.st;
-          let inode = File.create_inode t.st ~kind:Enc.Directory ~heat_group:0 in
-          Dirops.store_empty t.st inode.Enc.ino;
-          Dirops.add_entry t.st ~dir:parent
-            { Enc.name; entry_ino = inode.Enc.ino; entry_kind = Enc.Directory })
+          with_new_inode t ~kind:Enc.Directory ~heat_group:0 (fun ino ->
+              Dirops.store_empty t.st ino;
+              Dirops.add_entry t.st ~dir:parent
+                { Enc.name; entry_ino = ino; entry_kind = Enc.Directory }))
 
 let create t ?(heat_group = 0) path =
   guard (fun () ->
@@ -107,9 +120,9 @@ let create t ?(heat_group = 0) path =
       | Error e -> raise (State.Fs_error e)
       | Ok (parent, name) ->
           Cleaner.maybe_clean t.st;
-          let inode = File.create_inode t.st ~kind:Enc.Regular ~heat_group in
-          Dirops.add_entry t.st ~dir:parent
-            { Enc.name; entry_ino = inode.Enc.ino; entry_kind = Enc.Regular })
+          with_new_inode t ~kind:Enc.Regular ~heat_group (fun ino ->
+              Dirops.add_entry t.st ~dir:parent
+                { Enc.name; entry_ino = ino; entry_kind = Enc.Regular }))
 
 let exists t path = Option.is_some (Dirops.lookup t.st path)
 

@@ -53,6 +53,7 @@ type t = {
   icache : (int, Enc.inode) Sim.Lru.t;
   pcache : (int, int array) Sim.Lru.t;
   dirty : (int, unit) Hashtbl.t;
+  dir_memo : (int, (string * Enc.dirent list) array) Hashtbl.t;
   mutable next_ino : int;
   mutable seq : int;
   metrics : metrics;
@@ -110,6 +111,7 @@ let create ?(policy = default_policy) ?(icache_cap = default_icache_cap)
         ~evictable:(fun ino _ -> not (Hashtbl.mem dirty ino))
         ~capacity:pcache_cap ();
     dirty;
+    dir_memo = Hashtbl.create 8;
     next_ino = 1;
     seq = 0;
     metrics =
@@ -510,6 +512,7 @@ let restore_from_checkpoint t (c : Enc.checkpoint) =
   Sim.Lru.clear t.icache;
   Sim.Lru.clear t.pcache;
   Hashtbl.reset t.dirty;
+  Hashtbl.reset t.dir_memo;
   Hashtbl.reset t.open_segs;
   if Array.length c.Enc.segments <> t.n_segs then
     raise (Fs_error "checkpoint segment table size mismatch");

@@ -74,6 +74,12 @@ type t = {
           {!icache}, with dirty inos pinned (their array can be newer
           than the on-medium inode). *)
   dirty : (int, unit) Hashtbl.t;
+  dir_memo : (int, (string * Enc.dirent list) array) Hashtbl.t;
+      (** Directory decode memo: for directory ino, per block index,
+          the payload last written or decoded there and its entries.
+          {!Dirops} uses a slot only when the payload it has just read
+          is byte-equal to the stored one, so the memo is exact whatever
+          happened to the block meanwhile. *)
   mutable next_ino : int;
   mutable seq : int;
   metrics : metrics;

@@ -305,9 +305,26 @@ module Rs_oracle = struct
     end
 end
 
-(* Inverse of {!Codec.Rs.encode_blocks} for a known original
-   [data_len]: [Ok data] (errors silently corrected) or [Error n] with
-   [n] the number of uncorrectable slices. *)
+(* [data] cut into [max_data c]-byte slices, each followed by its
+   parity: the RS layout of a sector image (the library's old
+   [Rs.encode_blocks]). *)
+let encode_blocks c data =
+  let m = Codec.Rs.max_data c in
+  let len = String.length data in
+  let buf = Buffer.create (Codec.Rs.encoded_length c len) in
+  let off = ref 0 in
+  while !off < len do
+    let take = min m (len - !off) in
+    let slice = String.sub data !off take in
+    Buffer.add_string buf slice;
+    Buffer.add_string buf (Codec.Rs.parity c slice);
+    off := !off + take
+  done;
+  Buffer.contents buf
+
+(* Inverse of {!encode_blocks} for a known original [data_len]:
+   [Ok data] (errors silently corrected) or [Error n] with [n] the
+   number of uncorrectable slices. *)
 let decode_blocks c coded ~data_len =
   let m = Codec.Rs.max_data c and npar = Codec.Rs.nparity c in
   let out = Buffer.create data_len in
@@ -417,11 +434,34 @@ let rs_blocks_roundtrip =
     (fun data ->
       match
         decode_blocks rs
-          (Bytes.of_string (Codec.Rs.encode_blocks rs data))
+          (Bytes.of_string (encode_blocks rs data))
           ~data_len:(String.length data)
       with
       | Ok out -> String.equal out data
       | Error _ -> false)
+
+(* In place, inside a larger buffer: the parity lands right after the
+   data and nothing else moves. *)
+let rs_parity_into =
+  QCheck.Test.make ~name:"parity_into writes parity after the data only"
+    ~count:300
+    QCheck.(
+      quad (int_range 1 40) (string_of_size Gen.(0 -- 254)) (int_range 0 20)
+        (int_range 0 20))
+    (fun (npar, data, before, after) ->
+      let c = Codec.Rs.make ~nparity:npar in
+      let data =
+        String.sub data 0 (min (String.length data) (Codec.Rs.max_data c))
+      in
+      let len = String.length data in
+      let b = Bytes.make (before + len + npar + after) '\xA5' in
+      Bytes.blit_string data 0 b before len;
+      Codec.Rs.parity_into c b ~off:before ~len;
+      String.equal (Bytes.sub_string b (before + len) npar) (Codec.Rs.parity c data)
+      && String.equal (Bytes.sub_string b before len) data
+      && Bytes.for_all (fun ch -> ch = '\xA5') (Bytes.sub b 0 before)
+      && Bytes.for_all (fun ch -> ch = '\xA5')
+           (Bytes.sub b (before + len + npar) after))
 
 let rs_erasures_correct =
   QCheck.Test.make ~name:"corrects up to nparity known erasures" ~count:100
@@ -559,6 +599,38 @@ let sector_error_correction =
       | Ok d -> d.Codec.Sector.pba = 7 && d.Codec.Sector.corrected_symbols > 0
       | Error _ -> false)
 
+(* The encoder the library had before it built the image in one
+   buffer, kept as the oracle: a Binio frame, its CRC, then slice by
+   slice through {!encode_blocks}. *)
+let oracle_sector_encode ~pba ~kind ~generation payload =
+  let w = Codec.Binio.W.create ~capacity:532 () in
+  Codec.Binio.W.u16 w 0x5E20;
+  Codec.Binio.W.u8 w (Codec.Sector.kind_to_int kind);
+  Codec.Binio.W.u8 w 0;
+  Codec.Binio.W.u64 w pba;
+  Codec.Binio.W.u32 w generation;
+  Codec.Binio.W.raw w payload;
+  Codec.Binio.W.raw w (String.make (512 - String.length payload) '\x00');
+  let crc = Codec.Crc32.string (Codec.Binio.W.contents w) in
+  Codec.Binio.W.u32 w (Int32.to_int crc land 0xFFFFFFFF);
+  encode_blocks rs (Codec.Binio.W.contents w)
+
+let sector_kinds =
+  Codec.Sector.[ Data; Inode; Summary; Checkpoint; Hash_meta ]
+
+let sector_encode_oracle =
+  QCheck.Test.make
+    ~name:"encode == oracle encoder: every kind, payloads 0-512, PBAs to 2^40"
+    ~count:1000
+    QCheck.(
+      quad (string_of_size Gen.(0 -- 512)) (int_range 0 (1 lsl 40))
+        (int_range 0 4) (int_range 0 0xFFFFFFFF))
+    (fun (payload, pba, k, generation) ->
+      let kind = List.nth sector_kinds k in
+      String.equal
+        (Codec.Sector.encode ~pba ~kind ~generation payload)
+        (oracle_sector_encode ~pba ~kind ~generation payload))
+
 (* {!Codec.Sector.decode} composed by hand around the RS oracle: the
    same slices, framing and checks. *)
 let oracle_sector_decode image =
@@ -643,6 +715,42 @@ let sector_cases =
               "kind" true
               (Codec.Sector.kind_of_int (Codec.Sector.kind_to_int k) = Some k))
           [ Codec.Sector.Data; Inode; Summary; Checkpoint; Hash_meta ]);
+  ]
+
+(* Appended after the older sector tests so their numbering holds. *)
+let sector_encode_cases =
+  [
+    Alcotest.test_case "encode: every payload length equals the oracle"
+      `Quick (fun () ->
+        for len = 0 to 512 do
+          let payload = String.init len (fun i -> Char.chr ((i * 37 + len) land 0xFF)) in
+          List.iteri
+            (fun k kind ->
+              let pba = (len * 2_147_483_659) land ((1 lsl 40) - 1) + k in
+              Alcotest.(check string)
+                (Printf.sprintf "len %d kind %d" len k)
+                (oracle_sector_encode ~pba ~kind ~generation:(len * 7) payload)
+                (Codec.Sector.encode ~pba ~kind ~generation:(len * 7) payload))
+            sector_kinds
+        done);
+    (* The old encoder copied the frame six times (~490 words); one
+       image buffer, the CRC's boxed int32s and three closures are ~120. *)
+    Alcotest.test_case "encode allocates under 200 words" `Quick (fun () ->
+        let payload = String.make 512 'p' in
+        let encode () =
+          ignore
+            (Sys.opaque_identity
+               (Codec.Sector.encode ~pba:7 ~kind:Codec.Sector.Data
+                  ~generation:1 payload))
+        in
+        encode ();
+        let before = Gc.minor_words () in
+        for _ = 1 to 100 do
+          encode ()
+        done;
+        let words = (Gc.minor_words () -. before) /. 100. in
+        if words >= 200. then
+          Alcotest.failf "Sector.encode allocated %.0f words (gate 200)" words);
   ]
 
 (* {1 WOM code} *)
@@ -736,11 +844,13 @@ let () =
         @ List.map qtest
             [ rs_corrects; rs_overload; rs_blocks_roundtrip;
               rs_erasures_correct; rs_erasures_plus_errors; rs_oracle_errors;
-              rs_oracle_random; rs_oracle_codes ] );
+              rs_oracle_random; rs_oracle_codes; rs_parity_into ] );
       ( "sector",
         sector_cases
         @ List.map qtest
-            [ sector_roundtrip; sector_error_correction; sector_oracle ] );
+            [ sector_roundtrip; sector_error_correction; sector_oracle;
+              sector_encode_oracle ]
+        @ sector_encode_cases );
       ("wom", wom_cases @ List.map qtest [ wom_two_generations; wom_monotone ]);
       ("binio", binio_cases @ [ qtest binio_roundtrip ]);
     ]

@@ -1,5 +1,6 @@
 (* The log-structured file system: encodings, file IO against a model,
-   directories, cleaner, heat strategies, remount, fsck. *)
+   directories, cleaner, heat strategies, remount, fsck, the directory
+   decode memo and directory allocation gates. *)
 
 let qtest = QCheck_alcotest.to_alcotest
 let ok what = function Ok v -> v | Error e -> Alcotest.failf "%s: %s" what e
@@ -62,9 +63,9 @@ let dirents_roundtrip =
   QCheck.Test.make ~name:"dirent list roundtrip" ~count:200 arb_dirents
     (fun es ->
       let es = List.filteri (fun i _ -> i < 15) es in
-      match Lfs.Enc.decode_dirents (Lfs.Enc.encode_dirents es) with
-      | Some got -> got = es
-      | None -> false)
+      match Lfs.Enc.pack_dirents es with
+      | Some [ (payload, _) ] -> Lfs.Enc.decode_dirents payload = Some es
+      | Some _ | None -> false)
 
 let arb_owner =
   QCheck.make
@@ -131,6 +132,138 @@ let enc_cases =
         Alcotest.(check bool) "summary" true (Lfs.Enc.decode_summary (String.make 512 'q') = None);
         Alcotest.(check bool) "checkpoint" true (Lfs.Enc.decode_checkpoint (String.make 512 'q') = None));
   ]
+
+(* {1 Directory packing}
+
+   The packer [Dirops.store] had before {!Lfs.Enc.pack_dirents}, kept as
+   the oracle: it re-encodes the growing block through Binio once per
+   entry to ask whether one more fits, then pads each block to the
+   payload size. *)
+
+module Dir_oracle = struct
+  let encode es =
+    let w = Codec.Binio.W.create () in
+    Codec.Binio.W.u16 w 0x4452;
+    Codec.Binio.W.u16 w (List.length es);
+    List.iter
+      (fun e ->
+        Codec.Binio.W.u32 w e.Lfs.Enc.entry_ino;
+        Codec.Binio.W.u8 w
+          (match e.Lfs.Enc.entry_kind with
+          | Lfs.Enc.Regular -> 0
+          | Lfs.Enc.Directory -> 1);
+        Codec.Binio.W.str w e.Lfs.Enc.name)
+      es;
+    Codec.Binio.W.contents w
+
+  let fits es = String.length (encode es) <= 512
+
+  (* [None] where the old [store] refused the list. *)
+  let pack es =
+    let blocks = ref [] and current = ref [] in
+    let flush_current () =
+      if !current <> [] || !blocks = [] then begin
+        blocks := List.rev !current :: !blocks;
+        current := []
+      end
+    in
+    match
+      List.iter
+        (fun e ->
+          if fits (List.rev (e :: !current)) then current := e :: !current
+          else begin
+            flush_current ();
+            if not (fits [ e ]) then raise Exit;
+            current := [ e ]
+          end)
+        es
+    with
+    | exception Exit -> None
+    | () ->
+        flush_current ();
+        Some
+          (List.rev_map
+             (fun es ->
+               let p = encode es in
+               (p ^ String.make (512 - String.length p) '\x00', es))
+             !blocks)
+end
+
+(* 0-300 entries with names of 1-499 bytes, weighted toward the names
+   that fill the current block to exactly 512 bytes or overshoot it by
+   one (the greedy boundary), and one list in five carrying a 500-520
+   byte name no block can hold. *)
+let arb_dir_entries =
+  let open QCheck.Gen in
+  let entry len =
+    let* name = string_size ~gen:(char_range 'a' 'z') (return len) in
+    let* ino = int_range 1 100_000 in
+    let* dir = bool in
+    return
+      {
+        Lfs.Enc.name;
+        entry_ino = ino;
+        entry_kind = (if dir then Lfs.Enc.Directory else Lfs.Enc.Regular);
+      }
+  in
+  let pick_or_any len =
+    if len >= 1 && len <= 499 then return len else int_range 1 499
+  in
+  let rec go k used acc =
+    if k = 0 then return (List.rev acc)
+    else
+      let exact = 512 - used - 9 in
+      let* len =
+        frequency
+          [
+            (3, pick_or_any exact);
+            (2, pick_or_any (exact + 1));
+            (3, int_range 1 20);
+            (3, int_range 1 499);
+          ]
+      in
+      let* e = entry len in
+      let size = 9 + len in
+      go (k - 1) (if used + size <= 512 then used + size else 4 + size) (e :: acc)
+  in
+  let gen =
+    let* n = int_range 0 300 in
+    let* es = go n 4 [] in
+    let* long = int_range 0 4 in
+    if long > 0 then return es
+    else
+      let* pos = int_range 0 (List.length es) in
+      let* len = int_range 500 520 in
+      let* e = entry len in
+      return
+        (List.filteri (fun i _ -> i < pos) es
+        @ (e :: List.filteri (fun i _ -> i >= pos) es))
+  in
+  QCheck.make
+    ~print:(fun es ->
+      String.concat ","
+        (List.map (fun e -> string_of_int (String.length e.Lfs.Enc.name)) es))
+    gen
+
+let pack_matches_oracle =
+  QCheck.Test.make ~name:"pack_dirents == the old packer: blocks and refusals"
+    ~count:300 arb_dir_entries (fun es ->
+      Lfs.Enc.pack_dirents es = Dir_oracle.pack es)
+
+(* The directory memo is seeded with each written block's entries, which
+   is exact only if the padded block decodes back to them. *)
+let packed_blocks_decode =
+  QCheck.Test.make ~name:"a packed block padded to 512 bytes decodes to its entries"
+    ~count:300 arb_dir_entries (fun es ->
+      match Lfs.Enc.pack_dirents es with
+      | None -> true
+      | Some blocks ->
+          List.for_all
+            (fun (payload, block_es) ->
+              String.length payload = 512
+              && Lfs.Enc.decode_dirents payload = Some block_es)
+            blocks
+          && List.concat_map snd blocks = es)
 
 (* {1 File IO against a reference model} *)
 
@@ -273,6 +406,65 @@ let namespace_cases =
         match Lfs.Fs.create fs "/a/../b" with
         | Error _ -> ()
         | Ok () -> Alcotest.fail "dotted path accepted");
+    (* Before the rollback, each refused call left its fresh inode (and
+       mkdir's first directory block) behind: 15 of them grew the inode
+       map from 2 to 17 entries at the next sync. *)
+    Alcotest.test_case "refused create and mkdir leave no orphan inode" `Quick
+      (fun () ->
+        let dev, fs = make_fs () in
+        ok "create" (Lfs.Fs.create fs "/kept");
+        ok "write" (Lfs.Fs.write_file fs "/kept" ~offset:0 "kept");
+        Lfs.Fs.sync fs;
+        let st = Lfs.Fs.state fs in
+        let imap () =
+          List.sort compare
+            (Hashtbl.fold (fun ino pba acc -> (ino, pba) :: acc) st.Lfs.State.imap [])
+        in
+        let live () =
+          Array.to_list (Array.map (fun s -> s.Lfs.State.live) st.Lfs.State.segs)
+        in
+        let imap0 = imap () and live0 = live () in
+        let next0 = st.Lfs.State.next_ino in
+        let long n = "/" ^ String.make n 'n' in
+        let refused =
+          List.concat
+            [
+              List.init 4 (fun _ () -> Lfs.Fs.create fs "/kept");
+              List.init 4 (fun _ () -> Lfs.Fs.mkdir fs "/kept");
+              List.map (fun n () -> Lfs.Fs.create fs (long n)) [ 500; 600; 1000 ];
+              List.map (fun n () -> Lfs.Fs.mkdir fs (long n)) [ 500; 501; 700; 1000 ];
+            ]
+        in
+        Alcotest.(check int) "15 calls" 15 (List.length refused);
+        List.iter
+          (fun call ->
+            match call () with
+            | Error _ -> ()
+            | Ok () -> Alcotest.fail "a duplicate or over-long name was accepted")
+          refused;
+        Alcotest.(check (list (pair int int))) "inode map" imap0 (imap ());
+        Alcotest.(check (list int)) "segment live counters" live0 (live ());
+        Alcotest.(check int) "next inode number" next0 st.Lfs.State.next_ino;
+        Lfs.Fs.sync fs;
+        (match Lfs.State.read_latest_checkpoint dev st.Lfs.State.policy with
+        | None -> Alcotest.fail "no checkpoint"
+        | Some cp ->
+            Alcotest.(check (list (pair int int))) "checkpointed inode map" imap0
+              cp.Lfs.Enc.imap;
+            Alcotest.(check int) "checkpointed next inode" next0 cp.Lfs.Enc.next_ino;
+            Alcotest.(check (list int)) "checkpointed live counters" live0
+              (Array.to_list
+                 (Array.map (fun r -> r.Lfs.Enc.live_blocks) cp.Lfs.Enc.segments)));
+        Alcotest.(check (list string)) "namespace" [ "kept" ]
+          (List.map (fun e -> e.Lfs.Enc.name) (ok "readdir" (Lfs.Fs.readdir fs "/")));
+        (* The file system stays usable, and a remount sees the same. *)
+        ok "mkdir" (Lfs.Fs.mkdir fs "/d");
+        ok "create" (Lfs.Fs.create fs "/d/x");
+        Lfs.Fs.unmount fs;
+        let fs2 = ok "mount" (Lfs.Fs.mount dev) in
+        Alcotest.(check bool) "/d/x after remount" true (Lfs.Fs.exists fs2 "/d/x");
+        Alcotest.(check string) "/kept after remount" "kept"
+          (ok "read" (Lfs.Fs.read_file fs2 "/kept")));
   ]
 
 (* {1 Cleaner} *)
@@ -561,6 +753,197 @@ let cache_bound_cases =
         done);
   ]
 
+(* {1 Directory memo}
+
+   [Dirops] keeps each directory block's payload and decoded entries and
+   reuses them only for a byte-equal payload.  Each case changes blocks
+   under it and checks that [lookup] and [readdir] agree with a fresh
+   mount of a snapshot, with and without a buffer cache. *)
+
+let memo_fs ~cached =
+  let dev, fs = make_fs () in
+  if cached then begin
+    let q = Sero.Queue.create (Sim.Des.create ()) dev in
+    Lfs.Fs.attach_cache fs (Sero.Bcache.create ~capacity:64 q)
+  end;
+  (dev, fs)
+
+let root_names n = List.init n (fun i -> Printf.sprintf "entry-%03d" i)
+
+let populate fs names =
+  List.iter (fun name -> ok "create" (Lfs.Fs.create fs ("/" ^ name))) names
+
+(* What a file system says about the root and a set of paths. *)
+let view fs paths =
+  ( Lfs.Fs.readdir fs "/",
+    List.map (fun p -> Lfs.Dirops.lookup (Lfs.Fs.state fs) p) paths )
+
+let agrees_with_fresh_mount what dev fs paths =
+  Lfs.Fs.sync fs;
+  let fresh = ok "mount" (Lfs.Fs.mount (Sero.Device.clone dev)) in
+  let live = view fs paths in
+  if live <> view fresh paths then
+    Alcotest.failf "%s: the live namespace differs from a fresh mount" what;
+  live
+
+let root_block_pba fs bi = (Lfs.File.pointers (Lfs.Fs.state fs) Lfs.Dirops.root_ino).(bi)
+
+let memo_case name f =
+  List.map
+    (fun cached ->
+      Alcotest.test_case
+        (Printf.sprintf "%s (%s)" name (if cached then "cached" else "uncached"))
+        `Quick
+        (fun () -> f ~cached))
+    [ false; true ]
+
+let memo_cases =
+  List.concat
+    [
+      memo_case "root block rewritten under the file system" (fun ~cached ->
+          let dev, fs = memo_fs ~cached in
+          let names = root_names 60 in
+          populate fs names;
+          let paths = List.map (( ^ ) "/") names in
+          ignore (agrees_with_fresh_mount "before" dev fs paths);
+          let st = Lfs.Fs.state fs in
+          let pba = root_block_pba fs 1 in
+          let old_es =
+            match Lfs.Enc.decode_dirents (Lfs.State.read_payload st ~pba) with
+            | Some es -> es
+            | None -> Alcotest.fail "root block 1 does not decode"
+          in
+          (* Upper-cased names: other entries of the same lengths. *)
+          let renamed =
+            List.map
+              (fun (e : Lfs.Enc.dirent) ->
+                { e with Lfs.Enc.name = String.map Char.uppercase_ascii e.Lfs.Enc.name })
+              old_es
+          in
+          let payload =
+            match Lfs.Enc.pack_dirents renamed with
+            | Some [ (payload, _) ] -> payload
+            | Some _ | None -> Alcotest.fail "the renamed entries need one block"
+          in
+          Sero.Device.unsafe_write_block dev ~pba payload;
+          let paths = paths @ List.map (fun e -> "/" ^ e.Lfs.Enc.name) renamed in
+          (match agrees_with_fresh_mount "renamed" dev fs paths with
+          | Ok es, _ ->
+              Alcotest.(check bool) "the renamed entries are listed" true
+                (List.for_all (fun r -> List.mem r es) renamed)
+          | Error e, _ -> Alcotest.failf "readdir: %s" e);
+          Sero.Device.unsafe_write_block dev ~pba (String.make 512 'q');
+          match agrees_with_fresh_mount "garbage" dev fs paths with
+          | Error _, lookups ->
+              Alcotest.(check bool) "no lookup resolves" true
+                (List.for_all Option.is_none lookups)
+          | Ok _, _ -> Alcotest.fail "a garbage root block was listed");
+      memo_case "directory block moved by the cleaner" (fun ~cached ->
+          let dev, fs = memo_fs ~cached in
+          let names = root_names 60 in
+          populate fs names;
+          let paths = List.map (( ^ ) "/") names in
+          ignore (agrees_with_fresh_mount "before" dev fs paths);
+          let st = Lfs.Fs.state fs in
+          let pba = root_block_pba fs 0 in
+          ignore (Lfs.Cleaner.clean_segment st (Lfs.State.seg_of_pba st pba));
+          Alcotest.(check bool) "root block 0 moved" true (root_block_pba fs 0 <> pba);
+          ok "create" (Lfs.Fs.create fs "/after-clean");
+          ignore
+            (agrees_with_fresh_mount "after cleaning" dev fs ("/after-clean" :: paths)));
+      memo_case "directory that shrank" (fun ~cached ->
+          let dev, fs = memo_fs ~cached in
+          let names = root_names 60 in
+          populate fs names;
+          let paths = List.map (( ^ ) "/") names in
+          ignore (agrees_with_fresh_mount "before" dev fs paths);
+          let st = Lfs.Fs.state fs in
+          let blocks () =
+            Lfs.File.block_count (Lfs.State.load_inode st Lfs.Dirops.root_ino)
+          in
+          let before = blocks () in
+          List.iteri
+            (fun i p -> if i >= 5 then ok "unlink" (Lfs.Fs.unlink fs p))
+            paths;
+          Alcotest.(check bool) "the root shrank" true (blocks () < before);
+          Alcotest.(check int) "memo slots follow the block count" (blocks ())
+            (Array.length (Hashtbl.find st.Lfs.State.dir_memo Lfs.Dirops.root_ino));
+          ignore (agrees_with_fresh_mount "shrunk" dev fs paths);
+          populate fs [ "regrown-a"; "regrown-b" ];
+          ignore
+            (agrees_with_fresh_mount "regrown" dev fs
+               ("/regrown-a" :: "/regrown-b" :: paths));
+          ok "mkdir" (Lfs.Fs.mkdir fs "/gone");
+          let ino =
+            match Lfs.Dirops.lookup st "/gone" with
+            | Some (ino, _) -> ino
+            | None -> Alcotest.fail "/gone missing"
+          in
+          ignore (ok "readdir" (Lfs.Fs.readdir fs "/gone"));
+          ok "rmdir" (Lfs.Fs.unlink fs "/gone");
+          Alcotest.(check bool) "a deleted directory leaves the memo" false
+            (Hashtbl.mem st.Lfs.State.dir_memo ino));
+      memo_case "remount" (fun ~cached ->
+          let dev, fs = memo_fs ~cached in
+          let names = root_names 40 in
+          populate fs names;
+          ok "mkdir" (Lfs.Fs.mkdir fs "/sub");
+          ok "create" (Lfs.Fs.create fs "/sub/leaf");
+          let paths = "/sub/leaf" :: List.map (( ^ ) "/") names in
+          ignore (agrees_with_fresh_mount "before" dev fs paths);
+          Lfs.Fs.unmount fs;
+          let fs = ok "mount" (Lfs.Fs.mount dev) in
+          if cached then
+            Lfs.Fs.attach_cache fs
+              (Sero.Bcache.create ~capacity:64
+                 (Sero.Queue.create (Sim.Des.create ()) dev));
+          ignore (agrees_with_fresh_mount "remounted" dev fs paths);
+          ok "unlink" (Lfs.Fs.unlink fs "/entry-000");
+          ok "create" (Lfs.Fs.create fs "/sub/leaf-2");
+          ignore
+            (agrees_with_fresh_mount "changed after remount" dev fs
+               ("/sub/leaf-2" :: paths)));
+    ]
+
+(* {1 Directory allocation}
+
+   Words allocated by single operations in a 200-file root, on a
+   4,096-block device with no queue or cache.  Before directory blocks
+   were packed by running size and decoded through the memo (OCaml
+   5.1.1): create 49,529, lookup 6,422, unlink 55,779 words. *)
+
+let dir_alloc_cases =
+  [
+    Alcotest.test_case "create, lookup and unlink in a 200-file root" `Quick
+      (fun () ->
+        let dev =
+          Sero.Device.create
+            (Sero.Device.default_config ~n_blocks:4096 ~line_exp:3 ())
+        in
+        let fs = Lfs.Fs.format dev in
+        for i = 0 to 199 do
+          ok "create" (Lfs.Fs.create fs (Printf.sprintf "/archive-%05d" i))
+        done;
+        Lfs.Fs.sync fs;
+        let words f =
+          let before = Gc.minor_words () in
+          f ();
+          Gc.minor_words () -. before
+        in
+        let gate what limit w =
+          if w >= limit then
+            Alcotest.failf "%s allocated %.0f words (gate %.0f)" what w limit
+        in
+        gate "create" 16_000.
+          (words (fun () -> ok "create" (Lfs.Fs.create fs "/archive-new")));
+        gate "lookup" 3_500.
+          (words (fun () -> ignore (ok "size" (Lfs.Fs.file_size fs "/archive-00100"))));
+        gate "unlink" 20_000.
+          (words (fun () -> ok "unlink" (Lfs.Fs.unlink fs "/archive-00100")));
+        Alcotest.(check int) "entries" 200
+          (List.length (ok "readdir" (Lfs.Fs.readdir fs "/"))));
+  ]
+
 let () =
   Alcotest.run "lfs"
     [
@@ -569,10 +952,13 @@ let () =
         enc_cases
         @ List.map qtest
             [ inode_roundtrip; dirents_roundtrip; summary_roundtrip;
-              checkpoint_roundtrip; pointer_roundtrip ] );
+              checkpoint_roundtrip; pointer_roundtrip; pack_matches_oracle;
+              packed_blocks_decode ] );
       ("file-io", file_cases @ [ qtest file_io_model ]);
       ("namespace", namespace_cases);
       ("cleaner", cleaner_cases);
       ("heat", heat_cases);
       ("persistence", persistence_cases);
+      ("dir-memo", memo_cases);
+      ("dir-alloc", dir_alloc_cases);
     ]
