@@ -1,9 +1,10 @@
 (* The polynomial arithmetic runs on native ints (every intermediate
    fits in 32 bits, masked where a shift could carry past them) so the
-   inner loop stays allocation-free; boxed [Int32] appears only at the
-   interface.  The tables are built at module initialisation, before any
-   worker domain exists: a lazy table forced by two domains at once
-   raises [CamlinternalLazy.Undefined]. *)
+   inner loop stays allocation-free; boxed [Int32] appears only in
+   {!bytes} and {!string}, which wrap {!update}.  The tables are built
+   at module initialisation, before any worker domain exists: a lazy
+   table forced by two domains at once raises
+   [CamlinternalLazy.Undefined]. *)
 let table =
   Array.init 256 (fun n ->
       let c = ref n in
@@ -28,13 +29,13 @@ let tables =
   done;
   ts
 
-let bytes ?(crc = 0l) b off len =
+let update crc b off len =
   if off < 0 || len < 0 || off + len > Bytes.length b then
-    invalid_arg "Crc32.bytes: out of bounds";
+    invalid_arg "Crc32.update: out of bounds";
   let tbl = table and ts = tables in
   let t7 = ts.(7) and t6 = ts.(6) and t5 = ts.(5) and t4 = ts.(4) in
   let t3 = ts.(3) and t2 = ts.(2) and t1 = ts.(1) in
-  let c = ref (Int32.to_int (Int32.lognot crc) land 0xFFFFFFFF) in
+  let c = ref (lnot crc land 0xFFFFFFFF) in
   let i = ref off in
   let stop = off + len in
   while stop - !i >= 8 do
@@ -62,6 +63,9 @@ let bytes ?(crc = 0l) b off len =
     c := Array.unsafe_get tbl idx lxor (!c lsr 8);
     incr i
   done;
-  Int32.lognot (Int32.of_int !c)
+  lnot !c land 0xFFFFFFFF
+
+let bytes ?(crc = 0l) b off len =
+  Int32.of_int (update (Int32.to_int crc land 0xFFFFFFFF) b off len)
 
 let string ?crc s = bytes ?crc (Bytes.unsafe_of_string s) 0 (String.length s)

@@ -6,7 +6,6 @@ type code = {
          big-endian and left-justified into 48-bit integer lanes, so
          [remainder] can shift and xor whole lanes instead of walking an
          npar-element byte array per input byte. *)
-  stab : int array; (* npar x 256: stab.(i*256 + s) = s * alpha^i *)
 }
 
 let lane_bytes = 6
@@ -21,8 +20,8 @@ let make ~nparity =
     gen := Gf256.poly_mul !gen [| 1; Gf256.exp i |]
   done;
   let gen = !gen in
-  (* One GF multiply per table cell here buys multiply-free inner loops
-     in [remainder] and [syndromes] below. *)
+  (* One GF multiply per table cell here buys a multiply-free inner loop
+     in [remainder] below. *)
   let lanes = (nparity + lane_bytes - 1) / lane_bytes in
   let gpack = Array.make (256 * lanes) 0 in
   for f = 0 to 255 do
@@ -33,14 +32,7 @@ let make ~nparity =
         gpack.((f * lanes) + lane) lor (v lsl (40 - (8 * byte)))
     done
   done;
-  let stab = Array.make (nparity * 256) 0 in
-  for i = 0 to nparity - 1 do
-    let x = Gf256.exp i in
-    for s = 0 to 255 do
-      stab.((i * 256) + s) <- Gf256.mul s x
-    done
-  done;
-  { npar = nparity; lanes; gpack; stab }
+  { npar = nparity; lanes; gpack }
 
 let nparity c = c.npar
 let max_data c = 255 - c.npar
@@ -210,23 +202,82 @@ let syndromes c cw ~off ~n s =
 (* How many leading syndromes [probably_clean] evaluates. *)
 let quick_syndromes = 4
 
+(* The screen's S1-S3 travel packed one byte each in an int: S_i in
+   bits 8(i-1) .. 8i-1.  Every code's generator has the roots alpha^0 ..
+   alpha^(npar-1), so for npar >= 4 these syndromes are the same
+   functions of the word whatever the code, and the tables are global.
+   Eight bytes b_0 .. b_7 advance the Horner evaluation in one dependent
+   step,
+
+     S_i <- S_i alpha^(8i) + sum_k b_k alpha^((7-k)i),
+
+   where [screen_byte] row k holds byte b's three terms
+   b alpha^k | b alpha^(2k) lsl 8 | b alpha^(3k) lsl 16, and
+   [screen_shift] row i-1 holds s alpha^(8i) already at lane i.  Built
+   at module initialisation, before any worker domain exists. *)
+let screen_byte =
+  Array.init (8 * 256) (fun j ->
+      let k = j lsr 8 and b = j land 0xFF in
+      Gf256.mul b (Gf256.exp k)
+      lor (Gf256.mul b (Gf256.exp (2 * k)) lsl 8)
+      lor (Gf256.mul b (Gf256.exp (3 * k)) lsl 16))
+
+let screen_shift =
+  Array.init (3 * 256) (fun j ->
+      let i = (j lsr 8) + 1 and s = j land 0xFF in
+      Gf256.mul s (Gf256.exp (8 * i)) lsl (8 * (i - 1)))
+
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
 let probably_clean c cw ~off ~len =
   if off < 0 || len < 0 || off + len > Bytes.length cw then
     invalid_arg "Rs.probably_clean: out of bounds";
   if c.npar < quick_syndromes then
     syndromes c cw ~off ~n:len (Domain.DLS.get scratch_key)
   else begin
-    let stab = c.stab in
-    (* alpha^0 = 1, so syndrome 0 is a plain running XOR. *)
-    let s0 = ref 0 and s1 = ref 0 and s2 = ref 0 and s3 = ref 0 in
-    for j = off to off + len - 1 do
-      let b = Char.code (Bytes.unsafe_get cw j) in
+    let pk = screen_byte and q = screen_shift in
+    (* alpha^0 = 1, so syndrome 0 is a plain running XOR.  The first
+       [len mod 8] bytes start from zero syndromes: byte p of them lands
+       through row [head - 1 - p] with no dependent step. *)
+    let head = len land 7 in
+    let s0 = ref 0 and s = ref 0 in
+    for p = 0 to head - 1 do
+      let b = Char.code (Bytes.unsafe_get cw (off + p)) in
       s0 := !s0 lxor b;
-      s1 := Array.unsafe_get stab (256 + !s1) lxor b;
-      s2 := Array.unsafe_get stab (512 + !s2) lxor b;
-      s3 := Array.unsafe_get stab (768 + !s3) lxor b
+      s := !s lxor Array.unsafe_get pk (((head - 1 - p) lsl 8) lor b)
     done;
-    !s0 lor !s1 lor !s2 lor !s3 = 0
+    (* Then one 64-bit load per step, b_0 in its low byte.  [lo] holds
+       b_0 .. b_3 in bits 0-31 (its bits from 32 up are never read) and
+       [hi] holds b_4 .. b_7; S0 accumulates [lo lxor hi], whose bits
+       0-31 are the four bytewise xors, and folds them at the end. *)
+    let j = ref (off + head) and stop = off + len in
+    while !j < stop do
+      let p = !j in
+      let w = get64u cw p in
+      let w = if Sys.big_endian then bswap64 w else w in
+      let lo = Int64.to_int w and hi = Int64.to_int (Int64.shift_right_logical w 32) in
+      s0 := !s0 lxor lo lxor hi;
+      (* The bytes' terms combine off the one dependent step. *)
+      let x =
+        Array.unsafe_get pk (0x700 lor (lo land 0xFF))
+        lxor Array.unsafe_get pk (0x600 lor ((lo lsr 8) land 0xFF))
+        lxor (Array.unsafe_get pk (0x500 lor ((lo lsr 16) land 0xFF))
+             lxor Array.unsafe_get pk (0x400 lor ((lo lsr 24) land 0xFF)))
+        lxor (Array.unsafe_get pk (0x300 lor (hi land 0xFF))
+             lxor Array.unsafe_get pk (0x200 lor ((hi lsr 8) land 0xFF))
+             lxor (Array.unsafe_get pk (0x100 lor ((hi lsr 16) land 0xFF))
+                  lxor Array.unsafe_get pk (hi lsr 24)))
+      in
+      let v = !s in
+      s :=
+        Array.unsafe_get q (v land 0xFF)
+        lxor Array.unsafe_get q (0x100 lor ((v lsr 8) land 0xFF))
+        lxor (Array.unsafe_get q (0x200 lor (v lsr 16)) lxor x);
+      j := p + 8
+    done;
+    let s0 = !s0 lxor (!s0 lsr 16) in
+    (s0 lxor (s0 lsr 8)) land 0xFF lor !s = 0
   end
 
 (* Berlekamp–Massey over syn.(off .. off+n-1): the shortest LFSR that

@@ -49,6 +49,20 @@ let rec each_run f p stop =
   end
 
 let set_u16 b p v = Bytes.set_uint16_be b p (v land 0xFFFF)
+let get_u32 b p = (Bytes.get_uint16_be b p lsl 16) lor Bytes.get_uint16_be b (p + 2)
+
+(* The CRC over framed [p, stop) of the image at [base], run by run;
+   recursion rather than {!each_run} so that no closure is built. *)
+let rec runs_crc image base crc p stop =
+  if p >= stop then crc
+  else
+    let take = min stop ((p / slice_data + 1) * slice_data) - p in
+    runs_crc image base
+      (Crc32.update crc image (base + image_pos p) take)
+      (p + take) stop
+
+(* The stored checksum covers every framed byte before it. *)
+let framed_crc image base = runs_crc image base 0 0 (framed_bytes - crc_bytes)
 
 (* One buffer, no intermediate copies: header and payload go straight to
    their image positions, the CRC runs over the framed runs, and each
@@ -71,17 +85,10 @@ let encode ~pba ~kind ~generation payload =
     (fun p take ->
       Bytes.blit_string payload (p - header_bytes) image (image_pos p) take)
     header_bytes (header_bytes + len);
-  let crc = ref 0 in
-  each_run
-    (fun p take ->
-      crc :=
-        Int32.to_int
-          (Crc32.bytes ~crc:(Int32.of_int !crc) image (image_pos p) take)
-        land 0xFFFFFFFF)
-    0 (framed_bytes - crc_bytes);
+  let crc = framed_crc image 0 in
   let at = image_pos (framed_bytes - crc_bytes) in
-  set_u16 image at (!crc lsr 16);
-  set_u16 image (at + 2) !crc;
+  set_u16 image at (crc lsr 16);
+  set_u16 image (at + 2) crc;
   each_run
     (fun p take -> Rs.parity_into rs_code image ~off:(image_pos p) ~len:take)
     0 framed_bytes;
@@ -104,68 +111,49 @@ let pp_error ppf e =
     | Bad_crc -> "bad-crc"
     | Bad_header -> "bad-header")
 
-(* Fast accept for the overwhelmingly common healthy sector: every RS
-   slice passes the cheap {!Rs.probably_clean} test, so the framed bytes
-   are assembled without running the full decoder, then validated by
-   header parse + CRC.  Any disagreement at any stage returns [None] and
-   the caller falls through to the full slice-by-slice decode, so every
-   error path (and the ~2^-32 residual of a corruption that fools the
-   quick syndromes) keeps the slow path's exact semantics; a wrong
-   accept additionally needs a CRC32 collision. *)
+(* Fast accept for the overwhelmingly common healthy sector, read in
+   place: every RS slice passes the cheap {!Rs.probably_clean} test,
+   the header parses at its slice-0 image positions (the PBA rebuilt as
+   {!Binio.R.u64} builds it), and the CRC over the three framed runs
+   matches the one stored after them.  Only the payload is copied, run
+   by run, into one fresh buffer.  Any disagreement at any stage returns
+   [None] and the caller falls through to the full slice-by-slice
+   decode, so every error path (and the ~2^-32 residual of a corruption
+   that fools the quick syndromes) keeps the slow path's exact
+   semantics; a wrong accept additionally needs a CRC32 collision. *)
 let decode_fast_sub coded base =
-  let m = Rs.max_data rs_code and npar = Rs.nparity rs_code in
-  let clean = ref true in
-  let off = ref base and remaining = ref framed_bytes in
-  while !remaining > 0 && !clean do
-    let take = min m !remaining in
-    if not (Rs.probably_clean rs_code coded ~off:!off ~len:(take + npar)) then
-      clean := false
-    else begin
-      off := !off + take + npar;
-      remaining := !remaining - take
-    end
+  let npar = Rs.nparity rs_code in
+  let clean = ref true and p = ref 0 in
+  while !clean && !p < framed_bytes do
+    let take = min slice_data (framed_bytes - !p) in
+    clean :=
+      Rs.probably_clean rs_code coded ~off:(base + image_pos !p)
+        ~len:(take + npar);
+    p := !p + take
   done;
-  if not !clean then None
-  else begin
-    let framed = Bytes.create framed_bytes in
-    let off = ref base and pos = ref 0 and remaining = ref framed_bytes in
-    while !remaining > 0 do
-      let take = min m !remaining in
-      Bytes.blit coded !off framed !pos take;
-      off := !off + take + npar;
-      pos := !pos + take;
-      remaining := !remaining - take
-    done;
-    let framed = Bytes.unsafe_to_string framed in
-    let r = Binio.R.of_string framed in
-    match
-      let m = Binio.R.u16 r in
-      let kind_code = Binio.R.u8 r in
-      let _reserved = Binio.R.u8 r in
-      let pba = Binio.R.u64 r in
-      let generation = Binio.R.u32 r in
-      let payload = Binio.R.raw r payload_bytes in
-      let crc = Binio.R.u32 r in
-      (m, kind_code, pba, generation, payload, crc)
-    with
-    | exception Binio.R.Truncated -> None
-    | m, kind_code, pba, generation, payload, crc -> (
-        if m <> magic then None
-        else
-          match kind_of_int kind_code with
-          | None -> None
-          | Some kind ->
-              let body =
-                Bytes.unsafe_of_string framed
-              in
-              let expect =
-                Int32.to_int (Crc32.bytes body 0 (framed_bytes - crc_bytes))
-                land 0xFFFFFFFF
-              in
-              if crc <> expect then None
-              else
-                Some { pba; kind; generation; payload; corrected_symbols = 0 })
-  end
+  if not !clean || Bytes.get_uint16_be coded base <> magic then None
+  else
+    match kind_of_int (Bytes.get_uint8 coded (base + 2)) with
+    | None -> None
+    | Some kind ->
+        let stored = get_u32 coded (base + image_pos (framed_bytes - crc_bytes)) in
+        if framed_crc coded base <> stored then None
+        else begin
+          let payload = Bytes.create payload_bytes in
+          each_run
+            (fun p take ->
+              Bytes.blit coded (base + image_pos p) payload (p - header_bytes)
+                take)
+            header_bytes (header_bytes + payload_bytes);
+          Some
+            {
+              pba = (get_u32 coded (base + 4) lsl 32) lor get_u32 coded (base + 8);
+              kind;
+              generation = get_u32 coded (base + 12);
+              payload = Bytes.unsafe_to_string payload;
+              corrected_symbols = 0;
+            }
+        end
 
 (* Count corrections by decoding slice-by-slice ourselves.  Each slice
    is copied out before {!Rs.decode} corrects it in place, so [coded]

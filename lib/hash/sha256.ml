@@ -1,7 +1,20 @@
-(* SHA-256 per FIPS 180-4.  The implementation keeps the eight working
-   variables and the message schedule in int arrays, masking to 32 bits
-   after every operation (OCaml ints are 63-bit on every platform we
-   target, so this is both portable and faster than boxed Int32). *)
+(* SHA-256 per FIPS 180-4, on native ints: OCaml ints are 63-bit on
+   every platform we target, so this is both portable and faster than
+   boxed Int32.  The compression function keeps a value to 32 bits only
+   where it has to:
+
+   - A rotation reads the doubled word [d = x lor (x lsl 32)] of a
+     32-bit [x], which holds bits 0-62 of x * (2^32 + 1).  For n <= 31
+     the low 32 bits of [d lsr n] are [rotr x n], so each of the
+     Sigma/sigma functions costs one doubling, three shifts and two xors.
+   - Sigma, sigma, Ch and Maj are only ever added, and a sum mod 2^32
+     depends only on the low 32 bits of its addends (ints wrap mod
+     2^63).  Their high bits may hold garbage; only a value that
+     re-enters a rotation or is stored (each new [a], new [e] and
+     schedule word) is masked.
+
+   Eight rounds run per loop iteration with the roles of the working
+   variables rotating, so a round writes only [d] and [h]. *)
 
 type t = string (* 32 raw bytes, big-endian word order *)
 
@@ -42,28 +55,56 @@ let init () =
     finalized = false;
   }
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask32
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+
+(* The big-endian word at [p], unchecked and unboxed. *)
+let[@inline] load_be32 b p =
+  let x = get32u b p in
+  Int32.to_int (if Sys.big_endian then x else bswap32 x) land mask32
+
+(* Each of these takes masked words; only the low 32 bits of the result
+   are meaningful. *)
+let[@inline] big_sigma0 x =
+  let d = x lor (x lsl 32) in
+  (d lsr 2) lxor (d lsr 13) lxor (d lsr 22)
+
+let[@inline] big_sigma1 x =
+  let d = x lor (x lsl 32) in
+  (d lsr 6) lxor (d lsr 11) lxor (d lsr 25)
+
+let[@inline] small_sigma0 x =
+  let d = x lor (x lsl 32) in
+  (d lsr 7) lxor (d lsr 18) lxor (x lsr 3)
+
+let[@inline] small_sigma1 x =
+  let d = x lor (x lsl 32) in
+  (d lsr 17) lxor (d lsr 19) lxor (x lsr 10)
+
+(* Round [i]'s T1 and T2, for working variables in the roles
+   (a, b, c) and (e, f, g, h). *)
+let[@inline] t1 w i e f g h =
+  h + big_sigma1 e
+  + (g lxor (e land (f lxor g)))
+  + Array.unsafe_get k i + Array.unsafe_get w i
+
+let[@inline] t2 a b c = big_sigma0 a + ((a land (b lor c)) lor (b land c))
 
 (* [off + 64 <= Bytes.length block] is guaranteed by both callers
    (feed_bytes checks its arguments; finalize builds the padding), so
    the block and schedule accesses below are in bounds by construction
-   and the loops run unchecked. *)
+   and run unchecked. *)
 let compress ctx block off =
   let w = ctx.w in
   for i = 0 to 15 do
-    let base = off + (4 * i) in
-    Array.unsafe_set w i
-      ((Char.code (Bytes.unsafe_get block base) lsl 24)
-      lor (Char.code (Bytes.unsafe_get block (base + 1)) lsl 16)
-      lor (Char.code (Bytes.unsafe_get block (base + 2)) lsl 8)
-      lor Char.code (Bytes.unsafe_get block (base + 3)))
+    Array.unsafe_set w i (load_be32 block (off + (4 * i)))
   done;
   for i = 16 to 63 do
-    let w15 = Array.unsafe_get w (i - 15) and w2 = Array.unsafe_get w (i - 2) in
-    let s0 = rotr w15 7 lxor rotr w15 18 lxor (w15 lsr 3) in
-    let s1 = rotr w2 17 lxor rotr w2 19 lxor (w2 lsr 10) in
     Array.unsafe_set w i
-      ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1)
+      ((Array.unsafe_get w (i - 16)
+       + small_sigma0 (Array.unsafe_get w (i - 15))
+       + Array.unsafe_get w (i - 7)
+       + small_sigma1 (Array.unsafe_get w (i - 2)))
       land mask32)
   done;
   let h = ctx.h in
@@ -75,23 +116,32 @@ let compress ctx block off =
   and f = ref h.(5)
   and g = ref h.(6)
   and hh = ref h.(7) in
-  for i = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = !e land !f lxor (lnot !e land !g) in
-    let t1 =
-      (!hh + s1 + ch + Array.unsafe_get k i + Array.unsafe_get w i) land mask32
-    in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = !a land !b lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land mask32 in
-    hh := !g;
-    g := !f;
-    f := !e;
-    e := (!d + t1) land mask32;
-    d := !c;
-    c := !b;
-    b := !a;
-    a := (t1 + t2) land mask32
+  for j = 0 to 7 do
+    let i = 8 * j in
+    let t = t1 w i !e !f !g !hh in
+    d := (!d + t) land mask32;
+    hh := (t + t2 !a !b !c) land mask32;
+    let t = t1 w (i + 1) !d !e !f !g in
+    c := (!c + t) land mask32;
+    g := (t + t2 !hh !a !b) land mask32;
+    let t = t1 w (i + 2) !c !d !e !f in
+    b := (!b + t) land mask32;
+    f := (t + t2 !g !hh !a) land mask32;
+    let t = t1 w (i + 3) !b !c !d !e in
+    a := (!a + t) land mask32;
+    e := (t + t2 !f !g !hh) land mask32;
+    let t = t1 w (i + 4) !a !b !c !d in
+    hh := (!hh + t) land mask32;
+    d := (t + t2 !e !f !g) land mask32;
+    let t = t1 w (i + 5) !hh !a !b !c in
+    g := (!g + t) land mask32;
+    c := (t + t2 !d !e !f) land mask32;
+    let t = t1 w (i + 6) !g !hh !a !b in
+    f := (!f + t) land mask32;
+    b := (t + t2 !c !d !e) land mask32;
+    let t = t1 w (i + 7) !f !g !hh !a in
+    e := (!e + t) land mask32;
+    a := (t + t2 !b !c !d) land mask32
   done;
   h.(0) <- (h.(0) + !a) land mask32;
   h.(1) <- (h.(1) + !b) land mask32;

@@ -922,6 +922,10 @@ let scan ?(deep = false) t =
           | `Not_heated -> Tamper.Not_heated
           | `Tampered evs -> Tamper.Tampered evs
           | `Torn _ -> Tamper.Tampered [ Tamper.Partially_burned ]
+          | `Burned meta when meta.line <> line ->
+              (* A burn claiming another line is evidence without
+                 reading any data, as in {!verify_line}. *)
+              Tamper.Tampered [ Tamper.Meta_corrupt ]
           | `Burned _ when not deep -> Tamper.Intact
           | `Burned _ -> verify_line t ~line
       in

@@ -271,8 +271,10 @@ val scan : ?deep:bool -> t -> scan_entry list
 (** The fsck-style recovery pass (Section 5.2: after an attacker clears
     the directory structure, "a scan of the medium would definitely
     recover (albeit slowly) all the heated files").  Reads every line's
-    write-once area electrically; with [deep] also verifies the data of
-    burned lines.  Rebuilds the heated-line cache as a side effect. *)
+    write-once area electrically; a burn that names another line is
+    [Tampered [Meta_corrupt]], as in {!verify_line}.  With [deep] also
+    verifies the data of burned lines.  Rebuilds the heated-line cache
+    as a side effect. *)
 
 type block_class =
   | Healthy

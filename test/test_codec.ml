@@ -165,6 +165,20 @@ let crc_detects_flip =
       Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x5A));
       Codec.Crc32.string s <> Codec.Crc32.string (Bytes.to_string b))
 
+(* The unboxed form chains like the boxed one, from any split. *)
+let crc_update_chains =
+  QCheck.Test.make ~name:"update chains equal bytes at any split" ~count:300
+    QCheck.(pair (string_of_size Gen.(0 -- 300)) small_nat)
+    (fun (s, k) ->
+      let b = Bytes.of_string s and n = String.length s in
+      let k = if n = 0 then 0 else k mod (n + 1) in
+      let chained =
+        Codec.Crc32.update (Codec.Crc32.update 0 b 0 k) b k (n - k)
+      in
+      chained = Int32.to_int (Codec.Crc32.bytes b 0 n) land 0xFFFFFFFF
+      && Codec.Crc32.bytes ~crc:(Int32.of_int (Codec.Crc32.update 0 b 0 k)) b k (n - k)
+         = Codec.Crc32.string s)
+
 (* {1 GF(256)} *)
 
 let byte = QCheck.int_range 0 255
@@ -564,6 +578,131 @@ let rs_cases =
         | _ -> Alcotest.fail "expected clean");
   ]
 
+(* The clean screen the library had before it took eight bytes per
+   step, kept as the oracle: S0-S3 by Horner, one table lookup per
+   syndrome per byte. *)
+let oracle_stab =
+  Array.init (4 * 256) (fun j ->
+      Codec.Gf256.mul (j land 0xFF) (Codec.Gf256.exp (j lsr 8)))
+
+let oracle_syndromes cw ~off ~len =
+  let s = Array.make 4 0 in
+  for j = off to off + len - 1 do
+    let b = Char.code (Bytes.get cw j) in
+    for i = 0 to 3 do
+      s.(i) <- oracle_stab.((256 * i) + s.(i)) lxor b
+    done
+  done;
+  s
+
+let screen_oracle cw ~off ~len =
+  Array.for_all (( = ) 0) (oracle_syndromes cw ~off ~len)
+
+let screen = Codec.Rs.probably_clean rs
+
+(* A buffer of random bytes with the codeword of [len - 24] random data
+   bytes at [off]. *)
+let random_codeword rng buf ~off ~len =
+  let data =
+    String.init (len - Codec.Rs.nparity rs) (fun _ ->
+        Char.chr (Sim.Prng.int rng 256))
+  in
+  Bytes.blit_string (data ^ Codec.Rs.parity rs data) 0 buf off len
+
+let screen_every_length =
+  QCheck.Test.make
+    ~name:"screen == oracle: every length 0-255, random offsets" ~count:40
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Sim.Prng.create seed in
+      let ok = ref true in
+      for len = 0 to 255 do
+        let off = Sim.Prng.int rng 16 in
+        let buf =
+          Bytes.init (off + len + Sim.Prng.int rng 16) (fun _ ->
+              Char.chr (Sim.Prng.int rng 256))
+        in
+        ok := !ok && screen buf ~off ~len = screen_oracle buf ~off ~len;
+        if len >= Codec.Rs.nparity rs then begin
+          random_codeword rng buf ~off ~len;
+          ok := !ok && screen buf ~off ~len && screen_oracle buf ~off ~len
+        end
+      done;
+      !ok)
+
+(* S0-S3 are the syndromes of a code of distance 5, so no nonzero error
+   of weight 4 or less can vanish at all four roots. *)
+let screen_few_errors =
+  QCheck.Test.make ~name:"screen: a codeword plus 1-4 symbol errors fails"
+    ~count:500
+    QCheck.(triple (int_range 24 255) (int_range 1 4) (int_range 0 1_000_000))
+    (fun (len, nerr, seed) ->
+      let rng = Sim.Prng.create seed in
+      let off = Sim.Prng.int rng 16 in
+      let buf = Bytes.make (off + len + 8) '\x00' in
+      random_codeword rng buf ~off ~len;
+      let cw = Bytes.sub buf off len in
+      corrupt rng cw (min nerr len);
+      Bytes.blit cw 0 buf off len;
+      not (screen buf ~off ~len))
+
+(* x^k prod_{j <> i} (x - alpha^j) vanishes at the three other roots
+   and not at alpha^i, so a screen that drops syndrome i accepts it. *)
+let screen_each_syndrome =
+  QCheck.Test.make ~name:"screen: an error seen by one syndrome alone fails"
+    ~count:300
+    QCheck.(triple (int_range 24 255) (int_range 0 251) (int_range 0 1_000_000))
+    (fun (len, k, seed) ->
+      let k = k mod (len - 3) in
+      let rng = Sim.Prng.create seed in
+      let off = Sim.Prng.int rng 16 in
+      List.for_all
+        (fun i ->
+          let buf = Bytes.make (off + len + 8) '\x00' in
+          random_codeword rng buf ~off ~len;
+          (* Highest degree first: p.(t) is the coefficient of
+             x^(3 - t), which sits at byte len - 4 - k + t. *)
+          let p =
+            List.fold_left
+              (fun acc j ->
+                if j = i then acc
+                else Codec.Gf256.poly_mul acc [| 1; Codec.Gf256.exp j |])
+              [| 1 |] [ 0; 1; 2; 3 ]
+          in
+          Array.iteri
+            (fun t c ->
+              let at = off + len - 4 - k + t in
+              Bytes.set buf at (Char.chr (Char.code (Bytes.get buf at) lxor c)))
+            p;
+          let synd = oracle_syndromes buf ~off ~len in
+          (not (screen buf ~off ~len))
+          && Array.for_all Fun.id
+               (Array.mapi (fun j v -> (v <> 0) = (j = i)) synd))
+        [ 0; 1; 2; 3 ])
+
+let screen_cases =
+  [
+    Alcotest.test_case "screen allocates nothing" `Quick (fun () ->
+        let image =
+          Bytes.of_string
+            (Codec.Sector.encode ~pba:5 ~kind:Codec.Sector.Data ~generation:1
+               (String.make 512 's'))
+        in
+        let sector () =
+          screen image ~off:0 ~len:255
+          && screen image ~off:255 ~len:255
+          && screen image ~off:510 ~len:94
+        in
+        Alcotest.(check bool) "clean" true (sector ());
+        let before = Gc.minor_words () in
+        for _ = 1 to 100 do
+          ignore (Sys.opaque_identity (sector ()))
+        done;
+        let words = Gc.minor_words () -. before in
+        if words > 0. then
+          Alcotest.failf "300 screens allocated %.0f words (gate 0)" words);
+  ]
+
 (* {1 Sector framing} *)
 
 let sector_roundtrip =
@@ -602,10 +741,10 @@ let sector_error_correction =
 (* The encoder the library had before it built the image in one
    buffer, kept as the oracle: a Binio frame, its CRC, then slice by
    slice through {!encode_blocks}. *)
-let oracle_sector_encode ~pba ~kind ~generation payload =
+let oracle_frame ?(magic = 0x5E20) ~kind_code ~pba ~generation payload =
   let w = Codec.Binio.W.create ~capacity:532 () in
-  Codec.Binio.W.u16 w 0x5E20;
-  Codec.Binio.W.u8 w (Codec.Sector.kind_to_int kind);
+  Codec.Binio.W.u16 w magic;
+  Codec.Binio.W.u8 w kind_code;
   Codec.Binio.W.u8 w 0;
   Codec.Binio.W.u64 w pba;
   Codec.Binio.W.u32 w generation;
@@ -613,7 +752,12 @@ let oracle_sector_encode ~pba ~kind ~generation payload =
   Codec.Binio.W.raw w (String.make (512 - String.length payload) '\x00');
   let crc = Codec.Crc32.string (Codec.Binio.W.contents w) in
   Codec.Binio.W.u32 w (Int32.to_int crc land 0xFFFFFFFF);
-  encode_blocks rs (Codec.Binio.W.contents w)
+  Codec.Binio.W.contents w
+
+let oracle_sector_encode ~pba ~kind ~generation payload =
+  encode_blocks rs
+    (oracle_frame ~kind_code:(Codec.Sector.kind_to_int kind) ~pba ~generation
+       payload)
 
 let sector_kinds =
   Codec.Sector.[ Data; Inode; Summary; Checkpoint; Hash_meta ]
@@ -689,6 +833,135 @@ let sector_oracle =
       let image = Bytes.to_string image in
       Codec.Sector.decode image = oracle_sector_decode image)
 
+(* The fast path the library had before it read the image in place,
+   kept as the oracle: it copies the framed bytes out of a clean image
+   (its screen is the screen oracle) and parses them with a Binio
+   reader.  Anything it rejects goes to {!oracle_sector_decode}, the
+   slow path composed around the RS oracle. *)
+module Sector_oracle = struct
+  let fast coded base =
+    let m = Codec.Rs.max_data rs and npar = Codec.Rs.nparity rs in
+    let clean = ref true and off = ref base and remaining = ref 532 in
+    while !remaining > 0 && !clean do
+      let take = min m !remaining in
+      if not (screen_oracle coded ~off:!off ~len:(take + npar)) then
+        clean := false
+      else begin
+        off := !off + take + npar;
+        remaining := !remaining - take
+      end
+    done;
+    if not !clean then None
+    else begin
+      let framed = Bytes.create 532 in
+      let off = ref base and pos = ref 0 and remaining = ref 532 in
+      while !remaining > 0 do
+        let take = min m !remaining in
+        Bytes.blit coded !off framed !pos take;
+        off := !off + take + npar;
+        pos := !pos + take;
+        remaining := !remaining - take
+      done;
+      let framed = Bytes.unsafe_to_string framed in
+      let r = Codec.Binio.R.of_string framed in
+      let magic = Codec.Binio.R.u16 r in
+      let kind_code = Codec.Binio.R.u8 r in
+      let _reserved = Codec.Binio.R.u8 r in
+      let pba = Codec.Binio.R.u64 r in
+      let generation = Codec.Binio.R.u32 r in
+      let payload = Codec.Binio.R.raw r 512 in
+      let crc = Codec.Binio.R.u32 r in
+      match Codec.Sector.kind_of_int kind_code with
+      | Some kind
+        when magic = 0x5E20
+             && crc
+                = Int32.to_int (Codec.Crc32.string (String.sub framed 0 528))
+                  land 0xFFFFFFFF ->
+          Some { Codec.Sector.pba; kind; generation; payload; corrected_symbols = 0 }
+      | _ -> None
+    end
+
+  let decode_sub buf ~off =
+    match fast buf off with
+    | Some d -> Ok d
+    | None -> oracle_sector_decode (Bytes.sub_string buf off 604)
+end
+
+(* Images for the decoders: clean frames of every kind, RS-clean frames
+   whose header or CRC is wrong, and frames with symbol errors in one
+   slice. *)
+type sector_case =
+  | Clean
+  | Bad_magic of int
+  | Bad_kind of int
+  | Crc_flip of int
+  | Errors of int * int
+
+let sector_case_image rng case ~pba ~k ~generation payload =
+  let frame ?magic ?(kind_code = k) () =
+    Bytes.of_string (oracle_frame ?magic ~kind_code ~pba ~generation payload)
+  in
+  let kind = List.nth Codec.Sector.[ Data; Inode; Summary; Checkpoint; Hash_meta ] k in
+  match case with
+  | Clean -> Bytes.of_string (Codec.Sector.encode ~pba ~kind ~generation payload)
+  | Bad_magic magic -> Bytes.of_string (encode_blocks rs (Bytes.to_string (frame ~magic ())))
+  | Bad_kind kind_code ->
+      Bytes.of_string (encode_blocks rs (Bytes.to_string (frame ~kind_code ())))
+  | Crc_flip bit ->
+      let f = frame () in
+      let at = 528 + (bit / 8) in
+      Bytes.set f at (Char.chr (Char.code (Bytes.get f at) lxor (1 lsl (bit mod 8))));
+      Bytes.of_string (encode_blocks rs (Bytes.to_string f))
+  | Errors (slice, n) ->
+      let image =
+        Bytes.of_string (Codec.Sector.encode ~pba ~kind ~generation payload)
+      in
+      let len = if slice = 2 then 94 else 255 in
+      let cw = Bytes.sub image (255 * slice) len in
+      corrupt rng cw n;
+      Bytes.blit cw 0 image (255 * slice) len;
+      image
+
+let sector_decode_fast_oracle =
+  let case =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, return Clean);
+          (1, map (fun m -> if m = 0x5E20 then Bad_magic 0 else Bad_magic m) (0 -- 0xFFFF));
+          (1, map (fun k -> Bad_kind k) (5 -- 255));
+          (1, map (fun b -> Crc_flip b) (0 -- 31));
+          (2, map2 (fun s n -> Errors (s, n)) (0 -- 2) (1 -- 13));
+        ])
+  in
+  QCheck.Test.make
+    ~name:"decode_sub == oracle decoder: kinds, bad frames, symbol errors"
+    ~count:1000
+    QCheck.(
+      pair (make case)
+        (quad (string_of_size Gen.(0 -- 512)) (int_range 0 max_int) (int_range 0 4)
+           (pair (int_range 0 0xFFFFFFFF) (int_range 0 1_000_000))))
+    (fun (case, (payload, pba, k, (generation, seed))) ->
+      let rng = Sim.Prng.create seed in
+      let image = sector_case_image rng case ~pba ~k ~generation payload in
+      let off = Sim.Prng.int rng 40 in
+      let buf =
+        Bytes.init (off + 604 + Sim.Prng.int rng 40) (fun _ ->
+            Char.chr (Sim.Prng.int rng 256))
+      in
+      Bytes.blit image 0 buf off 604;
+      let got = Codec.Sector.decode_sub buf ~off in
+      got = Sector_oracle.decode_sub buf ~off
+      &&
+      match (case, got) with
+      | Clean, Ok d -> d.Codec.Sector.pba = pba && d.Codec.Sector.generation = generation
+      | Clean, Error _ -> false
+      | (Bad_magic _ | Bad_kind _), r -> r = Error Codec.Sector.Bad_header
+      | Crc_flip _, r -> r = Error Codec.Sector.Bad_crc
+      (* Up to 12 errors a slice are corrected: only the slow path can. *)
+      | Errors (_, n), Ok d -> n <= 12 && d.Codec.Sector.corrected_symbols = n
+      | Errors (_, n), Error _ -> n > 12)
+
 let sector_cases =
   [
     Alcotest.test_case "overhead about 15%" `Quick (fun () ->
@@ -734,7 +1007,7 @@ let sector_encode_cases =
             sector_kinds
         done);
     (* The old encoder copied the frame six times (~490 words); one
-       image buffer, the CRC's boxed int32s and three closures are ~120. *)
+       image buffer and two closures are ~90. *)
     Alcotest.test_case "encode allocates under 200 words" `Quick (fun () ->
         let payload = String.make 512 'p' in
         let encode () =
@@ -751,6 +1024,26 @@ let sector_encode_cases =
         let words = (Gc.minor_words () -. before) /. 100. in
         if words >= 200. then
           Alcotest.failf "Sector.encode allocated %.0f words (gate 200)" words);
+    (* The fast path reads the image in place: what a clean decode
+       allocates is the payload, the record and its [Ok]. *)
+    Alcotest.test_case "clean decode_sub allocates under 100 words" `Quick
+      (fun () ->
+        let buf = Bytes.make 700 '\x00' in
+        Bytes.blit_string
+          (Codec.Sector.encode ~pba:7 ~kind:Codec.Sector.Data ~generation:1
+             (String.make 512 'p'))
+          0 buf 33 604;
+        let decode () = Sys.opaque_identity (Codec.Sector.decode_sub buf ~off:33) in
+        (match decode () with
+        | Ok d -> Alcotest.(check int) "pba" 7 d.Codec.Sector.pba
+        | Error _ -> Alcotest.fail "clean image did not decode");
+        let before = Gc.minor_words () in
+        for _ = 1 to 100 do
+          ignore (decode ())
+        done;
+        let words = (Gc.minor_words () -. before) /. 100. in
+        if words >= 100. then
+          Alcotest.failf "Sector.decode_sub allocated %.0f words (gate 100)" words);
   ]
 
 (* {1 WOM code} *)
@@ -837,20 +1130,23 @@ let () =
         @ List.map qtest
             [ manchester_roundtrip; manchester_spreading; manchester_density;
               manchester_tamper; manchester_oracle ] );
-      ("crc32", crc_cases @ [ qtest crc_detects_flip ]);
+      ("crc32", crc_cases @ [ qtest crc_detects_flip; qtest crc_update_chains ]);
       ("gf256", List.map qtest gf_tests);
       ( "reed-solomon",
         rs_cases @ rs_erasure_cases
         @ List.map qtest
             [ rs_corrects; rs_overload; rs_blocks_roundtrip;
               rs_erasures_correct; rs_erasures_plus_errors; rs_oracle_errors;
-              rs_oracle_random; rs_oracle_codes; rs_parity_into ] );
+              rs_oracle_random; rs_oracle_codes; rs_parity_into;
+              screen_every_length; screen_few_errors; screen_each_syndrome ]
+        @ screen_cases );
       ( "sector",
         sector_cases
         @ List.map qtest
             [ sector_roundtrip; sector_error_correction; sector_oracle;
               sector_encode_oracle ]
-        @ sector_encode_cases );
+        @ sector_encode_cases
+        @ [ qtest sector_decode_fast_oracle ] );
       ("wom", wom_cases @ List.map qtest [ wom_two_generations; wom_monotone ]);
       ("binio", binio_cases @ [ qtest binio_roundtrip ]);
     ]

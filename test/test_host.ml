@@ -334,6 +334,29 @@ let test_audit_line_volume () =
   Alcotest.(check (list int))
     "mirror split" [ P.st_ok; P.st_tampered ] split.P.r_phases
 
+(* A well-formed burn on line 5 that names line 3: the whole-device
+   Audit (a shallow scan) must convict it as Audit_line does. *)
+let test_audit_forged_claim () =
+  let dev, _, server = mkserver () in
+  let lay = Sero.Device.layout dev in
+  Sero.Device.unsafe_forge_burn dev
+    ~hash_pba:(Sero.Layout.hash_block_of_line lay 5)
+    ~data_pbas:(Sero.Layout.data_blocks_of_line lay 5)
+    ~claim_line:3;
+  let s = Host.Server.session server ~tenant:7 in
+  let line = Host.Server.call s (P.Audit_line { line = 5 }) in
+  Alcotest.(check (list int))
+    "audit-line" [ P.st_ok; P.st_tampered ] line.P.r_phases;
+  let all = Host.Server.call s P.Audit in
+  Alcotest.(check (list int)) "audit" [ P.st_ok; P.st_tampered ] all.P.r_phases;
+  let payload = all.P.r_payload and needle = "tampered=1" in
+  let n = String.length needle in
+  let rec has i =
+    i + n <= String.length payload
+    && (String.sub payload i n = needle || has (i + 1))
+  in
+  Alcotest.(check bool) (Printf.sprintf "payload %S" payload) true (has 0)
+
 (* {1 Single-tenant equivalence}
 
    The law the host layer must not break: one tenant through
@@ -583,6 +606,8 @@ let () =
               test_audit_line_device;
             Alcotest.test_case "volume target attests the quorum" `Quick
               test_audit_line_volume;
+            Alcotest.test_case "audit convicts a burn claiming another line"
+              `Quick test_audit_forged_claim;
           ] );
         ("equivalence", [ qtest host_equivalence ]);
         ( "golden",

@@ -394,6 +394,28 @@ let whole_device_cases =
         Alcotest.(check bool) "fully RO" true (Sero.Device.is_fully_ro dev);
         Alcotest.(check int) "no WMRM left" 0
           (Sero.Device.stats dev).Sero.Device.wmrm_data_blocks_left);
+    (* A well-formed burn on line 5 that names line 3: the shallow scan
+       (what the host's Audit runs) once called it intact. *)
+    Alcotest.test_case "shallow scan convicts a burn claiming another line"
+      `Quick (fun () ->
+        let dev = make_dev ~n_blocks:256 ~line_exp:3 () in
+        let lay = Sero.Device.layout dev in
+        fill_line dev 5;
+        Sero.Device.unsafe_forge_burn dev
+          ~hash_pba:(Sero.Layout.hash_block_of_line lay 5)
+          ~data_pbas:(Sero.Layout.data_blocks_of_line lay 5)
+          ~claim_line:3;
+        let expected = Sero.Device.verify_line dev ~line:5 in
+        Alcotest.(check bool) "verify_line convicts" true
+          (expected = Sero.Tamper.Tampered [ Sero.Tamper.Meta_corrupt ]);
+        List.iter
+          (fun deep ->
+            let e = List.nth (Sero.Device.scan ~deep dev) 5 in
+            Alcotest.(check string)
+              (Printf.sprintf "scan ~deep:%b" deep)
+              (Format.asprintf "%a" Sero.Tamper.pp_verdict expected)
+              (Format.asprintf "%a" Sero.Tamper.pp_verdict e.Sero.Device.verdict))
+          [ false; true ]);
   ]
 
 (* {1 Image persistence} *)
