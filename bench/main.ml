@@ -404,7 +404,7 @@ let e25_host =
   ]
 
 (* E26: the fleet substrate's wall-clock face — CoW clone cost and the
-   classic hold-model churn on both scheduler twins (pop the minimum,
+   classic hold-model churn on the event heap (pop the minimum,
    reschedule it an exponential step later, dense pending set). *)
 let e26_fleet =
   let golden =
@@ -415,13 +415,12 @@ let e26_fleet =
     (fun pba -> ignore (Sero.Device.write_block golden ~pba payload_512))
     (Array.of_list (Sero.Layout.data_blocks_of_line lay 1));
   let hold_rng = Sim.Prng.create 0xE26 in
-  let wheel = Sim.Wheel.create () in
   let heap = Sim.Heap.create () in
   (* 4k live timers, every key within an exponential horizon of now —
-     the shape a Des instance actually holds in the dense regime. *)
+     far denser than any Des instance in the studies, which hold at
+     most a few dozen pending events. *)
   for i = 0 to 4095 do
     let at = Sim.Prng.exponential hold_rng 1.0 in
-    Sim.Wheel.push wheel at i;
     Sim.Heap.push heap at i
   done;
   [
@@ -429,12 +428,6 @@ let e26_fleet =
       (Staged.stage (fun () ->
            let d = Sero.Device.clone golden in
            Sero.Device.park d));
-    Test.make ~name:"e26 wheel hold (4k pending)"
-      (Staged.stage (fun () ->
-           let k = Sim.Wheel.min_key wheel in
-           let v = Sim.Wheel.min_value wheel in
-           Sim.Wheel.drop_min wheel;
-           Sim.Wheel.push wheel (k +. Sim.Prng.exponential hold_rng 1.0) v));
     Test.make ~name:"e26 heap hold (4k pending)"
       (Staged.stage (fun () ->
            let k = Sim.Heap.min_key heap in
@@ -501,15 +494,15 @@ let human ns =
    root, so the perf trajectory is scriptable across commits.  With
    --compare BASELINE.json the run additionally prints per-group deltas
    against the baseline and exits non-zero when the simulated smoke set
-   regresses by more than 25%. *)
+   regresses by more than 25% or lacks a metric the baseline gates. *)
 
 let read_file path =
   try Some (In_channel.with_open_text path In_channel.input_all)
   with Sys_error _ -> None
 
-(* The repo root (nearest ancestor holding [.git]) anchors both the
-   HEAD lookup and the output file, so the bench lands BENCH_<sha>.json
-   at the root no matter which directory launched it. *)
+(* The repo root (nearest ancestor holding [.git]) anchors the output
+   file, so the bench lands BENCH_<sha>.json at the root no matter
+   which directory launched it. *)
 let repo_root () =
   let rec up dir n =
     if n = 0 then "."
@@ -518,45 +511,12 @@ let repo_root () =
   in
   up Filename.current_dir_name 16
 
-let starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.equal (String.sub s 0 (String.length prefix)) prefix
-
-(* Resolve HEAD by hand: the bench must not depend on a git binary or
-   any process spawning.  BENCH_SHA overrides (CI passes the commit it
-   checked out); failing everything, the file is BENCH_local.json. *)
-let git_sha () =
-  let git p = Filename.concat (repo_root ()) (Filename.concat ".git" p) in
-  let read_file p = read_file (git p) in
-  let short s = if String.length s > 12 then String.sub s 0 12 else s in
-  match Sys.getenv_opt "BENCH_SHA" with
-  | Some s when s <> "" -> short (String.trim s)
-  | Some _ | None -> (
-      match read_file "HEAD" with
-      | None -> "local"
-      | Some head -> (
-          let head = String.trim head in
-          if not (starts_with ~prefix:"ref: " head) then short head
-          else
-            let r = String.sub head 5 (String.length head - 5) in
-            match read_file r with
-            | Some sha -> short (String.trim sha)
-            | None -> (
-                (* Ref not loose: scan packed-refs. *)
-                match read_file "packed-refs" with
-                | None -> "local"
-                | Some packed ->
-                    String.split_on_char '\n' packed
-                    |> List.find_map (fun line ->
-                           match String.index_opt line ' ' with
-                           | Some i
-                             when String.equal
-                                    (String.sub line (i + 1)
-                                       (String.length line - i - 1))
-                                    r ->
-                               Some (short (String.sub line 0 i))
-                           | Some _ | None -> None)
-                    |> Option.value ~default:"local")))
+(* CI passes the commit it checked out as BENCH_SHA; a local run
+   writes BENCH_local.json. *)
+let bench_sha () =
+  match Option.map String.trim (Sys.getenv_opt "BENCH_SHA") with
+  | Some s when s <> "" -> if String.length s > 12 then String.sub s 0 12 else s
+  | Some _ | None -> "local"
 
 let json_escape s =
   let buf = Buffer.create (String.length s) in
@@ -609,7 +569,6 @@ let simulated_metrics () =
     ("e25 wfs p99 ratio", qos.Expt.Qos_study.wfs_ratio);
     ("e25 fifo p99 ratio", qos.Expt.Qos_study.fifo_ratio);
     ("e25 rejection pct", qos.Expt.Qos_study.overload_rejection_pct);
-    ("e26 wheel speedup", fleet.Expt.Fleet_study.h_wheel_speedup);
     ("e26 clone heap kib", fleet.Expt.Fleet_study.h_clone_heap_kib);
     ("e26 clone segments", fleet.Expt.Fleet_study.h_clone_segments);
     ("e26 cow kib per device", fleet.Expt.Fleet_study.h_cow_kib_per_device);
@@ -773,7 +732,6 @@ let compare_baseline ~baseline ~results ~simulated =
                        "e21 read speedup";
                        "e23 detected replicas";
                        "e25 fifo p99 ratio";
-                       "e26 wheel speedup";
                        "e27 starved undetected";
                      ]
               in
@@ -785,6 +743,15 @@ let compare_baseline ~baseline ~results ~simulated =
               Printf.printf "  %-24s %10.2f -> %10.2f  %s\n" name old now
                 (if regressed then "REGRESSED" else "ok"))
         simulated;
+      (* A baseline key the run no longer produces would otherwise drop
+         out of the gate without a trace. *)
+      List.iter
+        (fun (name, old) ->
+          if not (List.mem_assoc name simulated) then begin
+            ok := false;
+            Printf.printf "  %-24s %10.2f -> %10s  MISSING\n" name old "-"
+          end)
+        base_sim;
       !ok
 
 let baseline_arg () =
@@ -851,7 +818,7 @@ let () =
     (fun (name, v) -> Printf.printf "  %-46s %10.2f\n" name v)
     simulated;
   let path =
-    write_json ~sha:(git_sha ()) ~quota ~simulated
+    write_json ~sha:(bench_sha ()) ~quota ~simulated
       (List.map (fun (_, name, ns) -> (name, ns)) results)
   in
   Printf.printf "machine-readable results: %s\n" path;
@@ -861,6 +828,8 @@ let () =
   | None -> ()
   | Some baseline ->
       if not (compare_baseline ~baseline ~results ~simulated) then begin
-        print_endline "FAIL: simulated smoke set regressed past the 25% gate";
+        print_endline
+          "FAIL: simulated smoke set regressed past the 25% gate or lost a \
+           gated metric";
         exit 1
       end

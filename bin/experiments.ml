@@ -29,7 +29,7 @@ let experiments =
     ("endure", "E22: endurance lifecycle (health ledger x migration)", Expt.Endurance_study.print);
     ("array", "E23: sharded array (quorum x degraded mode x rebuild)", Expt.Array_study.print);
     ("qos", "E25: multi-tenant QoS (tenants x arbiter under Zipf)", Expt.Qos_study.print);
-    ("fleet", "E26: fleet fan-out (CoW clones x PRNG streams x calendar queue)", Expt.Fleet_study.print);
+    ("fleet", "E26: fleet fan-out (CoW clones x PRNG streams)", Expt.Fleet_study.print);
     ("campaign", "E27: insider campaigns vs a bounded audit budget", Expt.Campaign_study.print);
     ("lfs", "E9: LFS clustering/bimodality study (slowest)", Expt.Lfs_study.print);
   ]

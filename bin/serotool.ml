@@ -922,12 +922,9 @@ let fleet_cmd devices ops seed jobs =
   else begin
     let f = Expt.Fleet_study.run_fleet ~seed ~ops devices in
     let p50, p95, p99 = Sim.Stats.quantiles f.Expt.Fleet_study.f_lat in
-    Format.printf
-      "fleet: %d devices (%d jobs), %d ops, %d events, %d scheduler \
-       comparisons@."
+    Format.printf "fleet: %d devices (%d jobs), %d ops, %d events@."
       f.Expt.Fleet_study.f_devices (Sim.Pool.jobs ())
-      f.Expt.Fleet_study.f_ops f.Expt.Fleet_study.f_events
-      f.Expt.Fleet_study.f_sched_work;
+      f.Expt.Fleet_study.f_ops f.Expt.Fleet_study.f_events;
     Format.printf
       "fleet: latency p50/p95/p99 = %.3f/%.3f/%.3f ms, %d scrub rewrites, \
        %d CoW segments@."

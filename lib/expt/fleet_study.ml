@@ -1,7 +1,6 @@
 (* E26 — fleet-scale simulation substrate: CoW device cloning,
    keyed per-device PRNG streams and deterministic fan-out over
-   Sim.Fleet, with the calendar-queue scheduler carrying the event
-   load.
+   Sim.Fleet, each device on its own Sim.Des clock.
 
    One golden device is formatted per worker domain (cheap, and a pure
    function of the constants below); every fleet member is a CoW clone
@@ -75,7 +74,6 @@ type fleet = {
   f_devices : int;
   f_ops : int;
   f_events : int;
-  f_sched_work : int;
   f_tampers : int;
   f_fails : int;
   f_scrub_rewrites : int;
@@ -90,7 +88,6 @@ let empty_fleet () =
     f_devices = 0;
     f_ops = 0;
     f_events = 0;
-    f_sched_work = 0;
     f_tampers = 0;
     f_fails = 0;
     f_scrub_rewrites = 0;
@@ -106,7 +103,6 @@ let merge_fleet = function
         f_devices = sum (fun a -> a.f_devices);
         f_ops = sum (fun a -> a.f_ops);
         f_events = sum (fun a -> a.f_events);
-        f_sched_work = sum (fun a -> a.f_sched_work);
         f_tampers = sum (fun a -> a.f_tampers);
         f_fails = sum (fun a -> a.f_fails);
         f_scrub_rewrites = sum (fun a -> a.f_scrub_rewrites);
@@ -172,13 +168,11 @@ let run_device ~ops ~rng i =
     (Sero.Scrub.report_of_progress progress).Sero.Scrub.rewritten
   in
   let segs = Pmedia.Medium.owned_segments (Probe.Pdevice.medium pdev) in
-  let work = Sim.Des.sched_work des in
   Sero.Device.park dev;
   {
     f_devices = 1;
     f_ops = !completed;
     f_events = !events;
-    f_sched_work = work;
     f_tampers = !tampers;
     f_fails = !fails;
     f_scrub_rewrites = rewritten;
@@ -190,50 +184,6 @@ let run_fleet ?(seed = 0xE26) ?(ops = default_ops) n =
   Sim.Fleet.map_merge ~seed n
     ~f:(fun ~rng i -> run_device ~ops ~rng i)
     ~merge:merge_fleet
-
-(* Dense-event scheduler cell: the same self-rescheduling population is
-   run under both Des schedulers.  The twins fire events in the same
-   order, so the shared PRNG makes identical draws and the two runs
-   schedule identical event sets — only the comparison work differs. *)
-
-type sched_cell = {
-  s_population : int;
-  s_fired : int;
-  s_heap_work : int;
-  s_wheel_work : int;
-  s_speedup : float;  (* heap work / wheel work; acceptance: >= 3 *)
-}
-
-let default_sched_population = 8192
-let sched_rounds = 3
-
-let run_sched_once ~population sched =
-  let des = Sim.Des.create ~sched () in
-  let rng = Sim.Prng.create 0x5EED in
-  let fired = ref 0 in
-  let rec arm ~round ~at =
-    Sim.Des.schedule_at des ~at (fun _ ->
-        incr fired;
-        if round < sched_rounds then
-          arm ~round:(round + 1) ~at:(at +. Sim.Prng.exponential rng 1.0))
-  in
-  for _ = 1 to population do
-    arm ~round:0 ~at:(Sim.Prng.uniform rng)
-  done;
-  Sim.Des.run des;
-  (!fired, Sim.Des.sched_work des)
-
-let sched_bench ?(population = default_sched_population) () =
-  let fired_h, heap = run_sched_once ~population Sim.Des.Binary_heap in
-  let fired_w, wheel = run_sched_once ~population Sim.Des.Timing_wheel in
-  assert (fired_h = fired_w);
-  {
-    s_population = population;
-    s_fired = fired_w;
-    s_heap_work = heap;
-    s_wheel_work = wheel;
-    s_speedup = float_of_int heap /. float_of_int wheel;
-  }
 
 (* Idle-clone footprint cell: OCaml-heap words retained per parked
    clone (the packed medium payload lives off-heap in Bigarrays and is
@@ -280,13 +230,12 @@ type headline = {
   h_tampers : int;
   h_fails : int;
   h_lat_p99_ms : float;
-  h_wheel_speedup : float;
   h_clone_heap_kib : float;
   h_clone_segments : float;
   h_cow_kib_per_device : float;
 }
 
-let headline_of ~fleet ~sched ~clone =
+let headline_of ~fleet ~clone =
   let _, _, p99 = Sim.Stats.quantiles fleet.f_lat in
   {
     h_devices = fleet.f_devices;
@@ -294,7 +243,6 @@ let headline_of ~fleet ~sched ~clone =
     h_tampers = fleet.f_tampers;
     h_fails = fleet.f_fails;
     h_lat_p99_ms = p99;
-    h_wheel_speedup = sched.s_speedup;
     h_clone_heap_kib = clone.c_heap_kib;
     h_clone_segments = clone.c_segments;
     h_cow_kib_per_device =
@@ -305,35 +253,28 @@ let headline_of ~fleet ~sched ~clone =
 
 let headline ?(devices = 512) ?ops () =
   let clone = measure_clones () in
-  let sched = sched_bench () in
   let fleet = run_fleet ?ops devices in
-  headline_of ~fleet ~sched ~clone
+  headline_of ~fleet ~clone
 
 let print ppf =
   let clone = measure_clones () in
-  let sched = sched_bench () in
   let t0 = Sys.time () in
   let rows = List.map (fun n -> run_fleet n) curve in
   let wall = Sys.time () -. t0 in
   Format.fprintf ppf
-    "E26 — fleet fan-out: CoW clones x keyed PRNG streams x calendar queue@.";
+    "E26 — fleet fan-out: CoW clones x keyed PRNG streams@.";
   Format.fprintf ppf "%s@." (String.make 78 '-');
-  Format.fprintf ppf "  %7s %6s %7s %9s %7s %5s %5s %8s %8s %8s@." "devices"
-    "ops" "events" "schedwork" "rewrite" "tamp" "fail" "p50(ms)" "p95(ms)"
-    "p99(ms)";
+  Format.fprintf ppf "  %7s %6s %7s %7s %5s %5s %8s %8s %8s@." "devices"
+    "ops" "events" "rewrite" "tamp" "fail" "p50(ms)" "p95(ms)" "p99(ms)";
   List.iter
     (fun f ->
       let p50, p95, p99 = Sim.Stats.quantiles f.f_lat in
-      Format.fprintf ppf "  %7d %6d %7d %9d %7d %5d %5d %8.3f %8.3f %8.3f@."
-        f.f_devices f.f_ops f.f_events f.f_sched_work f.f_scrub_rewrites
-        f.f_tampers f.f_fails p50 p95 p99)
+      Format.fprintf ppf "  %7d %6d %7d %7d %5d %5d %8.3f %8.3f %8.3f@."
+        f.f_devices f.f_ops f.f_events f.f_scrub_rewrites f.f_tampers
+        f.f_fails p50 p95 p99)
     rows;
   let last = List.nth rows (List.length rows - 1) in
-  let h = headline_of ~fleet:last ~sched ~clone in
-  Format.fprintf ppf
-    "scheduler: %d dense events — heap %d comparisons, wheel %d (%.1fx less \
-     work)@."
-    sched.s_fired sched.s_heap_work sched.s_wheel_work h.h_wheel_speedup;
+  let h = headline_of ~fleet:last ~clone in
   Format.fprintf ppf
     "clones: %.1f KiB OCaml heap and %.2f private segments per idle clone; \
      %.1f KiB@."

@@ -1,71 +1,37 @@
+(* Kept for perfbench's machine fingerprint alone; see des.mli. *)
 type sched = Binary_heap | Timing_wheel
 
-(* Process-wide default, overridable per-queue at [create] and globally
-   via the SERO_SCHED environment variable ("heap" / "wheel").  Both
-   schedulers realise the same (timestamp, schedule-order) total order,
-   so flipping the default cannot change any trace — only the cost of
-   producing it. *)
-let env_default () =
-  match Sys.getenv_opt "SERO_SCHED" with
-  | Some "heap" -> Some Binary_heap
-  | Some "wheel" -> Some Timing_wheel
-  | _ -> None
+let default_sched () = Binary_heap
 
-let global_default =
-  ref (match env_default () with Some s -> s | None -> Timing_wheel)
+type t = { mutable clock : float; queue : (t -> unit) Heap.t }
 
-let set_default_sched s = global_default := s
-let default_sched () = !global_default
-
-type queue = H of (t -> unit) Heap.t | W of (t -> unit) Wheel.t
-and t = { mutable clock : float; queue : queue }
-
-let create ?sched () =
-  let sched = match sched with Some s -> s | None -> !global_default in
-  let queue =
-    match sched with
-    | Binary_heap -> H (Heap.create ())
-    | Timing_wheel -> W (Wheel.create ())
-  in
-  { clock = 0.; queue }
-
-let sched t = match t.queue with H _ -> Binary_heap | W _ -> Timing_wheel
+let create () = { clock = 0.; queue = Heap.create () }
 let now t = t.clock
 
 let schedule_at t ~at f =
+  (* Every comparison with NaN is false, so the past check below would
+     wave it through and the heap would fire it out of order. *)
+  if not (Float.is_finite at) then
+    invalid_arg "Des.schedule_at: non-finite time";
   if at < t.clock then invalid_arg "Des.schedule_at: event in the past";
-  (* Both queues are stable, so equal-timestamp events fire in the
-     order they were scheduled — no extra sequencing needed here. *)
-  match t.queue with
-  | H q -> Heap.push q at f
-  | W q -> Wheel.push q at f
+  (* The heap is stable, so equal-timestamp events fire in the order
+     they were scheduled — no extra sequencing needed here. *)
+  Heap.push t.queue at f
 
 let schedule t ~delay f =
   if delay < 0. then invalid_arg "Des.schedule: negative delay";
   schedule_at t ~at:(t.clock +. delay) f
 
-let q_empty t =
-  match t.queue with H q -> Heap.is_empty q | W q -> Wheel.is_empty q
-
-let q_min_key t =
-  match t.queue with H q -> Heap.min_key q | W q -> Wheel.min_key q
-
 (* Fire the next event without allocating an option pair. *)
 let fire_min t =
-  match t.queue with
-  | H q ->
-      let at = Heap.min_key q and f = Heap.min_value q in
-      Heap.drop_min q;
-      t.clock <- at;
-      f t
-  | W q ->
-      let at = Wheel.min_key q and f = Wheel.min_value q in
-      Wheel.drop_min q;
-      t.clock <- at;
-      f t
+  let q = t.queue in
+  let at = Heap.min_key q and f = Heap.min_value q in
+  Heap.drop_min q;
+  t.clock <- at;
+  f t
 
 let step t =
-  if q_empty t then false
+  if Heap.is_empty t.queue then false
   else begin
     fire_min t;
     true
@@ -73,19 +39,16 @@ let step t =
 
 let run ?until t =
   match until with
-  | None -> while not (q_empty t) do fire_min t done
+  | None -> while not (Heap.is_empty t.queue) do fire_min t done
   | Some limit ->
       let continue = ref true in
       while !continue do
-        if q_empty t then continue := false
-        else if q_min_key t > limit then begin
+        if Heap.is_empty t.queue then continue := false
+        else if Heap.min_key t.queue > limit then begin
           t.clock <- limit;
           continue := false
         end
         else fire_min t
       done
 
-let pending t = match t.queue with H q -> Heap.size q | W q -> Wheel.size q
-
-let sched_work t =
-  match t.queue with H q -> Heap.work q | W q -> Wheel.work q
+let pending t = Heap.size t.queue

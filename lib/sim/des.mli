@@ -6,40 +6,30 @@
     ({!Sero.Queue}) need ordered future events.  Events are thunks
     fired in timestamp order; events with {e equal} timestamps fire in
     the order they were scheduled (FIFO), so traces are reproducible
-    even when submissions and completions coincide on the clock.
-
-    Two interchangeable schedulers implement that contract: the stable
-    binary {!Heap} (O(log n) per op) and the calendar-queue {!Wheel}
-    (O(1) amortised in the dense-event regime).  They realise the same
-    [(timestamp, schedule order)] total order, so every trace is
-    bit-identical under either — the knob only changes cost, never
-    behaviour.  The wheel is the default; select per-queue with
-    [create ~sched] or process-wide with {!set_default_sched} / the
-    [SERO_SCHED] environment variable ("heap" or "wheel"). *)
+    even when submissions and completions coincide on the clock.  The
+    queue is the stable binary {!Heap}. *)
 
 type t
 
 type sched = Binary_heap | Timing_wheel
+(** Not a choice: {!default_sched} always answers [Binary_heap].  The
+    type and {!default_sched} exist only because perfbench's machine
+    fingerprint matches on them. *)
 
-val set_default_sched : sched -> unit
 val default_sched : unit -> sched
-(** Process-wide default used when [create] is not given [~sched].
-    Initialised from [SERO_SCHED] if set, else {!Timing_wheel}. *)
 
-val create : ?sched:sched -> unit -> t
-
-val sched : t -> sched
-(** Which scheduler backs this queue. *)
+val create : unit -> t
 
 val now : t -> float
 (** Current simulated time in seconds. *)
 
 val schedule : t -> delay:float -> (t -> unit) -> unit
 (** [schedule t ~delay f] fires [f] at [now t +. delay].
-    @raise Invalid_argument if [delay < 0]. *)
+    @raise Invalid_argument if [delay < 0] or the time is not finite. *)
 
 val schedule_at : t -> at:float -> (t -> unit) -> unit
-(** @raise Invalid_argument if [at < now t]. *)
+(** @raise Invalid_argument if [at] is not finite or [at < now t]; the
+    queue is left untouched. *)
 
 val run : ?until:float -> t -> unit
 (** Drain the event queue, optionally stopping once simulated time would
@@ -50,8 +40,3 @@ val step : t -> bool
 (** Fire the single next event; [false] if the queue was empty. *)
 
 val pending : t -> int
-
-val sched_work : t -> int
-(** Deterministic effort counter of the backing scheduler (comparisons
-    for the heap, scan/insert hops for the wheel) — the byte-stable
-    basis for the wheel-vs-heap bench gate. *)

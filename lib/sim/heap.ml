@@ -4,7 +4,6 @@ type 'a t = {
   mutable vals : 'a option array;
   mutable size : int;
   mutable next_stamp : int;
-  mutable work : int;
 }
 
 let initial_cap = 16
@@ -16,15 +15,13 @@ let create () =
     vals = Array.make initial_cap None;
     size = 0;
     next_stamp = 0;
-    work = 0;
   }
 
 let is_empty t = t.size = 0
 let size t = t.size
-let capacity t = Array.length t.keys
-let work t = t.work
 
-let resize_to t cap =
+let grow t =
+  let cap = 2 * Array.length t.keys in
   let keys = Array.make cap 0.
   and stamps = Array.make cap 0
   and vals = Array.make cap None in
@@ -34,20 +31,6 @@ let resize_to t cap =
   t.keys <- keys;
   t.stamps <- stamps;
   t.vals <- vals
-
-let grow t = resize_to t (2 * Array.length t.keys)
-
-(* Smallest power-of-two capacity (>= initial_cap) holding [size]. *)
-let snug_cap size =
-  let cap = ref initial_cap in
-  while !cap < size do
-    cap := 2 * !cap
-  done;
-  !cap
-
-let trim t =
-  let want = snug_cap t.size in
-  if want < Array.length t.keys then resize_to t want
 
 let swap t i j =
   let k = t.keys.(i) and s = t.stamps.(i) and v = t.vals.(i) in
@@ -59,11 +42,8 @@ let swap t i j =
   t.vals.(j) <- v
 
 (* Lexicographic (key, insertion stamp): equal keys pop in push order,
-   which is what makes the heap — and everything above it — stable.
-   Every comparison bumps [work], the deterministic effort counter the
-   scheduler benches ratio against {!Wheel.work}. *)
+   which is what makes the heap — and everything above it — stable. *)
 let less t i j =
-  t.work <- t.work + 1;
   t.keys.(i) < t.keys.(j)
   || (t.keys.(i) = t.keys.(j) && t.stamps.(i) < t.stamps.(j))
 
@@ -127,15 +107,3 @@ let pop t =
     remove_min t;
     Some (key, v)
   end
-
-(* A burst leaves peak-size arrays behind; clear hands them back so a
-   drained queue costs its initial footprint, not its high-water mark. *)
-let clear t =
-  if Array.length t.keys > initial_cap then begin
-    t.keys <- Array.make initial_cap 0.;
-    t.stamps <- Array.make initial_cap 0;
-    t.vals <- Array.make initial_cap None
-  end
-  else Array.fill t.vals 0 (Array.length t.vals) None;
-  t.size <- 0;
-  t.next_stamp <- 0

@@ -1,5 +1,4 @@
-(** Binary min-heap keyed by float, used by the event queue ({!Des}) and
-    by the LFS cleaner's cost-benefit segment selection.
+(** Binary min-heap keyed by float: the event queue under {!Des}.
 
     The heap is {e stable}: entries pushed with equal keys pop in push
     order (each push takes a monotonic insertion stamp and ordering is
@@ -11,11 +10,6 @@ type 'a t
 val create : unit -> 'a t
 val is_empty : 'a t -> bool
 val size : 'a t -> int
-
-val capacity : 'a t -> int
-(** Current backing-array capacity (doubles on growth; see {!trim} and
-    {!clear} for giving a burst's high-water mark back). *)
-
 val push : 'a t -> float -> 'a -> unit
 val peek : 'a t -> (float * 'a) option
 val pop : 'a t -> (float * 'a) option
@@ -32,16 +26,3 @@ val drop_min : 'a t -> unit
 (** Remove the minimum entry — with {!min_key}/{!min_value} this is the
     allocation-free hot-path equivalent of {!pop}.
     @raise Invalid_argument on an empty heap. *)
-
-val clear : 'a t -> unit
-(** Empty the heap {e and} shed capacity back to the initial footprint,
-    so a drained queue does not pin its burst high-water mark. *)
-
-val trim : 'a t -> unit
-(** Shrink capacity to the smallest power of two holding the current
-    entries (never below the initial footprint). *)
-
-val work : 'a t -> int
-(** Deterministic effort counter: total key comparisons since creation.
-    The scheduler equivalence bench gates the wheel-vs-heap win on this
-    rather than on wall-clock, so the figure is byte-stable. *)

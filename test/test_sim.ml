@@ -269,28 +269,6 @@ let heap_cases =
         Alcotest.(check int) "size" 2 (Sim.Heap.size h);
         Alcotest.(check (option (pair (float 0.) string))) "pop" (Some (1., "a")) (Sim.Heap.pop h);
         Alcotest.(check int) "size after" 1 (Sim.Heap.size h));
-    Alcotest.test_case "clear empties" `Quick (fun () ->
-        let h = Sim.Heap.create () in
-        for i = 1 to 20 do
-          Sim.Heap.push h (float_of_int i) i
-        done;
-        Sim.Heap.clear h;
-        Alcotest.(check bool) "empty" true (Sim.Heap.is_empty h));
-    Alcotest.test_case "clear and trim shed capacity" `Quick (fun () ->
-        let h = Sim.Heap.create () in
-        for i = 1 to 1000 do
-          Sim.Heap.push h (float_of_int i) i
-        done;
-        Alcotest.(check bool) "grew" true (Sim.Heap.capacity h >= 1000);
-        for _ = 1 to 990 do
-          Sim.Heap.drop_min h
-        done;
-        Sim.Heap.trim h;
-        Alcotest.(check int) "snug" 16 (Sim.Heap.capacity h);
-        Alcotest.(check int) "kept" 10 (Sim.Heap.size h);
-        Alcotest.(check (float 0.)) "min survives trim" 991. (Sim.Heap.min_key h);
-        Sim.Heap.clear h;
-        Alcotest.(check int) "initial" 16 (Sim.Heap.capacity h));
     Alcotest.test_case "min_key/min_value/drop_min match pop" `Quick (fun () ->
         let h = Sim.Heap.create () in
         List.iteri (fun i k -> Sim.Heap.push h k i) [ 3.; 1.; 2.; 1. ];
@@ -300,161 +278,54 @@ let heap_cases =
         Alcotest.(check int) "fifo tie next" 3 (Sim.Heap.min_value h);
         Alcotest.check_raises "empty min" (Invalid_argument "Heap.min_key: empty heap")
           (fun () ->
-            Sim.Heap.clear h;
+            while not (Sim.Heap.is_empty h) do
+              Sim.Heap.drop_min h
+            done;
             ignore (Sim.Heap.min_key h)));
   ]
 
-(* {1 Calendar queue (Wheel)} *)
-
-let drain_wheel w =
-  let rec go acc =
-    match Sim.Wheel.pop w with None -> List.rev acc | Some kv -> go (kv :: acc)
-  in
-  go []
-
-let drain_heap h =
-  let rec go acc =
-    match Sim.Heap.pop h with None -> List.rev acc | Some kv -> go (kv :: acc)
-  in
-  go []
-
 (* Key generator with deliberate collisions: a handful of quantised
-   magnitudes so FIFO ties and bucket crowding both happen. *)
-let tie_keys =
-  QCheck.(
-    list_of_size Gen.(int_range 0 200)
-      (map (fun k -> float_of_int k /. 4.) (int_range (-40) 40)))
+   magnitudes so FIFO ties happen often. *)
+let tie_key =
+  QCheck.map (fun k -> float_of_int k /. 4.) (QCheck.int_range (-40) 40)
 
-let wheel_sorts =
-  QCheck.Test.make ~name:"wheel pops in key order" ~count:200
-    QCheck.(small_list (float_range (-1000.) 1000.))
-    (fun keys ->
-      let w = Sim.Wheel.create () in
-      List.iteri (fun i k -> Sim.Wheel.push w k i) keys;
-      List.map fst (drain_wheel w) = List.sort compare keys)
-
-let wheel_matches_heap =
-  QCheck.Test.make
-    ~name:"wheel and heap drain identically (FIFO ties included)" ~count:300
-    tie_keys
-    (fun keys ->
-      let w = Sim.Wheel.create () and h = Sim.Heap.create () in
-      List.iteri
-        (fun i k ->
-          Sim.Wheel.push w k i;
-          Sim.Heap.push h k i)
-        keys;
-      drain_wheel w = drain_heap h)
-
-let wheel_matches_heap_interleaved =
-  (* Random push/pop interleavings hit the cursor reset and halving
-     paths that a pure push-then-drain run never sees. *)
-  QCheck.Test.make ~name:"wheel == heap under push/pop interleavings"
-    ~count:200
-    QCheck.(list (option (pair (int_range (-40) 40) (int_range 1 3))))
+let heap_matches_model =
+  (* A random push/pop script: every pop must return the head of the
+     pending entries stably sorted by key, so ties pop in push order
+     however pushes and pops interleave. *)
+  QCheck.Test.make ~name:"heap pops like a stable-sorted list model"
+    ~count:300
+    QCheck.(list_of_size Gen.(int_range 0 200) (option tie_key))
     (fun script ->
-      let w = Sim.Wheel.create () and h = Sim.Heap.create () in
+      let h = Sim.Heap.create () in
+      (* Pending entries; equal keys stay in push order. *)
+      let model = ref [] in
+      let model_pop () =
+        match
+          List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) !model
+        with
+        | [] -> None
+        | kv :: rest ->
+            model := rest;
+            Some kv
+      in
       let i = ref 0 in
       List.for_all
-        (fun op ->
-          match op with
-          | Some (k, times) ->
-              let key = float_of_int k /. 8. in
-              for _ = 1 to times do
-                incr i;
-                Sim.Wheel.push w key !i;
-                Sim.Heap.push h key !i
-              done;
+        (function
+          | Some key ->
+              incr i;
+              Sim.Heap.push h key !i;
+              model := !model @ [ (key, !i) ];
               true
-          | None -> Sim.Wheel.pop w = Sim.Heap.pop h)
+          | None -> Sim.Heap.pop h = model_pop ())
         script
-      && drain_wheel w = drain_heap h)
-
-let wheel_cases =
-  [
-    Alcotest.test_case "peek does not remove" `Quick (fun () ->
-        let w = Sim.Wheel.create () in
-        Sim.Wheel.push w 2. "b";
-        Sim.Wheel.push w 1. "a";
-        Alcotest.(check (option (pair (float 0.) string))) "peek" (Some (1., "a"))
-          (Sim.Wheel.peek w);
-        Alcotest.(check int) "size" 2 (Sim.Wheel.size w);
-        Alcotest.(check (option (pair (float 0.) string))) "pop" (Some (1., "a"))
-          (Sim.Wheel.pop w);
-        Alcotest.(check int) "size after" 1 (Sim.Wheel.size w));
-    Alcotest.test_case "resize round trip stays sorted and stable" `Quick
-      (fun () ->
-        (* 10k pushes force several doublings, the drain forces the
-           halvings on the way back down. *)
-        let w = Sim.Wheel.create () in
-        let rng = Sim.Prng.create 11 in
-        for i = 0 to 9_999 do
-          Sim.Wheel.push w (float_of_int (Sim.Prng.int rng 500)) i
-        done;
-        let popped = drain_wheel w in
-        let sorted =
-          List.stable_sort (fun (a, _) (b, _) -> compare a b) popped
-        in
-        Alcotest.(check int) "all back" 10_000 (List.length popped);
-        Alcotest.(check bool) "sorted and FIFO-stable" true (popped = sorted));
-    Alcotest.test_case "clock-like workload with huge key span" `Quick
-      (fun () ->
-        (* Sparse far-future keys next to dense near ones exercise the
-           year-scan fallback and the width re-anchor. *)
-        let w = Sim.Wheel.create () in
-        Sim.Wheel.push w 1e12 `Far;
-        Sim.Wheel.push w 0.5 `Near;
-        Sim.Wheel.push w 3.5e6 `Mid;
-        Alcotest.(check bool) "near first" true
-          (Sim.Wheel.pop w = Some (0.5, `Near));
-        Alcotest.(check bool) "mid next" true
-          (Sim.Wheel.pop w = Some (3.5e6, `Mid));
-        Alcotest.(check bool) "far last" true
-          (Sim.Wheel.pop w = Some (1e12, `Far)));
-    Alcotest.test_case "non-finite keys rejected" `Quick (fun () ->
-        let w = Sim.Wheel.create () in
-        Alcotest.check_raises "nan" (Invalid_argument "Wheel.push: non-finite key")
-          (fun () -> Sim.Wheel.push w Float.nan ());
-        Alcotest.check_raises "inf" (Invalid_argument "Wheel.push: non-finite key")
-          (fun () -> Sim.Wheel.push w Float.infinity ()));
-    Alcotest.test_case "clear empties and resets" `Quick (fun () ->
-        let w = Sim.Wheel.create () in
-        for i = 1 to 100 do
-          Sim.Wheel.push w (float_of_int i) i
-        done;
-        Sim.Wheel.clear w;
-        Alcotest.(check bool) "empty" true (Sim.Wheel.is_empty w);
-        Sim.Wheel.push w 7. 7;
-        Alcotest.(check (float 0.)) "usable after clear" 7. (Sim.Wheel.min_key w));
-    Alcotest.test_case "wheel does less work than heap when dense" `Quick
-      (fun () ->
-        (* The headline O(1) claim on the hold model: 4k live timers
-           (every key within an exponential horizon of now), pop-min /
-           push-later churn; steady-state comparison counts must
-           separate by at least the E26 acceptance factor of 3. *)
-        let w = Sim.Wheel.create () and h = Sim.Heap.create () in
-        let rng_w = Sim.Prng.create 13 and rng_h = Sim.Prng.create 13 in
-        for i = 0 to 4_095 do
-          Sim.Wheel.push w (Sim.Prng.exponential rng_w 1.0) i;
-          Sim.Heap.push h (Sim.Prng.exponential rng_h 1.0) i
-        done;
-        let w0 = Sim.Wheel.work w and h0 = Sim.Heap.work h in
-        for _ = 1 to 20_000 do
-          let k = Sim.Wheel.min_key w and v = Sim.Wheel.min_value w in
-          Sim.Wheel.drop_min w;
-          Sim.Wheel.push w (k +. Sim.Prng.exponential rng_w 1.0) v;
-          let k = Sim.Heap.min_key h and v = Sim.Heap.min_value h in
-          Sim.Heap.drop_min h;
-          Sim.Heap.push h (k +. Sim.Prng.exponential rng_h 1.0) v
-        done;
-        let ratio =
-          float_of_int (Sim.Heap.work h - h0)
-          /. float_of_int (Sim.Wheel.work w - w0)
-        in
-        Alcotest.(check bool)
-          (Printf.sprintf "heap/wheel work ratio %.1f >= 3" ratio)
-          true (ratio >= 3.));
-  ]
+      &&
+      let rec drains () =
+        match model_pop () with
+        | None -> Sim.Heap.is_empty h
+        | Some kv -> Sim.Heap.pop h = Some kv && drains ()
+      in
+      drains ())
 
 (* {1 DES kernel} *)
 
@@ -511,6 +382,23 @@ let des_cases =
               (Invalid_argument "Des.schedule_at: event in the past") (fun () ->
                 Sim.Des.schedule_at t ~at:1. (fun _ -> ())));
         Sim.Des.run des);
+    Alcotest.test_case "non-finite event times are rejected" `Quick (fun () ->
+        (* NaN slips past every ordered comparison, so without a finite
+           check it would fire out of order and poison the clock. *)
+        let des = Sim.Des.create () in
+        Sim.Des.schedule des ~delay:1. (fun _ -> ());
+        let rejects what f =
+          Alcotest.check_raises what
+            (Invalid_argument "Des.schedule_at: non-finite time") f;
+          Alcotest.(check int) (what ^ " leaves the queue") 1
+            (Sim.Des.pending des)
+        in
+        rejects "nan delay" (fun () ->
+            Sim.Des.schedule des ~delay:Float.nan (fun _ -> ()));
+        rejects "at infinity" (fun () ->
+            Sim.Des.schedule_at des ~at:Float.infinity (fun _ -> ()));
+        rejects "at neg_infinity" (fun () ->
+            Sim.Des.schedule_at des ~at:Float.neg_infinity (fun _ -> ())));
   ]
 
 (* {1 Pool} *)
@@ -736,57 +624,48 @@ let pool_matches_list_map =
       Sim.Pool.parallel_map ~jobs (fun x -> (x * 7) - 1) xs
       = List.map (fun x -> (x * 7) - 1) xs)
 
-(* {1 Scheduler twins} *)
+(* {1 DES against a list model} *)
 
-(* The same scheduling script must produce the same event log under both
-   Des back-ends — the wheel is an equivalence twin of the heap, not an
-   approximation of it. *)
-let des_twins_agree =
-  QCheck.Test.make ~name:"Des event logs identical under heap and wheel"
+let des_matches_model =
+  (* Handlers reschedule themselves a little later, so ties created at
+     run time are checked too.  The model fires the pending event with
+     the smallest (time, scheduling sequence) first. *)
+  QCheck.Test.make ~name:"Des fires like a (time, sequence) list model"
     ~count:200
-    QCheck.(list (pair (int_range 0 20) (int_range 0 2)))
+    QCheck.(
+      list_of_size Gen.(int_range 0 80) (pair (int_range 0 20) (int_range 0 2)))
     (fun script ->
-      let run sched =
-        let des = Sim.Des.create ~sched () in
-        let log = ref [] in
-        List.iteri
-          (fun tag (at, respawn) ->
-            Sim.Des.schedule_at des ~at:(float_of_int at /. 2.) (fun t ->
-                log := (tag, Sim.Des.now t) :: !log;
-                (* Handlers reschedule themselves a little later, so
-                   ties created at run time are compared too. *)
-                for k = 1 to respawn do
-                  Sim.Des.schedule t ~delay:(float_of_int k /. 4.) (fun t ->
-                      log := (100 + tag, Sim.Des.now t) :: !log)
-                done))
-          script;
-        Sim.Des.run des;
-        List.rev !log
+      let des = Sim.Des.create () in
+      let log = ref [] in
+      List.iteri
+        (fun tag (at, respawn) ->
+          Sim.Des.schedule_at des ~at:(float_of_int at /. 2.) (fun t ->
+              log := (tag, Sim.Des.now t) :: !log;
+              for k = 1 to respawn do
+                Sim.Des.schedule t ~delay:(float_of_int k /. 4.) (fun t ->
+                    log := (100 + tag, Sim.Des.now t) :: !log)
+              done))
+        script;
+      Sim.Des.run des;
+      let seq = ref 0 and pending = ref [] in
+      let add time tag respawn =
+        pending := (time, !seq, tag, respawn) :: !pending;
+        incr seq
       in
-      run Sim.Des.Binary_heap = run Sim.Des.Timing_wheel)
-
-let sched_cases =
-  [
-    Alcotest.test_case "SERO_SCHED-independent default is settable" `Quick
-      (fun () ->
-        let saved = Sim.Des.default_sched () in
-        Sim.Des.set_default_sched Sim.Des.Binary_heap;
-        Alcotest.(check bool) "heap default" true
-          (Sim.Des.sched (Sim.Des.create ()) = Sim.Des.Binary_heap);
-        Sim.Des.set_default_sched Sim.Des.Timing_wheel;
-        Alcotest.(check bool) "wheel default" true
-          (Sim.Des.sched (Sim.Des.create ()) = Sim.Des.Timing_wheel);
-        Sim.Des.set_default_sched saved);
-    Alcotest.test_case "sched_work counts scheduler comparisons" `Quick
-      (fun () ->
-        let des = Sim.Des.create () in
-        Alcotest.(check int) "idle" 0 (Sim.Des.sched_work des);
-        for i = 1 to 100 do
-          Sim.Des.schedule des ~delay:(float_of_int (i mod 7)) (fun _ -> ())
-        done;
-        Sim.Des.run des;
-        Alcotest.(check bool) "counted" true (Sim.Des.sched_work des > 0));
-  ]
+      List.iteri
+        (fun tag (at, respawn) -> add (float_of_int at /. 2.) tag respawn)
+        script;
+      let rec fire acc =
+        match List.sort compare !pending with
+        | [] -> List.rev acc
+        | (time, _, tag, respawn) :: rest ->
+            pending := rest;
+            for k = 1 to respawn do
+              add (time +. (float_of_int k /. 4.)) (100 + tag) 0
+            done;
+            fire ((tag, time) :: acc)
+      in
+      List.rev !log = fire [])
 
 (* {1 Keyed PRNG streams} *)
 
@@ -990,15 +869,10 @@ let () =
            qtest quantiles_match_percentile;
            qtest stats_merge_associative;
          ]);
-      ("heap", heap_cases @ [ qtest heap_sorts; qtest heap_stable ]);
-      ("wheel",
-       wheel_cases
-       @ [
-           qtest wheel_sorts;
-           qtest wheel_matches_heap;
-           qtest wheel_matches_heap_interleaved;
-         ]);
-      ("des", des_cases @ sched_cases @ [ qtest des_twins_agree ]);
+      ("heap",
+       heap_cases
+       @ [ qtest heap_sorts; qtest heap_stable; qtest heap_matches_model ]);
+      ("des", des_cases @ [ qtest des_matches_model ]);
       ("lru", lru_cases @ [ qtest lru_matches_model ]);
       ("pool", pool_cases @ [ qtest pool_matches_list_map ]);
       ("fleet", fleet_cases @ [ qtest fleet_jobs_invariant ]);
