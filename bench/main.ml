@@ -266,10 +266,12 @@ let e20_queue =
       (Staged.stage (round ~policy:Probe.Sched.Elevator ~coalesce:true));
     Test.make ~name:"e20 queue 32 reads (fifo, scalar)"
       (Staged.stage (round ~policy:Probe.Sched.Fifo ~coalesce:false));
-    Test.make ~name:"e20 sync facade read_block"
+    Test.make ~name:"e20 await read_block"
       (let q = Sero.Queue.create (Sim.Des.create ()) dev in
        Staged.stage (fun () ->
-           ignore (Sero.Queue.read_block q ~pba:pbas.(40))));
+           ignore
+             (Sero.Queue.await q (fun k ->
+                  Sero.Queue.submit_read q ~pba:pbas.(40) k))));
   ]
 
 let e21_bcache =

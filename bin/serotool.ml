@@ -498,11 +498,7 @@ let inject image seed flips tear tear_cells =
 let scrub image threshold deep =
   with_device image (fun dev ->
       let config =
-        {
-          Sero.Scrub.default_config with
-          Sero.Scrub.correction_threshold = threshold;
-          deep_verify = deep;
-        }
+        { Sero.Scrub.correction_threshold = threshold; deep_verify = deep }
       in
       let report = Sero.Scrub.pass ~config dev in
       Format.fprintf std "%a@." Sero.Scrub.pp_report report;

@@ -40,7 +40,7 @@ let examine v ~dev ~local =
   | `Not_heated -> (Unheated, 1, 0)
   | `Torn _ | `Tampered _ -> (Convicted, 1, 0)
   | `Burned m -> (
-      match Volume.entry_verify v ~dev ~line:local with
+      match Sero.Bcache.verify_line (Volume.cache v ~dev) ~line:local with
       | Sero.Tamper.Intact -> (Clean m.Sero.Device.hash, 1, 1)
       | Sero.Tamper.Not_heated | Sero.Tamper.Tampered _ -> (Convicted, 1, 1))
 
@@ -264,7 +264,9 @@ let source_meta v ~line ~exclude_slot =
               Sero.Device.read_hash_block (Volume.device v ~dev) ~line:local
             with
             | `Burned meta -> (
-                match Volume.entry_verify v ~dev ~line:local with
+                match
+                  Sero.Bcache.verify_line (Volume.cache v ~dev) ~line:local
+                with
                 | Sero.Tamper.Intact -> Some (slot, meta)
                 | Sero.Tamper.Not_heated | Sero.Tamper.Tampered _ -> None)
             | `Not_heated | `Torn _ | `Tampered _ -> None)

@@ -23,7 +23,9 @@ let read_from_sources v ~sources ~pba =
     | [] -> if all_blank then `Blank else `Unreadable
     | slot :: rest -> (
         let dev = Volume.dev_of_slot v ~slot in
-        match Volume.entry_read v ~dev ~prio:bg ~pba with
+        match
+          Sero.Bcache.read_block (Volume.cache v ~dev) ~prio:bg ~pba
+        with
         | Ok payload -> `Data payload
         | Error Sero.Device.Blank -> go all_blank rest
         | Error _ -> go false rest)
@@ -32,11 +34,8 @@ let read_from_sources v ~sources ~pba =
 
 let heat_spare v ~spare ~line ~timestamp =
   let q = Volume.queue v ~dev:spare in
-  let result = ref None in
-  Sero.Queue.submit_heat_line q ~prio:bg ~line ~timestamp (fun r ->
-      result := Some r);
-  Sero.Queue.drain q;
-  Option.get !result
+  Sero.Queue.await q (fun k ->
+      Sero.Queue.submit_heat_line q ~prio:bg ~line ~timestamp k)
 
 (* Copy one local line onto the spare and, when the sources' mini-quorum
    yields a majority burn, re-burn the original hash + timestamp. *)
@@ -60,6 +59,7 @@ let rebuild_line v ~slot ~spare ~local acc =
     let flush_run start run =
       if run <> [] then
         let arr = Array.of_list (List.rev run) in
+        let q = Volume.queue v ~dev:spare in
         Array.iter
           (function
             | Ok () -> incr copied
@@ -69,7 +69,8 @@ let rebuild_line v ~slot ~spare ~local acc =
                     Format.asprintf "spare refused write: %a"
                       Sero.Device.pp_write_error e )
                   :: !failed)
-          (Volume.entry_write_span v ~dev:spare ~prio:bg ~pba:start arr)
+          (Sero.Queue.await q (fun k ->
+               Sero.Queue.submit_write_span q ~prio:bg ~pba:start arr k))
     in
     let rec walk start run = function
       | [] -> flush_run start run

@@ -38,7 +38,7 @@ let default_config ?(slots = 4) ?(replication = 2) ?(spares = 1)
 type entry = {
   e_dev : Sero.Device.t;
   e_q : Sero.Queue.t;
-  e_bc : Sero.Bcache.t option;
+  e_bc : Sero.Bcache.t;
   mutable e_inj : Fault.Injector.t option;
 }
 
@@ -81,6 +81,10 @@ let queue v ~dev =
   check_dev v dev;
   v.members.(dev).e_q
 
+let cache v ~dev =
+  check_dev v dev;
+  v.members.(dev).e_bc
+
 let dev_of_slot v ~slot =
   if slot < 0 || slot >= v.cfg.slots then
     invalid_arg (Printf.sprintf "Volume: slot %d out of range" slot);
@@ -109,11 +113,8 @@ let wrap_device cfg dev =
       ~read_retry_limit:cfg.read_retry_limit ~retry_backoff:cfg.retry_backoff
       des dev
   in
-  let bc =
-    Option.map (fun capacity -> Sero.Bcache.create ~capacity q)
-      cfg.cache_capacity
-  in
-  { e_dev = dev; e_q = q; e_bc = bc; e_inj = None }
+  let capacity = Option.value cfg.cache_capacity ~default:0 in
+  { e_dev = dev; e_q = q; e_bc = Sero.Bcache.create ~capacity q; e_inj = None }
 
 let make_map cfg lay =
   Amap.create ~slots:cfg.slots ~replication:cfg.replication
@@ -378,39 +379,6 @@ let fault_ledger v =
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
-(* Member IO plumbing                                                  *)
-
-let entry_read ?(tenant = 0) v ~dev ~prio ~pba =
-  check_dev v dev;
-  let e = v.members.(dev) in
-  match e.e_bc with
-  | Some bc -> Sero.Bcache.read_block ~prio ~tenant bc ~pba
-  | None -> Sero.Queue.read_block ~prio ~tenant e.e_q ~pba
-
-let entry_write ?(tenant = 0) v ~dev ~prio ~pba payload =
-  let e = v.members.(dev) in
-  match e.e_bc with
-  | Some bc -> Sero.Bcache.write_block ~prio ~tenant bc ~pba payload
-  | None -> Sero.Queue.write_block ~prio ~tenant e.e_q ~pba payload
-
-let entry_verify v ~dev ~line =
-  check_dev v dev;
-  let e = v.members.(dev) in
-  match e.e_bc with
-  | Some bc -> Sero.Bcache.verify_line bc ~line
-  | None -> Sero.Device.verify_line e.e_dev ~line
-
-let entry_write_span ?(tenant = 0) v ~dev ~prio ~pba payloads =
-  check_dev v dev;
-  Sero.Queue.write_span ~prio ~tenant v.members.(dev).e_q ~pba payloads
-
-let entry_heat ?(tenant = 0) v ~dev ~line ~timestamp =
-  let e = v.members.(dev) in
-  match e.e_bc with
-  | Some bc -> Sero.Bcache.heat_line ~tenant bc ~line ~timestamp ()
-  | None -> Sero.Queue.heat_line ~tenant e.e_q ~line ~timestamp ()
-
-(* ------------------------------------------------------------------ *)
 (* Volume IO                                                           *)
 
 type replica_fault =
@@ -447,7 +415,9 @@ let replica_cleared v ~dev ~local =
           Sero.Device.read_hash_block v.members.(dev).e_dev ~line:local
         with
         | `Not_heated -> true
-        | `Burned _ -> entry_verify v ~dev ~line:local = Sero.Tamper.Intact
+        | `Burned _ ->
+            Sero.Bcache.verify_line v.members.(dev).e_bc ~line:local
+            = Sero.Tamper.Intact
         | `Torn _ | `Tampered _ -> false
       in
       Hashtbl.replace v.verified (dev, local) ok;
@@ -483,7 +453,9 @@ let read_block ?(prio = Sero.Queue.Foreground) ?(tenant = 0) v ~vba =
               go ((slot, Failed_verify) :: errs) rest
             end
             else (
-              match entry_read ~tenant v ~dev ~prio ~pba with
+              match
+                Sero.Bcache.read_block ~prio ~tenant v.members.(dev).e_bc ~pba
+              with
               | Ok payload ->
                   if slot <> preferred then
                     v.degraded_reads <- v.degraded_reads + 1;
@@ -502,7 +474,8 @@ let write_block ?(prio = Sero.Queue.Foreground) ?(tenant = 0) v ~vba payload =
   List.iter
     (fun slot ->
       match
-        entry_write ~tenant v ~dev:v.slot_dev.(slot) ~prio ~pba payload
+        Sero.Bcache.write_block ~prio ~tenant
+          v.members.(v.slot_dev.(slot)).e_bc ~pba payload
       with
       | Ok () -> incr wrote
       | Error Sero.Device.Read_only_device -> ()
@@ -537,7 +510,10 @@ let heat_line ?(tenant = 0) v ~line ?timestamp () =
           (fun slot ->
             let dev = v.slot_dev.(slot) in
             let r =
-              match entry_heat ~tenant v ~dev ~line:local ~timestamp:ts with
+              match
+                Sero.Bcache.heat_line ~tenant v.members.(dev).e_bc ~line:local
+                  ~timestamp:ts ()
+              with
               | Ok h -> Ok h
               | Error Sero.Device.Already_heated -> (
                   (* A crash between replicas leaves some already burned;
@@ -578,12 +554,7 @@ let is_line_heated v ~line =
         ~line:local)
     (List.filter (serving v) (Amap.slots_of_line v.map line))
 
-let flush v =
-  Array.iter
-    (fun e ->
-      (match e.e_bc with Some bc -> Sero.Bcache.sync bc | None -> ());
-      Sero.Queue.drain e.e_q)
-    v.members
+let flush v = Array.iter (fun e -> Sero.Bcache.sync e.e_bc) v.members
 
 (* ------------------------------------------------------------------ *)
 (* Rebuild bookkeeping                                                 *)

@@ -2,8 +2,9 @@
 
     Each member is a full per-device stack — its own {!Sero.Device}
     (with RAS and endurance lifecycle), its own DES clock and
-    {!Sero.Queue} request pipeline, optionally its own {!Sero.Bcache} —
-    so a volume is a fleet in miniature, not one device with N platters.
+    {!Sero.Queue} request pipeline, and its own {!Sero.Bcache} block
+    stack over that queue (capacity 0 when uncached) — so a volume is a
+    fleet in miniature, not one device with N platters.
     The volume adds what no single device can give:
 
     - {b Replication}: every write fans out to all serving replicas of
@@ -43,7 +44,8 @@ type config = {
   policy : Probe.Sched.policy;
   read_retry_limit : int;
   retry_backoff : float;
-  cache_capacity : int option;  (** Per-member bcache; [None] = uncached. *)
+  cache_capacity : int option;
+      (** Per-member bcache capacity; [None] = uncached (capacity 0). *)
 }
 
 val default_config :
@@ -91,6 +93,13 @@ val trust : t -> Trust.t
 val n_devices : t -> int
 val device : t -> dev:int -> Sero.Device.t
 val queue : t -> dev:int -> Sero.Queue.t
+
+val cache : t -> dev:int -> Sero.Bcache.t
+(** The member's block stack: every read, write, heat and verify the
+    volume, {!Quorum} and {!Rebuild} issue to a member goes through it,
+    without ticking the volume op counter.  Capacity 0 when the volume
+    is uncached.  @raise Invalid_argument if [dev] is out of range. *)
+
 val dev_of_slot : t -> slot:int -> int
 val slot_of_dev : t -> dev:int -> int option
 val spare_pool : t -> int list
@@ -199,7 +208,8 @@ val is_line_heated : t -> line:int -> bool
 (** True if any serving replica has the line heated. *)
 
 val flush : t -> unit
-(** Flush every member's cache (if any) and drain every member queue. *)
+(** {!Sero.Bcache.sync} every member: buffered writes reach the medium
+    and every member queue drains. *)
 
 (** {1 Fault plans} *)
 
@@ -248,31 +258,7 @@ val stats : t -> stats
 val note_rebuilt : t -> unit
 val pp_stats : Format.formatter -> stats -> unit
 
-(** {1 Internal surface (quorum/rebuild/image)} *)
-
-val entry_read :
-  ?tenant:int ->
-  t ->
-  dev:int ->
-  prio:Sero.Queue.prio ->
-  pba:int ->
-  (string, Sero.Device.read_error) result
-(** Read through the member's cache/queue stack without ticking the
-    volume op counter (rebuild source traffic).  [tenant] (default [0])
-    tags the member-queue request for fair-share accounting. *)
-
-val entry_verify : t -> dev:int -> line:int -> Sero.Tamper.verdict
-(** {!Sero.Device.verify_line} on a member's {e local} line, flushing
-    its cache first so the verdict judges the durable medium. *)
-
-val entry_write_span :
-  ?tenant:int ->
-  t ->
-  dev:int ->
-  prio:Sero.Queue.prio ->
-  pba:int ->
-  string array ->
-  (unit, Sero.Device.write_error) result array
+(** {1 Rebuild bookkeeping} *)
 
 val swap_in_spare : t -> slot:int -> spare:int -> unit
 (** Commit point of a rebuild: [slot] is now served by device [spare]

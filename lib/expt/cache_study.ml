@@ -64,17 +64,16 @@ let run_cell ?(ops = 400) ~cache_lines ~read_ahead ~theta () =
     data_pbas;
   let des = Sim.Des.create () in
   let q = Sero.Queue.create des dev in
+  (* Cache size 0 is the bare pipeline: a capacity-0 cache sends every
+     operation straight to the queue. *)
   let bc =
-    if cache_lines = 0 then None
-    else
-      Some
-        (Sero.Bcache.create
-           ~capacity:(cache_lines * Sero.Layout.blocks_per_line lay)
-           ~read_ahead
-           (* Keep the dirty watermark low so write-behind pinning does
-              not crowd reads out of a small cache. *)
-           ~dirty_high:(max 1 (cache_lines * Sero.Layout.blocks_per_line lay / 8))
-           q)
+    Sero.Bcache.create
+      ~capacity:(cache_lines * Sero.Layout.blocks_per_line lay)
+      ~read_ahead
+      (* Keep the dirty watermark low so write-behind pinning does not
+         crowd reads out of a small cache. *)
+      ~dirty_high:(max 1 (cache_lines * Sero.Layout.blocks_per_line lay / 8))
+      q
   in
   let rng = Sim.Prng.create 0xE21 in
   let zipf = Workload.Zipf.create ~n:(Array.length data_pbas) ~theta in
@@ -96,12 +95,9 @@ let run_cell ?(ops = 400) ~cache_lines ~read_ahead ~theta () =
        ~stop:(fun () -> !client_done));
   let read_one ~record pba =
     let t0 = Sim.Des.now des in
-    let r =
-      match bc with
-      | Some c -> Sero.Bcache.read_block c ~pba
-      | None -> Sero.Queue.read_block q ~pba
-    in
-    (match r with Ok _ -> () | Error _ -> assert false);
+    (match Sero.Bcache.read_block bc ~pba with
+    | Ok _ -> ()
+    | Error _ -> assert false);
     if record then Sim.Stats.add read_lat (Sim.Des.now des -. t0)
   in
   for op = 1 to ops do
@@ -121,35 +117,30 @@ let run_cell ?(ops = 400) ~cache_lines ~read_ahead ~theta () =
     else begin
       let pba = data_pbas.(start) in
       let t0 = Sim.Des.now des in
-      let r =
-        match bc with
-        | Some c -> Sero.Bcache.write_block c ~pba (payload_of pba)
-        | None -> Sero.Queue.write_block q ~pba (payload_of pba)
-      in
-      (match r with Ok () -> () | Error _ -> assert false);
+      (match Sero.Bcache.write_block bc ~pba (payload_of pba) with
+      | Ok () -> ()
+      | Error _ -> assert false);
       if record then Sim.Stats.add write_lat (Sim.Des.now des -. t0)
     end;
     advance think_s
   done;
   client_done := true;
-  (match bc with Some c -> Sero.Bcache.sync c | None -> Sero.Queue.drain q);
-  let stats =
-    match bc with Some c -> Some (Sero.Bcache.stats c) | None -> None
-  in
+  Sero.Bcache.sync bc;
+  let stats = Sero.Bcache.stats bc in
   {
     cache_lines;
     read_ahead;
     theta;
     ops;
+    (* [hit_rate] is NaN with no lookups, which is all a capacity-0
+       cache ever sees. *)
     hit_pct =
-      (match bc with
-      | Some c -> 100. *. Sero.Bcache.hit_rate c
-      | None -> 0.);
-    ra_hits = (match stats with Some s -> s.Sero.Bcache.read_ahead_hits | None -> 0);
+      (if cache_lines = 0 then 0. else 100. *. Sero.Bcache.hit_rate bc);
+    ra_hits = stats.Sero.Bcache.read_ahead_hits;
     read_mean_ms = 1e3 *. Sim.Stats.mean read_lat;
     read_p95_ms = 1e3 *. Sim.Stats.p95 read_lat;
     write_mean_ms = 1e3 *. Sim.Stats.mean write_lat;
-    flush_spans = (match stats with Some s -> s.Sero.Bcache.flushed_spans | None -> 0);
+    flush_spans = stats.Sero.Bcache.flushed_spans;
   }
 
 let cache_sizes = [ 0; 1; 4; 16 ]

@@ -116,10 +116,24 @@ let audit_summary entries =
       (List.length entries) !intact !blank !tampered,
     !tampered )
 
+(* Target geometry, for refusing out-of-range addresses before anything
+   is submitted: the device layers raise on them. *)
+let n_blocks = function
+  | Device q -> (Sero.Device.config (Sero.Queue.device q)).Sero.Device.n_blocks
+  | Volume v -> Sarray.Amap.n_blocks (Sarray.Volume.map v)
+
+let n_lines = function
+  | Device q -> Sero.Layout.n_lines (Sero.Device.layout (Sero.Queue.device q))
+  | Volume v -> Sarray.Amap.logical_lines (Sarray.Volume.map v)
+
+let outside n x = x < 0 || x >= n
+
 (* Execute an admitted command.  Queue-path commands (read/write/heat on
    a device target) are asynchronous: the response is pushed when the
    queued request completes.  Electrical-path commands (verify, audit)
-   and every volume command run synchronously at submit time. *)
+   and every volume command run synchronously at submit time.  An
+   address outside the target is answered at once with the op's
+   failure status. *)
 let execute t ts (f : Proto.frame) =
   let t0 = now t in
   let tenant = f.Proto.tenant in
@@ -130,6 +144,18 @@ let execute t ts (f : Proto.frame) =
     sync ~read:false ~status:Proto.st_unsupported ~payload:""
   in
   match (t.target, f.Proto.cmd) with
+  | Device _, Proto.Array_read _ | Volume _, (Proto.Verify _ | Proto.Audit) ->
+      unsupported ()
+  | target, (Proto.Read { pba = a } | Proto.Array_read { vba = a })
+    when outside (n_blocks target) a ->
+      sync ~read:true ~status:Proto.st_read_error ~payload:""
+  | target, Proto.Write { pba; _ } when outside (n_blocks target) pba ->
+      sync ~read:false ~status:Proto.st_write_refused ~payload:""
+  | target, Proto.Heat { line; _ } when outside (n_lines target) line ->
+      sync ~read:false ~status:Proto.st_heat_refused ~payload:""
+  | target, (Proto.Verify { line } | Proto.Audit_line { line })
+    when outside (n_lines target) line ->
+      sync ~read:false ~status:Proto.st_read_error ~payload:""
   | Device q, Proto.Read { pba } ->
       Sero.Queue.submit_read q ~tenant ~pba (function
         | Ok payload -> finish t ts f ~t0 ~read:true ~status:Proto.st_ok ~payload
@@ -182,7 +208,6 @@ let execute t ts (f : Proto.frame) =
             | Sero.Tamper.Tampered _ -> Proto.st_tampered
           in
           finish t ts f ~t0 ~read:false ~status ~payload:"")
-  | Device _, Proto.Array_read _ -> unsupported ()
   | Volume v, (Proto.Read { pba = vba } | Proto.Array_read { vba }) -> (
       match Sarray.Volume.read_block ~tenant v ~vba with
       | Ok payload -> sync ~read:true ~status:Proto.st_ok ~payload
@@ -207,7 +232,6 @@ let execute t ts (f : Proto.frame) =
         | Sarray.Quorum.Line_offline -> Proto.st_read_error
       in
       sync ~read:false ~status ~payload:""
-  | Volume _, (Proto.Verify _ | Proto.Audit) -> unsupported ()
 
 let submit_frame t (f : Proto.frame) =
   t.submitted <- t.submitted + 1;

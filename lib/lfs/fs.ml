@@ -4,8 +4,6 @@ let state t = t.st
 let device t = t.st.State.dev
 let attach_queue t q = State.attach_queue t.st q
 let attach_cache t c = State.attach_cache t.st c
-let queue t = State.queue t.st
-let cache t = State.cache t.st
 
 let format ?policy ?icache_cap ?pcache_cap dev =
   let st = State.create ?policy ?icache_cap ?pcache_cap dev in

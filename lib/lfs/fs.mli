@@ -65,10 +65,10 @@ val attach_queue : t -> Sero.Queue.t -> unit
     cleaner's copies become [Background] traffic, all served under the
     queue's scheduling policy.  Semantically transparent — results are
     the ones the direct calls would produce — but latency now includes
-    queueing behind whatever else the device is serving.
+    queueing behind whatever else the device is serving.  The queue is
+    attached as the capacity-0 {!Sero.Bcache} over it, which replaces
+    (and first syncs) any attached cache.
     @raise State.Fs_error if the queue serves a different device. *)
-
-val queue : t -> Sero.Queue.t option
 
 val attach_cache : t -> Sero.Bcache.t -> unit
 (** Route the file system's block IO through a {!Sero.Bcache} buffer
@@ -76,10 +76,9 @@ val attach_cache : t -> Sero.Bcache.t -> unit
     service, sequential reads prefetch, writes are write-behind
     buffered until {!sync}, {!heat}, or cache pressure flushes them.
     [sync] (and [unmount]) remain durable: they flush the cache
-    through to the medium before returning.
+    through to the medium before returning.  The stack it replaces is
+    synced first.
     @raise State.Fs_error if the cache serves a different device. *)
-
-val cache : t -> Sero.Bcache.t option
 
 (** {1 Namespace} *)
 

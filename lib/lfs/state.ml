@@ -57,9 +57,8 @@ type t = {
   mutable next_ino : int;
   mutable seq : int;
   metrics : metrics;
-  mutable ioq : Sero.Queue.t option;
+  mutable io : Sero.Bcache.t option;
   mutable io_prio : Sero.Queue.prio;
-  mutable bcache : Sero.Bcache.t option;
 }
 
 let default_icache_cap = 256
@@ -124,9 +123,8 @@ let create ?(policy = default_policy) ?(icache_cap = default_icache_cap)
         segments_cleaned = 0;
         heats = 0;
       };
-    ioq = None;
+    io = None;
     io_prio = Sero.Queue.Foreground;
-    bcache = None;
   }
 
 let now t = Probe.Pdevice.elapsed (Sero.Device.pdevice t.dev)
@@ -173,52 +171,46 @@ let free_segments t =
 
    Every block the file system moves — foreground ops, cleaner copies,
    heat relocations — funnels through these three functions.  With a
-   request pipeline attached ({!attach_queue}) they become queued
-   submissions at the state's current priority class; without one they
-   are the original direct device calls. *)
+   block stack attached they go through it at the state's current
+   priority class; without one they are the original direct device
+   calls. *)
+
+let flush_block_cache t = Option.iter Sero.Bcache.sync t.io
+
+(* The replaced stack is synced first, so its buffered writes reach the
+   medium before the new one serves the file system. *)
+let attach t io =
+  flush_block_cache t;
+  t.io <- Some io
 
 let attach_queue t q =
   if not (Sero.Queue.device q == t.dev) then
     raise (Fs_error "attach_queue: queue serves a different device");
-  t.ioq <- Some q
+  attach t (Sero.Bcache.create ~capacity:0 q)
 
 let attach_cache t c =
   if not (Sero.Bcache.device c == t.dev) then
     raise (Fs_error "attach_cache: cache serves a different device");
-  t.bcache <- Some c;
-  t.ioq <- Some (Sero.Bcache.queue c)
+  attach t c
 
-let queue t = t.ioq
-let cache t = t.bcache
 let set_io_prio t prio = t.io_prio <- prio
 let io_prio t = t.io_prio
 
 let dev_read_block t ~pba =
-  match t.bcache with
+  match t.io with
   | Some c -> Sero.Bcache.read_block ~prio:t.io_prio c ~pba
-  | None -> (
-      match t.ioq with
-      | None -> Sero.Device.read_block t.dev ~pba
-      | Some q -> Sero.Queue.read_block ~prio:t.io_prio q ~pba)
+  | None -> Sero.Device.read_block t.dev ~pba
 
 let dev_write_block t ~pba payload =
-  match t.bcache with
+  match t.io with
   | Some c -> Sero.Bcache.write_block ~prio:t.io_prio c ~pba payload
-  | None -> (
-      match t.ioq with
-      | None -> Sero.Device.write_block t.dev ~pba payload
-      | Some q -> Sero.Queue.write_block ~prio:t.io_prio q ~pba payload)
+  | None -> Sero.Device.write_block t.dev ~pba payload
 
 let heat_line_dev t ~line =
   let timestamp = Probe.Pdevice.elapsed (Sero.Device.pdevice t.dev) in
-  match t.bcache with
+  match t.io with
   | Some c -> Sero.Bcache.heat_line c ~line ~timestamp ()
-  | None -> (
-      match t.ioq with
-      | None -> Sero.Device.heat_line t.dev ~line ~timestamp ()
-      | Some q -> Sero.Queue.heat_line q ~line ~timestamp ())
-
-let flush_block_cache t = Option.iter Sero.Bcache.sync t.bcache
+  | None -> Sero.Device.heat_line t.dev ~line ~timestamp ()
 
 let read_payload_opt t ~pba =
   match dev_read_block t ~pba with

@@ -83,14 +83,12 @@ type t = {
   mutable next_ino : int;
   mutable seq : int;
   metrics : metrics;
-  mutable ioq : Sero.Queue.t option;
-      (** Attached request pipeline; [None] = direct device calls. *)
+  mutable io : Sero.Bcache.t option;
+      (** Attached block stack (a capacity-0 {!Sero.Bcache} for a bare
+          queue); [None] = direct device calls. *)
   mutable io_prio : Sero.Queue.prio;
       (** Priority class tagged onto queued block IO ([Foreground]
           except while the cleaner runs). *)
-  mutable bcache : Sero.Bcache.t option;
-      (** Attached block buffer cache; takes precedence over [ioq] for
-          block IO (the cache itself fetches through its queue). *)
 }
 
 val create :
@@ -118,29 +116,28 @@ val free_segments : t -> int
 
     All file-system block traffic (foreground ops, cleaner copies, heat
     relocations) funnels through {!read_payload}/{!read_payload_opt}/
-    {!write_block_exn}.  With a queue attached, each becomes a queued
-    request at the state's current {!io_prio} served under the queue's
-    scheduling policy (the call still blocks, pumping the DES until its
-    own completion — earlier-queued background work may be served on
-    the way). *)
+    {!write_existing} and the allocators.  With a block stack attached,
+    each goes through its {!Sero.Bcache} at the state's current
+    {!io_prio}, served under the queue's scheduling policy (the call
+    still blocks, pumping the DES until its own completion —
+    earlier-queued background work may be served on the way). *)
 
 val attach_queue : t -> Sero.Queue.t -> unit
-(** Route subsequent block IO through a request pipeline.
+(** Route subsequent block IO through a request pipeline, as the
+    capacity-0 {!Sero.Bcache} over it.  The stack it replaces is synced
+    first.
     @raise Fs_error if the queue serves a different device. *)
 
 val attach_cache : t -> Sero.Bcache.t -> unit
 (** Route subsequent block IO through a buffer cache (reads may hit
-    with zero sled service, writes are write-behind buffered); also
-    records the cache's queue as the attached pipeline.
+    with zero sled service, writes are write-behind buffered).  The
+    stack it replaces is synced first.
     @raise Fs_error if the cache serves a different device. *)
 
-val queue : t -> Sero.Queue.t option
-val cache : t -> Sero.Bcache.t option
-
 val flush_block_cache : t -> unit
-(** {!Sero.Bcache.sync} on the attached cache, if any: write-behind
-    data reaches the medium and the pipeline drains.  No-op without a
-    cache. *)
+(** {!Sero.Bcache.sync} on the attached stack, if any: write-behind
+    data reaches the medium and the pipeline drains.  No-op without
+    one. *)
 
 val set_io_prio : t -> Sero.Queue.prio -> unit
 val io_prio : t -> Sero.Queue.prio
@@ -148,7 +145,7 @@ val io_prio : t -> Sero.Queue.prio
 val heat_line_dev :
   t -> line:int -> (Hash.Sha256.t, Sero.Device.heat_error) result
 (** {!Sero.Device.heat_line} stamped with {!now}, routed through the
-    attached queue when there is one. *)
+    attached block stack when there is one. *)
 
 val read_payload : t -> pba:int -> string
 (** @raise Fs_error on unreadable or relocated frames. *)

@@ -3,7 +3,9 @@
    buffered dirty and flushed as coalesced spans.  Coherence against
    everything that mutates the medium under the cache (scrub, heat,
    attacks, fault plans) is driven by the Device listener hooks — see
-   the interface comment for the three rules. *)
+   the interface comment for the three rules.  Capacity 0 is the
+   uncached stack: every operation takes the bypass branch to the
+   queue. *)
 
 type entry = {
   mutable payload : string;
@@ -42,7 +44,6 @@ type t = {
   mutable write_absorbed : int;
   mutable invalidations : int;
   mutable bypasses : int;
-  dirty_gauge : Sim.Stats.t;
 }
 
 (* One flush span is one queue request and one sled pass; keep it to a
@@ -65,8 +66,6 @@ let invalidate_range t ~pba ~n =
     remove_entry t p
   done
 
-let invalidate t ~pba = invalidate_range t ~pba ~n:1
-
 let invalidate_line t ~line =
   let layout = Device.layout t.dev in
   invalidate_range t
@@ -80,7 +79,7 @@ let invalidate_all t =
   t.last <- None;
   Sim.Lru.clear t.entries
 
-let bypassing t = Device.fault_installed t.dev
+let bypassing t = t.capacity = 0 || Device.fault_installed t.dev
 
 (* {1 Write-behind flush} *)
 
@@ -127,7 +126,10 @@ let flush_spans ?prio ?tenant t spans =
                span)
         in
         t.flush_span <- Some (first, n);
-        let results = Queue.write_span ?prio ?tenant t.q ~pba:first payloads in
+        let results =
+          Queue.await t.q (fun k ->
+              Queue.submit_write_span t.q ?prio ?tenant ~pba:first payloads k)
+        in
         t.flush_span <- None;
         t.flushed_spans <- t.flushed_spans + 1;
         List.iteri
@@ -149,14 +151,17 @@ let flush_spans ?prio ?tenant t spans =
       spans
   end
 
-let flush ?prio ?tenant t = flush_spans ?prio ?tenant t (dirty_spans t)
+let flush ?prio ?tenant t =
+  if t.n_dirty > 0 then flush_spans ?prio ?tenant t (dirty_spans t)
 
 let flush_line ?prio ?tenant t ~line =
-  let layout = Device.layout t.dev in
-  let range =
-    (Layout.hash_block_of_line layout line, Layout.blocks_per_line layout)
-  in
-  flush_spans ?prio ?tenant t (dirty_spans ~range t)
+  if t.n_dirty > 0 then begin
+    let layout = Device.layout t.dev in
+    let range =
+      (Layout.hash_block_of_line layout line, Layout.blocks_per_line layout)
+    in
+    flush_spans ?prio ?tenant t (dirty_spans ~range t)
+  end
 
 let sync t =
   flush t;
@@ -165,7 +170,7 @@ let sync t =
 (* {1 Construction} *)
 
 let create ?(capacity = 64) ?(read_ahead = 8) ?dirty_high q =
-  if capacity < 1 then invalid_arg "Bcache.create: capacity must be positive";
+  if capacity < 0 then invalid_arg "Bcache.create: capacity must be >= 0";
   if read_ahead < 0 then invalid_arg "Bcache.create: read_ahead must be >= 0";
   let dirty_high =
     match dirty_high with Some d -> max 1 d | None -> max 1 (capacity / 2)
@@ -178,7 +183,9 @@ let create ?(capacity = 64) ?(read_ahead = 8) ?dirty_high q =
       read_ahead;
       dirty_high;
       entries =
-        Sim.Lru.create ~evictable:(fun _ e -> not e.dirty) ~capacity ();
+        Sim.Lru.create
+          ~evictable:(fun _ e -> not e.dirty)
+          ~capacity:(max 1 capacity) ();
       inflight = Hashtbl.create 16;
       n_dirty = 0;
       flush_span = None;
@@ -195,27 +202,29 @@ let create ?(capacity = 64) ?(read_ahead = 8) ?dirty_high q =
       write_absorbed = 0;
       invalidations = 0;
       bypasses = 0;
-      dirty_gauge = Sim.Stats.create ~name:"dirty ratio" ();
     }
   in
-  Device.add_mutation_listener t.dev (fun ~pba ~n ->
-      let own_write =
-        n = 1
-        &&
-        match t.flush_span with
-        | Some (first, len) -> pba >= first && pba < first + len
-        | None -> false
-      in
-      if not own_write then invalidate_range t ~pba ~n);
-  Device.on_fault_install t.dev (fun () ->
-      (* Barrier: push buffered writes through the still-healthy device
-         and forget everything, so the armed plan sees the medium an
-         uncached device would have. *)
-      flush t;
-      invalidate_all t);
+  (* A capacity-0 cache never holds an entry, so it has nothing to
+     invalidate and stays off the device's listener lists. *)
+  if capacity > 0 then begin
+    Device.add_mutation_listener t.dev (fun ~pba ~n ->
+        let own_write =
+          n = 1
+          &&
+          match t.flush_span with
+          | Some (first, len) -> pba >= first && pba < first + len
+          | None -> false
+        in
+        if not own_write then invalidate_range t ~pba ~n);
+    Device.on_fault_install t.dev (fun () ->
+        (* Barrier: push buffered writes through the still-healthy
+           device and forget everything, so the armed plan sees the
+           medium an uncached device would have. *)
+        flush t;
+        invalidate_all t)
+  end;
   t
 
-let queue t = t.q
 let device t = t.dev
 
 (* {1 Cache fill} *)
@@ -266,7 +275,7 @@ let hit t pba e =
 let read_block ?prio ?tenant t ~pba =
   if bypassing t then begin
     t.bypasses <- t.bypasses + 1;
-    Queue.read_block ?prio ?tenant t.q ~pba
+    Queue.await t.q (fun k -> Queue.submit_read t.q ?prio ?tenant ~pba k)
   end
   else
     match t.last with
@@ -294,25 +303,31 @@ let read_block ?prio ?tenant t ~pba =
         | Some e -> hit t pba e
         | None ->
             t.misses <- t.misses + 1;
-            let r = Queue.read_block ?prio ?tenant t.q ~pba in
+            let r =
+              Queue.await t.q (fun k ->
+                  Queue.submit_read t.q ?prio ?tenant ~pba k)
+            in
             (match r with
             | Ok payload -> insert_clean t ~prefetched:false pba payload
             | Error _ -> ());
             read_ahead ?tenant t ~pba;
             r))
 
-let dirty_ratio t = float_of_int t.n_dirty /. float_of_int t.capacity
-
 let write_block ?prio ?tenant t ~pba payload =
   if bypassing t then begin
     t.bypasses <- t.bypasses + 1;
-    Queue.write_block ?prio ?tenant t.q ~pba payload
+    Queue.await t.q (fun k ->
+        Queue.submit_write t.q ?prio ?tenant ~pba payload k)
   end
   else
     let layout = Device.layout t.dev in
-    (* Same refusals as {!Device.write_block}, checked against live
-       device state so the error surface matches an uncached write. *)
-    if Layout.is_hash_block layout pba then Error Device.Reserved_hash_block
+    (* Same refusals, in the same order, as {!Device.write_block},
+       checked against live device state so the error surface matches
+       an uncached write. *)
+    if Device.device_state t.dev = Device.Read_only then
+      Error Device.Read_only_device
+    else if Layout.is_hash_block layout pba then
+      Error Device.Reserved_hash_block
     else if Device.is_line_heated t.dev ~line:(Layout.line_of_block layout pba)
     then Error Device.In_heated_line
     else begin
@@ -330,26 +345,24 @@ let write_block ?prio ?tenant t ~pba payload =
           let evicted = Sim.Lru.add t.entries pba e in
           t.last <- Some (pba, e);
           t.evictions <- t.evictions + List.length evicted);
-      Sim.Stats.add t.dirty_gauge (dirty_ratio t);
       if t.n_dirty > t.dirty_high then flush ?prio ?tenant t;
       Ok ()
     end
 
 let heat_line ?tenant t ~line ?timestamp () =
-  if bypassing t then begin
-    t.bypasses <- t.bypasses + 1;
-    Queue.heat_line ?tenant t.q ~line ?timestamp ()
-  end
-  else begin
-    (* The burn hashes the medium, so the line's buffered writes must
-       land first; afterwards ewb is irreversible and the burned
-       Manchester hash must be re-read from the dots, so the whole
-       line's cached copies are dropped. *)
-    flush_line ?tenant t ~line;
-    let r = Queue.heat_line ?tenant t.q ~line ?timestamp () in
-    invalidate_line t ~line;
-    r
-  end
+  (* The burn hashes the medium, so the line's buffered writes must land
+     first; afterwards ewb is irreversible and the burned Manchester
+     hash must be re-read from the dots, so the whole line's cached
+     copies are dropped. *)
+  let cached = not (bypassing t) in
+  if cached then flush_line ?tenant t ~line
+  else t.bypasses <- t.bypasses + 1;
+  let r =
+    Queue.await t.q (fun k ->
+        Queue.submit_heat_line t.q ?tenant ~line ?timestamp k)
+  in
+  if cached then invalidate_line t ~line;
+  r
 
 let verify_line t ~line =
   if not (bypassing t) then flush_line t ~line;
@@ -389,7 +402,10 @@ let stats (t : t) : stats =
 let hit_rate (t : t) =
   float_of_int t.hits /. float_of_int (t.hits + t.misses)
 
-let dirty_gauge t = t.dirty_gauge
+(* A percentage that reads 0 over an empty base, as on a capacity-0
+   cache with no lookups. *)
+let pct a b =
+  if b = 0 then 0. else 100. *. (float_of_int a /. float_of_int b)
 
 let pp_stats ppf (t : t) =
   let s = stats t in
@@ -399,8 +415,7 @@ let pp_stats ppf (t : t) =
      write-behind: %d dirty now (%.1f%% of cap), %d absorbed overwrites, %d \
      blocks flushed in %d spans over %d passes@."
     t.capacity t.read_ahead s.hits s.misses
-    (100. *. hit_rate t)
+    (pct s.hits (s.hits + s.misses))
     s.read_ahead_hits s.read_aheads s.evictions s.invalidations s.bypasses
-    t.n_dirty
-    (100. *. dirty_ratio t)
-    s.write_absorbed s.flushed_blocks s.flushed_spans s.flushes
+    t.n_dirty (pct t.n_dirty t.capacity) s.write_absorbed s.flushed_blocks
+    s.flushed_spans s.flushes

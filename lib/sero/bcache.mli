@@ -1,5 +1,8 @@
 (** Block buffer cache: sized LRU over the {!Queue} request pipeline,
-    with sequential read-ahead and write-behind.
+    with sequential read-ahead and write-behind.  This is the one
+    synchronous block stack above the queue: a cache of capacity [0] is
+    the uncached stack, sending every operation straight to the queue
+    through {!Queue.await}.
 
     PR 3 made service order realistic; this layer makes {e repeat}
     service unnecessary.  Read hits complete on the DES clock with zero
@@ -33,13 +36,15 @@
       and empties the cache {e before} an injector arms, and every
       operation passes straight through while {!Device.fault_installed}
       holds — a fault plan perturbs the same medium, in the same op
-      order, that an uncached device would present.
+      order, that an uncached device would present.  A capacity-0
+      cache always passes through, registers neither hook, and so
+      never sits on the device's listener lists.
 
-    The twin-device qcheck in [test_sero] holds a cached and an
-    uncached device to bit-identical results — every read, every
-    {!heat_line}, every {!verify_line} verdict — under random
-    op/fault/heat interleavings including scrub and torn-burn
-    recovery. *)
+    The twin-device qcheck in [test_sero] holds a cached device, a
+    capacity-0 one and a bare {!Queue.await} twin to bit-identical
+    results — every read, every {!heat_line}, every {!verify_line}
+    verdict — under random op/fault/heat interleavings including
+    scrub, torn-burn recovery and a device gone read-only. *)
 
 type t
 
@@ -47,22 +52,25 @@ val create :
   ?capacity:int -> ?read_ahead:int -> ?dirty_high:int -> Queue.t -> t
 (** A cache over [q]'s device.  [capacity] (default 64) is the block
     count bound — a soft bound: dirty blocks are pinned until flushed
-    and can briefly push past it.  [read_ahead] (default 8) is the
-    prefetch depth after a miss; [0] disables.  [dirty_high] (default
-    [max 1 (capacity / 2)]) is the write-behind high-water mark: a
-    write that pushes the dirty count past it triggers a flush.
-    @raise Invalid_argument if [capacity < 1] or [read_ahead < 0]. *)
+    and can briefly push past it.  [0] caches nothing: every operation
+    is one {!Queue.await} (counted in [bypasses]).  [read_ahead]
+    (default 8) is the prefetch depth after a miss; [0] disables.
+    [dirty_high] (default [max 1 (capacity / 2)]) is the write-behind
+    high-water mark: a write that pushes the dirty count past it
+    triggers a flush.
+    @raise Invalid_argument if [capacity < 0] or [read_ahead < 0]. *)
 
-val queue : t -> Queue.t
 val device : t -> Device.t
 
 (** {1 Block I/O}
 
-    Drop-in replacements for the {!Queue} synchronous facade; [prio]
-    (default [Foreground]) is the class used for miss fetches and
-    pressure flushes, and [tenant] (default [0]) tags the queued
-    requests they submit — including the read-ahead a miss triggers,
-    so prefetch work is charged to the tenant that caused it. *)
+    Each call blocks, pumping the queue's DES until its own request
+    completes; on a capacity-0 cache the results equal the {!Device}
+    calls'.  [prio] (default [Foreground]) is the class used for miss
+    fetches and pressure flushes, and [tenant] (default [0]) tags the
+    queued requests they submit — including the read-ahead a miss
+    triggers, so prefetch work is charged to the tenant that caused
+    it. *)
 
 val read_block :
   ?prio:Queue.prio ->
@@ -79,9 +87,10 @@ val write_block :
   string ->
   (unit, Device.write_error) result
 (** Buffers the payload dirty and returns; the medium is written at the
-    next flush.  Reserved-hash-block and heated-line refusals are
-    checked here, against live device state, so the error surface
-    matches an uncached write. *)
+    next flush.  Read-only-device, reserved-hash-block and heated-line
+    refusals are checked here, in {!Device.write_block}'s order and
+    against live device state, so the error surface matches an
+    uncached write. *)
 
 val heat_line :
   ?tenant:int ->
@@ -98,21 +107,12 @@ val verify_line : t -> line:int -> Tamper.verdict
     medium the caller believes is durable), then {!Device.verify_line}. *)
 
 val flush : ?prio:Queue.prio -> ?tenant:int -> t -> unit
-(** Write every dirty block out as coalesced spans.  Does not drain
-    outstanding read-ahead. *)
+(** Write every dirty block out as coalesced spans; returns at once
+    when nothing is dirty.  Does not drain outstanding read-ahead. *)
 
 val sync : t -> unit
 (** {!flush} then {!Queue.drain} — on return the medium is up to date
     and the pipeline idle. *)
-
-(** {1 Invalidation} *)
-
-val invalidate : t -> pba:int -> unit
-(** Drop any cached copy of [pba], dirty or clean, without writing it
-    back. *)
-
-val invalidate_line : t -> line:int -> unit
-val invalidate_all : t -> unit
 
 (** {1 Measurement} *)
 
@@ -133,13 +133,7 @@ type stats = {
 val stats : t -> stats
 
 val hit_rate : t -> float
-(** Hits over lookups ([nan] before the first lookup). *)
-
-val dirty_ratio : t -> float
-(** Dirty blocks over capacity, now. *)
-
-val dirty_gauge : t -> Sim.Stats.t
-(** The dirty ratio sampled at each buffered write — the write-behind
-    pressure profile over the run. *)
+(** Hits over lookups ([nan] before the first lookup, so always on a
+    capacity-0 cache). *)
 
 val pp_stats : Format.formatter -> t -> unit

@@ -561,42 +561,13 @@ let drain t =
       failwith "Sero.Queue.drain: pending requests but no scheduled event"
   done
 
-let await t done_flag =
-  while not !done_flag do
+let await t submit =
+  let cell = ref None in
+  submit (fun r -> cell := Some r);
+  while Option.is_none !cell do
     if not (Sim.Des.step t.des) then
-      failwith "Sero.Queue: awaited request cannot complete (empty DES)"
-  done
-
-let read_block ?prio ?tenant t ~pba =
-  let cell = ref None and fin = ref false in
-  submit_read t ?prio ?tenant ~pba (fun r ->
-      cell := Some r;
-      fin := true);
-  await t fin;
-  Option.get !cell
-
-let write_block ?prio ?tenant t ~pba payload =
-  let cell = ref None and fin = ref false in
-  submit_write t ?prio ?tenant ~pba payload (fun r ->
-      cell := Some r;
-      fin := true);
-  await t fin;
-  Option.get !cell
-
-let write_span ?prio ?tenant t ~pba payloads =
-  let cell = ref None and fin = ref false in
-  submit_write_span t ?prio ?tenant ~pba payloads (fun r ->
-      cell := Some r;
-      fin := true);
-  await t fin;
-  Option.get !cell
-
-let heat_line ?tenant t ~line ?timestamp () =
-  let cell = ref None and fin = ref false in
-  submit_heat_line t ?tenant ~line ?timestamp (fun r ->
-      cell := Some r;
-      fin := true);
-  await t fin;
+      failwith "Sero.Queue.await: request cannot complete (empty DES)"
+  done;
   Option.get !cell
 
 let latency t prio = (stats_of t prio).latency

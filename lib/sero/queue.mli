@@ -35,11 +35,11 @@
     starts.  Per-request wait/latency/energy feed {!Sim.Stats}
     counters, so percentiles and throughput come for free.
 
-    The synchronous facade ({!read_block} / {!write_block} /
-    {!heat_line}) submits and then pumps the DES until that one request
-    completes — with an otherwise empty queue this is bit-identical
-    (results, counters, ledger, PRNG draws) to calling {!Device}
-    directly. *)
+    {!await} is the one synchronous call: it submits a request and pumps
+    the DES until that request completes — with an otherwise empty
+    queue this is bit-identical (results, counters, ledger, PRNG draws)
+    to calling {!Device} directly.  {!Bcache} builds the synchronous
+    block stack on it. *)
 
 type t
 
@@ -231,39 +231,15 @@ val drain : t -> unit
 (** Step the DES until the queue is {!idle} — note this also fires any
     unrelated events scheduled on the same DES that come due. *)
 
-(** {1 Synchronous facade}
+(** {1 Waiting for one request} *)
 
-    Submit one foreground request and pump the DES until {e that}
-    request completes (earlier-queued requests may be served on the
-    way, exactly as a disk would).  Drop-in replacements for the
-    corresponding {!Device} calls. *)
-
-val read_block :
-  ?prio:prio -> ?tenant:int -> t -> pba:int -> (string, Device.read_error) result
-
-val write_block :
-  ?prio:prio ->
-  ?tenant:int ->
-  t ->
-  pba:int ->
-  string ->
-  (unit, Device.write_error) result
-
-val write_span :
-  ?prio:prio ->
-  ?tenant:int ->
-  t ->
-  pba:int ->
-  string array ->
-  (unit, Device.write_error) result array
-
-val heat_line :
-  ?tenant:int ->
-  t ->
-  line:int ->
-  ?timestamp:float ->
-  unit ->
-  (Hash.Sha256.t, Device.heat_error) result
+val await : t -> (('a -> unit) -> unit) -> 'a
+(** [await q submit] calls [submit k] with a callback [k], then steps
+    the DES until [k] has fired and returns what it was given.
+    Earlier-queued requests may be served on the way, exactly as a disk
+    would.  Pass an explicit closure,
+    [await q (fun k -> submit_read q ~pba k)].
+    @raise Failure if the DES runs dry before [k] fires. *)
 
 (** {1 Measurement}
 

@@ -1,11 +1,6 @@
-type config = {
-  correction_threshold : int;
-  period : float;
-  deep_verify : bool;
-}
+type config = { correction_threshold : int; deep_verify : bool }
 
-let default_config =
-  { correction_threshold = 6; period = 3600.; deep_verify = false }
+let default_config = { correction_threshold = 6; deep_verify = false }
 
 type report = {
   lines_swept : int;
@@ -203,11 +198,3 @@ let pp_report ppf r =
     (List.length r.torn_completed)
     (List.length r.tamper_found)
     r.retired_skipped
-
-let schedule ?(config = default_config) des dev ~on_pass =
-  let rec arm () =
-    Sim.Des.schedule des ~delay:config.period (fun _ ->
-        on_pass (pass ~config dev);
-        arm ())
-  in
-  arm ()

@@ -9,20 +9,19 @@
     count), remaps failed tips to spares, completes torn burns, and
     optionally deep-verifies heated lines.
 
-    A pass is a plain function so tests can call it directly;
-    {!schedule} hangs it on the DES kernel ({!Sim.Des}) for periodic
-    background operation. *)
+    A pass is a plain function so tests and tools can call it directly;
+    background scrubbing on the DES clock ({!Sim.Des}) runs one line at
+    a time as queue traffic through {!Queue.schedule_scrub}. *)
 
 type config = {
   correction_threshold : int;
       (** Rewrite a sector once RS had to correct at least this many
           symbols (the device's [ras.scrub_threshold] by default). *)
-  period : float;  (** Simulated seconds between scheduled passes. *)
   deep_verify : bool;  (** Also re-verify every heated line's data. *)
 }
 
 val default_config : config
-(** Threshold 6, one pass per simulated hour, no deep verify. *)
+(** Threshold 6, no deep verify. *)
 
 type report = {
   lines_swept : int;
@@ -75,11 +74,6 @@ val report_of_progress : progress -> report
 (** Snapshot of everything swept so far ([lines_swept] counts
     {!sweep_line} calls on usable lines, not distinct lines;
     spare-region calls land in [retired_skipped] instead). *)
-
-val schedule :
-  ?config:config -> Sim.Des.t -> Device.t -> on_pass:(report -> unit) -> unit
-(** Run a pass now-ish and re-schedule every [config.period] simulated
-    seconds forever; bound the simulation with [Sim.Des.run ~until]. *)
 
 (** {1 Sweep planners}
 

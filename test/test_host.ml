@@ -1,6 +1,6 @@
 (* Host front-end: protocol codec round-trips, admission control,
    tenant-arbiter fairness, golden-trace conformance, and the
-   single-tenant host-vs-facade equivalence law.
+   single-tenant host-vs-await equivalence law.
 
    Run with [regen [DIR]] instead of alcotest arguments to regenerate
    the golden fixtures under DIR (default test/golden). *)
@@ -334,6 +334,63 @@ let test_audit_line_volume () =
   Alcotest.(check (list int))
     "mirror split" [ P.st_ok; P.st_tampered ] split.P.r_phases
 
+(* {1 Out-of-range addresses}
+
+   A frame naming a block or line outside the target is answered with
+   its op's failure status, counted failed in the tenant's SLO ledger,
+   and leaves the tenant's depth slot free: with a depth limit of 1, the
+   next in-range frame is still served. *)
+
+let check_out_of_range target ~bad ~good =
+  let limits_of _ = { Host.Server.default_limits with max_depth = 1 } in
+  let server = Host.Server.create ~limits_of target in
+  let s = Host.Server.session server ~tenant:3 in
+  List.iter
+    (fun (cmd, status) ->
+      let r = Host.Server.call s cmd in
+      Alcotest.(check (list int))
+        (Format.asprintf "%a" P.pp_command cmd)
+        [ P.st_ok; status ] r.P.r_phases)
+    bad;
+  let slo = Host.Server.slo server ~tenant:3 in
+  Alcotest.(check int) "failed in the ledger" (List.length bad)
+    (Host.Slo.failed slo);
+  let r = Host.Server.call s good in
+  Alcotest.(check (list int)) "next frame served" [ P.st_ok; P.st_ok ]
+    r.P.r_phases;
+  Alcotest.(check int) "no rejection" 0 (Host.Slo.rejected slo)
+
+let test_out_of_range_device () =
+  let _, q, _ = mkserver () in
+  check_out_of_range (Host.Server.Device q)
+    ~bad:
+      [
+        (P.Read { pba = -1 }, P.st_read_error);
+        (P.Read { pba = 256 }, P.st_read_error);
+        (P.Write { pba = 9_999; payload = "x" }, P.st_write_refused);
+        (P.Heat { line = 32; timestamp = None }, P.st_heat_refused);
+        (P.Verify { line = 32 }, P.st_read_error);
+        (P.Audit_line { line = -1 }, P.st_read_error);
+      ]
+    ~good:(P.Read { pba = 9 })
+
+let test_out_of_range_volume () =
+  let v =
+    Sarray.Volume.create
+      (Sarray.Volume.default_config ~slots:2 ~replication:2 ~spares:0
+         ~member_blocks:64 ~line_exp:3 ())
+  in
+  check_out_of_range (Host.Server.Volume v)
+    ~bad:
+      [
+        (P.Read { pba = 99_999 }, P.st_read_error);
+        (P.Array_read { vba = -1 }, P.st_read_error);
+        (P.Write { pba = 99_999; payload = "x" }, P.st_write_refused);
+        (P.Heat { line = 9_999; timestamp = None }, P.st_heat_refused);
+        (P.Audit_line { line = 9_999 }, P.st_read_error);
+      ]
+    ~good:(P.Write { pba = 0; payload = "in range" })
+
 (* A well-formed burn on line 5 that names line 3: the whole-device
    Audit (a shallow scan) must convict it as Audit_line does. *)
 let test_audit_forged_claim () =
@@ -361,7 +418,7 @@ let test_audit_forged_claim () =
 
    The law the host layer must not break: one tenant through
    [Server.call] observes byte-identical payloads, hashes, verdicts and
-   completion order to the queue's own synchronous facade — and leaves
+   completion order to the queue's own [Queue.await] — and leaves
    a byte-identical device image behind. *)
 
 type op = OpR of int | OpW of int * string | OpH of int * float | OpV of int
@@ -417,7 +474,7 @@ let host_equivalence =
             Host.Server.call s cmd)
           ops
       in
-      (* Direct side: the queue sync facade on a twin device. *)
+      (* Direct side: Queue.await on a twin device. *)
       let dev_d = mkdev () in
       prefill dev_d;
       let q_d = Sero.Queue.create (Sim.Des.create ()) dev_d in
@@ -426,17 +483,26 @@ let host_equivalence =
           (fun op r ->
             match op with
             | OpR pba -> (
-                match Sero.Queue.read_block q_d ~pba with
+                match
+                  Sero.Queue.await q_d (fun k ->
+                      Sero.Queue.submit_read q_d ~pba k)
+                with
                 | Ok payload ->
                     r.P.r_phases = [ P.st_ok; P.st_ok ]
                     && String.equal r.P.r_payload payload
                 | Error _ -> r.P.r_phases = [ P.st_ok; P.st_read_error ])
             | OpW (pba, payload) -> (
-                match Sero.Queue.write_block q_d ~pba payload with
+                match
+                  Sero.Queue.await q_d (fun k ->
+                      Sero.Queue.submit_write q_d ~pba payload k)
+                with
                 | Ok () -> r.P.r_phases = [ P.st_ok; P.st_ok ]
                 | Error _ -> r.P.r_phases = [ P.st_ok; P.st_write_refused ])
             | OpH (line, timestamp) -> (
-                match Sero.Queue.heat_line q_d ~line ~timestamp () with
+                match
+                  Sero.Queue.await q_d (fun k ->
+                      Sero.Queue.submit_heat_line q_d ~line ~timestamp k)
+                with
                 | Ok h ->
                     r.P.r_phases = [ P.st_ok; P.st_ok ]
                     && String.equal r.P.r_payload (Hash.Sha256.to_raw h)
@@ -608,6 +674,13 @@ let () =
               test_audit_line_volume;
             Alcotest.test_case "audit convicts a burn claiming another line"
               `Quick test_audit_forged_claim;
+          ] );
+        ( "addresses",
+          [
+            Alcotest.test_case "device target answers with failures" `Quick
+              test_out_of_range_device;
+            Alcotest.test_case "volume target answers with failures" `Quick
+              test_out_of_range_volume;
           ] );
         ("equivalence", [ qtest host_equivalence ]);
         ( "golden",

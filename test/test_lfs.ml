@@ -619,8 +619,48 @@ let heat_cases =
 
 (* {1 Remount and fsck} *)
 
+(* Endurance read-only, set the way an image load restores it: remap
+   table, spare pool and migrations stay as they are. *)
+let go_read_only dev =
+  let n_lines = Sero.Layout.n_lines (Sero.Device.layout dev) in
+  Sero.Device.restore_endurance dev
+    ~phys_line:
+      (Array.init n_lines (fun line -> Sero.Device.phys_of_line dev ~line))
+    ~spare_pool:(Sero.Device.spare_pool dev)
+    ~migrations:(Sero.Device.migrations dev) ~state:Sero.Device.Read_only
+
 let persistence_cases =
   [
+    Alcotest.test_case "a read-only device refuses writes, cached or not"
+      `Quick (fun () ->
+        let story ~cached =
+          let dev, fs = make_fs ~n_blocks:1024 () in
+          ok "create" (Lfs.Fs.create fs "/f");
+          ok "write" (Lfs.Fs.write_file fs "/f" ~offset:0 "before");
+          Lfs.Fs.sync fs;
+          if cached then
+            Lfs.Fs.attach_cache fs
+              (Sero.Bcache.create ~capacity:64
+                 (Sero.Queue.create (Sim.Des.create ()) dev));
+          go_read_only dev;
+          let w = Lfs.Fs.write_file fs "/f" ~offset:0 "after!" in
+          let synced =
+            match Lfs.Fs.sync fs with
+            | () -> "returned"
+            | exception Lfs.State.Read_only_device -> "Read_only_device"
+          in
+          (w, synced, Lfs.Fs.read_file fs "/f")
+        in
+        let result = Alcotest.(result string string) in
+        List.iter
+          (fun cached ->
+            let what = if cached then "cached" else "uncached" in
+            let w, synced, r = story ~cached in
+            Alcotest.(check (result unit string))
+              (what ^ " write") (Error "device is read-only (endurance)") w;
+            Alcotest.(check string) (what ^ " sync") "Read_only_device" synced;
+            Alcotest.check result (what ^ " read") (Ok "before") r)
+          [ false; true ]);
     Alcotest.test_case "remount preserves namespace and data" `Quick (fun () ->
         let dev, fs = make_fs () in
         ok "mkdir" (Lfs.Fs.mkdir fs "/dir");

@@ -1,6 +1,6 @@
 (* The asynchronous request pipeline: service order conforms to the
-   scheduling policy, coalescing is invisible to the caller, the
-   synchronous facade is bit-identical to direct device calls, and
+   scheduling policy, coalescing is invisible to the caller,
+   [Queue.await] is bit-identical to direct device calls, and
    foreground traffic strictly precedes background. *)
 
 let qtest = QCheck_alcotest.to_alcotest
@@ -185,12 +185,12 @@ let coalescing_cases =
           (Sero.Queue.coalesced_requests q));
   ]
 
-(* {1 Synchronous facade = direct device}
+(* {1 Queue.await = direct device}
 
    Random op soup (reads, writes, heats — including ones the device
-   refuses) applied through the facade on one device and directly on a
-   twin: every result, both media and the whole stats record must
-   match. *)
+   refuses) applied through {!Sero.Queue.await} on one device and
+   directly on a twin: every result, both media and the whole stats
+   record must match. *)
 
 let facade_equiv =
   QCheck.Test.make ~name:"sync facade is bit-identical to Device calls"
@@ -209,16 +209,18 @@ let facade_equiv =
             match what with
             | 0 ->
                 let pba = pbas.(n mod Array.length pbas) in
-                Sero.Queue.read_block q ~pba
+                Sero.Queue.await q (fun k -> Sero.Queue.submit_read q ~pba k)
                 = Sero.Device.read_block dev_d ~pba
             | 1 ->
                 let pba = pbas.(n mod Array.length pbas) in
                 let payload = payload_of (n * 3) in
-                Sero.Queue.write_block q ~pba payload
+                Sero.Queue.await q (fun k ->
+                    Sero.Queue.submit_write q ~pba payload k)
                 = Sero.Device.write_block dev_d ~pba payload
             | _ ->
                 let line = n mod n_lines in
-                Sero.Queue.heat_line q ~line ~timestamp:1. ()
+                Sero.Queue.await q (fun k ->
+                    Sero.Queue.submit_heat_line q ~line ~timestamp:1. k)
                 = Sero.Device.heat_line dev_d ~line ~timestamp:1. ())
           ops
       in

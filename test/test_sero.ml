@@ -677,6 +677,16 @@ let roundtrip_any_line =
    behaviour, read-ahead, write-behind, and the coherence rules that
    keep it from ever masking what is on the medium. *)
 
+(* Endurance read-only, set the way an image load restores it: remap
+   table, spare pool and migrations stay as they are. *)
+let go_read_only dev =
+  let n_lines = Sero.Layout.n_lines (Sero.Device.layout dev) in
+  Sero.Device.restore_endurance dev
+    ~phys_line:
+      (Array.init n_lines (fun line -> Sero.Device.phys_of_line dev ~line))
+    ~spare_pool:(Sero.Device.spare_pool dev)
+    ~migrations:(Sero.Device.migrations dev) ~state:Sero.Device.Read_only
+
 let make_cached ?(n_blocks = 128) ?(capacity = 32) ?(read_ahead = 0) () =
   let dev =
     Sero.Device.create (Sero.Device.default_config ~n_blocks ~line_exp:3 ())
@@ -851,14 +861,49 @@ let bcache_cases =
         match Sero.Bcache.write_block bc ~pba:hash_pba "no" with
         | Error Sero.Device.Reserved_hash_block -> ()
         | Ok () | Error _ -> Alcotest.fail "hash block write must refuse");
+    Alcotest.test_case "capacity 0 caches nothing and counts bypasses" `Quick
+      (fun () ->
+        Alcotest.check_raises "negative capacity"
+          (Invalid_argument "Bcache.create: capacity must be >= 0") (fun () ->
+            let _, q, _ = make_cached () in
+            ignore (Sero.Bcache.create ~capacity:(-1) q));
+        let dev, _q, bc = make_cached ~capacity:0 ~read_ahead:8 () in
+        let pba = Sero.Layout.first_data_block (Sero.Device.layout dev) 1 in
+        let ops = ref 0 in
+        let io r =
+          incr ops;
+          ignore (read_ok "capacity 0" r)
+        in
+        (match Sero.Bcache.write_block bc ~pba "one" with
+        | Ok () -> incr ops
+        | Error _ -> Alcotest.fail "write refused");
+        io (Sero.Bcache.read_block bc ~pba);
+        io (Sero.Bcache.read_block bc ~pba);
+        (* A write under the cache: nothing is cached, so nothing to
+           invalidate — and the next read sees it. *)
+        Sero.Device.unsafe_write_block dev ~pba "two";
+        Alcotest.(check string)
+          "the medium is read" "two"
+          (read_ok "after raw write" (Sero.Bcache.read_block bc ~pba));
+        incr ops;
+        Sero.Bcache.sync bc;
+        let s = Sero.Bcache.stats bc in
+        Alcotest.(check (list int))
+          "hits, misses, invalidations, flushes, read-aheads" [ 0; 0; 0; 0; 0 ]
+          Sero.Bcache.
+            [ s.hits; s.misses; s.invalidations; s.flushes; s.read_aheads ];
+        Alcotest.(check int) "every op bypassed" !ops s.Sero.Bcache.bypasses);
   ]
 
 (* {2 The twin-device equivalence law}
 
    A cached device must be indistinguishable from an uncached one:
    same read payloads, same heat results, same tamper verdicts — under
-   random interleavings of IO with scrub sweeps, raw-medium attacks and
-   torn-burn recovery.  Two qualifications make the law exact.
+   random interleavings of IO with scrub sweeps, raw-medium attacks,
+   torn-burn recovery and the device going read-only.  A third twin,
+   the capacity-0 cache, must be the queue exactly: every result,
+   stats record, medium byte, PRNG position and queue counter.  Two
+   qualifications make the cached law exact.
    Payload-level equality is the right notion: write-behind
    legitimately collapses generation counters, so frames differ
    bit-wise while every observable result is identical.  And
@@ -877,6 +922,7 @@ type twin_op =
   | T_heat_dots of int
   | T_scrub of int
   | T_torn_burn of int * int
+  | T_read_only
 
 let twin_equivalence =
   let n_blocks = 64 and line_exp = 3 in
@@ -912,6 +958,7 @@ let twin_equivalence =
               (fun l k -> T_torn_burn (l, k))
               (int_range 0 (n_lines - 1))
               (int_range 50 1500) );
+          (1, return T_read_only);
         ])
   in
   let print_op = function
@@ -923,6 +970,7 @@ let twin_equivalence =
     | T_heat_dots l -> Printf.sprintf "heat_dots %d" l
     | T_scrub l -> Printf.sprintf "scrub %d" l
     | T_torn_burn (l, k) -> Printf.sprintf "torn_burn %d @%d" l k
+    | T_read_only -> "read_only"
   in
   let equal_read r1 r2 =
     match (r1, r2) with
@@ -950,10 +998,12 @@ let twin_equivalence =
       let mk () =
         Sero.Device.create (Sero.Device.default_config ~n_blocks ~line_exp ())
       in
-      let dev_a = mk () and dev_b = mk () in
+      let dev_a = mk () and dev_b = mk () and dev_c = mk () in
       let q_a = Sero.Queue.create (Sim.Des.create ()) dev_a in
       let q_b = Sero.Queue.create (Sim.Des.create ()) dev_b in
+      let q_c = Sero.Queue.create (Sim.Des.create ()) dev_c in
       let bc = Sero.Bcache.create ~capacity ~read_ahead q_b in
+      let bc0 = Sero.Bcache.create ~capacity:0 ~read_ahead q_c in
       let settle () =
         Sero.Bcache.flush bc;
         Sero.Queue.drain q_b
@@ -974,25 +1024,40 @@ let twin_equivalence =
         match op with
         | T_read i ->
             let pba = data_pbas.(i) in
-            equal_read
-              (Sero.Queue.read_block q_a ~pba)
-              (Sero.Bcache.read_block bc ~pba)
+            let r_a =
+              Sero.Queue.await q_a (fun k -> Sero.Queue.submit_read q_a ~pba k)
+            in
+            equal_read r_a (Sero.Bcache.read_block bc ~pba)
+            && r_a = Sero.Bcache.read_block bc0 ~pba
         | T_write (i, tag) ->
             let pba = data_pbas.(i) in
             let p = payload_of tag pba in
-            let r_a = Sero.Queue.write_block q_a ~pba p
-            and r_b = Sero.Bcache.write_block bc ~pba p in
+            let r_a =
+              Sero.Queue.await q_a (fun k ->
+                  Sero.Queue.submit_write q_a ~pba p k)
+            and r_b = Sero.Bcache.write_block bc ~pba p
+            and r_c = Sero.Bcache.write_block bc0 ~pba p in
+            r_a = r_c
+            &&
             (match (r_a, r_b) with
             | Ok (), Ok () | Error _, Error _ -> true
             | Ok (), Error _ | Error _, Ok () -> false)
         | T_heat l ->
-            equal_heat
-              (Sero.Queue.heat_line q_a ~line:l ())
-              (Sero.Bcache.heat_line bc ~line:l ())
+            let r_a =
+              Sero.Queue.await q_a (fun k ->
+                  Sero.Queue.submit_heat_line q_a ~line:l k)
+            in
+            equal_heat r_a (Sero.Bcache.heat_line bc ~line:l ())
+            &&
+            (match (r_a, Sero.Bcache.heat_line bc0 ~line:l ()) with
+            | Ok a, Ok c -> Hash.Sha256.equal a c
+            | Error a, Error c -> a = c
+            | Ok _, Error _ | Error _, Ok _ -> false)
         | T_verify l ->
-            Sero.Tamper.equal_verdict
-              (Sero.Device.verify_line dev_a ~line:l)
-              (Sero.Bcache.verify_line bc ~line:l)
+            let v_a = Sero.Device.verify_line dev_a ~line:l in
+            Sero.Tamper.equal_verdict v_a (Sero.Bcache.verify_line bc ~line:l)
+            && Sero.Tamper.equal_verdict v_a
+                 (Sero.Bcache.verify_line bc0 ~line:l)
         | T_corrupt (i, tag) ->
             (* Raw-medium attacks are compared at flush boundaries: a
                write-behind cache genuinely reorders acknowledged
@@ -1005,8 +1070,9 @@ let twin_equivalence =
             settle ();
             let pba = data_pbas.(i) in
             let p = "corrupt " ^ payload_of tag pba in
-            Sero.Device.unsafe_write_block dev_a ~pba p;
-            Sero.Device.unsafe_write_block dev_b ~pba p;
+            List.iter
+              (fun dev -> Sero.Device.unsafe_write_block dev ~pba p)
+              [ dev_a; dev_b; dev_c ];
             true
         | T_heat_dots l ->
             (* 24 dots: past the scrub threshold but comfortably inside
@@ -1020,8 +1086,9 @@ let twin_equivalence =
               Sero.Layout.block_first_dot lay
                 (Sero.Layout.first_data_block lay l)
             in
-            Sero.Device.unsafe_heat_dots dev_a ~dot ~n:24;
-            Sero.Device.unsafe_heat_dots dev_b ~dot ~n:24;
+            List.iter
+              (fun dev -> Sero.Device.unsafe_heat_dots dev ~dot ~n:24)
+              [ dev_a; dev_b; dev_c ];
             true
         | T_scrub l ->
             (* Scrub is device-side maintenance: it coordinates with
@@ -1032,21 +1099,46 @@ let twin_equivalence =
               let progress = Sero.Scrub.progress_create () in
               Sero.Scrub.sweep_line dev progress ~line:l
             in
-            sweep dev_a;
-            sweep dev_b;
+            List.iter sweep [ dev_a; dev_b; dev_c ];
             true
         | T_torn_burn (l, k) ->
             (* The power-cut plan and recovery drive the device
                directly (a fault escaping mid-pump would wedge the
                queue), so this too is a flush-boundary comparison. *)
             settle ();
-            equal_heat (torn_burn dev_a l k) (torn_burn dev_b l k)
+            let r_a = torn_burn dev_a l k in
+            equal_heat r_a (torn_burn dev_b l k)
+            && equal_heat r_a (torn_burn dev_c l k)
+        | T_read_only ->
+            (* The endurance state machine is device-side too: buffered
+               writes land first, as they would have on the uncached
+               twin before it went read-only. *)
+            settle ();
+            List.iter go_read_only [ dev_a; dev_b; dev_c ];
+            true
       in
       let ok = List.for_all step ops in
       (* Final settle: everything buffered lands; the two media must
          then agree payload-for-payload and verdict-for-verdict. *)
       Sero.Bcache.sync bc;
+      Sero.Bcache.sync bc0;
       Sero.Queue.drain q_a;
+      (* The capacity-0 stack is the queue, exactly. *)
+      let exact dev q =
+        let m = Probe.Pdevice.medium (Sero.Device.pdevice dev) in
+        let image = Bytes.create (Pmedia.Medium.packed_length m) in
+        Pmedia.Medium.blit_packed m ~pos:0 ~dst:image ~dst_off:0
+          ~len:(Bytes.length image);
+        ( Sero.Device.stats dev,
+          Bytes.to_string image,
+          Sim.Prng.bits64 (Pmedia.Medium.rng m),
+          Sero.Queue.
+            ( completed q Foreground,
+              completed q Background,
+              coalesced_requests q,
+              Sim.Stats.count (service q) ) )
+      in
+      let queue_equal = exact dev_a q_a = exact dev_c q_c in
       let media_equal =
         List.for_all
           (fun pba ->
@@ -1062,7 +1154,7 @@ let twin_equivalence =
                  (Sero.Device.verify_line dev_b ~line:l))
              (List.init n_lines Fun.id)
       in
-      ok && media_equal)
+      ok && media_equal && queue_equal)
 
 (* {1 Endurance lifecycle}
 
