@@ -31,10 +31,11 @@ let with_fs image f =
       | Error e -> Error (Printf.sprintf "mount failed: %s" e)
       | Ok fs -> (
           match f dev fs with
-          | Ok save ->
-              if save then Lfs.Fs.sync fs;
-              Ok save
-          | Error _ as e -> e))
+          | Ok true ->
+              Lfs.Fs.guard (fun () ->
+                  Lfs.Fs.sync fs;
+                  true)
+          | (Ok false | Error _) as r -> r))
 
 (* {1 Commands} *)
 

@@ -76,4 +76,3 @@ val member_pba : t -> vba:int -> int
 (** The physical block address of [vba] on {e each} of its replicas
     (identical across the mirror group by construction). *)
 
-val pp : Format.formatter -> t -> unit

@@ -90,8 +90,3 @@ let pp_entry ppf e =
     "%s (votes %d, agree %d, diverge %d, convict %d, unreadable %d)"
     (status_string e.status) e.votes e.agreements e.divergences e.convictions
     e.unreadable
-
-let pp ppf t =
-  Array.iteri
-    (fun i e -> Format.fprintf ppf "dev %d: %a@ " i pp_entry e)
-    t

@@ -63,4 +63,3 @@ val restore : t -> dev:int -> entry -> unit
 (** Install a persisted entry verbatim (array image load). *)
 
 val pp_entry : Format.formatter -> entry -> unit
-val pp : Format.formatter -> t -> unit

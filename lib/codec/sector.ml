@@ -25,14 +25,6 @@ let kind_of_int = function
   | 4 -> Some Hash_meta
   | _ -> None
 
-let pp_kind ppf k =
-  Format.pp_print_string ppf
-    (match k with
-    | Data -> "data"
-    | Inode -> "inode"
-    | Summary -> "summary"
-    | Checkpoint -> "checkpoint"
-    | Hash_meta -> "hash-meta")
 
 (* The image is the framed bytes cut into RS slices, each slice's data
    followed by its parity: framed byte [p] lies at image byte

@@ -40,7 +40,6 @@ type kind = Data | Inode | Summary | Checkpoint | Hash_meta
 
 val kind_to_int : kind -> int
 val kind_of_int : int -> kind option
-val pp_kind : Format.formatter -> kind -> unit
 
 val encode : pba:int -> kind:kind -> generation:int -> string -> string
 (** [encode ~pba ~kind ~generation payload] frames a payload of at most

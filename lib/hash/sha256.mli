@@ -51,8 +51,5 @@ val pp : Format.formatter -> t -> unit
 
 val pp_full : Format.formatter -> t -> unit
 
-val size : int
-(** Digest size in bytes (32). *)
-
 val zero : t
 (** The all-zero digest, used as a sentinel for "no hash recorded". *)

@@ -60,7 +60,6 @@ let recover ?policy dev =
   | Error _ as e -> e
   | Ok fs -> Ok { fs; torn_completed = List.rev !torn; fsck }
 
-(* Wrap internal exceptions into result errors. *)
 let guard f =
   match f () with
   | v -> Ok v

@@ -53,7 +53,15 @@ val unmount : t -> unit
 (** Flush everything and write a final checkpoint. *)
 
 val sync : t -> unit
-(** Flush dirty inodes and checkpoint (keeps mounted). *)
+(** Flush dirty inodes and checkpoint (keeps mounted).
+    @raise State.Out_of_space, State.Fs_error or State.Read_only_device
+    when the flush cannot be written; {!guard} maps them to [Error]. *)
+
+val guard : (unit -> 'a) -> ('a, string) result
+(** [guard f] runs [f] and turns the file system's exceptions
+    ([State.Fs_error], [State.Out_of_space], [State.Read_only_device])
+    into [Error] — the mapping every [result]-returning call here
+    uses. *)
 
 val device : t -> Sero.Device.t
 val state : t -> State.t

@@ -5,13 +5,6 @@ let equal_axis a b =
   | Perpendicular, Perpendicular | In_plane, In_plane | Tilted, Tilted -> true
   | (Perpendicular | In_plane | Tilted), _ -> false
 
-let pp_axis ppf a =
-  Format.pp_print_string ppf
-    (match a with
-    | Perpendicular -> "perpendicular"
-    | In_plane -> "in-plane"
-    | Tilted -> "tilted")
-
 let arrhenius_fraction ~ea ~nu ~temp_c ~duration =
   if duration <= 0. then 0.
   else begin

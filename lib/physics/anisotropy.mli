@@ -15,7 +15,6 @@
 type axis = Perpendicular | In_plane | Tilted
 
 val equal_axis : axis -> axis -> bool
-val pp_axis : Format.formatter -> axis -> unit
 
 val mixing_fraction :
   Constants.material -> temp_c:float -> duration:float -> float

@@ -11,9 +11,6 @@ let switching_field m ~k ~psi =
 let write_succeeds m ~k ~field ~psi =
   if k <= 0. then false else field > switching_field m ~k ~psi
 
-let min_write_field m =
-  switching_field m ~k:m.k_interface ~psi:(Float.pi /. 4.)
-
 let stability_factor m g ~k ~temp_c =
   ignore m;
   let v = Constants.dot_volume g in

@@ -25,10 +25,6 @@ val write_succeeds :
 (** Does an applied field of magnitude [field] at angle [psi] switch the
     dot? *)
 
-val min_write_field : Constants.material -> float
-(** Smallest field that writes a healthy dot when applied at the optimal
-    45° astroid angle: [H_K / 2]. *)
-
 val stability_factor :
   Constants.material -> Constants.dot_geometry -> k:float -> temp_c:float -> float
 (** Thermal stability ratio [K V / k_B T]; > 40 means a bit retains for

@@ -3,7 +3,6 @@ type ras = {
   read_retries : int;
   max_repulses : int;
   spare_tips : int;
-  scrub_threshold : int;
 }
 
 let default_ras =
@@ -12,7 +11,6 @@ let default_ras =
     read_retries = 0;
     max_repulses = 0;
     spare_tips = 0;
-    scrub_threshold = 6;
   }
 
 let active_ras =
@@ -21,7 +19,6 @@ let active_ras =
     read_retries = 3;
     max_repulses = 2;
     spare_tips = 4;
-    scrub_threshold = 6;
   }
 
 type endurance = {
@@ -223,13 +220,7 @@ let create config =
         end)
   in
   let health =
-    Health.create
-      ~config:
-        {
-          Health.alpha = config.endurance.ewma_alpha;
-          retire_margin = config.endurance.retire_margin;
-        }
-      ~n_lines ()
+    Health.create ~alpha:config.endurance.ewma_alpha ~n_lines ()
   in
   Array.iteri (fun l n -> Health.set_defects health ~line:l n) defects_of_phys;
   {
@@ -764,6 +755,30 @@ let burn_wo_area t ~start ~payload =
   let pattern = Codec.Manchester.encode payload in
   Probe.Pdevice.heat_run t.pdevice ~start pattern
 
+(* Burn [payload] into [line]'s write-once area and read it back;
+   with RAS, re-pulse while the readback still looks like an incomplete
+   burn ([Not_heated] or [Torn]) rather than tamper evidence.
+   Re-burning is idempotent: ewb on an already-heated dot is a no-op,
+   so each attempt only fills the missing cells.  [true], with the line
+   marked heated, once the area carries [hash]. *)
+let burn_verified t ~line ~hash payload =
+  let attempts =
+    1 + if t.config.ras.ras_enabled then t.config.ras.max_repulses else 0
+  in
+  let start = wo_start t ~line in
+  let rec go n =
+    burn_wo_area t ~start ~payload;
+    match read_hash_block t ~line with
+    | `Burned meta when Hash.Sha256.equal meta.hash hash ->
+        t.heated.(line) <- true;
+        true
+    | (`Not_heated | `Torn _) when n < attempts ->
+        t.repulses <- t.repulses + 1;
+        go (n + 1)
+    | `Not_heated | `Torn _ | `Tampered _ | `Burned _ -> false
+  in
+  go 1
+
 let heat_line_inner t ~line ~timestamp =
   t.heats <- t.heats + 1;
   let payloads, unreadable, relocated = read_line t ~line in
@@ -771,36 +786,9 @@ let heat_line_inner t ~line ~timestamp =
     Error (Unreadable_data (unreadable @ relocated))
   else begin
     let hash = line_hash_of_payloads ~line payloads in
-    let start = wo_start t ~line in
-    (* Burn, verify, and (with RAS) re-pulse while the readback still
-       looks like an incomplete burn rather than tamper evidence.
-       Re-burning is idempotent: ewb on an already-heated dot is a
-       no-op, so each attempt only fills the missing cells. *)
-    let burn_and_verify payload =
-      let attempts =
-        1 + if t.config.ras.ras_enabled then t.config.ras.max_repulses else 0
-      in
-      let rec go n =
-        burn_wo_area t ~start ~payload;
-        match read_hash_block t ~line with
-        | `Burned meta when Hash.Sha256.equal meta.hash hash ->
-            t.heated.(line) <- true;
-            Ok hash
-        | (`Not_heated | `Torn _ | `Tampered _ | `Burned _) as readback ->
-            let incomplete =
-              match readback with
-              | `Not_heated | `Torn _ -> true
-              | `Tampered evs ->
-                  List.for_all (( = ) Tamper.Partially_burned) evs
-              | `Burned _ -> false
-            in
-            if incomplete && n < attempts then begin
-              t.repulses <- t.repulses + 1;
-              go (n + 1)
-            end
-            else Error Burn_verify_failed
-      in
-      go 1
+    let burn payload =
+      if burn_verified t ~line ~hash payload then Ok hash
+      else Error Burn_verify_failed
     in
     match read_hash_block t ~line with
     | `Burned meta when Hash.Sha256.equal meta.hash hash ->
@@ -825,9 +813,9 @@ let heat_line_inner t ~line ~timestamp =
           (fun h ->
             t.torn_completions <- t.torn_completions + 1;
             h)
-          (burn_and_verify payload)
+          (burn payload)
     | `Not_heated ->
-        burn_and_verify
+        burn
           (wo_payload ~hash ~line ~n_data:(List.length payloads) ~timestamp)
   end
 
@@ -877,20 +865,24 @@ let verify_carcass t ~line =
       | (`Not_heated | `Burned _), _ ->
           Tamper.Tampered [ Tamper.Meta_corrupt ])
 
+(* The verdict on a write-once readback: [burned] judges a clean burn.
+   Until completed, a torn burn is indistinguishable from an
+   interrupted forgery, so it is reported. *)
+let judge_wo wo ~burned =
+  match wo with
+  | `Not_heated -> Tamper.Not_heated
+  | `Tampered evs -> Tamper.Tampered evs
+  | `Torn _ -> Tamper.Tampered [ Tamper.Partially_burned ]
+  | `Burned meta -> burned meta
+
 let verify_line t ~line =
   t.verifies <- t.verifies + 1;
   if quarantined t ~line then verify_carcass t ~line
   else
-    match read_hash_block t ~line with
-    | `Not_heated -> Tamper.Not_heated
-    | `Tampered evs -> Tamper.Tampered evs
-    | `Torn _ ->
-        (* Until completed, a torn burn is indistinguishable from an
-           interrupted forgery: report it. *)
-        Tamper.Tampered [ Tamper.Partially_burned ]
-    | `Burned meta ->
+    judge_wo (read_hash_block t ~line) ~burned:(fun meta ->
         if meta.line <> line then Tamper.Tampered [ Tamper.Meta_corrupt ]
-        else verify_payloads ~hash:meta.hash ~region_id:line (read_line t ~line)
+        else
+          verify_payloads ~hash:meta.hash ~region_id:line (read_line t ~line))
 
 let verify_region t ~hash_pba ~data_pbas =
   t.verifies <- t.verifies + 1;
@@ -900,12 +892,9 @@ let verify_region t ~hash_pba ~data_pbas =
        claimed hash anywhere else is itself evidence (Section 5.1). *)
     Tamper.Tampered [ Tamper.Address_mismatch [ hash_pba ] ]
   else
-    match read_wo_area t ~start:(block_start t hash_pba) with
-    | `Not_heated -> Tamper.Not_heated
-    | `Tampered evs -> Tamper.Tampered evs
-    | `Torn _ -> Tamper.Tampered [ Tamper.Partially_burned ]
-    | `Burned meta ->
-        verify_data_against t ~hash:meta.hash ~region_id:meta.line ~data_pbas
+    judge_wo (read_wo_area t ~start:(block_start t hash_pba))
+      ~burned:(fun meta ->
+        verify_data_against t ~hash:meta.hash ~region_id:meta.line ~data_pbas)
 
 let is_line_heated t ~line = t.heated.(line)
 
@@ -918,16 +907,13 @@ let scan ?(deep = false) t =
       let verdict =
         if quarantined t ~line then verify_carcass t ~line
         else
-          match read_hash_block t ~line with
-          | `Not_heated -> Tamper.Not_heated
-          | `Tampered evs -> Tamper.Tampered evs
-          | `Torn _ -> Tamper.Tampered [ Tamper.Partially_burned ]
-          | `Burned meta when meta.line <> line ->
+          judge_wo (read_hash_block t ~line) ~burned:(fun meta ->
               (* A burn claiming another line is evidence without
-                 reading any data, as in {!verify_line}. *)
-              Tamper.Tampered [ Tamper.Meta_corrupt ]
-          | `Burned _ when not deep -> Tamper.Intact
-          | `Burned _ -> verify_line t ~line
+                 reading any data, as in {!verify_line}; a deep scan
+                 reads the line again through it. *)
+              if meta.line <> line then Tamper.Tampered [ Tamper.Meta_corrupt ]
+              else if deep then verify_line t ~line
+              else Tamper.Intact)
       in
       t.heated.(line) <-
         (match verdict with
@@ -1222,25 +1208,12 @@ let evacuate_line t ~line ?(timestamp = 0.) () =
                   wo_payload ~hash:meta.hash ~line
                     ~n_data:meta.n_data_blocks ~timestamp:meta.timestamp
                 in
-                let attempts =
-                  1
-                  + if t.config.ras.ras_enabled then t.config.ras.max_repulses
-                    else 0
-                in
-                let rec go n =
-                  burn_wo_area t ~start:(wo_start t ~line) ~payload;
-                  match read_hash_block t ~line with
-                  | `Burned got when Hash.Sha256.equal got.hash meta.hash ->
-                      t.heated.(line) <- true;
-                      finish (Ok m)
-                  | (`Not_heated | `Torn _) when n < attempts ->
-                      t.repulses <- t.repulses + 1;
-                      go (n + 1)
-                  | _ ->
-                      t.reattest_failures <- t.reattest_failures + 1;
-                      finish (Error Reattest_failed)
-                in
-                go 1
+                if burn_verified t ~line ~hash:meta.hash payload then
+                  finish (Ok m)
+                else begin
+                  t.reattest_failures <- t.reattest_failures + 1;
+                  finish (Error Reattest_failed)
+                end
           in
           match wo with
           | `Not_heated -> proceed None

@@ -33,16 +33,15 @@ type ras = {
   read_retries : int;  (** Extra {!read_block} attempts on failure. *)
   max_repulses : int;  (** Extra burn attempts before giving up. *)
   spare_tips : int;  (** Physical spare tips built into the array. *)
-  scrub_threshold : int;
-      (** Corrected-symbol count at which {!Scrub} rewrites a sector. *)
 }
 
 val default_ras : ras
 (** Everything off — the fail-stop device of the paper. *)
 
 val active_ras : ras
-(** A serviceable profile: 3 retries, 2 re-pulses, 4 spare tips,
-    rewrite at 6 corrected symbols. *)
+(** A serviceable profile: 3 retries, 2 re-pulses, 4 spare tips.
+    {!Scrub}'s own [correction_threshold] decides when a scrub
+    rewrites a sector. *)
 
 type endurance = {
   health_enabled : bool;

@@ -1,7 +1,3 @@
-type config = { alpha : float; retire_margin : float }
-
-let default_config = { alpha = 0.4; retire_margin = 0.5 }
-
 (* 24 RS parity symbols per 231-byte slice correct 12 symbols each; a
    sector interleaves 3 slices, so 36 corrected symbols is the point
    past which one more grown error loses the sector. *)
@@ -17,7 +13,7 @@ type line_health = {
 }
 
 type t = {
-  cfg : config;
+  alpha : float;
   lines : line_health array;
   mutable tip_remaps : int;
 }
@@ -32,13 +28,13 @@ let fresh_line () =
     defect_dots = 0;
   }
 
-let create ?(config = default_config) ~n_lines () =
+let create ~alpha ~n_lines () =
   if n_lines <= 0 then invalid_arg "Health.create: n_lines must be positive";
-  { cfg = config; lines = Array.init n_lines (fun _ -> fresh_line ()); tip_remaps = 0 }
+  { alpha; lines = Array.init n_lines (fun _ -> fresh_line ()); tip_remaps = 0 }
 
 let copy t =
   {
-    cfg = t.cfg;
+    alpha = t.alpha;
     lines =
       Array.map
         (fun h ->
@@ -54,7 +50,6 @@ let copy t =
     tip_remaps = t.tip_remaps;
   }
 
-let config t = t.cfg
 let n_lines t = Array.length t.lines
 
 let line t ~line =
@@ -65,7 +60,7 @@ let line t ~line =
 let bump t ~line x =
   let h = t.lines.(line) in
   h.ewma_corrected <-
-    (t.cfg.alpha *. x) +. ((1. -. t.cfg.alpha) *. h.ewma_corrected)
+    (t.alpha *. x) +. ((1. -. t.alpha) *. h.ewma_corrected)
 
 let note_decode t ~line ~corrected =
   let h = t.lines.(line) in
@@ -142,15 +137,3 @@ let restore_line t ~line ~ewma ~reads ~retries ~retry_wins ~unreadable
   h.defect_dots <- defect_dots
 
 let set_tip_remaps t n = t.tip_remaps <- n
-
-let pp ppf t =
-  Format.fprintf ppf "health: %d lines, %d tip remaps@." (n_lines t)
-    t.tip_remaps;
-  Array.iteri
-    (fun l h ->
-      Format.fprintf ppf
-        "  line %4d: margin %+.3f ewma %.2f reads %d retries %d (%d won) \
-         unreadable %d defects %d@."
-        l (margin t ~line:l) h.ewma_corrected h.reads h.retries h.retry_wins
-        h.unreadable h.defect_dots)
-    t.lines

@@ -7,22 +7,14 @@
     counts from {!Codec.Sector.decode}, RAS retry outcomes, tip remaps,
     manufacturing defect density — and condenses them into a per-line
     {e margin}: the fraction of the RS budget still unspent.  The
-    device's endurance layer retires a line when its margin crosses the
-    configured threshold, {e before} the next grown error is fatal.
+    device's endurance layer retires a line when its margin falls to
+    the device's [endurance.retire_margin], {e before} the next grown
+    error is fatal.
 
     Observation is unconditional and side-effect-free with respect to
     device behaviour: feeding the ledger never changes what a read or
     write returns, so a health-enabled device with no retirement due is
     bit-identical to a baseline device. *)
-
-type config = {
-  alpha : float;  (** EWMA smoothing factor in (0, 1]. *)
-  retire_margin : float;
-      (** Margin at or below which a line is due for evacuation. *)
-}
-
-val default_config : config
-(** alpha 0.4, retire at margin 0.5. *)
 
 val rs_budget : int
 (** Corrected symbols a sector can absorb before the next error is
@@ -41,13 +33,13 @@ type line_health = {
 
 type t
 
-val create : ?config:config -> n_lines:int -> unit -> t
+val create : alpha:float -> n_lines:int -> unit -> t
+(** A fresh ledger; [alpha] is the EWMA smoothing factor in (0, 1]. *)
 
 val copy : t -> t
 (** Independent ledger with the same per-line state — device cloning
     must not share mutable health entries. *)
 
-val config : t -> config
 val n_lines : t -> int
 
 val line : t -> line:int -> line_health
@@ -100,4 +92,3 @@ val restore_line :
   unit
 
 val set_tip_remaps : t -> int -> unit
-val pp : Format.formatter -> t -> unit

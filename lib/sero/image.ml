@@ -137,7 +137,9 @@ let save ?(format = `V4) (dev : Device.t) path =
   Codec.Binio.W.u8 w cfg.Device.ras.Device.read_retries;
   Codec.Binio.W.u8 w cfg.Device.ras.Device.max_repulses;
   Codec.Binio.W.u8 w cfg.Device.ras.Device.spare_tips;
-  Codec.Binio.W.u16 w cfg.Device.ras.Device.scrub_threshold;
+  (* A reserved u16 (a scrub threshold nothing reads): written as 6 and
+     skipped on load, so the format keeps its layout. *)
+  Codec.Binio.W.u16 w 6;
   (* Endurance lifecycle (since format v4): config, remap table, spare
      pool, health ledger, grown-defect list. *)
   (match format with `V3 -> () | `V4 -> write_endurance w dev);
@@ -256,7 +258,7 @@ let load path =
             let read_retries = Codec.Binio.R.u8 r in
             let max_repulses = Codec.Binio.R.u8 r in
             let spare_tips = Codec.Binio.R.u8 r in
-            let scrub_threshold = Codec.Binio.R.u16 r in
+            ignore (Codec.Binio.R.u16 r : int);
             let endurance =
               match version with
               | `V3 -> Device.default_endurance
@@ -292,7 +294,6 @@ let load path =
                     read_retries;
                     max_repulses;
                     spare_tips;
-                    scrub_threshold;
                   };
                 endurance;
               }

@@ -1,9 +1,5 @@
 type prio = Foreground | Background
 
-let pp_prio ppf = function
-  | Foreground -> Format.pp_print_string ppf "fg"
-  | Background -> Format.pp_print_string ppf "bg"
-
 (* A request's scheduling key is the scan offset of its first dot —
    the same key E19 feeds to [Sched.order], so measured service order
    is directly comparable to the estimator. *)
@@ -31,7 +27,10 @@ type arbiter_view = { av_tenant : int; av_backlog : int; av_oldest : float }
    callback is only fired if the retry budget is spent. *)
 type outcome = Done of (unit -> unit) | Retryable of (unit -> unit)
 
-type class_stats = {
+(* One priority class: its pending requests and its completion
+   ledger. *)
+type cls = {
+  mutable pending : req list; (* newest first *)
   latency : Sim.Stats.t;
   wait : Sim.Stats.t;
   mutable energy : float;
@@ -56,18 +55,15 @@ type t = {
   coalesce : bool;
   read_retry_limit : int;
   retry_backoff : float;
-  mutable pending_fg : req list; (* newest first *)
-  mutable pending_bg : req list; (* newest first *)
   mutable busy : bool;
   mutable dispatch_armed : bool;
   mutable current_offset : int;
-  fg : class_stats;
-  bg : class_stats;
+  fg : cls;
+  bg : cls;
   mutable arbiter : (arbiter_view list -> int) option;
   by_tenant : (int, tenant_stats) Hashtbl.t;
   service : Sim.Stats.t;
   depth_hist : Sim.Stats.Histogram.h;
-  mutable served_rev : int list;
   mutable coalesced : int;
   mutable retry_pending : int;
       (* Retries scheduled on the DES but not yet re-enqueued: [idle]
@@ -76,8 +72,9 @@ type t = {
   mutable abandoned_reads : int;
 }
 
-let class_stats_create name =
+let cls_create name =
   {
+    pending = [];
     latency = Sim.Stats.create ~name:(name ^ " latency") ();
     wait = Sim.Stats.create ~name:(name ^ " wait") ();
     energy = 0.;
@@ -101,18 +98,15 @@ let create ?(policy = Probe.Sched.Elevator) ?(coalesce = true)
     coalesce;
     read_retry_limit;
     retry_backoff;
-    pending_fg = [];
-    pending_bg = [];
     busy = false;
     dispatch_armed = false;
     current_offset = 0;
-    fg = class_stats_create "fg";
-    bg = class_stats_create "bg";
+    fg = cls_create "fg";
+    bg = cls_create "bg";
     arbiter = None;
     by_tenant = Hashtbl.create 8;
     service = Sim.Stats.create ~name:"service" ();
     depth_hist = Sim.Stats.Histogram.create ~lo:0. ~hi:64. ~bins:16;
-    served_rev = [];
     coalesced = 0;
     retry_pending = 0;
     retried_reads = 0;
@@ -121,11 +115,10 @@ let create ?(policy = Probe.Sched.Elevator) ?(coalesce = true)
 
 let device t = t.dev
 let des t = t.des
-let policy t = t.policy
-let stats_of t = function Foreground -> t.fg | Background -> t.bg
+let cls t = function Foreground -> t.fg | Background -> t.bg
 let set_arbiter t a = t.arbiter <- a
 
-let tenant_stats_of t tenant =
+let tenant_ledger t tenant =
   match Hashtbl.find_opt t.by_tenant tenant with
   | Some ts -> ts
   | None ->
@@ -136,24 +129,19 @@ let tenant_stats_of t tenant =
 let tenants t =
   List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.by_tenant [])
 
-let tenant_completed t tenant =
-  match Hashtbl.find_opt t.by_tenant tenant with
-  | Some ts -> ts.t_completed
-  | None -> 0
+(* Read-only view of a tenant's ledger; [no_tenant] is never written. *)
+let no_tenant = { t_completed = 0; t_service = 0.; t_energy = 0. }
 
-let tenant_service t tenant =
-  match Hashtbl.find_opt t.by_tenant tenant with
-  | Some ts -> ts.t_service
-  | None -> 0.
+let read_ledger t tenant =
+  Option.value (Hashtbl.find_opt t.by_tenant tenant) ~default:no_tenant
 
-let tenant_energy t tenant =
-  match Hashtbl.find_opt t.by_tenant tenant with
-  | Some ts -> ts.t_energy
-  | None -> 0.
-let pending t = List.length t.pending_fg + List.length t.pending_bg
+let tenant_completed t tenant = (read_ledger t tenant).t_completed
+let tenant_service t tenant = (read_ledger t tenant).t_service
+let tenant_energy t tenant = (read_ledger t tenant).t_energy
+let pending t = List.length t.fg.pending + List.length t.bg.pending
+
 let idle t =
-  (not t.busy) && t.retry_pending = 0 && t.pending_fg = []
-  && t.pending_bg = []
+  (not t.busy) && t.retry_pending = 0 && t.fg.pending = [] && t.bg.pending = []
 
 let offset_of_pba t pba =
   snd
@@ -164,37 +152,15 @@ let offset_of_pba t pba =
 let offset_of_line t line =
   offset_of_pba t (Layout.hash_block_of_line (Device.layout t.dev) line)
 
-(* Remove the first (oldest) pending request of [prio] whose offset is
-   [off] (and, when [tenant] is given, whose tenant matches); [pend] is
-   stored newest-first, so "oldest with that offset" is the last
-   matching element. *)
-let take_oldest_at ?tenant t prio off =
-  let pend =
-    match prio with Foreground -> t.pending_fg | Background -> t.pending_bg
-  in
-  let wanted r =
-    r.offset = off
-    && match tenant with None -> true | Some tid -> r.tenant = tid
-  in
-  let taken = ref None in
-  let rest =
-    (* Walk oldest-first, take the first match, keep the rest. *)
-    List.fold_left
-      (fun acc r ->
-        if !taken = None && wanted r then begin
-          taken := Some r;
-          acc
-        end
-        else r :: acc)
-      [] (List.rev pend)
-  in
-  match !taken with
+(* Remove and return the oldest pending request of [c] that satisfies
+   [p]; the others keep their order.  Dispatch takes the head and every
+   coalesced read through it. *)
+let take_oldest c p =
+  match List.find_opt p (List.rev c.pending) with
   | None -> None
-  | Some r ->
-      (match prio with
-      | Foreground -> t.pending_fg <- rest
-      | Background -> t.pending_bg <- rest);
-      Some r
+  | Some r as taken ->
+      c.pending <- List.filter (fun x -> x != r) c.pending;
+      taken
 
 (* Arbiter views: one per tenant with pending work in the class, sorted
    by tenant id so the arbiter's input (and thus every downstream
@@ -254,27 +220,23 @@ let rec serve_group t group =
   (* Groups are single-tenant (coalescing never crosses tenants), so
      the whole pass is charged to the head's tenant — immediately, not
      at completion, so a fair-share arbiter sees it next dispatch. *)
-  (let ts = tenant_stats_of t (List.hd group).tenant in
+  (let ts = tenant_ledger t (List.hd group).tenant in
    ts.t_service <- ts.t_service +. dt;
    ts.t_energy <- ts.t_energy +. de);
   t.coalesced <- t.coalesced + List.length group - 1;
-  List.iter
-    (fun r ->
-      t.served_rev <- r.offset :: t.served_rev;
-      t.current_offset <- r.offset)
-    group;
+  List.iter (fun r -> t.current_offset <- r.offset) group;
   let started = Sim.Des.now t.des in
   Sim.Des.schedule t.des ~delay:dt (fun des ->
       let now = Sim.Des.now des in
       let complete r fire =
-        let cs = stats_of t r.rprio in
-        Sim.Stats.add cs.latency (now -. r.submitted);
-        Sim.Stats.add cs.wait (started -. r.submitted);
-        cs.energy <- cs.energy +. (de /. float_of_int (List.length group));
-        cs.completed <- cs.completed + 1;
-        cs.last_completion <- now;
-        (tenant_stats_of t r.tenant).t_completed <-
-          (tenant_stats_of t r.tenant).t_completed + 1;
+        let c = cls t r.rprio in
+        Sim.Stats.add c.latency (now -. r.submitted);
+        Sim.Stats.add c.wait (started -. r.submitted);
+        c.energy <- c.energy +. (de /. float_of_int (List.length group));
+        c.completed <- c.completed + 1;
+        c.last_completion <- now;
+        let ts = tenant_ledger t r.tenant in
+        ts.t_completed <- ts.t_completed + 1;
         fire ()
       in
       List.iter2
@@ -310,122 +272,76 @@ let rec serve_group t group =
    current offset.  Re-running the policy on every dispatch reproduces
    the full-batch order head by head (greedy Sstf stays greedy, the
    elevator keeps sweeping from wherever it is, Fifo sees arrival
-   order), so the concatenated service log of a settled batch equals
-   one [Sched.order] call over it — the property the conformance test
+   order), so the service order of a settled batch equals one
+   [Sched.order] call over it — the property the conformance test
    asserts. *)
 and dispatch t =
-  if t.busy then ()
-  else
-    let prio =
-      if t.pending_fg <> [] then Some Foreground
-      else if t.pending_bg <> [] then Some Background
-      else None
-    in
-    match prio with
-    | None -> ()
-    | Some prio ->
-        let pend =
-          match prio with
-          | Foreground -> t.pending_fg
-          | Background -> t.pending_bg
-        in
-        (* With an arbiter installed, the tenant is chosen first (fair
-           share across tenants), then the sled policy orders that
-           tenant's requests only.  Without one, dispatch is
-           tenant-blind — bit-identical to the pre-tenant pipeline. *)
-        let tenant_filter =
-          match t.arbiter with
-          | None -> None
-          | Some choose -> (
-              match views_of pend with
-              | [] -> None
-              | [ v ] -> Some v.av_tenant
-              | vs ->
-                  let pick = choose vs in
-                  if List.exists (fun v -> v.av_tenant = pick) vs then
-                    Some pick
-                  else Some (List.hd vs).av_tenant)
-        in
-        let eligible =
-          match tenant_filter with
-          | None -> pend
-          | Some tid -> List.filter (fun r -> r.tenant = tid) pend
-        in
-        let offsets = List.rev_map (fun r -> r.offset) eligible in
-        let ordered =
-          Probe.Sched.order t.policy ~current:t.current_offset offsets
-        in
-        let head_off = List.hd ordered in
-        let head =
-          match take_oldest_at ?tenant:tenant_filter t prio head_off with
-          | Some r -> r
-          | None -> assert false
-        in
-        (* Coalesce: absorb follow-up reads that are both next in the
-           policy's order and physically consecutive, so the group is a
-           prefix of the service order and one sled pass covers it. *)
-        let group =
-          match head.kind with
-          | KOther _ -> [ head ]
-          | KRead { pba = first; _ } when t.coalesce ->
-              let rec absorb acc last_pba = function
-                | _ when List.length acc >= max_span -> acc
-                | [] -> acc
-                | off :: rest -> (
-                    let next_pba = last_pba + 1 in
-                    if
-                      next_pba >= (Device.config t.dev).Device.n_blocks
-                      || off <> offset_of_pba t next_pba
-                    then acc
-                    else
-                      (* Only absorb an actual pending read of that PBA. *)
-                      (* Never absorb across tenants: the pass is
-                         charged to one tenant's ledger, and a fair
-                         share must not smuggle another tenant's work
-                         into it. *)
-                      let matches r =
-                        match r.kind with
-                        | KRead { pba; _ } ->
-                            pba = next_pba && r.offset = off
-                            && r.tenant = head.tenant
-                        | KOther _ -> false
-                      in
-                      let pend_now =
-                        match prio with
-                        | Foreground -> t.pending_fg
-                        | Background -> t.pending_bg
-                      in
-                      match
-                        List.exists matches (List.rev pend_now)
-                      with
-                      | false -> acc
-                      | true ->
-                          let oldest =
-                            List.find matches (List.rev pend_now)
-                          in
-                          (* The offset head of the remaining order must
-                             be this request; remove it from pending. *)
-                          let rest_pend =
-                            let removed = ref false in
-                            List.filter
-                              (fun r ->
-                                if (not !removed) && r == oldest then begin
-                                  removed := true;
-                                  false
-                                end
-                                else true)
-                              pend_now
-                          in
-                          (match prio with
-                          | Foreground -> t.pending_fg <- rest_pend
-                          | Background -> t.pending_bg <- rest_pend);
-                          absorb (acc @ [ oldest ]) next_pba rest)
+  let c = if t.fg.pending <> [] then t.fg else t.bg in
+  if (not t.busy) && c.pending <> [] then begin
+    (* With an arbiter installed, the tenant is chosen first (fair share
+       across tenants), then the sled policy orders that tenant's
+       requests only.  Without one, dispatch is tenant-blind —
+       bit-identical to the pre-tenant pipeline. *)
+    let eligible =
+      match t.arbiter with
+      | None -> fun _ -> true
+      | Some choose -> (
+          match views_of c.pending with
+          | [] | [ _ ] -> fun _ -> true
+          | vs ->
+              let pick = choose vs in
+              let tid =
+                if List.exists (fun v -> v.av_tenant = pick) vs then pick
+                else (List.hd vs).av_tenant
               in
-              absorb [ head ] first (List.tl ordered)
-          | KRead _ -> [ head ]
-        in
-        t.busy <- true;
-        serve_group t group
+              fun r -> r.tenant = tid)
+    in
+    let offsets =
+      List.fold_left
+        (fun acc r -> if eligible r then r.offset :: acc else acc)
+        [] c.pending
+    in
+    let ordered =
+      Probe.Sched.order t.policy ~current:t.current_offset offsets
+    in
+    let head_off = List.hd ordered in
+    let head =
+      Option.get (take_oldest c (fun r -> r.offset = head_off && eligible r))
+    in
+    (* Coalesce: absorb follow-up reads that are both next in the
+       policy's order and physically consecutive, so the group is a
+       prefix of the service order and one sled pass covers it.  Never
+       absorb across tenants: the pass is charged to one tenant's
+       ledger, and a fair share must not smuggle another tenant's work
+       into it. *)
+    let group =
+      match head.kind with
+      | KRead { pba = first; _ } when t.coalesce ->
+          let n_blocks = (Device.config t.dev).Device.n_blocks in
+          let rec absorb n group last = function
+            | _ when n >= max_span -> group
+            | [] -> group
+            | off :: rest -> (
+                let next = last + 1 in
+                if next >= n_blocks || off <> offset_of_pba t next then group
+                else
+                  let wanted r =
+                    r.offset = off && r.tenant = head.tenant
+                    &&
+                    match r.kind with
+                    | KRead { pba; _ } -> pba = next
+                    | KOther _ -> false
+                  in
+                  match take_oldest c wanted with
+                  | None -> group
+                  | Some r -> absorb (n + 1) (r :: group) next rest)
+          in
+          List.rev (absorb 1 [ head ] first (List.tl ordered))
+      | KRead _ | KOther _ -> [ head ]
+    in
+    t.busy <- true;
+    serve_group t group
+  end
 
 and arm_dispatch t =
   if (not t.dispatch_armed) && not t.busy then begin
@@ -436,34 +352,28 @@ and arm_dispatch t =
   end
 
 and enqueue t r =
-  (match r.rprio with
-  | Foreground -> t.pending_fg <- r :: t.pending_fg
-  | Background -> t.pending_bg <- r :: t.pending_bg);
+  let c = cls t r.rprio in
+  c.pending <- r :: c.pending;
   Sim.Stats.Histogram.add t.depth_hist
-    (float_of_int (pending t + (if t.busy then 1 else 0)));
+    (float_of_int (pending t + if t.busy then 1 else 0));
   arm_dispatch t
 
-let submit_read t ?(prio = Foreground) ?(tenant = 0) ~pba k =
+let submit t prio tenant offset kind =
   enqueue t
     {
-      kind = KRead { pba; k };
-      rprio = prio;
-      tenant;
-      offset = offset_of_pba t pba;
-      submitted = Sim.Des.now t.des;
-      attempts = 1;
-    }
-
-let submit_other t prio tenant offset exec =
-  enqueue t
-    {
-      kind = KOther { exec };
+      kind;
       rprio = prio;
       tenant;
       offset;
       submitted = Sim.Des.now t.des;
       attempts = 1;
     }
+
+let submit_read t ?(prio = Foreground) ?(tenant = 0) ~pba k =
+  submit t prio tenant (offset_of_pba t pba) (KRead { pba; k })
+
+let submit_other t prio tenant offset exec =
+  submit t prio tenant offset (KOther { exec })
 
 let submit_write t ?(prio = Foreground) ?(tenant = 0) ~pba payload k =
   submit_other t prio tenant (offset_of_pba t pba) (fun () ->
@@ -494,65 +404,61 @@ let submit_heat_line t ?(prio = Foreground) ?(tenant = 0) ~line ?timestamp k =
       let r = Device.heat_line t.dev ~line ~timestamp () in
       fun () -> k r)
 
-let submit_scrub_line t ?(prio = Background) ?config prog ~line k =
-  submit_other t prio 0 (offset_of_line t line) (fun () ->
-      Scrub.add_remapped prog (Device.service_failed_tips t.dev);
-      Scrub.sweep_line ?config t.dev prog ~line;
-      k)
-
 let submit_verify_line t ?(prio = Background) ?(tenant = 0) ~line k =
   submit_other t prio tenant (offset_of_line t line) (fun () ->
       let v = Device.verify_line t.dev ~line in
       fun () -> k v)
 
+(* Run [f] every [period] simulated seconds until [stop ()] holds at a
+   tick; the body runs before the next tick is scheduled. *)
+let every t ~period ~stop f =
+  let rec arm () =
+    Sim.Des.schedule t.des ~delay:period (fun _ ->
+        if not (stop ()) then begin
+          f ();
+          arm ()
+        end)
+  in
+  arm ()
+
+(* Maintenance traffic rides tenant 0 in the Background class, one
+   request outstanding at a time. *)
 let schedule_scrub ?config ?planner t ~period ~stop =
   let prog = Scrub.progress_create () in
   let planner =
     match planner with Some p -> p | None -> Scrub.planner t.dev
   in
   let outstanding = ref false in
-  let rec arm () =
-    Sim.Des.schedule t.des ~delay:period (fun _ ->
-        if not (stop ()) then begin
-          if not !outstanding then begin
-            outstanding := true;
-            submit_scrub_line t ?config prog ~line:(Scrub.planner_next planner)
-              (fun () -> outstanding := false)
-          end;
-          arm ()
-        end)
-  in
-  arm ();
+  every t ~period ~stop (fun () ->
+      if not !outstanding then begin
+        outstanding := true;
+        let line = Scrub.planner_next planner in
+        submit_other t Background 0 (offset_of_line t line) (fun () ->
+            Scrub.add_remapped prog (Device.service_failed_tips t.dev);
+            Scrub.sweep_line ?config t.dev prog ~line;
+            fun () -> outstanding := false)
+      end);
   prog
-
-let submit_migrate t ?(prio = Background) ~line ?timestamp k =
-  submit_other t prio 0 (offset_of_line t line) (fun () ->
-      let timestamp =
-        match timestamp with Some ts -> ts | None -> Sim.Des.now t.des
-      in
-      let r = Device.evacuate_line t.dev ~line ~timestamp () in
-      fun () -> k r)
 
 let schedule_migration t ~period ~stop =
   let migrated = ref [] in
   let outstanding = ref false in
-  let rec arm () =
-    Sim.Des.schedule t.des ~delay:period (fun _ ->
-        if not (stop ()) then begin
-          (if not !outstanding then
-             match Device.next_due t.dev with
-             | None -> ()
-             | Some line ->
-                 outstanding := true;
-                 submit_migrate t ~line (fun r ->
-                     (match r with
-                     | Ok m -> migrated := m :: !migrated
-                     | Error _ -> ());
-                     outstanding := false));
-          arm ()
-        end)
-  in
-  arm ();
+  every t ~period ~stop (fun () ->
+      if not !outstanding then
+        match Device.next_due t.dev with
+        | None -> ()
+        | Some line ->
+            outstanding := true;
+            submit_other t Background 0 (offset_of_line t line) (fun () ->
+                let r =
+                  Device.evacuate_line t.dev ~line
+                    ~timestamp:(Sim.Des.now t.des) ()
+                in
+                fun () ->
+                  (match r with
+                  | Ok m -> migrated := m :: !migrated
+                  | Error _ -> ());
+                  outstanding := false));
   migrated
 
 let drain t =
@@ -570,26 +476,24 @@ let await t submit =
   done;
   Option.get !cell
 
-let latency t prio = (stats_of t prio).latency
-let wait t prio = (stats_of t prio).wait
+let latency t prio = (cls t prio).latency
+let wait t prio = (cls t prio).wait
 let service t = t.service
-let energy_spent t prio = (stats_of t prio).energy
-let completed t prio = (stats_of t prio).completed
-let last_completion t prio = (stats_of t prio).last_completion
+let energy_spent t prio = (cls t prio).energy
+let completed t prio = (cls t prio).completed
+let last_completion t prio = (cls t prio).last_completion
 let depth_histogram t = t.depth_hist
-let served_offsets t = List.rev t.served_rev
 let coalesced_requests t = t.coalesced
 let retried_reads t = t.retried_reads
 let abandoned_reads t = t.abandoned_reads
 
 let pp_summary ppf t =
-  let pc prio =
-    let cs = stats_of t prio in
-    let p50, p95, p99 = Sim.Stats.quantiles cs.latency in
+  let pc name c =
+    let p50, p95, p99 = Sim.Stats.quantiles c.latency in
     Format.fprintf ppf
-      "  %a: %d done, lat p50=%.4g p95=%.4g p99=%.4g s, wait mean=%.4g s, \
+      "  %s: %d done, lat p50=%.4g p95=%.4g p99=%.4g s, wait mean=%.4g s, \
        %.3g J@."
-      pp_prio prio cs.completed p50 p95 p99 (Sim.Stats.mean cs.wait) cs.energy
+      name c.completed p50 p95 p99 (Sim.Stats.mean c.wait) c.energy
   in
   Format.fprintf ppf "queue [%a]: %d pending, %d coalesced, service mean=%.4g s@."
     Probe.Sched.pp_policy t.policy (pending t) t.coalesced
@@ -597,8 +501,8 @@ let pp_summary ppf t =
   if t.read_retry_limit > 0 then
     Format.fprintf ppf "  retries: %d re-served, %d abandoned@."
       t.retried_reads t.abandoned_reads;
-  pc Foreground;
-  pc Background;
+  pc "fg" t.fg;
+  pc "bg" t.bg;
   match tenants t with
   | [] | [ 0 ] -> ()
   | ts ->

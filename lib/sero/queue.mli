@@ -29,6 +29,15 @@
     through the non-preemptive service time of the request it already
     occupies the sled with.
 
+    Each class keeps one pending list and one completion ledger, and
+    dispatch removes requests by one rule: the oldest pending request
+    of the class that matches.  The head is the oldest request at the
+    offset the policy picked (of the arbiter's tenant, when one is
+    installed); each coalesced read is the oldest read of the next
+    block at the next offset in that order, of the head's tenant.
+    Completion callbacks fire in service order, which is how the
+    conformance tests observe it.
+
     Timing: the device's own {!Probe.Timing} ledger is read before and
     after each sled pass and the delta becomes the service time; the
     completion event fires that many simulated seconds after service
@@ -46,8 +55,6 @@ type t
 type prio =
   | Foreground  (** FS and user traffic; always served first. *)
   | Background  (** Scrub and cleaner traffic; fills idle time. *)
-
-val pp_prio : Format.formatter -> prio -> unit
 
 val create :
   ?policy:Probe.Sched.policy ->
@@ -72,7 +79,6 @@ val create :
 
 val device : t -> Device.t
 val des : t -> Sim.Des.t
-val policy : t -> Probe.Sched.policy
 
 (** {1 Multi-tenant arbitration}
 
@@ -114,7 +120,7 @@ val tenant_energy : t -> int -> float
 
     Each [submit_*] enqueues a request and returns immediately; the
     callback fires from the completion event.  [prio] defaults to
-    [Foreground] except for scrub lines; [tenant] defaults to [0]
+    [Foreground] except for audits; [tenant] defaults to [0]
     (system traffic — scrub and migration always ride tenant 0). *)
 
 val submit_read :
@@ -158,17 +164,6 @@ val submit_heat_line :
   unit
 (** [timestamp] defaults to the DES clock at submit time. *)
 
-val submit_scrub_line :
-  t ->
-  ?prio:prio ->
-  ?config:Scrub.config ->
-  Scrub.progress ->
-  line:int ->
-  (unit -> unit) ->
-  unit
-(** One {!Scrub.sweep_line} as a request ([prio] defaults to
-    [Background]); outcomes accumulate into the given progress. *)
-
 val submit_verify_line :
   t ->
   ?prio:prio ->
@@ -182,18 +177,6 @@ val submit_verify_line :
     the foreground; give them a tenant of their own to meter their
     budget through per-tenant accounting. *)
 
-val submit_migrate :
-  t ->
-  ?prio:prio ->
-  line:int ->
-  ?timestamp:float ->
-  ((Device.migration, Device.migrate_error) result -> unit) ->
-  unit
-(** One {!Device.evacuate_line} as a queued request ([prio] defaults to
-    [Background]): the whole evacuation — copy, remap, re-burn,
-    verify — is a single non-preemptive sled pass.  [timestamp]
-    defaults to the DES clock when the request is served. *)
-
 val schedule_scrub :
   ?config:Scrub.config ->
   ?planner:Scrub.planner ->
@@ -202,8 +185,9 @@ val schedule_scrub :
   stop:(unit -> bool) ->
   Scrub.progress
 (** Background scrubbing as queue traffic: every [period] simulated
-    seconds submit the line the [planner] names next (at most one
-    outstanding scrub request at a time) until [stop ()] holds at a
+    seconds submit one {!Scrub.sweep_line} of the line the [planner]
+    names next, as a Background request of tenant 0 (at most one
+    outstanding scrub request at a time), until [stop ()] holds at a
     tick.  [planner] defaults to a fresh {!Scrub.Sequential} planner,
     which is bit-identical to the pre-planner round-robin.  Returns the
     progress the sweeps accumulate into — snapshot it with
@@ -213,23 +197,20 @@ val schedule_migration :
   t -> period:float -> stop:(unit -> bool) -> Device.migration list ref
 (** Endurance maintenance as background queue traffic: every [period]
     simulated seconds, if no migration is outstanding and
-    {!Device.next_due} names a weakening line, submit one
-    {!submit_migrate} for it.  Evacuations ride the Background class,
-    so they only contend with the foreground through the one sled pass
-    they occupy.  Returns the list the completed migrations accumulate
+    {!Device.next_due} names a weakening line, submit its
+    {!Device.evacuate_line} as one request.  The whole evacuation
+    (copy, remap, re-burn, verify) is a single non-preemptive sled pass
+    in the Background class, stamped with the DES clock when it is
+    served, so it only contends with the foreground through the pass
+    it occupies.  Returns the list the completed migrations accumulate
     into (newest first). *)
 
 (** {1 Pumping} *)
 
-val idle : t -> bool
-(** No request pending or in flight. *)
-
-val pending : t -> int
-(** Requests waiting (not counting the group in service). *)
-
 val drain : t -> unit
-(** Step the DES until the queue is {!idle} — note this also fires any
-    unrelated events scheduled on the same DES that come due. *)
+(** Step the DES until no request is pending, in flight or waiting out
+    a retry backoff — note this also fires any unrelated events
+    scheduled on the same DES that come due. *)
 
 (** {1 Waiting for one request} *)
 
@@ -260,11 +241,6 @@ val last_completion : t -> prio -> float
 val depth_histogram : t -> Sim.Stats.Histogram.h
 (** Queue depth (waiting + in-flight) sampled at each submit. *)
 
-val served_offsets : t -> int list
-(** Scan offsets in actual service order (oldest first) — the
-    observable that the policy-conformance tests compare against
-    {!Probe.Sched.order}. *)
-
 val coalesced_requests : t -> int
 (** Read requests absorbed into a bulk span (span size − 1 per span). *)
 
@@ -274,6 +250,5 @@ val retried_reads : t -> int
 val abandoned_reads : t -> int
 (** Reads whose error was delivered after the retry budget ran out
     (only counted when [read_retry_limit > 0]). *)
-
 
 val pp_summary : Format.formatter -> t -> unit

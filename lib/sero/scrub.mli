@@ -5,7 +5,7 @@
     budget (12 symbols per codeword) is gone, and only then does a read
     fail.  The scrubber turns that cliff into a slope — it sweeps the
     device, {e rewrites} any still-correctable sector whose corrected-
-    symbol count crossed [ras.scrub_threshold] (resetting its error
+    symbol count reached [correction_threshold] (resetting its error
     count), remaps failed tips to spares, completes torn burns, and
     optionally deep-verifies heated lines.
 
@@ -16,7 +16,7 @@
 type config = {
   correction_threshold : int;
       (** Rewrite a sector once RS had to correct at least this many
-          symbols (the device's [ras.scrub_threshold] by default). *)
+          symbols. *)
   deep_verify : bool;  (** Also re-verify every heated line's data. *)
 }
 

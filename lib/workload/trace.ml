@@ -101,9 +101,7 @@ let apply ?strategy fs op =
   | Append { path; data } -> Lfs.Fs.append fs path data
   | Unlink p -> Lfs.Fs.unlink fs p
   | Heat p -> Result.map (fun _ -> ()) (Lfs.Fs.heat fs ?strategy p)
-  | Sync ->
-      Lfs.Fs.sync fs;
-      Ok ()
+  | Sync -> Lfs.Fs.guard (fun () -> Lfs.Fs.sync fs)
 
 let replay ?strategy fs ops =
   List.fold_left

@@ -58,9 +58,6 @@ let splice_cases =
 
 let threat_cases =
   [
-    Alcotest.test_case "attacker model covers all four capabilities" `Quick
-      (fun () ->
-        Alcotest.(check int) "4" 4 (List.length Security.Threat.attacker_capabilities));
     Alcotest.test_case "every attack has a paper reference" `Quick (fun () ->
         List.iter
           (fun a ->

@@ -190,6 +190,37 @@ let trace_cases =
         in
         Alcotest.(check int) "applied" 3 outcome.Workload.Trace.applied;
         Alcotest.(check int) "refused" 2 outcome.Workload.Trace.refused);
+    Alcotest.test_case "a sync that fills the device is a refused op" `Quick
+      (fun () ->
+        (* Forty growing files, each synced, overflow a 256-block
+           device; the failing syncs must count as refusals, not
+           escape as exceptions. *)
+        let dev =
+          Sero.Device.create
+            (Sero.Device.default_config ~n_blocks:256 ~line_exp:3 ())
+        in
+        let fs = Lfs.Fs.format dev in
+        let ops =
+          List.concat
+            (List.init 40 (fun i ->
+                 let path = Printf.sprintf "/f%d" i in
+                 Workload.Trace.
+                   [
+                     Create { path; heat_group = 0 };
+                     Write
+                       {
+                         path;
+                         offset = 0;
+                         data = String.make (1000 + (50 * i)) 'd';
+                       };
+                     Sync;
+                   ]))
+        in
+        let outcome = Workload.Trace.replay fs ops in
+        Alcotest.(check int) "every op counted" (List.length ops)
+          (outcome.Workload.Trace.applied + outcome.Workload.Trace.refused);
+        Alcotest.(check bool) "some ops refused" true
+          (outcome.Workload.Trace.refused > 0));
   ]
 
 let () =
