@@ -1,11 +1,10 @@
 type code = {
   npar : int;
   lanes : int; (* ceil(npar / 6): 48-bit lanes holding the remainder *)
-  gpack : int array;
-      (* 256 x lanes: row f is the npar bytes f * gen.(j+1), packed
-         big-endian and left-justified into 48-bit integer lanes, so
-         [remainder] can shift and xor whole lanes instead of walking an
-         npar-element byte array per input byte. *)
+  table : int array;
+      (* [rows] x 256 x [lanes]: entry ((m * 256) + u) * lanes + l is
+         lane l of u * (x^(npar+m) mod g).  Eight rows for a four-lane
+         code, one for any other. *)
 }
 
 let lane_bytes = 6
@@ -20,54 +19,118 @@ let make ~nparity =
     gen := Gf256.poly_mul !gen [| 1; Gf256.exp i |]
   done;
   let gen = !gen in
-  (* One GF multiply per table cell here buys a multiply-free inner loop
-     in [remainder] below. *)
   let lanes = (nparity + lane_bytes - 1) / lane_bytes in
-  let gpack = Array.make (256 * lanes) 0 in
-  for f = 0 to 255 do
-    for j = 0 to nparity - 1 do
-      let v = Gf256.mul f gen.(j + 1) in
-      let lane = j / lane_bytes and byte = j mod lane_bytes in
-      gpack.((f * lanes) + lane) <-
-        gpack.((f * lanes) + lane) lor (v lsl (40 - (8 * byte)))
+  let rows = if lanes = 4 then 8 else 1 in
+  (* [p] holds x^(npar+m) mod g, coefficient of x^(npar-1-j) at j: the
+     remainder's byte order.  Row 0 is g minus its lead; each next row
+     multiplies by x. *)
+  let p = Array.init nparity (fun j -> gen.(j + 1)) in
+  let table = Array.make (rows * 256 * lanes) 0 in
+  for m = 0 to rows - 1 do
+    if m > 0 then begin
+      let lead = p.(0) in
+      for j = 0 to nparity - 1 do
+        let next = if j + 1 < nparity then p.(j + 1) else 0 in
+        p.(j) <- next lxor Gf256.mul lead gen.(j + 1)
+      done
+    end;
+    for u = 0 to 255 do
+      let row = ((m * 256) + u) * lanes in
+      for j = 0 to nparity - 1 do
+        let l = row + (j / lane_bytes) in
+        table.(l) <- table.(l) lor (Gf256.mul u p.(j) lsl (8 * (j mod lane_bytes)))
+      done
     done
   done;
-  { npar = nparity; lanes; gpack }
+  { npar = nparity; lanes; table }
 
 let nparity c = c.npar
 let max_data c = 255 - c.npar
 
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
 (* Polynomial long division of src[off, off+len) * x^npar by the
    generator, leaving the remainder in [rem]'s first [c.lanes] lanes.
 
-   The remainder lives in 48-bit integer lanes (6 bytes each,
-   big-endian, left-justified; low pad bytes of the last lane stay
-   zero), so the per-input-byte "shift remainder left one symbol and
-   xor in factor * (gen minus lead)" step costs a few integer ops per
-   lane instead of an npar-element byte-array walk. *)
+   The remainder R_0 .. R_(npar-1), R_0 the coefficient of x^(npar-1),
+   lives in little-endian 48-bit integer lanes: R_i at bits
+   8 (i mod 6) of lane i / 6, pad bytes zero.  A data byte d makes the
+   factor u = d xor R_0; the remainder shifts down one symbol and takes
+   u * (x^npar mod g), row 0 of the table.
+
+   Eight bytes d_0 .. d_7 at once:
+
+     R' = (x^8 R + sum_j d_j x^(npar+7-j)) mod g
+        = (R shifted down eight symbols) + sum_j u_j (x^(npar+7-j) mod g)
+
+   with u_j = d_j xor R_j, so byte j goes through row 7 - j.  The eight
+   lookups per lane do not depend on each other: the loop-carried chain
+   is one lookup deep per eight bytes, where the byte step is eight. *)
 let remainder c src ~off ~len rem =
-  let gpack = c.gpack in
+  let t = c.table in
   if c.lanes = 4 then begin
-    (* The hot shape (the sector code's npar = 24): four lanes kept in
-       locals, fully unrolled. *)
+    (* The sector code's shape (npar 19 to 24): four lanes in locals. *)
     let r0 = ref 0 and r1 = ref 0 and r2 = ref 0 and r3 = ref 0 in
-    for i = off to off + len - 1 do
-      let factor = Char.code (Bytes.unsafe_get src i) lxor (!r0 lsr 40) in
-      let base = factor lsl 2 in
-      let t0 =
-        (((!r0 lsl 8) land mask48) lor (!r1 lsr 40))
-        lxor Array.unsafe_get gpack base
-      and t1 =
-        (((!r1 lsl 8) land mask48) lor (!r2 lsr 40))
-        lxor Array.unsafe_get gpack (base + 1)
-      and t2 =
-        (((!r2 lsl 8) land mask48) lor (!r3 lsr 40))
-        lxor Array.unsafe_get gpack (base + 2)
-      and t3 = ((!r3 lsl 8) land mask48) lxor Array.unsafe_get gpack (base + 3) in
-      r0 := t0;
-      r1 := t1;
-      r2 := t2;
-      r3 := t3
+    let head = len land 7 in
+    for i = off to off + head - 1 do
+      let b = (Char.code (Bytes.unsafe_get src i) lxor (!r0 land 0xFF)) lsl 2 in
+      let n0 = (!r0 lsr 8) lor ((!r1 land 0xFF) lsl 40) lxor Array.unsafe_get t b
+      and n1 = (!r1 lsr 8) lor ((!r2 land 0xFF) lsl 40) lxor Array.unsafe_get t (b + 1)
+      and n2 = (!r2 lsr 8) lor ((!r3 land 0xFF) lsl 40) lxor Array.unsafe_get t (b + 2)
+      and n3 = (!r3 lsr 8) lxor Array.unsafe_get t (b + 3) in
+      r0 := n0;
+      r1 := n1;
+      r2 := n2;
+      r3 := n3
+    done;
+    (* Then one 64-bit load per step, d_0 in its low byte, so [u] packs
+       u_0 .. u_5 in the bit places of lane 0 and [v] u_6 and u_7 in
+       those of lane 1's low two bytes.  Byte j's table entry starts at
+       row 7 - j (offset (7 - j) lsl 10) plus u_j lsl 2. *)
+    let j = ref (off + head) and stop = off + len in
+    while !j < stop do
+      let w = get64u src !j in
+      let w = if Sys.big_endian then bswap64 w else w in
+      let u = (Int64.to_int w lxor !r0) land mask48
+      and v = (Int64.to_int (Int64.shift_right_logical w 48) lxor !r1) land 0xFFFF in
+      let b0 = 0x1C00 lor ((u lsl 2) land 0x3FC)
+      and b1 = 0x1800 lor ((u lsr 6) land 0x3FC)
+      and b2 = 0x1400 lor ((u lsr 14) land 0x3FC)
+      and b3 = 0x1000 lor ((u lsr 22) land 0x3FC)
+      and b4 = 0x0C00 lor ((u lsr 30) land 0x3FC)
+      and b5 = 0x0800 lor ((u lsr 38) land 0x3FC)
+      and b6 = 0x0400 lor ((v lsl 2) land 0x3FC)
+      and b7 = (v lsr 6) land 0x3FC in
+      let n0 =
+        (!r1 lsr 16) lor ((!r2 land 0xFFFF) lsl 32)
+        lxor (Array.unsafe_get t b0 lxor Array.unsafe_get t b1)
+        lxor (Array.unsafe_get t b2 lxor Array.unsafe_get t b3)
+        lxor (Array.unsafe_get t b4 lxor Array.unsafe_get t b5)
+        lxor (Array.unsafe_get t b6 lxor Array.unsafe_get t b7)
+      and n1 =
+        (!r2 lsr 16) lor ((!r3 land 0xFFFF) lsl 32)
+        lxor (Array.unsafe_get t (b0 + 1) lxor Array.unsafe_get t (b1 + 1))
+        lxor (Array.unsafe_get t (b2 + 1) lxor Array.unsafe_get t (b3 + 1))
+        lxor (Array.unsafe_get t (b4 + 1) lxor Array.unsafe_get t (b5 + 1))
+        lxor (Array.unsafe_get t (b6 + 1) lxor Array.unsafe_get t (b7 + 1))
+      and n2 =
+        (!r3 lsr 16)
+        lxor (Array.unsafe_get t (b0 + 2) lxor Array.unsafe_get t (b1 + 2))
+        lxor (Array.unsafe_get t (b2 + 2) lxor Array.unsafe_get t (b3 + 2))
+        lxor (Array.unsafe_get t (b4 + 2) lxor Array.unsafe_get t (b5 + 2))
+        lxor (Array.unsafe_get t (b6 + 2) lxor Array.unsafe_get t (b7 + 2))
+      and n3 =
+        Array.unsafe_get t (b0 + 3) lxor Array.unsafe_get t (b1 + 3)
+        lxor (Array.unsafe_get t (b2 + 3) lxor Array.unsafe_get t (b3 + 3))
+        lxor (Array.unsafe_get t (b4 + 3) lxor Array.unsafe_get t (b5 + 3))
+        lxor (Array.unsafe_get t (b6 + 3) lxor Array.unsafe_get t (b7 + 3))
+      in
+      r0 := n0;
+      r1 := n1;
+      r2 := n2;
+      r3 := n3;
+      j := !j + 8
     done;
     rem.(0) <- !r0;
     rem.(1) <- !r1;
@@ -78,25 +141,25 @@ let remainder c src ~off ~len rem =
     let n_lanes = c.lanes in
     Array.fill rem 0 n_lanes 0;
     for i = off to off + len - 1 do
-      let factor =
-        Char.code (Bytes.unsafe_get src i) lxor (Array.unsafe_get rem 0 lsr 40)
+      let base =
+        (Char.code (Bytes.unsafe_get src i) lxor (Array.unsafe_get rem 0 land 0xFF))
+        * n_lanes
       in
-      let base = factor * n_lanes in
-      for j = 0 to n_lanes - 2 do
-        Array.unsafe_set rem j
-          ((((Array.unsafe_get rem j lsl 8) land mask48)
-           lor (Array.unsafe_get rem (j + 1) lsr 40))
-          lxor Array.unsafe_get gpack (base + j))
+      for l = 0 to n_lanes - 2 do
+        Array.unsafe_set rem l
+          ((Array.unsafe_get rem l lsr 8)
+           lor ((Array.unsafe_get rem (l + 1) land 0xFF) lsl 40)
+          lxor Array.unsafe_get t (base + l))
       done;
       Array.unsafe_set rem (n_lanes - 1)
-        (((Array.unsafe_get rem (n_lanes - 1) lsl 8) land mask48)
-        lxor Array.unsafe_get gpack (base + n_lanes - 1))
+        ((Array.unsafe_get rem (n_lanes - 1) lsr 8)
+        lxor Array.unsafe_get t (base + n_lanes - 1))
     done
   end
 
 (* Byte [i] of the npar-byte remainder, highest degree first. *)
 let rem_byte rem i =
-  (rem.(i / lane_bytes) lsr (40 - (8 * (i mod lane_bytes)))) land 0xFF
+  (rem.(i / lane_bytes) lsr (8 * (i mod lane_bytes))) land 0xFF
 
 type decode_outcome = Ok_clean | Corrected of int | Uncorrectable
 
@@ -226,9 +289,6 @@ let screen_shift =
   Array.init (3 * 256) (fun j ->
       let i = (j lsr 8) + 1 and s = j land 0xFF in
       Gf256.mul s (Gf256.exp (8 * i)) lsl (8 * (i - 1)))
-
-external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external bswap64 : int64 -> int64 = "%bswap_int64"
 
 let probably_clean c cw ~off ~len =
   if off < 0 || len < 0 || off + len > Bytes.length cw then

@@ -11,7 +11,11 @@ type code
 
 val make : nparity:int -> code
 (** [make ~nparity] builds the generator polynomial for [nparity] check
-    symbols.  @raise Invalid_argument unless [0 < nparity < 255]. *)
+    symbols and the parity kernel's table: u * (x^(nparity+m) mod g)
+    for every byte u, in lane-packed form, for m = 0 .. 7 when the
+    remainder fills four 48-bit lanes ([nparity] 19 to 24, which
+    includes the sector code's 24; 64 KB) and for m = 0 otherwise.
+    @raise Invalid_argument unless [0 < nparity < 255]. *)
 
 val nparity : code -> int
 
@@ -25,7 +29,9 @@ val parity : code -> string -> string
 val parity_into : code -> bytes -> off:int -> len:int -> unit
 (** [parity_into c b ~off ~len] writes the parity of the [len] bytes of
     [b] at [off] right after them: the [nparity c] bytes at
-    [off + len].  Allocates nothing.
+    [off + len].  Allocates nothing.  A four-lane code takes eight data
+    bytes per dependent step, any other code one; {!decode}'s syndromes
+    come from the same remainder.
     @raise Invalid_argument if [len > max_data c] or a range is out of
     bounds. *)
 

@@ -56,14 +56,16 @@ let rec runs_crc image base crc p stop =
 (* The stored checksum covers every framed byte before it. *)
 let framed_crc image base = runs_crc image base 0 0 (framed_bytes - crc_bytes)
 
-(* One buffer, no intermediate copies: header and payload go straight to
-   their image positions, the CRC runs over the framed runs, and each
-   slice's parity is computed in place. *)
-let encode ~pba ~kind ~generation payload =
+(* No intermediate copies: header and payload go straight to their
+   image positions, the CRC runs over the framed runs, and each slice's
+   parity is computed in place. *)
+let encode_into image ~pba ~kind ~generation payload =
   let len = String.length payload in
   if len > payload_bytes then
     invalid_arg "Sector.encode: payload longer than 512 bytes";
-  let image = Bytes.make physical_bytes '\x00' in
+  if Bytes.length image < physical_bytes then
+    invalid_arg "Sector.encode_into: buffer shorter than an image";
+  Bytes.fill image 0 physical_bytes '\x00';
   (* The header lies inside slice 0; byte 3 is reserved. *)
   set_u16 image 0 magic;
   Bytes.set_uint8 image 2 (kind_to_int kind);
@@ -83,7 +85,11 @@ let encode ~pba ~kind ~generation payload =
   set_u16 image (at + 2) crc;
   each_run
     (fun p take -> Rs.parity_into rs_code image ~off:(image_pos p) ~len:take)
-    0 framed_bytes;
+    0 framed_bytes
+
+let encode ~pba ~kind ~generation payload =
+  let image = Bytes.create physical_bytes in
+  encode_into image ~pba ~kind ~generation payload;
   Bytes.unsafe_to_string image
 
 type decoded = {

@@ -47,6 +47,15 @@ val encode : pba:int -> kind:kind -> generation:int -> string -> string
     {!physical_bytes}-byte medium image.
     @raise Invalid_argument if the payload is over-long. *)
 
+val encode_into :
+  Bytes.t -> pba:int -> kind:kind -> generation:int -> string -> unit
+(** [encode_into buf ~pba ~kind ~generation payload] writes the image
+    {!encode} would return into the first {!physical_bytes} bytes of
+    [buf], zero-filling them first, and allocates no image.  [payload]
+    must not share memory with [buf].
+    @raise Invalid_argument if the payload is over-long or [buf] is
+    shorter than {!physical_bytes}. *)
+
 type decoded = {
   pba : int;  (** Physical address recorded inside the frame. *)
   kind : kind;

@@ -282,6 +282,28 @@ and replay_window inj ~ber ~op_off states ~base dst ~dst_off d e =
     replay_window inj ~ber ~op_off states ~base dst ~dst_off hi e
   end
 
+external get64u : Medium.states -> int -> int64 = "%caml_bigstring_get64u"
+external set64u : Medium.states -> int -> int64 -> unit = "%caml_bigstring_set64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+(* The MSB-first image byte of the state-byte pair [s0], [s1]: two
+   nibble lookups when neither holds a heated field, otherwise one bit
+   per dot in address order, a heated dot's from the medium PRNG, as the
+   scalar path draws it. *)
+let read_pair rng s0 s1 =
+  if (s0 lor s1) land 0xAA = 0 then
+    (Array.unsafe_get rev_up_nibble s0 lsl 4) lor Array.unsafe_get rev_up_nibble s1
+  else begin
+    let acc = ref 0 in
+    for j = 0 to 7 do
+      let byte = if j < 4 then s0 else s1 in
+      let c = (byte lsr (2 * (j land 3))) land 3 in
+      let bit = if c < 2 then c = 1 else Sim.Prng.bool rng in
+      if bit then acc := !acc lor (1 lsl (7 - j))
+    done;
+    !acc
+  end
+
 let mrb_run t ~start ~len ~dst ~dst_pos =
   check_run t start len;
   check_bits "Bitops.mrb_run" dst dst_pos len;
@@ -292,33 +314,66 @@ let mrb_run t ~start ~len ~dst ~dst_pos =
     let rng = Medium.rng t.medium in
     let tbl = rev_up_nibble in
     (* Segment boundaries are 8-dot-aligned, so every chunk keeps the
-       byte-pair framing of the flat kernel. *)
+       byte-pair framing of the flat kernel; a chunk's words of eight
+       state bytes (32 dots, four image bytes) stay inside its
+       segment. *)
     Medium.iter_chunks t.medium ~write:false ~start ~len
       (fun states ~base ~start:cstart ~len:clen ->
         let dpos = (dst_pos + (cstart - start)) lsr 3 in
         let first = (cstart lsr 2) - base in
-        for b = 0 to (clen lsr 3) - 1 do
-          let s0 = Char.code (Bigarray.Array1.unsafe_get states (first + (2 * b)))
-          and s1 =
-            Char.code (Bigarray.Array1.unsafe_get states (first + (2 * b) + 1))
-          in
-          let v =
-            if (s0 lor s1) land 0xAA = 0 then
-              (Array.unsafe_get tbl s0 lsl 4) lor Array.unsafe_get tbl s1
-            else begin
-              (* A heated dot reads as a coin flip; the draws happen in
-                 address order, exactly as the scalar path makes them. *)
-              let acc = ref 0 in
-              for j = 0 to 7 do
-                let byte = if j < 4 then s0 else s1 in
-                let c = (byte lsr (2 * (j land 3))) land 3 in
-                let bit = if c < 2 then c = 1 else Sim.Prng.bool rng in
-                if bit then acc := !acc lor (1 lsl (7 - j))
-              done;
-              !acc
-            end
-          in
-          Bytes.unsafe_set dst (dpos + b) (Char.unsafe_chr v)
+        let n = clen lsr 3 in
+        let b = ref 0 in
+        while !b + 4 <= n do
+          let p = !b in
+          let w = get64u states (first + (2 * p)) in
+          let w = if Sys.big_endian then bswap64 w else w in
+          (* State bytes 0-3 in bits 0-31 of [lo] (its bits from 32 up
+             are never read), 4-7 in [hi]. *)
+          let lo = Int64.to_int w
+          and hi = Int64.to_int (Int64.shift_right_logical w 32) in
+          let d = dpos + p in
+          if (lo lor hi) land 0xAAAAAAAA = 0 then begin
+            Bytes.unsafe_set dst d
+              (Char.unsafe_chr
+                 ((Array.unsafe_get tbl (lo land 0xFF) lsl 4)
+                 lor Array.unsafe_get tbl ((lo lsr 8) land 0xFF)));
+            Bytes.unsafe_set dst (d + 1)
+              (Char.unsafe_chr
+                 ((Array.unsafe_get tbl ((lo lsr 16) land 0xFF) lsl 4)
+                 lor Array.unsafe_get tbl ((lo lsr 24) land 0xFF)));
+            Bytes.unsafe_set dst (d + 2)
+              (Char.unsafe_chr
+                 ((Array.unsafe_get tbl (hi land 0xFF) lsl 4)
+                 lor Array.unsafe_get tbl ((hi lsr 8) land 0xFF)));
+            Bytes.unsafe_set dst (d + 3)
+              (Char.unsafe_chr
+                 ((Array.unsafe_get tbl ((hi lsr 16) land 0xFF) lsl 4)
+                 lor Array.unsafe_get tbl (hi lsr 24)))
+          end
+          else begin
+            (* A heated field somewhere in the word: pair by pair, so
+               the coin flips come in address order. *)
+            Bytes.unsafe_set dst d
+              (Char.unsafe_chr (read_pair rng (lo land 0xFF) ((lo lsr 8) land 0xFF)));
+            Bytes.unsafe_set dst (d + 1)
+              (Char.unsafe_chr
+                 (read_pair rng ((lo lsr 16) land 0xFF) ((lo lsr 24) land 0xFF)));
+            Bytes.unsafe_set dst (d + 2)
+              (Char.unsafe_chr (read_pair rng (hi land 0xFF) ((hi lsr 8) land 0xFF)));
+            Bytes.unsafe_set dst (d + 3)
+              (Char.unsafe_chr (read_pair rng ((hi lsr 16) land 0xFF) (hi lsr 24)))
+          end;
+          b := p + 4
+        done;
+        while !b < n do
+          let p = !b in
+          let i = first + (2 * p) in
+          Bytes.unsafe_set dst (dpos + p)
+            (Char.unsafe_chr
+               (read_pair rng
+                  (Char.code (Bigarray.Array1.unsafe_get states i))
+                  (Char.code (Bigarray.Array1.unsafe_get states (i + 1)))));
+          b := p + 1
         done);
     match t.fault with
     | None -> ()
@@ -347,6 +402,37 @@ let nibble_states =
       lor (((nib lsr 1) land 1) lsl 4)
       lor ((nib land 1) lsl 6))
 
+(* An image byte as its two state bytes, the high nibble's in bits 0-7
+   and the low nibble's in bits 8-15. *)
+let expand =
+  Array.init 256 (fun v ->
+      nibble_states.(v lsr 4) lor (nibble_states.(v land 15) lsl 8))
+
+(* Image byte [v] over the state-byte pair at [i0]. *)
+let write_pair states i0 v =
+  let s0 = Char.code (Bigarray.Array1.unsafe_get states i0)
+  and s1 = Char.code (Bigarray.Array1.unsafe_get states (i0 + 1)) in
+  if (s0 lor s1) land 0xAA = 0 then begin
+    (* No heated dot in either state byte: overwrite all eight. *)
+    Bigarray.Array1.unsafe_set states i0
+      (Char.unsafe_chr (Array.unsafe_get nibble_states (v lsr 4)));
+    Bigarray.Array1.unsafe_set states (i0 + 1)
+      (Char.unsafe_chr (Array.unsafe_get nibble_states (v land 15)))
+  end
+  else
+    (* A heated dot ignores the write (no perpendicular axis); the
+       magnetised fields around it are still overwritten. *)
+    for j = 0 to 7 do
+      let idx = i0 + (j lsr 2) in
+      let byte = Char.code (Bigarray.Array1.unsafe_get states idx) in
+      let shift = 2 * (j land 3) in
+      if (byte lsr shift) land 2 = 0 then begin
+        let bit = (v lsr (7 - j)) land 1 in
+        Bigarray.Array1.unsafe_set states idx
+          (Char.unsafe_chr (byte land lnot (3 lsl shift) lor (bit lsl shift)))
+      end
+    done
+
 let mwb_run t ~start ~len ~src ~src_pos =
   check_run t start len;
   check_bits "Bitops.mwb_run" src src_pos len;
@@ -357,37 +443,52 @@ let mwb_run t ~start ~len ~src ~src_pos =
   then begin
     credit t len;
     t.counters.mwb <- t.counters.mwb + len;
-    let tbl = nibble_states in
+    let ex = expand in
+    (* [~write:true] makes each chunk's segment private before the
+       first store. *)
     Medium.iter_chunks t.medium ~write:true ~start ~len
       (fun states ~base ~start:cstart ~len:clen ->
         let spos = (src_pos + (cstart - start)) lsr 3 in
         let first = (cstart lsr 2) - base in
-        for b = 0 to (clen lsr 3) - 1 do
-          let v = Char.code (Bytes.unsafe_get src (spos + b)) in
-          let i0 = first + (2 * b) in
-          let s0 = Char.code (Bigarray.Array1.unsafe_get states i0)
-          and s1 = Char.code (Bigarray.Array1.unsafe_get states (i0 + 1)) in
-          if (s0 lor s1) land 0xAA = 0 then begin
-            (* No heated dot in either state byte: overwrite all eight. *)
-            Bigarray.Array1.unsafe_set states i0
-              (Char.unsafe_chr (Array.unsafe_get tbl (v lsr 4)));
-            Bigarray.Array1.unsafe_set states (i0 + 1)
-              (Char.unsafe_chr (Array.unsafe_get tbl (v land 15)))
+        let n = clen lsr 3 in
+        let b = ref 0 in
+        while !b + 4 <= n do
+          let p = !b in
+          let i0 = first + (2 * p) and s = spos + p in
+          (* The heated test reads every byte alike: no byte swap. *)
+          let w = get64u states i0 in
+          if
+            (Int64.to_int w lor Int64.to_int (Int64.shift_right_logical w 32))
+            land 0xAAAAAAAA
+            = 0
+          then begin
+            (* The word is built from two 32-bit halves: an int with bit
+               62 set is negative, and [Int64.of_int] of the whole word
+               would copy that bit into bit 63, the last dot's heated
+               bit. *)
+            let lo =
+              Array.unsafe_get ex (Char.code (Bytes.unsafe_get src s))
+              lor (Array.unsafe_get ex (Char.code (Bytes.unsafe_get src (s + 1))) lsl 16)
+            and hi =
+              Array.unsafe_get ex (Char.code (Bytes.unsafe_get src (s + 2)))
+              lor (Array.unsafe_get ex (Char.code (Bytes.unsafe_get src (s + 3))) lsl 16)
+            in
+            let w =
+              Int64.logor (Int64.of_int lo) (Int64.shift_left (Int64.of_int hi) 32)
+            in
+            set64u states i0 (if Sys.big_endian then bswap64 w else w)
           end
           else
-            (* A heated dot ignores the write (no perpendicular axis); the
-               magnetised fields around it are still overwritten. *)
-            for j = 0 to 7 do
-              let idx = i0 + (j lsr 2) in
-              let byte = Char.code (Bigarray.Array1.unsafe_get states idx) in
-              let shift = 2 * (j land 3) in
-              if (byte lsr shift) land 2 = 0 then begin
-                let bit = (v lsr (7 - j)) land 1 in
-                Bigarray.Array1.unsafe_set states idx
-                  (Char.unsafe_chr
-                     (byte land lnot (3 lsl shift) lor (bit lsl shift)))
-              end
-            done
+            for k = 0 to 3 do
+              write_pair states (i0 + (2 * k)) (Char.code (Bytes.unsafe_get src (s + k)))
+            done;
+          b := p + 4
+        done;
+        while !b < n do
+          let p = !b in
+          write_pair states (first + (2 * p))
+            (Char.code (Bytes.unsafe_get src (spos + p)));
+          b := p + 1
         done)
   end
   else

@@ -107,7 +107,15 @@ val primitive_ops : counters -> int
       8; unfaulted over [len] ticks.
     - {!erb_run}: unfaulted over [5 * cycles * len] ticks (it credits
       the [mrb + mwb] it charged), [read_ber = 0] and the run
-      defect-free (any start, length and bit offset). *)
+      defect-free (any start, length and bit offset).
+
+    Both packed kernels take eight state bytes (32 dots, four image
+    bytes) per step, with one 64-bit load, while a segment chunk has
+    that many left.  A word with no heated field maps through nibble
+    tables (a write stores the whole word); a word with one goes pair
+    by pair, so a read's coin flips keep address order and a write
+    leaves heated dots alone.  The rest of a chunk goes pair by
+    pair. *)
 
 val get_bit : Bytes.t -> int -> bool
 (** [get_bit buf i] is bit [i] of [buf] in the kernels' MSB-first

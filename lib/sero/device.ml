@@ -435,14 +435,19 @@ let frame_kind pba t =
 let write_image_at t ~start image =
   Probe.Pdevice.write_run t.pdevice ~start ~len:Layout.block_dots ~src:image
 
+(* Encode the frame of [pba] into the scratch image, which is dead
+   between device calls (a caller's raw view is consumed before it
+   writes), and write it at physical first dot [start]. *)
+let write_frame t ~pba ~start payload =
+  let image = (scratch t).sc_image in
+  Codec.Sector.encode_into image ~pba ~kind:(frame_kind pba t)
+    ~generation:t.generations.(pba) payload;
+  write_image_at t ~start image
+
 let unsafe_write_block t ~pba payload =
   t.writes <- t.writes + 1;
   t.generations.(pba) <- t.generations.(pba) + 1;
-  let image =
-    Codec.Sector.encode ~pba ~kind:(frame_kind pba t)
-      ~generation:t.generations.(pba) payload
-  in
-  write_image_at t ~start:(block_start t pba) (Bytes.unsafe_of_string image);
+  write_frame t ~pba ~start:(block_start t pba) payload;
   notify_mutation t ~pba ~n:1
 
 let unsafe_write_raw t ~pba image =
@@ -1084,13 +1089,7 @@ let pp_migrate_error ppf = function
 let write_frame_at_phys (t : t) ~pba ~phys_pba payload =
   t.writes <- t.writes + 1;
   t.generations.(pba) <- t.generations.(pba) + 1;
-  let image =
-    Codec.Sector.encode ~pba ~kind:(frame_kind pba t)
-      ~generation:t.generations.(pba) payload
-  in
-  write_image_at t
-    ~start:(Layout.block_first_dot t.layout phys_pba)
-    (Bytes.unsafe_of_string image)
+  write_frame t ~pba ~start:(Layout.block_first_dot t.layout phys_pba) payload
 
 let blank_block_at_phys (t : t) ~phys_pba =
   t.writes <- t.writes + 1;

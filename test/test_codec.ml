@@ -319,19 +319,71 @@ module Rs_oracle = struct
     end
 end
 
+(* The parity the library computed before it took eight symbols per
+   step, kept as the oracle: the remainder in big-endian, left-justified
+   48-bit lanes, one table row per factor, one dependent step per
+   byte. *)
+module Rs_parity_oracle = struct
+  let mask48 = 0xFFFFFFFFFFFF
+
+  (* Row f holds the npar bytes f * g_(j+1), g's coefficients after its
+     lead, packed six to a lane. *)
+  let make npar =
+    let gen = ref [| 1 |] in
+    for i = 0 to npar - 1 do
+      gen := Codec.Gf256.poly_mul !gen [| 1; Codec.Gf256.exp i |]
+    done;
+    let gen = !gen and lanes = (npar + 5) / 6 in
+    let gpack = Array.make (256 * lanes) 0 in
+    for f = 0 to 255 do
+      for j = 0 to npar - 1 do
+        let l = (f * lanes) + (j / 6) in
+        gpack.(l) <-
+          gpack.(l) lor (Codec.Gf256.mul f gen.(j + 1) lsl (40 - (8 * (j mod 6))))
+      done
+    done;
+    (lanes, gpack)
+
+  let tables = Hashtbl.create 8
+
+  let table npar =
+    match Hashtbl.find_opt tables npar with
+    | Some t -> t
+    | None ->
+        let t = make npar in
+        Hashtbl.add tables npar t;
+        t
+
+  (* The npar parity bytes of b[off, off+len). *)
+  let parity npar b ~off ~len =
+    let lanes, gpack = table npar in
+    let rem = Array.make lanes 0 in
+    for i = off to off + len - 1 do
+      let base = (Char.code (Bytes.get b i) lxor (rem.(0) lsr 40)) * lanes in
+      for j = 0 to lanes - 2 do
+        rem.(j) <-
+          ((rem.(j) lsl 8) land mask48) lor (rem.(j + 1) lsr 40) lxor gpack.(base + j)
+      done;
+      rem.(lanes - 1) <-
+        ((rem.(lanes - 1) lsl 8) land mask48) lxor gpack.(base + lanes - 1)
+    done;
+    String.init npar (fun i ->
+        Char.chr ((rem.(i / 6) lsr (40 - (8 * (i mod 6)))) land 0xFF))
+end
+
 (* [data] cut into [max_data c]-byte slices, each followed by its
-   parity: the RS layout of a sector image (the library's old
+   oracle parity: the RS layout of a sector image (the library's old
    [Rs.encode_blocks]). *)
 let encode_blocks c data =
-  let m = Codec.Rs.max_data c in
+  let m = Codec.Rs.max_data c and npar = Codec.Rs.nparity c in
   let len = String.length data in
   let buf = Buffer.create (Codec.Rs.encoded_length c len) in
   let off = ref 0 in
   while !off < len do
     let take = min m (len - !off) in
-    let slice = String.sub data !off take in
-    Buffer.add_string buf slice;
-    Buffer.add_string buf (Codec.Rs.parity c slice);
+    Buffer.add_string buf (String.sub data !off take);
+    Buffer.add_string buf
+      (Rs_parity_oracle.parity npar (Bytes.unsafe_of_string data) ~off:!off ~len:take);
     off := !off + take
   done;
   Buffer.contents buf
@@ -471,11 +523,78 @@ let rs_parity_into =
       let b = Bytes.make (before + len + npar + after) '\xA5' in
       Bytes.blit_string data 0 b before len;
       Codec.Rs.parity_into c b ~off:before ~len;
-      String.equal (Bytes.sub_string b (before + len) npar) (Codec.Rs.parity c data)
+      String.equal
+        (Bytes.sub_string b (before + len) npar)
+        (Rs_parity_oracle.parity npar (Bytes.of_string data) ~off:0 ~len)
       && String.equal (Bytes.sub_string b before len) data
       && Bytes.for_all (fun ch -> ch = '\xA5') (Bytes.sub b 0 before)
       && Bytes.for_all (fun ch -> ch = '\xA5')
            (Bytes.sub b (before + len + npar) after))
+
+(* Every four-lane code (npar 19-24) takes the eight-symbol loop; 8 and
+   32 keep the byte step.  Each case runs every data length of each
+   code at a random offset into random bytes, and the bytes outside
+   the parity must come through untouched. *)
+let parity_codes =
+  List.map
+    (fun npar -> (npar, Codec.Rs.make ~nparity:npar))
+    [ 8; 19; 20; 21; 22; 23; 24; 32 ]
+
+let rs_parity_oracle =
+  QCheck.Test.make
+    ~name:"parity_into == byte-step oracle: every length, npar 8, 19-24, 32"
+    ~count:30 ~long_factor:20
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Sim.Prng.create seed in
+      List.for_all
+        (fun (npar, c) ->
+          let ok = ref true in
+          for len = 0 to Codec.Rs.max_data c do
+            let off = Sim.Prng.int rng 16 in
+            let b =
+              Bytes.init (off + len + npar + Sim.Prng.int rng 16) (fun _ ->
+                  Char.chr (Sim.Prng.int rng 256))
+            in
+            let orig = Bytes.copy b and par = off + len in
+            Codec.Rs.parity_into c b ~off ~len;
+            let tail = Bytes.length b - par - npar in
+            ok :=
+              !ok
+              && String.equal (Bytes.sub_string b par npar)
+                   (Rs_parity_oracle.parity npar orig ~off ~len)
+              && Bytes.equal (Bytes.sub b 0 par) (Bytes.sub orig 0 par)
+              && Bytes.equal (Bytes.sub b (par + npar) tail)
+                   (Bytes.sub orig (par + npar) tail)
+          done;
+          !ok)
+        parity_codes)
+
+let rs_parity_cases =
+  [
+    Alcotest.test_case "parity_into allocates nothing" `Quick (fun () ->
+        let image =
+          Bytes.of_string
+            (Codec.Sector.encode ~pba:5 ~kind:Codec.Sector.Data ~generation:1
+               (String.make 512 's'))
+        in
+        let orig = Bytes.copy image in
+        (* The sector's three slices: 231, 231 and 70 data bytes. *)
+        let sector () =
+          Codec.Rs.parity_into rs image ~off:0 ~len:231;
+          Codec.Rs.parity_into rs image ~off:255 ~len:231;
+          Codec.Rs.parity_into rs image ~off:510 ~len:70
+        in
+        sector ();
+        Alcotest.(check bool) "parity rewritten unchanged" true (Bytes.equal image orig);
+        let before = Gc.minor_words () in
+        for _ = 1 to 100 do
+          sector ()
+        done;
+        let words = Gc.minor_words () -. before in
+        if words > 0. then
+          Alcotest.failf "300 parity_into calls allocated %.0f words (gate 0)" words);
+  ]
 
 let rs_erasures_correct =
   QCheck.Test.make ~name:"corrects up to nparity known erasures" ~count:100
@@ -1140,6 +1259,7 @@ let () =
               rs_oracle_random; rs_oracle_codes; rs_parity_into;
               screen_every_length; screen_few_errors; screen_each_syndrome ]
         @ screen_cases );
+      ("rs-parity", rs_parity_cases @ [ qtest rs_parity_oracle ]);
       ( "sector",
         sector_cases
         @ List.map qtest

@@ -649,6 +649,133 @@ let erb_run_dense =
             true (twins_agree t1 t2))
         erb_cycles)
 
+(* {1 Word kernels across segments}
+
+   The packed kernels take eight state bytes (32 dots, four image bytes)
+   per step inside a segment chunk and finish each chunk pair by pair.
+   These twins race them against the per-dot loops on a medium of four
+   segments, on CoW clones of a written parent, so each write chunk
+   materialises its segment before the kernel stores into it.  Runs
+   straddle a segment boundary, their lengths are whole bytes but not
+   whole words, and their heated dots fall at random, at one chosen
+   position of the run's first word and, in half the cases, over all of
+   its second word. *)
+let seg_dots = 4 * Pmedia.Medium.segment_bytes
+
+(* 8 x 6,200 dots: three full segments and part of a fourth. *)
+let word_config = Pmedia.Medium.default_config ~rows:8 ~cols:6200
+
+(* A parent with magnetic data over [lo, hi), set dot by dot, then the
+   [heated] dots.  [ones] picks how often a dot is Up: never, 1 in 64,
+   half the time or always.  A word whose other dots are all Down or
+   all Up must not pass for a clean one. *)
+let word_parent rng ~ones ~lo ~hi heated =
+  let m = Pmedia.Medium.create word_config in
+  for i = lo to hi - 1 do
+    let up =
+      match ones with
+      | 0 -> false
+      | 1 -> Sim.Prng.int rng 64 = 0
+      | 2 -> Sim.Prng.bool rng
+      | _ -> true
+    in
+    Pmedia.Medium.set m i (Pmedia.Dot.Magnetised (Pmedia.Dot.of_bool up))
+  done;
+  List.iter (fun i -> Pmedia.Medium.set m i Pmedia.Dot.Heated) heated;
+  m
+
+(* (seed, boundary), (length in bytes, bytes of it before the boundary),
+   (heated position in the first word, random heat density, data
+   density), and the buffer's byte offset. *)
+let word_twin_arb =
+  QCheck.(
+    quad
+      (pair (int_range 0 1_000_000) (int_range 1 3))
+      (pair (int_range 5 400) (int_range 0 400))
+      (triple (int_range 0 31) (int_range 0 3) (int_range 0 3))
+      (int_range 0 7))
+
+let word_kernel_twins =
+  QCheck.Test.make
+    ~name:"word kernels == per-dot loops across segments of a CoW clone"
+    ~count:300 ~long_factor:20 word_twin_arb
+    (fun ((seed, bnd), (len8, before), (q, dens, ones), byte_off) ->
+      let len8 = if len8 land 3 = 0 then len8 + 1 else len8 in
+      let len = 8 * len8 and size = 8 * 6200 in
+      let start = min ((bnd * seg_dots) - (8 * (before mod (len8 + 1)))) (size - len) in
+      let lo = max 0 (start - 64) and hi = min size (start + len + 64) in
+      let rng = Sim.Prng.create seed in
+      (* From density 2 on, the run's second word is heated whole. *)
+      let whole =
+        if dens >= 2 && len >= 64 then List.init 32 (fun k -> start + 32 + k)
+        else []
+      in
+      let scattered =
+        List.init (4 * dens * dens) (fun _ -> lo + Sim.Prng.int rng (hi - lo))
+      in
+      let heated = (start + q) :: (whole @ scattered) in
+      let parent = word_parent rng ~ones ~lo ~hi heated in
+      let image = packed_string parent in
+      let twin () =
+        let m = Pmedia.Medium.clone parent in
+        (m, Pmedia.Bitops.make m)
+      in
+      let off = 8 * byte_off in
+      (* Reads: the same bits inside noise, the same clones, counters
+         and PRNG position, and the packed kernel taken. *)
+      let ((_, r1) as t1), ((_, r2) as t2) = (twin (), twin ()) in
+      let d1 = noise_bytes seed ~off ~len in
+      let d2 = Bytes.copy d1 in
+      let packed = Pmedia.Bitops.mrb_run_fast r1 ~start ~len in
+      Pmedia.Bitops.mrb_run r1 ~start ~len ~dst:d1 ~dst_pos:off;
+      for k = 0 to len - 1 do
+        put_bit d2 (off + k) (Pmedia.Dot.to_bool (Pmedia.Bitops.mrb r2 (start + k)))
+      done;
+      let reads = packed && Bytes.equal d1 d2 && twins_agree t1 t2 in
+      (* Writes: the same clones, and each segment the run touches made
+         private by the kernel. *)
+      let ((m3, w3) as t3), ((_, w4) as t4) = (twin (), twin ()) in
+      let src = noise_bytes (seed + 1) ~off ~len in
+      Pmedia.Bitops.mwb_run w3 ~start ~len ~src ~src_pos:off;
+      for k = 0 to len - 1 do
+        Pmedia.Bitops.mwb w4 (start + k) (Pmedia.Dot.of_bool (test_bit src (off + k)))
+      done;
+      let segments = ((start + len - 1) / seg_dots) - (start / seg_dots) + 1 in
+      reads && twins_agree t3 t4
+      && Pmedia.Medium.owned_segments m3 = segments
+      && String.equal (packed_string parent) image)
+
+let word_kernel_cases =
+  [
+    (* What the kernels allocate is their chunk closure: 9 words to
+       read a 4,832-dot run (one sector image), 8 to write it. *)
+    Alcotest.test_case "mrb_run and mwb_run allocation on a sector run" `Quick
+      (fun () ->
+        let m =
+          Pmedia.Medium.create (Pmedia.Medium.default_config ~rows:8 ~cols:4832)
+        in
+        let ctx = Pmedia.Bitops.make m in
+        List.iter (fun i -> Pmedia.Medium.set m (4832 + i) Pmedia.Dot.Heated) [ 5; 900; 4000 ];
+        let src = Bytes.init 604 (fun i -> Char.chr ((i * 37) land 0xFF))
+        and dst = Bytes.create 604 in
+        let words f =
+          f ();
+          let before = Gc.minor_words () in
+          for _ = 1 to 100 do
+            f ()
+          done;
+          (Gc.minor_words () -. before) /. 100.
+        in
+        let w =
+          words (fun () -> Pmedia.Bitops.mwb_run ctx ~start:4832 ~len:4832 ~src ~src_pos:0)
+        in
+        let r =
+          words (fun () -> Pmedia.Bitops.mrb_run ctx ~start:4832 ~len:4832 ~dst ~dst_pos:0)
+        in
+        Alcotest.(check bool) (Printf.sprintf "mwb_run %.1f words <= 8" w) true (w <= 8.);
+        Alcotest.(check bool) (Printf.sprintf "mrb_run %.1f words <= 9" r) true (r <= 9.));
+  ]
+
 (* {1 CoW segments} *)
 
 let cow_medium () =
@@ -752,6 +879,8 @@ let () =
         run_access_cases
         @ List.map qtest
             [ mrb_run_equiv; mrb_run_flips_equiv; mwb_run_equiv; erb_run_equiv ]
-        @ [ erb_run_dense; inert_keeps_packed ] );
+        @ [ erb_run_dense; inert_keeps_packed ]
+        @ word_kernel_cases
+        @ [ qtest word_kernel_twins ] );
       ("cow", cow_cases @ [ qtest cow_matches_deep_copy ]);
     ]

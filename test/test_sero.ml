@@ -1942,6 +1942,33 @@ let audit_alloc_cases =
           true (verify < 2000.));
   ]
 
+(* A sector write encodes into the device's scratch image, so it
+   allocates no 604-byte image. *)
+let write_alloc_cases =
+  [
+    Alcotest.test_case "write_block allocates no image" `Quick (fun () ->
+        let dev = make_dev ~n_blocks:64 ~line_exp:3 () in
+        let pba = Sero.Layout.first_data_block (Sero.Device.layout dev) 1 in
+        let payload = String.init 512 (fun i -> Char.chr ((i * 131) land 0xFF)) in
+        let write () =
+          match Sero.Device.write_block dev ~pba payload with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "write: %a" Sero.Device.pp_write_error e
+        in
+        write ();
+        let before = Gc.minor_words () in
+        for _ = 1 to 100 do
+          write ()
+        done;
+        let w = (Gc.minor_words () -. before) /. 100. in
+        Alcotest.(check bool)
+          (Printf.sprintf "write_block %.0f words < 60" w)
+          true (w < 60.);
+        match Sero.Device.read_block dev ~pba with
+        | Ok p -> Alcotest.(check string) "reads back" payload p
+        | Error e -> Alcotest.failf "read: %a" Sero.Device.pp_read_error e);
+  ]
+
 (* {1 Fault-path allocation}
 
    The same kind of counts under an installed injector that cannot act
@@ -2051,5 +2078,5 @@ let () =
       ("clone",
         clone_cases @ [ qtest clone_parent_churn; qtest clone_rearm_isolation ]);
       ("packed-twin", [ qtest packed_vs_per_dot ]);
-      ("audit-alloc", audit_alloc_cases @ fault_alloc_cases);
+      ("audit-alloc", audit_alloc_cases @ fault_alloc_cases @ write_alloc_cases);
     ]
