@@ -203,9 +203,7 @@ let serve_replay image trace_path expect depth rate burst =
       | Ok frames -> (
           let des = Sim.Des.create () in
           let q = Sero.Queue.create des dev in
-          let limits_of _ =
-            { Host.Server.weight = 1.; max_depth = depth; rate; burst }
-          in
+          let limits_of _ = { Host.Server.max_depth = depth; rate; burst } in
           let server =
             Host.Server.create ~limits_of (Host.Server.Device q)
           in
@@ -251,14 +249,7 @@ let tenants_cmd image trace_path arbiter depth rate burst =
       | Ok frames ->
           let des = Sim.Des.create () in
           let q = Sero.Queue.create des dev in
-          let limits_of _ =
-            {
-              Host.Server.weight = 1.;
-              max_depth = depth;
-              rate;
-              burst;
-            }
-          in
+          let limits_of _ = { Host.Server.max_depth = depth; rate; burst } in
           let server =
             Host.Server.create ~limits_of (Host.Server.Device q)
           in

@@ -6,8 +6,7 @@
    function of the constants below); every fleet member is a CoW clone
    of it.  Device [i]'s traffic is driven by Sim.Prng.stream ~seed i,
    so the fleet result is a pure function of (seed, n) — byte-identical
-   for any SERO_JOBS.  Wall-clock throughput lines are printed only
-   when SERO_E26_WALL is set, keeping the default output deterministic. *)
+   for any SERO_JOBS. *)
 
 let golden_blocks = 64
 let golden_line_exp = 3
@@ -258,9 +257,7 @@ let headline ?(devices = 512) ?ops () =
 
 let print ppf =
   let clone = measure_clones () in
-  let t0 = Sys.time () in
   let rows = List.map (fun n -> run_fleet n) curve in
-  let wall = Sys.time () -. t0 in
   Format.fprintf ppf
     "E26 — fleet fan-out: CoW clones x keyed PRNG streams@.";
   Format.fprintf ppf "%s@." (String.make 78 '-');
@@ -285,16 +282,6 @@ let print ppf =
   Format.fprintf ppf
     "fleet of %d: %d tamper verdicts, %d op failures (0 expected of both)@."
     h.h_devices h.h_tampers h.h_fails;
-  if Sys.getenv_opt "SERO_E26_WALL" <> None then begin
-    let devices = List.fold_left (fun a f -> a + f.f_devices) 0 rows in
-    let events = List.fold_left (fun a f -> a + f.f_events) 0 rows in
-    Format.fprintf ppf
-      "wall (non-deterministic, SERO_E26_WALL): %d devices and %d events in \
-       %.2f s — %.0f devices/s, %.0f events/s@."
-      devices events wall
-      (float_of_int devices /. wall)
-      (float_of_int events /. wall)
-  end;
   Format.fprintf ppf
     "every device is a pure function of (seed, index): the same fleet@.";
   Format.fprintf ppf "bytes fall out of any -j.@."

@@ -13,8 +13,7 @@
        (acceptance: ≤ 64 KiB) and private CoW segments (0 until
        written).}}
 
-    Output is byte-identical for any [SERO_JOBS]; wall-clock
-    throughput lines appear only when [SERO_E26_WALL] is set. *)
+    Output is byte-identical for any [SERO_JOBS]. *)
 
 val default_ops : int
 (** Open-loop operations per device (6). *)

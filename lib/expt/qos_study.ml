@@ -132,9 +132,7 @@ let run_cell ~ops ~policy ~heavy () =
    than its token bucket refills, so a deterministic share of its
    submissions bounce with REJECTED_RATE. *)
 let run_overload ~ops () =
-  let limits_of _ =
-    { Host.Server.weight = 1.; max_depth = 8; rate = 10.; burst = 2. }
-  in
+  let limits_of _ = { Host.Server.max_depth = 8; rate = 10.; burst = 2. } in
   run_streams ~cell:"overload" ~ops ~policy:Host.Arbiter.Tenant_blind
     ~limits_of
     ~tenants_streams:[ (1, 2) ]

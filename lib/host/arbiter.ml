@@ -1,4 +1,4 @@
-type policy =
+type policy = Sero.Queue.arbiter =
   | Tenant_blind
   | Arrival_order
   | Fair_share of (int -> float)
@@ -8,39 +8,4 @@ let policy_name = function
   | Arrival_order -> "fifo"
   | Fair_share _ -> "wfs"
 
-let arrival_order views =
-  match views with
-  | [] -> invalid_arg "Arbiter.arrival_order: no views"
-  | v :: vs ->
-      let best =
-        List.fold_left
-          (fun best v ->
-            if v.Sero.Queue.av_oldest < best.Sero.Queue.av_oldest then v
-            else best)
-          v vs
-      in
-      best.Sero.Queue.av_tenant
-
-let fair_share q ~weight views =
-  match views with
-  | [] -> invalid_arg "Arbiter.fair_share: no views"
-  | v :: vs ->
-      let score v =
-        let w = weight v.Sero.Queue.av_tenant in
-        if w <= 0. then invalid_arg "Arbiter.fair_share: weight <= 0";
-        Sero.Queue.tenant_service q v.Sero.Queue.av_tenant /. w
-      in
-      let best =
-        List.fold_left
-          (fun (bs, bv) v ->
-            let s = score v in
-            if s < bs then (s, v) else (bs, bv))
-          (score v, v) vs
-      in
-      (snd best).Sero.Queue.av_tenant
-
-let install q = function
-  | Tenant_blind -> Sero.Queue.set_arbiter q None
-  | Arrival_order -> Sero.Queue.set_arbiter q (Some arrival_order)
-  | Fair_share weight ->
-      Sero.Queue.set_arbiter q (Some (fair_share q ~weight))
+let install = Sero.Queue.set_arbiter

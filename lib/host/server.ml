@@ -1,9 +1,8 @@
 type target = Device of Sero.Queue.t | Volume of Sarray.Volume.t
 
-type limits = { weight : float; max_depth : int; rate : float; burst : float }
+type limits = { max_depth : int; rate : float; burst : float }
 
-let default_limits =
-  { weight = 1.; max_depth = max_int; rate = infinity; burst = infinity }
+let default_limits = { max_depth = max_int; rate = infinity; burst = infinity }
 
 type tstate = {
   limits : limits;

@@ -15,21 +15,22 @@
     synchronous.
 
     The single-tenant sync facade ({!call}) is bit-identical — payloads,
-    hashes, verdicts, completion order — to calling the underlying
-    {!Sero.Queue} facade directly (the equivalence qcheck suite holds
-    the layer to that). *)
+    hashes, verdicts, completion order — to submitting the same request
+    through {!Sero.Queue.await} directly (the equivalence qcheck suite
+    holds the layer to that). *)
 
 type target = Device of Sero.Queue.t | Volume of Sarray.Volume.t
 
+(** A tenant's admission limits.  Fair-share weights are not a limit:
+    they are the function {!Arbiter.Fair_share} carries. *)
 type limits = {
-  weight : float;  (** Fair-share weight (used by {!Arbiter.Fair_share}). *)
   max_depth : int;  (** Max in-flight commands before [REJECTED_DEPTH]. *)
   rate : float;  (** Token refill per simulated second ([infinity] = off). *)
   burst : float;  (** Bucket capacity. *)
 }
 
 val default_limits : limits
-(** Weight 1, unlimited depth and rate. *)
+(** Unlimited depth and rate. *)
 
 type t
 
@@ -90,7 +91,7 @@ val submit : session -> Proto.command -> int
 val call : session -> Proto.command -> Proto.response
 (** Synchronous facade: submit, {!drain}, return this command's
     response (earlier-queued work may be served on the way, exactly as
-    the queue's own sync facade behaves). *)
+    with {!Sero.Queue.await}). *)
 
 (** {1 Replay} *)
 

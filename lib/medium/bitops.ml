@@ -10,12 +10,11 @@ type ctx = {
   medium : Medium.t;
   counters : counters;
   profile : Physics.Thermal.profile;
-  read_ber : float;
   neighbour_damage_p : float;
   mutable fault : Fault.Injector.t option;
 }
 
-let make ?profile ?(read_ber = 0.) medium =
+let make ?profile medium =
   let cfg = Medium.config medium in
   let profile =
     match profile with
@@ -30,7 +29,6 @@ let make ?profile ?(read_ber = 0.) medium =
     medium;
     counters = { mrb = 0; mwb = 0; ewb = 0; erb = 0; collateral = 0 };
     profile;
-    read_ber;
     neighbour_damage_p;
     fault = None;
   }
@@ -53,7 +51,6 @@ let clone t medium =
         collateral = c.collateral;
       };
     profile = t.profile;
-    read_ber = t.read_ber;
     neighbour_damage_p = t.neighbour_damage_p;
     fault = None;
   }
@@ -87,11 +84,6 @@ let mrb t i =
       if Sim.Prng.bool rng then Dot.Up else Dot.Down
   | Dot.Magnetised d ->
       let d = if Medium.is_defect t.medium i then Dot.invert d else d in
-      let d =
-        if t.read_ber > 0. && Sim.Prng.bernoulli rng t.read_ber then
-          Dot.invert d
-        else d
-      in
       (match t.fault with
       | None -> d
       | Some inj ->
@@ -215,8 +207,7 @@ let credit t n =
   match t.fault with None -> () | Some inj -> Fault.Injector.advance inj n
 
 let fast_read_ok ?read t ~start ~len ~ops =
-  t.read_ber = 0.
-  && unfaulted ?read t ~start ~len ~ops
+  unfaulted ?read t ~start ~len ~ops
   && Medium.run_defect_free t.medium ~start ~len
 
 let mrb_run_fast t ~start ~len =

@@ -30,15 +30,11 @@ type counters = {
 type ctx
 (** A medium together with its counters and thermal write profile. *)
 
-val make :
-  ?profile:Physics.Thermal.profile ->
-  ?read_ber:float ->
-  Medium.t ->
-  ctx
+val make : ?profile:Physics.Thermal.profile -> Medium.t -> ctx
 (** [profile] defaults to {!Physics.Thermal.default_profile} of the
-    medium's geometry; [read_ber] is the raw magnetic-read error
-    probability on healthy dots (default 0 — sector-level ECC is
-    exercised separately with fault injection). *)
+    medium's geometry.  Reads of healthy dots are exact: read noise
+    comes only from an installed fault injector ({!set_fault}), at its
+    plan's [read_ber]. *)
 
 val clone : ctx -> Medium.t -> ctx
 (** [clone ctx medium'] is a context over [medium'] (normally
@@ -97,17 +93,17 @@ val primitive_ops : counters -> int
     {!Fault.Injector.inert} over the run for [k] ticks, which the
     kernel then credits exactly):
     - {!mrb_run}: [len > 0]; [start], [len] and [dst_pos] multiples of
-      8; unfaulted over [len] ticks as a read run (read flips allowed),
-      [read_ber = 0] and the run defect-free.  The kernel replays the
-      injector's flips: one draw from its PRNG per magnetised dot of
-      nonzero effective BER ({!Fault.Plan.region_ber}), in address
-      order, each flip logged at the op its dot's own tick would have
-      had ({!Fault.Injector.flip_mask}).
+      8; unfaulted over [len] ticks as a read run (read flips allowed)
+      and the run defect-free.  The kernel replays the injector's
+      flips: one draw from its PRNG per magnetised dot of nonzero
+      effective BER ({!Fault.Plan.region_ber}), in address order, each
+      flip logged at the op its dot's own tick would have had
+      ({!Fault.Injector.flip_mask}).
     - {!mwb_run}: [len > 0]; [start], [len] and [src_pos] multiples of
       8; unfaulted over [len] ticks.
     - {!erb_run}: unfaulted over [5 * cycles * len] ticks (it credits
-      the [mrb + mwb] it charged), [read_ber = 0] and the run
-      defect-free (any start, length and bit offset).
+      the [mrb + mwb] it charged) and the run defect-free (any start,
+      length and bit offset).
 
     Both packed kernels take eight state bytes (32 dots, four image
     bytes) per step, with one 64-bit load, while a segment chunk has

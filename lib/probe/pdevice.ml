@@ -2,7 +2,6 @@ type config = {
   n_tips : int;
   spare_tips : int;
   costs : Timing.costs;
-  profile : Physics.Thermal.profile option;
   erb_cycles : int;
 }
 
@@ -11,7 +10,6 @@ let default_config =
     n_tips = 256;
     spare_tips = 0;
     costs = Timing.default_costs;
-    profile = None;
     erb_cycles = 8;
   }
 
@@ -30,7 +28,7 @@ let create ?(config = default_config) medium =
     invalid_arg "Pdevice.create: erb_cycles must be positive";
   let timing = Timing.create ~costs:config.costs () in
   let tips = Tips.create ~spares:config.spare_tips ~n_tips:config.n_tips medium in
-  let bitops = Pmedia.Bitops.make ?profile:config.profile medium in
+  let bitops = Pmedia.Bitops.make medium in
   let actuator =
     Actuator.create timing
       ~pitch:(Pmedia.Medium.config medium).Pmedia.Medium.geometry.pitch

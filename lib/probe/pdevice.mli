@@ -22,9 +22,6 @@ type config = {
       (** Physical tips reserved for {!Tips.remap_tip}; they serve no
           dots until a failed tip's field is remapped onto one. *)
   costs : Timing.costs;
-  profile : Physics.Thermal.profile option;
-      (** Electrical-write thermal profile; [None] = default for the
-          medium geometry. *)
   erb_cycles : int;
       (** Invert/verify rounds per electrical bit read (see
           {!Pmedia.Bitops.erb}); the default 8 pushes the probability of
@@ -32,8 +29,9 @@ type config = {
 }
 
 val default_config : config
-(** 256 tips, no spares, default costs, default profile, 8 erb
-    cycles. *)
+(** 256 tips, no spares, default costs, 8 erb cycles.  Electrical
+    writes use the medium geometry's default thermal profile
+    ({!Pmedia.Bitops.make}). *)
 
 val create : ?config:config -> Pmedia.Medium.t -> t
 (** @raise Invalid_argument if [erb_cycles] is not positive, or (from

@@ -198,7 +198,6 @@ let create config =
       Probe.Pdevice.n_tips = config.n_tips;
       spare_tips = config.ras.spare_tips;
       costs = config.costs;
-      profile = None;
       erb_cycles = config.erb_cycles;
     }
   in

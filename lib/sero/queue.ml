@@ -20,7 +20,7 @@ type req = {
       (* Service attempts so far; bounded by [read_retry_limit]. *)
 }
 
-type arbiter_view = { av_tenant : int; av_backlog : int; av_oldest : float }
+type arbiter = Tenant_blind | Arrival_order | Fair_share of (int -> float)
 
 (* What a service pass produced for one request: [Done] fires the
    caller's callback at completion; [Retryable] is a failed read whose
@@ -60,7 +60,7 @@ type t = {
   mutable current_offset : int;
   fg : cls;
   bg : cls;
-  mutable arbiter : (arbiter_view list -> int) option;
+  mutable arbiter : arbiter;
   by_tenant : (int, tenant_stats) Hashtbl.t;
   service : Sim.Stats.t;
   depth_hist : Sim.Stats.Histogram.h;
@@ -103,7 +103,7 @@ let create ?(policy = Probe.Sched.Elevator) ?(coalesce = true)
     current_offset = 0;
     fg = cls_create "fg";
     bg = cls_create "bg";
-    arbiter = None;
+    arbiter = Tenant_blind;
     by_tenant = Hashtbl.create 8;
     service = Sim.Stats.create ~name:"service" ();
     depth_hist = Sim.Stats.Histogram.create ~lo:0. ~hi:64. ~bins:16;
@@ -162,28 +162,39 @@ let take_oldest c p =
       c.pending <- List.filter (fun x -> x != r) c.pending;
       taken
 
-(* Arbiter views: one per tenant with pending work in the class, sorted
-   by tenant id so the arbiter's input (and thus every downstream
-   decision) is deterministic. *)
-let views_of pend =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun r ->
-      match Hashtbl.find_opt tbl r.tenant with
-      | None ->
-          Hashtbl.add tbl r.tenant
-            { av_tenant = r.tenant; av_backlog = 1; av_oldest = r.submitted }
-      | Some v ->
-          Hashtbl.replace tbl r.tenant
-            {
-              v with
-              av_backlog = v.av_backlog + 1;
-              av_oldest = min v.av_oldest r.submitted;
-            })
-    pend;
-  List.sort
-    (fun a b -> compare a.av_tenant b.av_tenant)
-    (Hashtbl.fold (fun _ v acc -> v :: acc) tbl [])
+(* The tenant the arbiter serves next from a class's pending list, in
+   one pass: the backlogged tenant with the least key, ties to the
+   lowest id.  A tenant's key is the submit time of its oldest request
+   (arrival order) or its service over its weight (fair share), so the
+   least key over requests is the least over tenants.  [None] while
+   fewer than two tenants are backlogged: keys, and so weights, are
+   first looked at when a second tenant turns up ([solo] walks the
+   first tenant's requests, keeping its oldest). *)
+let arbiter_key t r =
+  match t.arbiter with
+  | Fair_share weight ->
+      let w = weight r.tenant in
+      if w <= 0. then invalid_arg "Sero.Queue: Fair_share weight <= 0";
+      tenant_service t r.tenant /. w
+  | Tenant_blind | Arrival_order -> r.submitted
+
+let rec solo t oldest = function
+  | [] -> None
+  | r :: rest when r.tenant = oldest.tenant ->
+      solo t (if r.submitted < oldest.submitted then r else oldest) rest
+  | rest -> contended t oldest (arbiter_key t oldest) rest
+
+and contended t best kb = function
+  | [] -> Some best.tenant
+  | r :: rest ->
+      let k = arbiter_key t r in
+      if k < kb || (k = kb && r.tenant < best.tenant) then contended t r k rest
+      else contended t best kb rest
+
+let arbitrate t pending =
+  match (t.arbiter, pending) with
+  | Tenant_blind, _ | _, [] -> None
+  | _, r :: rest -> solo t r rest
 
 (* Serve one group: execute the device operations now (they move the
    sled and charge the ledger), then schedule a completion event after
@@ -278,23 +289,13 @@ let rec serve_group t group =
 and dispatch t =
   let c = if t.fg.pending <> [] then t.fg else t.bg in
   if (not t.busy) && c.pending <> [] then begin
-    (* With an arbiter installed, the tenant is chosen first (fair share
-       across tenants), then the sled policy orders that tenant's
-       requests only.  Without one, dispatch is tenant-blind —
-       bit-identical to the pre-tenant pipeline. *)
+    (* With an arbiter, the tenant is chosen first, then the sled policy
+       orders that tenant's requests only.  Without one, dispatch is
+       tenant-blind — bit-identical to the pre-tenant pipeline. *)
     let eligible =
-      match t.arbiter with
+      match arbitrate t c.pending with
       | None -> fun _ -> true
-      | Some choose -> (
-          match views_of c.pending with
-          | [] | [ _ ] -> fun _ -> true
-          | vs ->
-              let pick = choose vs in
-              let tid =
-                if List.exists (fun v -> v.av_tenant = pick) vs then pick
-                else (List.hd vs).av_tenant
-              in
-              fun r -> r.tenant = tid)
+      | Some tid -> fun r -> r.tenant = tid
     in
     let offsets =
       List.fold_left

@@ -32,8 +32,8 @@
     Each class keeps one pending list and one completion ledger, and
     dispatch removes requests by one rule: the oldest pending request
     of the class that matches.  The head is the oldest request at the
-    offset the policy picked (of the arbiter's tenant, when one is
-    installed); each coalesced read is the oldest read of the next
+    offset the policy picked (of the arbiter's tenant, unless dispatch
+    is tenant-blind); each coalesced read is the oldest read of the next
     block at the next offset in that order, of the head's tenant.
     Completion callbacks fire in service order, which is how the
     conformance tests observe it.
@@ -82,29 +82,38 @@ val des : t -> Sim.Des.t
 
 (** {1 Multi-tenant arbitration}
 
-    Requests carry a tenant tag (default [0]).  An installed arbiter
-    turns dispatch into a two-level decision: first {e which tenant} is
-    served (the arbiter's call — fair share, weights, whatever the host
-    layer installs), then {e which of that tenant's requests} (the sled
-    policy's call, exactly as before).  Span coalescing never crosses
-    tenants, so every sled pass is charged to exactly one tenant's
-    service/energy ledger — and the charge lands when the pass runs,
-    before the next dispatch, which is what a fair-share arbiter needs
-    to see.  With no arbiter (the default), dispatch is tenant-blind
-    and bit-identical to the pre-tenant pipeline. *)
+    Requests carry a tenant tag (default [0]).  An arbiter
+    ([Arrival_order] or [Fair_share]) turns dispatch into a two-level
+    decision: first {e which tenant} is served (the arbiter's call),
+    then {e which of that tenant's requests} (the sled policy's call,
+    exactly as before).  Span coalescing never crosses tenants, so
+    every sled pass is charged to exactly one tenant's service/energy
+    ledger — and the charge lands when the pass runs, before the next
+    dispatch, which is what a fair-share arbiter needs to see.
 
-type arbiter_view = {
-  av_tenant : int;
-  av_backlog : int;  (** Pending requests of this tenant in the class. *)
-  av_oldest : float;  (** Submit time of its oldest pending request. *)
-}
+    Both serve the backlogged tenant with the least key, ties to the
+    lowest tenant id, and find it in one pass over the preferred
+    class's pending list.  With fewer than two tenants backlogged there
+    is no choice to make and no key is looked at. *)
 
-val set_arbiter : t -> (arbiter_view list -> int) option -> unit
-(** Install (or remove) the tenant arbiter.  At each dispatch with more
-    than one tenant backlogged in the preferred class, the arbiter is
-    given one view per backlogged tenant (sorted by tenant id) and
-    returns the tenant to serve; an answer naming no backlogged tenant
-    falls back to the first view. *)
+type arbiter =
+  | Tenant_blind
+      (** Dispatch ignores tenant tags (the default): bit-identical to
+          the pre-tenant pipeline. *)
+  | Arrival_order
+      (** Key: the submit time of the tenant's oldest pending request —
+          global FIFO at tenant granularity.  A heavy tenant's backlog
+          starves light tenants; E25's contrast arm. *)
+  | Fair_share of (int -> float)
+      (** Weighted fair share (Demers, Keshav & Shenker, 1989).  Key:
+          the tenant's {!tenant_service} divided by its weight, the
+          function's value at its id.  Weights must be positive. *)
+
+val set_arbiter : t -> arbiter -> unit
+(** Install the tenant arbiter; [Tenant_blind] removes it.  A
+    non-positive [Fair_share] weight of a backlogged tenant raises
+    [Invalid_argument] out of the {!Sim.Des} step that dispatches while
+    that tenant contends with another. *)
 
 val tenants : t -> int list
 (** Tenant ids that have been charged service or completions, sorted. *)

@@ -140,7 +140,7 @@ let mkserver ?limits_of ?(prefilled = true) () =
 
 let test_depth_limit () =
   let limits_of _ =
-    { Host.Server.weight = 1.; max_depth = 1; rate = infinity; burst = infinity }
+    { Host.Server.max_depth = 1; rate = infinity; burst = infinity }
   in
   let _, _, server = mkserver ~limits_of () in
   let s = Host.Server.session server ~tenant:3 in
@@ -167,7 +167,7 @@ let test_depth_limit () =
 
 let test_rate_limit () =
   let limits_of _ =
-    { Host.Server.weight = 1.; max_depth = max_int; rate = 0.; burst = 2. }
+    { Host.Server.max_depth = max_int; rate = 0.; burst = 2. }
   in
   let _, _, server = mkserver ~limits_of () in
   let s = Host.Server.session server ~tenant:1 in
@@ -569,7 +569,7 @@ let admission_frames =
   List.rev !fs
 
 let admission_limits _ =
-  { Host.Server.weight = 1.; max_depth = max_int; rate = 0.; burst = 2. }
+  { Host.Server.max_depth = max_int; rate = 0.; burst = 2. }
 
 let replay_fresh ?limits_of frames =
   let dev = mkdev () in

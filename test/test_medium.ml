@@ -218,17 +218,6 @@ let bitops_cases =
         done;
         let c = Pmedia.Bitops.counters ctx in
         Alcotest.(check bool) "collateral > 0" true (c.Pmedia.Bitops.collateral > 0));
-    Alcotest.test_case "read_ber flips healthy reads occasionally" `Quick
-      (fun () ->
-        let medium = Pmedia.Medium.create (Pmedia.Medium.default_config ~rows:16 ~cols:16) in
-        let ctx = Pmedia.Bitops.make ~read_ber:0.2 medium in
-        Pmedia.Bitops.mwb ctx 0 Pmedia.Dot.Up;
-        let flips = ref 0 in
-        for _ = 1 to 500 do
-          if Pmedia.Dot.equal_direction (Pmedia.Bitops.mrb ctx 0) Pmedia.Dot.Down
-          then incr flips
-        done;
-        Alcotest.(check bool) "~20% flips" true (!flips > 50 && !flips < 160));
   ]
 
 let erb_false_negative_rate =
@@ -381,16 +370,15 @@ let run_plan fault ~start ~len ~ops0 ~ticks =
   | _ -> None
 
 (* Twin setups for the equivalence properties, both under [plan]. *)
-let make_twin ?plan (seed, dr_idx) ber_idx ops =
+let make_twin ?plan (seed, dr_idx) ops =
   let defect_rate = [| 0.; 0.02; 0.1 |].(dr_idx) in
-  let read_ber = [| 0.; 0.; 0.3 |].(ber_idx) in
   let cfg =
     { (Pmedia.Medium.default_config ~rows:16 ~cols:16) with
       Pmedia.Medium.defect_rate; seed }
   in
   let make () =
     let m = Pmedia.Medium.create cfg in
-    let ctx = Pmedia.Bitops.make ~read_ber m in
+    let ctx = Pmedia.Bitops.make m in
     Option.iter
       (fun p -> Pmedia.Bitops.set_fault ctx (Some (Fault.Injector.create p)))
       plan;
@@ -442,16 +430,16 @@ let twins_agree (m1, ctx1) (m2, ctx2) =
   && Sim.Prng.bits64 (Pmedia.Medium.rng m1)
      = Sim.Prng.bits64 (Pmedia.Medium.rng m2)
 
-(* The second component is a read-BER index and a {!run_plan} variant
-   (three values in sixteen install no injector).  The last is (start,
-   length), an erb cycles index into {!erb_cycles}, a destination bit
-   offset, and whether to byte-align the magnetic run (half the cases,
-   so the packed kernels get their share). *)
+(* The second component is a {!run_plan} variant (three values in
+   sixteen install no injector).  The last is (start, length), an erb
+   cycles index into {!erb_cycles}, a destination bit offset, and
+   whether to byte-align the magnetic run (half the cases, so the packed
+   kernels get their share). *)
 let equiv_arb =
   QCheck.(
     quad
       (pair (int_range 1 9999) (int_range 0 2))
-      (pair (int_range 0 2) (int_range 0 15))
+      (int_range 0 15)
       (small_list (pair (int_range 0 255) (int_range 0 9)))
       (quad (pair (int_range 0 255) (int_range 0 255)) (int_range 0 4)
          (int_range 0 15) bool))
@@ -483,10 +471,10 @@ let put_bit b i v =
 
 let mrb_run_equiv =
   QCheck.Test.make ~name:"mrb_run == per-dot mrb loop" ~count:400 equiv_arb
-    (fun (((seed, _) as seeds), (ber, fault), ops, ((start, len_raw), _, off, aligned)) ->
+    (fun (((seed, _) as seeds), fault, ops, ((start, len_raw), _, off, aligned)) ->
       let start, len, off = magnetic_run start len_raw off aligned in
       let plan = run_plan fault ~start ~len ~ops0:(List.length ops) ~ticks:len in
-      let ((_, ctx1) as t1), ((_, ctx2) as t2) = make_twin ?plan seeds ber ops in
+      let ((_, ctx1) as t1), ((_, ctx2) as t2) = make_twin ?plan seeds ops in
       let d1 = noise_bytes seed ~off ~len in
       let d2 = Bytes.copy d1 in
       let cut1 =
@@ -504,10 +492,10 @@ let mrb_run_equiv =
 
 let mwb_run_equiv =
   QCheck.Test.make ~name:"mwb_run == per-dot mwb loop" ~count:400 equiv_arb
-    (fun (((seed, _) as seeds), (ber, fault), ops, ((start, len_raw), _, off, aligned)) ->
+    (fun (((seed, _) as seeds), fault, ops, ((start, len_raw), _, off, aligned)) ->
       let start, len, off = magnetic_run start len_raw off aligned in
       let plan = run_plan fault ~start ~len ~ops0:(List.length ops) ~ticks:len in
-      let ((_, ctx1) as t1), ((_, ctx2) as t2) = make_twin ?plan seeds ber ops in
+      let ((_, ctx1) as t1), ((_, ctx2) as t2) = make_twin ?plan seeds ops in
       let src = noise_bytes (seed + 1) ~off ~len in
       let cut1 =
         cut_op ctx1 (fun () ->
@@ -548,7 +536,7 @@ let mrb_run_flips_equiv =
         List.init len (fun k ->
             (start + k, if k mod gap = 0 then 0 else 1 + ((seed + k) mod 4)))
       in
-      let ((_, ctx1) as t1), ((_, ctx2) as t2) = make_twin ~plan (seed, 0) 0 ops in
+      let ((_, ctx1) as t1), ((_, ctx2) as t2) = make_twin ~plan (seed, 0) ops in
       let packed = Pmedia.Bitops.mrb_run_fast ctx1 ~start ~len in
       let d1 = Bytes.make (len / 8) '\000' and d2 = Bytes.make (len / 8) '\000' in
       Pmedia.Bitops.mrb_run ctx1 ~start ~len ~dst:d1 ~dst_pos:0;
@@ -572,14 +560,14 @@ let erb_loop ~cycles ctx ~start ~len dst ~off =
    per dot: the exact count is only known after the run. *)
 let erb_run_equiv =
   QCheck.Test.make ~name:"erb_run == per-dot erb loop" ~count:200 equiv_arb
-    (fun (((seed, _) as seeds), (ber, fault), ops, ((start, len_raw), cyc, off, _)) ->
+    (fun (((seed, _) as seeds), fault, ops, ((start, len_raw), cyc, off, _)) ->
       let start, len = clamp_run start len_raw in
       let cycles = erb_cycles.(cyc) in
       let plan =
         run_plan fault ~start ~len ~ops0:(List.length ops)
           ~ticks:(5 * cycles * len)
       in
-      let ((_, ctx1) as t1), ((_, ctx2) as t2) = make_twin ?plan seeds ber ops in
+      let ((_, ctx1) as t1), ((_, ctx2) as t2) = make_twin ?plan seeds ops in
       let d1 = noise_bytes seed ~off ~len in
       let d2 = Bytes.copy d1 in
       let cut1 =
@@ -601,7 +589,7 @@ let inert_keeps_packed =
         (fun (fault, want) ->
           let _, (_, ctx) =
             make_twin ?plan:(run_plan fault ~start ~len ~ops0:0 ~ticks:len)
-              (1, 0) 0 []
+              (1, 0) []
           in
           Alcotest.(check bool)
             (Printf.sprintf "plan variant %d" fault)
