@@ -30,7 +30,7 @@ let tables =
   ts
 
 let update crc b off len =
-  if off < 0 || len < 0 || off + len > Bytes.length b then
+  if off < 0 || len < 0 || len > Bytes.length b - off then
     invalid_arg "Crc32.update: out of bounds";
   let tbl = table and ts = tables in
   let t7 = ts.(7) and t6 = ts.(6) and t5 = ts.(5) and t4 = ts.(4) in

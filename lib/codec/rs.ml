@@ -212,7 +212,7 @@ let scratch_key =
       })
 
 let parity_into c b ~off ~len =
-  if len > max_data c || off < 0 || len < 0 || off + len + c.npar > Bytes.length b
+  if off < 0 || len < 0 || len > max_data c || len + c.npar > Bytes.length b - off
   then invalid_arg "Rs.parity_into: out of bounds";
   let rem = (Domain.DLS.get scratch_key).rem in
   remainder c b ~off ~len rem;
@@ -291,7 +291,7 @@ let screen_shift =
       Gf256.mul s (Gf256.exp (8 * i)) lsl (8 * (i - 1)))
 
 let probably_clean c cw ~off ~len =
-  if off < 0 || len < 0 || off + len > Bytes.length cw then
+  if off < 0 || len < 0 || len > Bytes.length cw - off then
     invalid_arg "Rs.probably_clean: out of bounds";
   if c.npar < quick_syndromes then
     syndromes c cw ~off ~n:len (Domain.DLS.get scratch_key)

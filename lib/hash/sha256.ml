@@ -1,7 +1,13 @@
-(* SHA-256 per FIPS 180-4, on native ints: OCaml ints are 63-bit on
-   every platform we target, so this is both portable and faster than
-   boxed Int32.  The compression function keeps a value to 32 bits only
-   where it has to:
+(* SHA-256 per FIPS 180-4, with two block kernels behind one streaming
+   context.  On an x86-64 CPU that reports the SHA extensions the
+   blocks go to the native kernel in sha256_stubs.c; everywhere else
+   they go to the OCaml rounds below.  The module picks the kernel once,
+   at initialisation, and both give the same digests.
+
+   The OCaml rounds run on native ints: OCaml ints are 63-bit on every
+   platform we target, so this is both portable and faster than boxed
+   Int32.  The compression function keeps a value to 32 bits only where
+   it has to:
 
    - A rotation reads the doubled word [d = x lor (x lsl 32)] of a
      32-bit [x], which holds bits 0-62 of x * (2^32 + 1).  For n <= 31
@@ -33,24 +39,29 @@ let k =
      0x5b9cca4f; 0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
      0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2 |]
 
+type kernel = Portable | Native
+
 type ctx = {
   h : int array; (* 8 chained words *)
-  buf : Bytes.t; (* 64-byte block buffer *)
-  mutable buf_len : int;
+  buf : Bytes.t; (* 64-byte block buffer, holding the last [total mod 64] bytes *)
   mutable total : int; (* total bytes absorbed *)
-  w : int array; (* 64-entry message schedule, reused across blocks *)
+  w : int array;
+      (* The portable kernel's 64-entry message schedule, reused across
+         blocks.  Every context has one, so a digest allocates the same
+         words whichever kernel runs. *)
+  kernel : kernel;
   mutable finalized : bool;
 }
 
-let init () =
+let make kernel =
   {
     h =
       [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f;
          0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |];
     buf = Bytes.create 64;
-    buf_len = 0;
     total = 0;
     w = Array.make 64 0;
+    kernel;
     finalized = false;
   }
 
@@ -89,10 +100,9 @@ let[@inline] t1 w i e f g h =
 
 let[@inline] t2 a b c = big_sigma0 a + ((a land (b lor c)) lor (b land c))
 
-(* [off + 64 <= Bytes.length block] is guaranteed by both callers
-   (feed_bytes checks its arguments; finalize builds the padding), so
-   the block and schedule accesses below are in bounds by construction
-   and run unchecked. *)
+(* [off + 64 <= Bytes.length block] is guaranteed by [blocks]' caller,
+   so the block and schedule accesses below are in bounds by
+   construction and run unchecked. *)
 let compress ctx block off =
   let w = ctx.w in
   for i = 0 to 15 do
@@ -151,34 +161,55 @@ let compress ctx block off =
   h.(6) <- (h.(6) + !g) land mask32;
   h.(7) <- (h.(7) + !hh) land mask32
 
+external native_present : unit -> bool = "sero_sha256_native_present"
+[@@noalloc]
+
+external native_blocks : int array -> Bytes.t -> int -> int -> unit
+  = "sero_sha256_blocks"
+[@@noalloc]
+
+module Kernel = struct
+  type t = kernel
+
+  let portable = Portable
+  let native = if native_present () then Some Native else None
+  let name = function Portable -> "portable" | Native -> "sha-ni"
+  let init = make
+end
+
+let default_kernel = Option.value Kernel.native ~default:Portable
+let init () = make default_kernel
+
+(* Compress the [n] whole blocks of [b] at [off]: one native call, or
+   [n] rounds of [compress].  [off >= 0] and [off + 64 n <= Bytes.length
+   b] are the caller's to ensure. *)
+let blocks ctx b off n =
+  match ctx.kernel with
+  | Native -> native_blocks ctx.h b off n
+  | Portable ->
+      for i = 0 to n - 1 do
+        compress ctx b (off + (64 * i))
+      done
+
 let feed_bytes ctx b off len =
   if ctx.finalized then invalid_arg "Sha256.feed_bytes: finalized context";
-  if off < 0 || len < 0 || off + len > Bytes.length b then
+  if off < 0 || len < 0 || len > Bytes.length b - off then
     invalid_arg "Sha256.feed_bytes: out of bounds";
+  let fill = ctx.total land 63 in
   ctx.total <- ctx.total + len;
   let pos = ref off and remaining = ref len in
   (* Top up a partially filled block buffer first. *)
-  if ctx.buf_len > 0 then begin
-    let need = 64 - ctx.buf_len in
-    let take = min need !remaining in
-    Bytes.blit b !pos ctx.buf ctx.buf_len take;
-    ctx.buf_len <- ctx.buf_len + take;
-    pos := !pos + take;
-    remaining := !remaining - take;
-    if ctx.buf_len = 64 then begin
-      compress ctx ctx.buf 0;
-      ctx.buf_len <- 0
-    end
+  if fill > 0 then begin
+    let take = min (64 - fill) len in
+    Bytes.blit b off ctx.buf fill take;
+    pos := off + take;
+    remaining := len - take;
+    if fill + take = 64 then blocks ctx ctx.buf 0 1
   end;
-  while !remaining >= 64 do
-    compress ctx b !pos;
-    pos := !pos + 64;
-    remaining := !remaining - 64
-  done;
-  if !remaining > 0 then begin
-    Bytes.blit b !pos ctx.buf 0 !remaining;
-    ctx.buf_len <- !remaining
-  end
+  let n = !remaining lsr 6 in
+  if n > 0 then blocks ctx b !pos n;
+  let rest = !remaining land 63 in
+  if rest > 0 then Bytes.blit b (!pos + (64 * n)) ctx.buf 0 rest
 
 let feed_string ctx s =
   feed_bytes ctx (Bytes.unsafe_of_string s) 0 (String.length s)
@@ -198,9 +229,8 @@ let finalize ctx =
       (pad_len - 1 - i)
       (Char.chr ((bit_len lsr (8 * i)) land 0xFF))
   done;
-  (* feed_bytes updates [total], which no longer matters. *)
   feed_bytes ctx pad 0 pad_len;
-  assert (ctx.buf_len = 0);
+  assert (ctx.total land 63 = 0);
   ctx.finalized <- true;
   let out = Bytes.create 32 in
   for i = 0 to 7 do

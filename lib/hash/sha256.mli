@@ -1,10 +1,17 @@
-(** Pure-OCaml SHA-256 (FIPS 180-4).
+(** SHA-256 (FIPS 180-4).
 
     The SERO device burns a SHA-256 digest of each heated line into the
     write-once area of the line's first block (paper, Section 3, "Heat a
     line").  The sealed build environment ships no crypto library, so the
     function is implemented here from the standard.  Test vectors from
-    FIPS 180-4 and NIST CAVS are checked in the test suite. *)
+    FIPS 180-4 and NIST CAVS are checked in the test suite.
+
+    Whole 64-byte blocks go to one of two kernels, chosen once when the
+    module initialises: on an x86-64 CPU whose CPUID reports the SHA
+    extensions (with SSSE3 and SSE4.1), a C kernel on those
+    instructions; anywhere else, and on builds that are not x86-64, the
+    OCaml rounds.  Both give identical digests, and a digest allocates
+    the same words under either. *)
 
 type t
 (** An immutable 256-bit digest. *)
@@ -30,6 +37,24 @@ val feed_string : ctx -> string -> unit
 val finalize : ctx -> t
 (** [finalize ctx] pads, produces the digest and invalidates [ctx]
     (further feeds raise [Invalid_argument]). *)
+
+(** The two block kernels, for tests that race them against each other;
+    callers of {!init} get the native kernel when it is present. *)
+module Kernel : sig
+  type t
+
+  val portable : t
+  (** The OCaml rounds, present everywhere. *)
+
+  val native : t option
+  (** The SHA-extension kernel, [None] unless this CPU and build have it. *)
+
+  val name : t -> string
+  (** ["portable"] or ["sha-ni"]. *)
+
+  val init : t -> ctx
+  (** A fresh context whose blocks go to the given kernel. *)
+end
 
 val to_raw : t -> string
 (** 32-byte big-endian digest value. *)

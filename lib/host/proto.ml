@@ -51,37 +51,53 @@ let opcode_of_command = function
   | Array_read _ -> 0x06
   | Audit_line _ -> 0x07
 
-let write_body w { tenant; seq; cmd } =
-  let module W = Codec.Binio.W in
-  W.u8 w version;
-  W.u8 w (opcode_of_command cmd);
-  W.u16 w tenant;
-  W.u32 w seq;
-  match cmd with
-  | Read { pba } -> W.u32 w pba
-  | Write { pba; payload } ->
-      W.u32 w pba;
-      W.str w payload
-  | Heat { line; timestamp } -> (
-      W.u32 w line;
-      match timestamp with
-      | None -> W.u8 w 0
-      | Some ts ->
-          W.u8 w 1;
-          W.f64 w ts)
-  | Verify { line } -> W.u32 w line
-  | Audit -> ()
-  | Array_read { vba } -> W.u32 w vba
-  | Audit_line { line } -> W.u32 w line
+(* A frame or response is its body's length (u32) and the body, written
+   straight into one exactly sized buffer.  Every integer field keeps
+   its low bytes only, big-endian, as {!Codec.Binio.W} would write it.
+   The body starts with the version, the opcode, the tenant (u16) and
+   the sequence number (u32): 8 bytes at offset 4. *)
+let set_u32 b p v = Bytes.set_int32_be b p (Int32.of_int v)
 
-let encode_frame f =
-  let module W = Codec.Binio.W in
-  let body = W.create () in
-  write_body body f;
-  let w = W.create () in
-  W.u32 w (W.length body);
-  W.raw w (W.contents body);
-  W.contents w
+let create_frame ~body_len ~op ~tenant ~seq =
+  let b = Bytes.create (4 + body_len) in
+  set_u32 b 0 body_len;
+  Bytes.set_uint8 b 4 version;
+  Bytes.set_uint8 b 5 (op land 0xFF);
+  Bytes.set_uint16_be b 6 (tenant land 0xFFFF);
+  set_u32 b 8 seq;
+  b
+
+(* The command's bytes after that 8-byte prefix. *)
+let command_length = function
+  | Read _ | Verify _ | Array_read _ | Audit_line _ -> 4
+  | Write { payload; _ } -> 8 + String.length payload
+  | Heat { timestamp = None; _ } -> 5
+  | Heat { timestamp = Some _; _ } -> 13
+  | Audit -> 0
+
+let encode_frame { tenant; seq; cmd } =
+  let b =
+    create_frame ~body_len:(8 + command_length cmd) ~op:(opcode_of_command cmd)
+      ~tenant ~seq
+  in
+  (match cmd with
+  | Read { pba = v } | Verify { line = v } | Array_read { vba = v }
+  | Audit_line { line = v } ->
+      set_u32 b 12 v
+  | Write { pba; payload } ->
+      let n = String.length payload in
+      set_u32 b 12 pba;
+      set_u32 b 16 n;
+      Bytes.blit_string payload 0 b 20 n
+  | Heat { line; timestamp } -> (
+      set_u32 b 12 line;
+      match timestamp with
+      | None -> Bytes.set_uint8 b 16 0
+      | Some ts ->
+          Bytes.set_uint8 b 16 1;
+          Bytes.set_int64_be b 17 (Int64.bits_of_float ts))
+  | Audit -> ());
+  Bytes.unsafe_to_string b
 
 let decode_frame ?(off = 0) s =
   let module R = Codec.Binio.R in
@@ -132,20 +148,24 @@ type response = {
 
 let response_failed r = List.exists status_failed r.r_phases
 
+let rec set_phases b p = function
+  | [] -> ()
+  | s :: rest ->
+      Bytes.set_uint8 b p (s land 0xFF);
+      set_phases b (p + 1) rest
+
 let encode_response r =
-  let module W = Codec.Binio.W in
-  let body = W.create () in
-  W.u8 body version;
-  W.u8 body r.r_op;
-  W.u16 body r.r_tenant;
-  W.u32 body r.r_seq;
-  W.u8 body (List.length r.r_phases);
-  List.iter (W.u8 body) r.r_phases;
-  W.str body r.r_payload;
-  let w = W.create () in
-  W.u32 w (W.length body);
-  W.raw w (W.contents body);
-  W.contents w
+  let n = List.length r.r_phases and plen = String.length r.r_payload in
+  let b =
+    create_frame ~body_len:(13 + n + plen) ~op:r.r_op ~tenant:r.r_tenant
+      ~seq:r.r_seq
+  in
+  (* The phase count is one byte; the phases follow it. *)
+  Bytes.set_uint8 b 12 (n land 0xFF);
+  set_phases b 13 r.r_phases;
+  set_u32 b (13 + n) plen;
+  Bytes.blit_string r.r_payload 0 b (17 + n) plen;
+  Bytes.unsafe_to_string b
 
 let decode_response ?(off = 0) s =
   let module R = Codec.Binio.R in

@@ -253,10 +253,9 @@ let iter_chunks t ~write ~start ~len f =
 
 let blit_packed t ~pos ~dst ~dst_off ~len =
   if
-    pos < 0 || len < 0
-    || pos + len > t.n_packed
-    || dst_off < 0
-    || dst_off + len > Bytes.length dst
+    pos < 0 || len < 0 || dst_off < 0
+    || len > t.n_packed - pos
+    || len > Bytes.length dst - dst_off
   then invalid_arg "Medium.blit_packed: out of range";
   let k = ref 0 in
   while !k < len do
@@ -286,10 +285,9 @@ let sanitize_byte =
 
 let load_packed t ~pos ~src ~src_off ~len =
   if
-    pos < 0 || len < 0
-    || pos + len > t.n_packed
-    || src_off < 0
-    || src_off + len > Bytes.length src
+    pos < 0 || len < 0 || src_off < 0
+    || len > t.n_packed - pos
+    || len > Bytes.length src - src_off
   then invalid_arg "Medium.load_packed: out of range";
   let tbl = sanitize_byte in
   let k = ref 0 in

@@ -10,10 +10,21 @@ type kind =
           is committed) and returns the completion thunk that fires the
           caller's callback later. *)
 
+(* Per-tenant service ledger.  Service and energy are charged when the
+   sled pass runs (a group is single-tenant, see [dispatch]), so an
+   installed arbiter sees the work a tenant has consumed *before* it
+   chooses the next one — the property fair-share needs. *)
+type tenant_stats = {
+  mutable t_completed : int;
+  mutable t_service : float;
+  mutable t_energy : float;
+}
+
 type req = {
   kind : kind;
   rprio : prio;
   tenant : int;
+  ledger : tenant_stats; (* The tenant's, shared by all its requests. *)
   offset : int;
   submitted : float;
   mutable attempts : int;
@@ -36,16 +47,6 @@ type cls = {
   mutable energy : float;
   mutable completed : int;
   mutable last_completion : float;
-}
-
-(* Per-tenant service ledger.  Service and energy are charged when the
-   sled pass runs (a group is single-tenant, see [dispatch]), so an
-   installed arbiter sees the work a tenant has consumed *before* it
-   chooses the next one — the property fair-share needs. *)
-type tenant_stats = {
-  mutable t_completed : int;
-  mutable t_service : float;
-  mutable t_energy : float;
 }
 
 type t = {
@@ -119,9 +120,9 @@ let cls t = function Foreground -> t.fg | Background -> t.bg
 let set_arbiter t a = t.arbiter <- a
 
 let tenant_ledger t tenant =
-  match Hashtbl.find_opt t.by_tenant tenant with
-  | Some ts -> ts
-  | None ->
+  match Hashtbl.find t.by_tenant tenant with
+  | ts -> ts
+  | exception Not_found ->
       let ts = { t_completed = 0; t_service = 0.; t_energy = 0. } in
       Hashtbl.add t.by_tenant tenant ts;
       ts
@@ -175,7 +176,7 @@ let arbiter_key t r =
   | Fair_share weight ->
       let w = weight r.tenant in
       if w <= 0. then invalid_arg "Sero.Queue: Fair_share weight <= 0";
-      tenant_service t r.tenant /. w
+      r.ledger.t_service /. w
   | Tenant_blind | Arrival_order -> r.submitted
 
 let rec solo t oldest = function
@@ -231,7 +232,7 @@ let rec serve_group t group =
   (* Groups are single-tenant (coalescing never crosses tenants), so
      the whole pass is charged to the head's tenant — immediately, not
      at completion, so a fair-share arbiter sees it next dispatch. *)
-  (let ts = tenant_ledger t (List.hd group).tenant in
+  (let ts = (List.hd group).ledger in
    ts.t_service <- ts.t_service +. dt;
    ts.t_energy <- ts.t_energy +. de);
   t.coalesced <- t.coalesced + List.length group - 1;
@@ -246,8 +247,7 @@ let rec serve_group t group =
         c.energy <- c.energy +. (de /. float_of_int (List.length group));
         c.completed <- c.completed + 1;
         c.last_completion <- now;
-        let ts = tenant_ledger t r.tenant in
-        ts.t_completed <- ts.t_completed + 1;
+        r.ledger.t_completed <- r.ledger.t_completed + 1;
         fire ()
       in
       List.iter2
@@ -365,6 +365,7 @@ let submit t prio tenant offset kind =
       kind;
       rprio = prio;
       tenant;
+      ledger = tenant_ledger t tenant;
       offset;
       submitted = Sim.Des.now t.des;
       attempts = 1;

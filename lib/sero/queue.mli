@@ -116,7 +116,7 @@ val set_arbiter : t -> arbiter -> unit
     that tenant contends with another. *)
 
 val tenants : t -> int list
-(** Tenant ids that have been charged service or completions, sorted. *)
+(** Tenant ids that have submitted a request, sorted. *)
 
 val tenant_completed : t -> int -> int
 val tenant_service : t -> int -> float

@@ -1241,6 +1241,39 @@ let binio_cases =
             ignore (Codec.Binio.R.raw r (-1))));
   ]
 
+(* A slice whose [off + len] wraps past max_int is out of bounds too:
+   the kernels read and write unchecked once their guard passes. *)
+let raises_out_of_bounds name f =
+  Alcotest.check_raises name (Invalid_argument name) f
+
+let crc_bounds =
+  Alcotest.test_case "update past the end of the bytes raises" `Quick (fun () ->
+      let b = Bytes.make 16 'x' in
+      List.iter
+        (fun (off, len) ->
+          raises_out_of_bounds "Crc32.update: out of bounds" (fun () ->
+              ignore (Codec.Crc32.update 0 b off len)))
+        [ (1, max_int); (max_int, 1); (17, 0); (0, 17) ])
+
+let rs_parity_bounds =
+  Alcotest.test_case "parity_into past the end of the bytes raises" `Quick
+    (fun () ->
+      let b = Bytes.make 64 'x' in
+      List.iter
+        (fun (off, len) ->
+          raises_out_of_bounds "Rs.parity_into: out of bounds" (fun () ->
+              Codec.Rs.parity_into rs b ~off ~len))
+        [ (max_int - 10, 8); (max_int, 0); (41, 0); (1, 40) ])
+
+let screen_bounds =
+  Alcotest.test_case "screen past the end of the bytes raises" `Quick (fun () ->
+      let b = Bytes.make 64 'x' in
+      List.iter
+        (fun (off, len) ->
+          raises_out_of_bounds "Rs.probably_clean: out of bounds" (fun () ->
+              ignore (Codec.Rs.probably_clean rs b ~off ~len)))
+        [ (1, max_int); (max_int, 1); (65, 0); (1, 64) ])
+
 let () =
   Alcotest.run "codec"
     [
@@ -1249,7 +1282,8 @@ let () =
         @ List.map qtest
             [ manchester_roundtrip; manchester_spreading; manchester_density;
               manchester_tamper; manchester_oracle ] );
-      ("crc32", crc_cases @ [ qtest crc_detects_flip; qtest crc_update_chains ]);
+      ( "crc32",
+        crc_cases @ [ qtest crc_detects_flip; qtest crc_update_chains; crc_bounds ] );
       ("gf256", List.map qtest gf_tests);
       ( "reed-solomon",
         rs_cases @ rs_erasure_cases
@@ -1258,8 +1292,8 @@ let () =
               rs_erasures_correct; rs_erasures_plus_errors; rs_oracle_errors;
               rs_oracle_random; rs_oracle_codes; rs_parity_into;
               screen_every_length; screen_few_errors; screen_each_syndrome ]
-        @ screen_cases );
-      ("rs-parity", rs_parity_cases @ [ qtest rs_parity_oracle ]);
+        @ screen_cases @ [ screen_bounds ] );
+      ("rs-parity", rs_parity_cases @ [ qtest rs_parity_oracle; rs_parity_bounds ]);
       ( "sector",
         sector_cases
         @ List.map qtest

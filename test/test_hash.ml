@@ -172,53 +172,101 @@ end
 let pseudo_random_bytes n seed =
   String.init n (fun i -> Char.chr (((i * 2_654_435_761) + (seed * 40_503)) lsr 13 land 0xFF))
 
+(* Every block kernel this build and CPU have: the OCaml rounds
+   everywhere, the SHA-extension kernel where CPUID reports it.  The
+   oracle group races each of them. *)
+let kernels = Hash.Sha256.Kernel.portable :: Option.to_list Hash.Sha256.Kernel.native
+
+let digest_with kernel s =
+  let ctx = Hash.Sha256.Kernel.init kernel in
+  Hash.Sha256.feed_string ctx s;
+  Hash.Sha256.to_raw (Hash.Sha256.finalize ctx)
+
+(* [f] holds under every kernel; a failure names the kernel. *)
+let each_kernel f =
+  List.iter
+    (fun k ->
+      match f k with
+      | () -> ()
+      | exception Failure msg ->
+          Alcotest.failf "%s kernel: %s" (Hash.Sha256.Kernel.name k) msg)
+    kernels
+
 let oracle_cases =
   [
     Alcotest.test_case "every length 0-3000 equals the oracle" `Quick
       (fun () ->
-        for n = 0 to 3000 do
-          let s = pseudo_random_bytes n n in
-          let got = Hash.Sha256.to_raw (Hash.Sha256.digest_string s) in
-          if not (String.equal got (Sha256_oracle.digest s)) then
-            Alcotest.failf "length %d differs from the oracle" n
-        done);
+        each_kernel (fun k ->
+            for n = 0 to 3000 do
+              let s = pseudo_random_bytes n n in
+              if not (String.equal (digest_with k s) (Sha256_oracle.digest s)) then
+                failwith (Printf.sprintf "length %d differs from the oracle" n)
+            done));
     (* A line preimage of 7 data blocks: prefix, per-block headers and
        payloads.  The parent took 105 words: the context, its block
        buffer and schedule, the padding and the digest. *)
     Alcotest.test_case "a 3656-byte digest allocates under 128 words" `Quick
       (fun () ->
         let s = pseudo_random_bytes 3656 1 in
-        ignore (Hash.Sha256.digest_string s);
-        let before = Gc.minor_words () in
-        ignore (Sys.opaque_identity (Hash.Sha256.digest_string s));
-        let words = Gc.minor_words () -. before in
-        if words >= 128. then
-          Alcotest.failf "digest allocated %.0f words (gate 128)" words);
+        each_kernel (fun k ->
+            ignore (digest_with k s);
+            let before = Gc.minor_words () in
+            ignore (Sys.opaque_identity (digest_with k s));
+            let words = Gc.minor_words () -. before in
+            if words >= 128. then
+              failwith (Printf.sprintf "digest allocated %.0f words (gate 128)" words)));
   ]
 
 (* Chunks of 1-200 bytes, each copied to a random offset of a scratch
    buffer and fed from there, so the word loads land on every
-   alignment. *)
+   alignment.  The input is not shrunk: a wrong kernel fails at inputs
+   of every size, so a shrunk string would say no more than the seed,
+   and shrinking kilobyte strings through the oracle is slow. *)
 let chunked_unaligned =
   QCheck.Test.make ~name:"chunked unaligned feeds equal the oracle" ~count:300
-    QCheck.(pair (string_of_size Gen.(0 -- 4200)) (int_range 0 1_000_000))
+    ~long_factor:10
+    QCheck.(
+      pair
+        (set_shrink Shrink.nil (string_of_size Gen.(0 -- 4200)))
+        (int_range 0 1_000_000))
     (fun (s, seed) ->
-      let rng = Random.State.make [| seed |] in
-      let ctx = Hash.Sha256.init () in
-      let scratch = Bytes.make 256 '\x00' in
-      let rec go off =
-        if off < String.length s then begin
-          let take = min (1 + Random.State.int rng 200) (String.length s - off) in
-          let at = Random.State.int rng (256 - take + 1) in
-          Bytes.blit_string s off scratch at take;
-          Hash.Sha256.feed_bytes ctx scratch at take;
-          go (off + take)
-        end
-      in
-      go 0;
-      String.equal
-        (Hash.Sha256.to_raw (Hash.Sha256.finalize ctx))
-        (Sha256_oracle.digest s))
+      let expected = Sha256_oracle.digest s in
+      List.for_all
+        (fun k ->
+          let rng = Random.State.make [| seed |] in
+          let ctx = Hash.Sha256.Kernel.init k in
+          let scratch = Bytes.make 256 '\x00' in
+          let rec go off =
+            if off < String.length s then begin
+              let take = min (1 + Random.State.int rng 200) (String.length s - off) in
+              let at = Random.State.int rng (256 - take + 1) in
+              Bytes.blit_string s off scratch at take;
+              Hash.Sha256.feed_bytes ctx scratch at take;
+              go (off + take)
+            end
+          in
+          go 0;
+          String.equal (Hash.Sha256.to_raw (Hash.Sha256.finalize ctx)) expected)
+        kernels)
+
+(* 2-70 whole blocks in one feed from an odd offset: the native kernel
+   takes them in one call, with every load unaligned. *)
+let whole_blocks =
+  QCheck.Test.make ~name:"2-70 whole blocks at odd offsets equal the oracle"
+    ~count:200 ~long_factor:10
+    QCheck.(triple (int_range 2 70) (int_range 0 31) (int_range 0 1_000_000))
+    (fun (n, half, seed) ->
+      let s = pseudo_random_bytes (64 * n) seed in
+      let off = (2 * half) + 1 in
+      let b = Bytes.make (off + (64 * n) + 5) '\xa5' in
+      Bytes.blit_string s 0 b off (64 * n);
+      let expected = Sha256_oracle.digest s in
+      List.for_all
+        (fun k ->
+          let ctx = Hash.Sha256.Kernel.init k in
+          Hash.Sha256.feed_bytes ctx b off (64 * n);
+          String.equal (Hash.Sha256.to_raw (Hash.Sha256.finalize ctx)) expected)
+        kernels)
 
 let misuse =
   [
@@ -255,9 +303,22 @@ let misuse =
         Alcotest.(check bool)
           "antisym" true
           (Hash.Sha256.compare a b = -Hash.Sha256.compare b a));
+    (* [off + len] wraps past max_int: the check must not add them. *)
+    Alcotest.test_case "feed past the end of the bytes raises" `Quick (fun () ->
+        let ctx = Hash.Sha256.init () in
+        let b = Bytes.make 16 'x' in
+        List.iter
+          (fun (off, len) ->
+            Alcotest.check_raises
+              (Printf.sprintf "off %d len %d" off len)
+              (Invalid_argument "Sha256.feed_bytes: out of bounds")
+              (fun () -> Hash.Sha256.feed_bytes ctx b off len))
+          [ (1, max_int); (max_int, 1); (17, 0); (0, 17); (-1, 1); (1, -1) ]);
   ]
 
 let () =
+  Printf.printf "SHA-256 kernels raced against the oracle: %s\n%!"
+    (String.concat ", " (List.map Hash.Sha256.Kernel.name kernels));
   Alcotest.run "hash"
     [
       ("nist-vectors", List.map (fun (n, i, e) -> check_digest n i e) nist_vectors);
@@ -269,5 +330,7 @@ let () =
             raw_roundtrip; no_trivial_collisions;
           ] );
       ("misuse", misuse);
-      ("oracle", oracle_cases @ [ QCheck_alcotest.to_alcotest chunked_unaligned ]);
+      ( "oracle",
+        oracle_cases
+        @ List.map QCheck_alcotest.to_alcotest [ chunked_unaligned; whole_blocks ] );
     ]

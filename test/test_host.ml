@@ -104,6 +104,108 @@ let trace_roundtrip =
   QCheck.Test.make ~name:"hex trace print/parse roundtrip" ~count:200
     arb_frames (fun fs -> P.parse_trace (P.print_trace fs) = fs)
 
+(* The Buffer-based encoders the library had before it wrote frames and
+   responses into one exactly sized buffer, kept as the oracle. *)
+module Proto_oracle = struct
+  module W = Codec.Binio.W
+
+  let write_body w { P.tenant; seq; cmd } =
+    W.u8 w P.version;
+    W.u8 w (P.opcode_of_command cmd);
+    W.u16 w tenant;
+    W.u32 w seq;
+    match cmd with
+    | P.Read { pba } -> W.u32 w pba
+    | P.Write { pba; payload } ->
+        W.u32 w pba;
+        W.str w payload
+    | P.Heat { line; timestamp } -> (
+        W.u32 w line;
+        match timestamp with
+        | None -> W.u8 w 0
+        | Some ts ->
+            W.u8 w 1;
+            W.f64 w ts)
+    | P.Verify { line } -> W.u32 w line
+    | P.Audit -> ()
+    | P.Array_read { vba } -> W.u32 w vba
+    | P.Audit_line { line } -> W.u32 w line
+
+  let framed body =
+    let w = W.create () in
+    W.u32 w (W.length body);
+    W.raw w (W.contents body);
+    W.contents w
+
+  let encode_frame f =
+    let body = W.create () in
+    write_body body f;
+    framed body
+
+  let encode_response r =
+    let body = W.create () in
+    W.u8 body P.version;
+    W.u8 body r.P.r_op;
+    W.u16 body r.r_tenant;
+    W.u32 body r.r_seq;
+    W.u8 body (List.length r.r_phases);
+    List.iter (W.u8 body) r.r_phases;
+    W.str body r.r_payload;
+    framed body
+end
+
+(* Field values at and past the edges of their widths: the encoders
+   keep the low bytes of each. *)
+let gen_extreme width =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl [ 0; 1; width - 1; width; width + 1; max_int; min_int; -1 ];
+        0 -- (width - 1);
+        int;
+      ])
+
+let gen_any_command =
+  QCheck.Gen.(
+    let u32 = gen_extreme 0x1_0000_0000 in
+    let payload = string_size ~gen:char (0 -- 600) in
+    let ts =
+      opt
+        (oneof
+           [ float; oneofl [ 0.; -0.; infinity; neg_infinity; nan; max_float ] ])
+    in
+    oneof
+      [
+        map (fun pba -> P.Read { pba }) u32;
+        map2 (fun pba payload -> P.Write { pba; payload }) u32 payload;
+        map2 (fun line timestamp -> P.Heat { line; timestamp }) u32 ts;
+        map (fun line -> P.Verify { line }) u32;
+        return P.Audit;
+        map (fun vba -> P.Array_read { vba }) u32;
+        map (fun line -> P.Audit_line { line }) u32;
+      ])
+
+let encode_frame_oracle =
+  QCheck.Test.make ~name:"encode_frame == Buffer-based oracle" ~count:1000
+    (QCheck.make ~print:(Format.asprintf "%a" P.pp_frame)
+       QCheck.Gen.(
+         map3
+           (fun tenant seq cmd -> { P.tenant; seq; cmd })
+           (gen_extreme 0x10000) (gen_extreme 0x1_0000_0000) gen_any_command))
+    (fun f -> String.equal (P.encode_frame f) (Proto_oracle.encode_frame f))
+
+let encode_response_oracle =
+  QCheck.Test.make ~name:"encode_response == Buffer-based oracle" ~count:1000
+    (QCheck.make ~print:(Format.asprintf "%a" P.pp_response)
+       QCheck.Gen.(
+         let* r_tenant = gen_extreme 0x10000 in
+         let* r_seq = gen_extreme 0x1_0000_0000 in
+         let* r_op = gen_extreme 0x100 in
+         let* r_phases = list_size (oneofl [ 0; 1; 3; 255; 256; 300 ]) (gen_extreme 0x100) in
+         let* r_payload = string_size ~gen:char (0 -- 600) in
+         return { P.r_tenant; r_seq; r_op; r_phases; r_payload }))
+    (fun r -> String.equal (P.encode_response r) (Proto_oracle.encode_response r))
+
 (* {1 Test rig}
 
    The golden device geometry: 256 blocks in lines of 8 — what
@@ -655,6 +757,8 @@ let () =
             qtest frame_bad_version;
             qtest response_roundtrip;
             qtest trace_roundtrip;
+            qtest encode_frame_oracle;
+            qtest encode_response_oracle;
           ] );
         ( "admission",
           [

@@ -857,11 +857,30 @@ let cow_cases =
           (Pmedia.Medium.owned_segments clone));
   ]
 
+(* A range whose [pos + len] or [off + len] wraps past max_int is out
+   of range too: the copy loops run unchecked once the guard passes. *)
+let packed_bounds =
+  Alcotest.test_case "packed blits past the end raise" `Quick (fun () ->
+      let m = Pmedia.Medium.create (Pmedia.Medium.default_config ~rows:4 ~cols:4) in
+      let b = Bytes.make 8 '\x00' in
+      List.iter
+        (fun (pos, off, len) ->
+          Alcotest.check_raises "blit"
+            (Invalid_argument "Medium.blit_packed: out of range") (fun () ->
+              Pmedia.Medium.blit_packed m ~pos ~dst:b ~dst_off:off ~len);
+          Alcotest.check_raises "load"
+            (Invalid_argument "Medium.load_packed: out of range") (fun () ->
+              Pmedia.Medium.load_packed m ~pos ~src:b ~src_off:off ~len))
+        [ (1, 1, max_int); (max_int, 0, 1); (0, max_int, 1); (5, 0, 0); (0, 0, 5) ])
+
 let () =
   Alcotest.run "medium"
     [
       ("dot", dot_cases @ List.map qtest [ heated_absorbing; mwb_sets_direction ]);
-      ("matrix", medium_cases @ List.map qtest [ set_get_roundtrip; heated_count_tracks ]);
+      ( "matrix",
+        medium_cases
+        @ List.map qtest [ set_get_roundtrip; heated_count_tracks ]
+        @ [ packed_bounds ] );
       ("bitops", bitops_cases @ [ erb_false_negative_rate ]);
       ( "run kernels",
         run_access_cases
