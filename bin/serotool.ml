@@ -192,9 +192,7 @@ let load_command_trace path =
       match Host.Proto.parse_trace text with
       | frames -> Ok frames
       | exception Host.Proto.Proto_error e ->
-          Error (Printf.sprintf "trace %s: %s" path e)
-      | exception Codec.Binio.R.Truncated ->
-          Error (Printf.sprintf "trace %s: truncated frame" path))
+          Error (Printf.sprintf "trace %s: %s" path e))
 
 let serve_replay image trace_path expect depth rate burst =
   with_device image (fun dev ->

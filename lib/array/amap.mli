@@ -42,7 +42,6 @@ val n_blocks : t -> int
 
 (** {1 Line placement} *)
 
-val group_of_line : t -> int -> int
 val local_line : t -> int -> int
 (** Local line index of a volume line on each of its replicas. *)
 

@@ -235,17 +235,6 @@ let verify_volume ?(jobs = 1) v =
   in
   report_of_raw v all
 
-let verify_lines v ~lines =
-  let lines = List.sort_uniq compare lines in
-  let ll = Amap.logical_lines (Volume.map v) in
-  List.iter
-    (fun line ->
-      if line < 0 || line >= ll then
-        invalid_arg "Quorum.verify_lines: line out of range")
-    lines;
-  report_of_raw v
-    (List.map (fun line -> (line, attest_line_raw v ~line)) lines)
-
 let source_meta v ~line ~exclude_slot =
   let m = Volume.map v in
   let local = Amap.local_line m line in

@@ -66,19 +66,6 @@ val verify_volume : ?jobs:int -> Volume.t -> report
     in ascending line order afterwards, so the report and the ledger
     are byte-identical for any [jobs]. *)
 
-val verify_lines : Volume.t -> lines:int list -> report
-(** Budget-limited sampled audit: attest only the given lines (sorted,
-    deduplicated), applying trust charges exactly as {!verify_volume}
-    would for those lines.  This is the defender's unit of array audit
-    spend — a campaign that can afford k attestations per window calls
-    this with its k sampled lines and pays [hash_reads]/[data_verifies]
-    for precisely those.  A coordinated mirror-split tamper (every
-    replica of a line rewritten) still surfaces the moment its line is
-    sampled: write-once burns cannot be re-burned, so each replica
-    self-convicts and the line reports [All_convicted], never a clean
-    majority.
-    @raise Invalid_argument if a line is out of range. *)
-
 val source_meta :
   Volume.t ->
   line:int ->

@@ -25,8 +25,6 @@ let create ~devices =
   if devices < 1 then invalid_arg "Trust.create: devices < 1";
   Array.make devices fresh
 
-let devices = Array.length
-
 let check t dev =
   if dev < 0 || dev >= Array.length t then
     invalid_arg (Printf.sprintf "Trust: device %d out of range" dev)

@@ -28,7 +28,6 @@ type t
 val create : devices:int -> t
 (** All devices start [Trusted] with empty ledgers. *)
 
-val devices : t -> int
 val entry : t -> dev:int -> entry
 val status : t -> dev:int -> status
 
@@ -46,12 +45,10 @@ type charge =
 
 val charge : t -> dev:int -> charge -> unit
 (** Record one charge.  First [Divergence] or [Conviction] demotes
-    [Trusted] to [Suspect]; accumulating {!quarantine_threshold}
-    divergences + convictions demotes to [Quarantined].  [Agreement]
+    [Trusted] to [Suspect]; accumulating 3 divergences + convictions
+    demotes to [Quarantined].  [Agreement]
     never promotes — rehabilitation requires an explicit {!reset}
     (i.e. a rebuild onto fresh media). *)
-
-val quarantine_threshold : int
 
 val quarantine : t -> dev:int -> unit
 (** Force [Quarantined] (operator decision or rebuild source). *)

@@ -301,10 +301,6 @@ let revive_dev v ~dev =
 
 let ops v = v.ops
 
-let injector v ~dev =
-  check_dev v dev;
-  v.members.(dev).e_inj
-
 let apply_event v (e : Fault.Plan.array_event) =
   match e with
   | Fault.Plan.Member_loss { member } ->

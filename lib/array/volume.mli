@@ -204,9 +204,6 @@ val heat_line :
     crash between replicas) is not an error if the re-read hashes
     agree with the fresh burns. *)
 
-val is_line_heated : t -> line:int -> bool
-(** True if any serving replica has the line heated. *)
-
 val flush : t -> unit
 (** {!Sero.Bcache.sync} every member: buffered writes reach the medium
     and every member queue drains. *)
@@ -221,8 +218,6 @@ val install_plan : t -> Fault.Plan.array_plan -> unit
 
 val ops : t -> int
 (** Volume operations since creation (the array-event clock). *)
-
-val injector : t -> dev:int -> Fault.Injector.t option
 
 val fault_ledger : t -> string
 (** Replayable merged ledger: array events in firing order, then each

@@ -31,6 +31,5 @@ type outcome = {
   attack : Tech.attack_result;
 }
 
-val run_one : scenario -> Tech.tech -> outcome
 val run_all : scenario -> outcome list
 val pp_outcome : Format.formatter -> outcome -> unit

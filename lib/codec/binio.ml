@@ -16,7 +16,6 @@ module W = struct
     u32 t (v lsr 32);
     u32 t v
 
-  let i64 t v = u64 t (v land max_int lor if v < 0 then min_int else 0)
 
   let f64 t v =
     let bits = Int64.bits_of_float v in
@@ -61,7 +60,6 @@ module R = struct
     let hi = u32 t in
     (hi lsl 32) lor u32 t
 
-  let i64 = u64
 
   let f64 t =
     let bits = ref 0L in

@@ -11,7 +11,6 @@ module W : sig
   val u16 : t -> int -> unit
   val u32 : t -> int -> unit
   val u64 : t -> int -> unit
-  val i64 : t -> int -> unit
 
   val f64 : t -> float -> unit
   (** Full IEEE-754 bit pattern, big-endian (OCaml ints cannot carry all
@@ -37,7 +36,6 @@ module R : sig
   val u16 : t -> int
   val u32 : t -> int
   val u64 : t -> int
-  val i64 : t -> int
   val f64 : t -> float
   val str : t -> string
   val raw : t -> int -> string

@@ -1,7 +1,5 @@
 type cell = Zero | One | Blank | Tampered
 
-let encoded_length n_bytes = 16 * n_bytes
-
 let encode payload =
   let n = String.length payload in
   let dots = Array.make (16 * n) false in
@@ -60,11 +58,11 @@ let decode dots ~n_bytes =
     n_blank = !n_blank;
   }
 
-let cells_with ~shift name dots ~n_bytes =
-  check_dots name dots n_bytes;
+let blank_cells dots ~n_bytes =
+  check_dots "Manchester.blank_cells" dots n_bytes;
   let acc = ref [] in
   for j = (2 * n_bytes) - 1 downto 0 do
-    let m = (entry dots j lsr shift) land 15 in
+    let m = (entry dots j lsr 4) land 15 in
     if m <> 0 then
       for c = 3 downto 0 do
         if m land (8 lsr c) <> 0 then acc := ((4 * j) + c) :: !acc
@@ -72,8 +70,6 @@ let cells_with ~shift name dots ~n_bytes =
   done;
   !acc
 
-let blank_cells = cells_with ~shift:4 "Manchester.blank_cells"
-let tampered_cells = cells_with ~shift:8 "Manchester.tampered_cells"
 let is_clean r = r.n_tampered = 0 && r.n_blank = 0
 
 let max_adjacent_heated dots =

@@ -25,10 +25,6 @@ val encode : string -> bool array
     to a two-dot cell; [true] in the result means "heat this dot".  The
     result has [16 * String.length payload] entries. *)
 
-val encoded_length : int -> int
-(** [encoded_length n] is the number of dots needed for [n] payload
-    bytes, i.e. [16 * n]. *)
-
 type decode_result = {
   payload : string;  (** Best-effort decoded bytes (tampered/blank cells decode as 0). *)
   n_tampered : int;  (** Cells found in state [HH]. *)
@@ -46,9 +42,6 @@ val decode : Bytes.t -> n_bytes:int -> decode_result
 
 val blank_cells : Bytes.t -> n_bytes:int -> int list
 (** Indices of the cells {!decode} counts in [n_blank], ascending. *)
-
-val tampered_cells : Bytes.t -> n_bytes:int -> int list
-(** Indices of the cells {!decode} counts in [n_tampered], ascending. *)
 
 val is_clean : decode_result -> bool
 (** No tampered and no blank cells. *)

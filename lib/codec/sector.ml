@@ -5,7 +5,6 @@ let framed_bytes = header_bytes + payload_bytes + crc_bytes (* 532 *)
 let rs_code = Rs.make ~nparity:24
 let physical_bytes = Rs.encoded_length rs_code framed_bytes (* 604 *)
 let physical_bits = 8 * physical_bytes
-let overhead_fraction = 1. -. (float_of_int payload_bytes /. float_of_int physical_bytes)
 let magic = 0x5E20 (* "SERO" sector magic *)
 
 type kind = Data | Inode | Summary | Checkpoint | Hash_meta

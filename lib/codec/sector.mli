@@ -30,9 +30,6 @@ val physical_bytes : int
 val physical_bits : int
 (** [8 * physical_bytes]. *)
 
-val overhead_fraction : float
-(** [1 - payload/physical], about 0.152. *)
-
 type kind = Data | Inode | Summary | Checkpoint | Hash_meta
 (** Block-kind tag stored in the header; the device itself treats all
     kinds alike, the tag exists so that a raw medium scan (fsck) can

@@ -48,11 +48,6 @@ type row = {
       (** Heated lines attested by a full verify after the rebuild. *)
 }
 
-val default_grid : cell list
-
-val run_cell : cell -> row
-val sweep : ?grid:cell list -> unit -> row list
-
 type headline = {
   h_undetected : float;  (** Total undetected record loss (must be 0). *)
   h_detected : float;  (** Total replicas charged across the grid. *)

@@ -77,8 +77,8 @@ let run_cell ?(ops = 400) ~cache_lines ~read_ahead ~theta () =
   in
   let rng = Sim.Prng.create 0xE21 in
   let zipf = Workload.Zipf.create ~n:(Array.length data_pbas) ~theta in
-  let read_lat = Sim.Stats.create ~name:"read" ()
-  and write_lat = Sim.Stats.create ~name:"write" () in
+  let read_lat = Sim.Stats.create ()
+  and write_lat = Sim.Stats.create () in
   let warmup = int_of_float (warmup_frac *. float_of_int ops) in
   (* Let the DES clock tick [dt] forward, firing whatever comes due —
      this is where background prefetch spans get served. *)

@@ -23,11 +23,6 @@ type row = {
   flush_spans : int;  (** Coalesced write-behind groups flushed. *)
 }
 
-val run_cell :
-  ?ops:int -> cache_lines:int -> read_ahead:int -> theta:float -> unit -> row
-
-val sweep : ?ops:int -> unit -> row list
-
 type headline = {
   nocache_read_ms : float;
   cached_read_ms : float;

@@ -15,19 +15,11 @@ type cell = {
   c_res : Security.Campaign.result;
 }
 
-val frontier : ?sites:int -> unit -> cell list
-(** Every (defender level, attack class) pair at [sites] (default 6)
-    sites per cell. *)
-
 type scaling_cell = {
   s_budget : int;
   s_fleet : int;
   s_res : Security.Campaign.result;
 }
-
-val scaling : ?attack:Security.Campaign.attack -> unit -> scaling_cell list
-(** Attacker budget {m \times} fleet size at the reference spend with
-    half the fleet compromised. *)
 
 type headline = {
   h_ref_landed : int;

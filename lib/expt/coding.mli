@@ -11,6 +11,4 @@ type code_row = {
   tamper_evident : bool;
 }
 
-val codes : code_row list
-
 val print : Format.formatter -> unit

@@ -29,11 +29,6 @@ type arm_result = {
 
 type row = { trial : int; records : int; off : arm_result; on_ : arm_result }
 
-val run_trial : int -> row
-(** Both arms under the trial's damage schedule. *)
-
-val sweep : ?trials:int -> unit -> row list
-
 type headline = {
   lost_off : float;
   lost_on : float;

@@ -55,10 +55,6 @@ type torn_demo = {
   verdict_after : Sero.Tamper.verdict;
 }
 
-val torn_recovery : ?cut_after_cells:int -> unit -> torn_demo
-(** Inject a power cut mid-burn, then classify, complete and
-    re-verify the line. *)
-
 type powercut_row = {
   lines_cut : int;
   tampered_without_ras : int;  (** Torn lines left as evidence. *)

@@ -80,8 +80,6 @@ type fleet = {
   f_lat : Sim.Stats.t;  (* per-op device latency, ms *)
 }
 
-let lat_name = "op-latency-ms"
-
 let empty_fleet () =
   {
     f_devices = 0;
@@ -91,7 +89,7 @@ let empty_fleet () =
     f_fails = 0;
     f_scrub_rewrites = 0;
     f_cow_segments = 0;
-    f_lat = Sim.Stats.create ~name:lat_name ();
+    f_lat = Sim.Stats.create ();
   }
 
 let merge_fleet = function
@@ -107,8 +105,7 @@ let merge_fleet = function
         f_scrub_rewrites = sum (fun a -> a.f_scrub_rewrites);
         f_cow_segments = sum (fun a -> a.f_cow_segments);
         f_lat =
-          Sim.Stats.merge_many ~name:lat_name
-            (List.map (fun a -> a.f_lat) accs);
+          Sim.Stats.merge_many (List.map (fun a -> a.f_lat) accs);
       }
 
 (* One fleet member: clone, open-loop traffic (62% reads, 30% writes,
@@ -120,7 +117,7 @@ let run_device ~ops ~rng i =
   let dev = Sero.Device.clone g.g_dev in
   let pdev = Sero.Device.pdevice dev in
   let des = Sim.Des.create () in
-  let lat = Sim.Stats.create ~name:lat_name () in
+  let lat = Sim.Stats.create () in
   let events = ref 0 and tampers = ref 0 and fails = ref 0 in
   let completed = ref 0 in
   let rec arm issued =

@@ -18,9 +18,6 @@
 val default_ops : int
 (** Open-loop operations per device (6). *)
 
-val curve : int list
-(** Fleet sizes swept by {!print} ([64; 256; 1024; 4096]). *)
-
 type fleet = {
   f_devices : int;
   f_ops : int;  (** Operations completed across the fleet. *)
@@ -41,11 +38,6 @@ type clone_cell = {
   c_heap_kib : float;  (** OCaml heap per idle clone; acceptance ≤ 64. *)
   c_segments : float;  (** Private segments per idle clone (0.). *)
 }
-
-val measure_clones : ?clones:int -> unit -> clone_cell
-(** Gc-measured footprint of [clones] (default 256) parked clones.
-    Call before any {!Sim.Pool} fan-out for [SERO_JOBS]-independent
-    numbers ({!print} and {!headline} do). *)
 
 type headline = {
   h_devices : int;  (** Largest fleet in the curve. *)

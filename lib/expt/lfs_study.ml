@@ -14,15 +14,6 @@ type row = {
   utilisation : float list;
 }
 
-let bimodality utils =
-  match utils with
-  | [] -> 1.
-  | _ ->
-      let extreme =
-        List.length (List.filter (fun u -> u < 0.2 || u > 0.8) utils)
-      in
-      float_of_int extreme /. float_of_int (List.length utils)
-
 let run_point ?(strategy = Lfs.Heat.Auto) ~clustering ~snapshots () =
   let device = Sero.Device.default_config ~n_blocks:8192 ~line_exp:3 () in
   let cfg = { Workload.Dbwork.default_config with Workload.Dbwork.snapshots } in

@@ -28,15 +28,4 @@ type row = {
 val run_point :
   ?strategy:Lfs.Heat.strategy -> clustering:bool -> snapshots:int -> unit -> row
 
-val sweep : ?snapshot_counts:int list -> unit -> row list
-(** For each snapshot count: the clustering policy (heats land in
-    place), the single-log-head ablation with relocation (pays copies),
-    and the single-log-head ablation heating strictly in place (pays
-    fragmentation and collateral) — the three corners of the paper's
-    Section 4.1 trade-off. *)
-
 val print : Format.formatter -> unit
-
-val bimodality : float list -> float
-(** Fraction of segments whose utilisation is extreme (< 0.2 or > 0.8) —
-    1.0 is perfectly bimodal. *)

@@ -27,12 +27,6 @@ type row = {
   service_s : float;  (** Sled-busy seconds charged to the tenant. *)
 }
 
-val default_ops : int
-(** Operations per client stream (40). *)
-
-val sweep : ?ops:int -> unit -> row list
-(** One row per (cell, tenant). *)
-
 type headline = {
   solo_p99_ms : float;  (** Light tenant alone. *)
   fifo_p99_ms : float;  (** Light tenant vs one heavy, arrival order. *)
@@ -43,6 +37,5 @@ type headline = {
   overload_rejection_pct : float;
 }
 
-val headline_of : row list -> headline
 val headline : ?ops:int -> unit -> headline
 val print : Format.formatter -> unit

@@ -29,8 +29,4 @@ val run_cell :
 (** One self-seeded cell (own device, DES clock, queue and PRNG —
     deterministic in isolation, so the sweep can fan out). *)
 
-val sweep : ?ops:int -> unit -> row list
-(** The full policy × depth × scrub grid, fanned out over
-    {!Sim.Pool.parallel_map}; output is identical for any job count. *)
-
 val print : Format.formatter -> unit

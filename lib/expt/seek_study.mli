@@ -13,5 +13,4 @@ type row = {
   vs_fifo : float;  (** Speed-up factor over FIFO. *)
 }
 
-val sweep : ?batches:int -> ?batch_size:int -> unit -> row list
 val print : Format.formatter -> unit

@@ -15,7 +15,6 @@ type t = {
   mutable cut_fired : bool;
   mutable pending_deaths : Plan.tip_death list;
   mutable events_rev : event list;
-  mutable n_events : int;
 }
 
 let create (plan : Plan.t) =
@@ -27,16 +26,13 @@ let create (plan : Plan.t) =
     cut_fired = false;
     pending_deaths = plan.Plan.tip_deaths;
     events_rev = [];
-    n_events = 0;
   }
 
 let plan t = t.plan
 let ops t = t.ops
 let cut_fired t = t.cut_fired
 
-let record t ev =
-  t.events_rev <- ev :: t.events_rev;
-  t.n_events <- t.n_events + 1
+let record t ev = t.events_rev <- ev :: t.events_rev
 
 let fire_cut t =
   t.cut_fired <- true;
@@ -122,8 +118,6 @@ let newly_dead_tips t =
           d.Plan.tip)
         dead
 
-let events t = List.rev t.events_rev
-let n_events t = t.n_events
 
 let pp_event ppf = function
   | Read_flip { op; dot } -> Format.fprintf ppf "op=%d read-flip dot=%d" op dot
@@ -138,5 +132,5 @@ let ledger_to_string t =
     (fun ev ->
       Buffer.add_string buf (Format.asprintf "%a" pp_event ev);
       Buffer.add_char buf '\n')
-    (events t);
+    (List.rev t.events_rev);
   Buffer.contents buf

@@ -23,13 +23,6 @@ exception Power_cut
     before it has.  The cut disarms itself after firing, so the caller
     can treat the catch as the reboot and keep using the device. *)
 
-type event =
-  | Read_flip of { op : int; dot : int }
-  | Stuck_read of { op : int; dot : int }
-  | Tip_death of { op : int; tip : int }
-  | Weak_pulse of { op : int; dot : int }
-  | Cut of { op : int }
-
 type t
 
 val create : Plan.t -> t
@@ -96,12 +89,6 @@ val newly_dead_tips : t -> int list
     each is reported (and logged) exactly once. *)
 
 (** {1 The ledger} *)
-
-val events : t -> event list
-(** All injected events, oldest first. *)
-
-val n_events : t -> int
-val pp_event : Format.formatter -> event -> unit
 
 val ledger_to_string : t -> string
 (** One event per line — the replayable record.  Two runs with the same

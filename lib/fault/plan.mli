@@ -50,9 +50,6 @@ type t = {
           specific burn with cell precision. *)
 }
 
-val none : t
-(** The empty plan: nothing ever goes wrong (seed 0). *)
-
 val make :
   ?seed:int ->
   ?read_ber:float ->
@@ -87,7 +84,7 @@ val flip_free : t -> first_dot:int -> n_dots:int -> bool
 
 val quiet : t -> bool
 (** Whether the plan can never inject anything (all rates zero, no tip
-    deaths, no power cut) — its seed aside, it is {!none}.  Quiet plans
+    deaths, no power cut) — its seed aside, it is the empty plan.  Quiet plans
     need no injector: installing one anyway would still change device
     behaviour (caches bypass while a fault plan is armed), so array
     members skip them. *)
@@ -121,7 +118,7 @@ type array_plan = {
   array_seed : int;
   member_plans : (int * t) list;
       (** Explicit per-member device plans; members not listed get
-          {!none} under their derived seed. *)
+          the empty plan under their derived seed. *)
   events : timed_event list;  (** Sorted by [at_op], stable. *)
 }
 
@@ -141,7 +138,7 @@ val member_seed : array_plan -> member:int -> int
 
 val member_plan : array_plan -> member:int -> t
 (** The member's device plan: its explicit entry if listed, otherwise
-    {!none}; either way the plan's seed 0 is replaced by
+    the empty plan; either way the plan's seed 0 is replaced by
     {!member_seed} so that every member draws from its own stream. *)
 
 val pp_array_event : Format.formatter -> array_event -> unit

@@ -242,12 +242,10 @@ let finalize ctx =
   done;
   Bytes.unsafe_to_string out
 
-let digest_bytes b =
+let digest_string s =
   let ctx = init () in
-  feed_bytes ctx b 0 (Bytes.length b);
+  feed_string ctx s;
   finalize ctx
-
-let digest_string s = digest_bytes (Bytes.unsafe_of_string s)
 
 let digest_concat parts =
   let ctx = init () in

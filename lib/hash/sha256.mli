@@ -16,9 +16,6 @@
 type t
 (** An immutable 256-bit digest. *)
 
-val digest_bytes : bytes -> t
-(** [digest_bytes b] is the SHA-256 digest of the whole of [b]. *)
-
 val digest_string : string -> t
 (** [digest_string s] is the SHA-256 digest of [s]. *)
 

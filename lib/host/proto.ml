@@ -99,7 +99,9 @@ let encode_frame { tenant; seq; cmd } =
   | Audit -> ());
   Bytes.unsafe_to_string b
 
-let decode_frame ?(off = 0) s =
+(* The decoders read through {!Codec.Binio.R}, whose [Truncated] the
+   entry points below turn into [Proto_error]. *)
+let decode_frame_at off s =
   let module R = Codec.Binio.R in
   let r = R.of_string ~off s in
   let len = R.u32 r in
@@ -136,6 +138,11 @@ let decode_frame ?(off = 0) s =
       (stop - R.pos r);
   ({ tenant; seq; cmd }, stop)
 
+let decode_frame ?(off = 0) s =
+  match decode_frame_at off s with
+  | v -> v
+  | exception Codec.Binio.R.Truncated -> fail "truncated frame"
+
 (* {1 Responses} *)
 
 type response = {
@@ -167,7 +174,7 @@ let encode_response r =
   Bytes.blit_string r.r_payload 0 b (17 + n) plen;
   Bytes.unsafe_to_string b
 
-let decode_response ?(off = 0) s =
+let decode_response_at off s =
   let module R = Codec.Binio.R in
   let r = R.of_string ~off s in
   let len = R.u32 r in
@@ -183,6 +190,11 @@ let decode_response ?(off = 0) s =
   let r_payload = R.str r in
   if R.pos r <> stop then fail "response length mismatch";
   ({ r_tenant; r_seq; r_op; r_phases; r_payload }, stop)
+
+let decode_response ?(off = 0) s =
+  match decode_response_at off s with
+  | v -> v
+  | exception Codec.Binio.R.Truncated -> fail "truncated response"
 
 (* {1 Hex trace format}
 

@@ -11,8 +11,8 @@
     and a length-prefixed payload. *)
 
 exception Proto_error of string
-(** Malformed frame, bad hex, unknown opcode, version mismatch.
-    (Truncated input raises {!Codec.Binio.R.Truncated}.) *)
+(** Malformed or truncated frame, bad hex, unknown opcode, version
+    mismatch: the only exception the decoders raise on any bytes. *)
 
 val version : int
 
@@ -37,7 +37,6 @@ val st_rejected_depth : int
 val st_rejected_rate : int
 (** Token bucket empty. *)
 
-val status_name : int -> string
 val status_failed : int -> bool
 
 (** {1 Commands} *)
@@ -87,15 +86,10 @@ val decode_response : ?off:int -> string -> response * int
     blank lines ignored. *)
 
 val to_hex : string -> string
-val of_hex : string -> string
 val parse_trace : string -> frame list
 val print_trace : frame list -> string
 
 (** {1 Pretty-printing} *)
-
-val payload_descr : string -> string
-(** ["-"] when empty, else [<len>B:<8 hex of sha256>] — deterministic
-    and diffable without dumping raw bytes. *)
 
 val pp_command : Format.formatter -> command -> unit
 val pp_frame : Format.formatter -> frame -> unit

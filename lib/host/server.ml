@@ -17,7 +17,6 @@ type t = {
   limits_of : int -> limits;
   tstates : (int, tstate) Hashtbl.t;
   mutable responses : Proto.response list; (* newest first *)
-  mutable submitted : int;
   mutable on_response : (Proto.response -> unit) option;
 }
 
@@ -37,11 +36,9 @@ let create ?(limits_of = fun _ -> default_limits) target =
     limits_of;
     tstates = Hashtbl.create 8;
     responses = [];
-    submitted = 0;
     on_response = None;
   }
 
-let target t = t.target
 let now t = Sim.Des.now (des_of t.target)
 
 let set_policy t policy =
@@ -233,7 +230,6 @@ let execute t ts (f : Proto.frame) =
       sync ~read:false ~status ~payload:""
 
 let submit_frame t (f : Proto.frame) =
-  t.submitted <- t.submitted + 1;
   let ts = tstate t f.Proto.tenant in
   match admit ts ~now:(now t) with
   | Error kind ->
@@ -259,7 +255,6 @@ let drain t =
   | Volume v -> Sarray.Volume.flush v
 
 let responses t = List.rev t.responses
-let submitted t = t.submitted
 
 let tenants t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.tstates [] |> List.sort compare

@@ -38,9 +38,6 @@ val create : ?limits_of:(int -> limits) -> target -> t
 (** [limits_of tenant] fixes a tenant's limits at first contact
     (default: {!default_limits} for everyone). *)
 
-val target : t -> target
-val now : t -> float
-
 val set_policy : t -> Arbiter.policy -> unit
 (** Install the tenant arbiter on the target's queue (every member
     queue for a volume). *)
@@ -61,8 +58,6 @@ val set_on_response : t -> (Proto.response -> unit) option -> unit
 (** Hook fired as each response is recorded (rejections fire inside
     {!submit_frame}; queue-path completions fire while pumping) —
     closed-loop clients use it to schedule their next command. *)
-
-val submitted : t -> int
 
 val tenants : t -> int list
 val slo : t -> tenant:int -> Slo.t

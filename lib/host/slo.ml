@@ -9,8 +9,8 @@ type t = {
 
 let create () =
   {
-    latency = Sim.Stats.create ~name:"latency" ();
-    read_latency = Sim.Stats.create ~name:"read latency" ();
+    latency = Sim.Stats.create ();
+    read_latency = Sim.Stats.create ();
     completed = 0;
     failed = 0;
     rejected_depth = 0;
@@ -27,18 +27,12 @@ let note_rejection t = function
   | `Depth -> t.rejected_depth <- t.rejected_depth + 1
   | `Rate -> t.rejected_rate <- t.rejected_rate + 1
 
-let completed t = t.completed
 let failed t = t.failed
-let rejected_depth t = t.rejected_depth
-let rejected_rate t = t.rejected_rate
 let rejected t = t.rejected_depth + t.rejected_rate
 
 let rejection_pct t =
   let offered = t.completed + rejected t in
   if offered = 0 then 0. else 100. *. float_of_int (rejected t) /. float_of_int offered
-
-let latency t = t.latency
-let read_latency t = t.read_latency
 
 type report = {
   rep_completed : int;

@@ -16,17 +16,8 @@ val note_completion : t -> read:bool -> ok:bool -> latency:float -> unit
 val note_rejection : t -> [ `Depth | `Rate ] -> unit
 (** Record an admission-control rejection. *)
 
-val completed : t -> int
 val failed : t -> int
-val rejected_depth : t -> int
-val rejected_rate : t -> int
 val rejected : t -> int
-
-val rejection_pct : t -> float
-(** Rejections as a percentage of offered (completed + rejected). *)
-
-val latency : t -> Sim.Stats.t
-val read_latency : t -> Sim.Stats.t
 
 type report = {
   rep_completed : int;
@@ -34,6 +25,7 @@ type report = {
   rep_rejected_depth : int;
   rep_rejected_rate : int;
   rep_rejection_pct : float;
+      (** Rejections as a percentage of offered (completed + rejected). *)
   rep_p50_ms : float;
   rep_p95_ms : float;
   rep_p99_ms : float;

@@ -29,9 +29,6 @@ val add_entry : State.t -> dir:int -> Enc.dirent -> unit
 val remove_entry : State.t -> dir:int -> string -> unit
 (** @raise State.Fs_error if the name is absent. *)
 
-val split_path : string -> (string list, string) result
-(** Normalised components of an absolute path. *)
-
 val parent_of : State.t -> string -> (int * string, string) result
 (** [(parent directory inode, basename)] of a path, or an error
     message. *)

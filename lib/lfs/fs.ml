@@ -35,8 +35,6 @@ let sync t =
      blocks just written) must reach the medium before returning. *)
   State.flush_block_cache t.st
 
-let unmount t = sync t
-
 type recovery = { fs : t; torn_completed : int list; fsck : Fsck.report }
 
 (* Power-loss recovery: a cut mid-heat leaves a torn write-once area
@@ -266,13 +264,3 @@ let stats t =
     metrics = st.State.metrics;
     device = Sero.Device.stats st.State.dev;
   }
-
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "segments: %d free, %d closed, %d heated@ \
-     writes: %d user bytes, %d fs blocks, %d cleaner copies, %d heat \
-     relocations, %d collateral frozen@ %a"
-    s.free_segments s.closed_segments s.heated_segments
-    s.metrics.State.user_bytes_written s.metrics.State.fs_block_writes
-    s.metrics.State.cleaner_copies s.metrics.State.heat_relocations
-    s.metrics.State.collateral_frozen Sero.Device.pp_stats s.device

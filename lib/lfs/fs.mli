@@ -49,9 +49,6 @@ val recover : ?policy:State.policy -> Sero.Device.t -> (recovery, string) result
     is idempotent over the burned prefix), run {!Fsck} to inventory the
     heated files, then replay the latest checkpoint as {!mount} does. *)
 
-val unmount : t -> unit
-(** Flush everything and write a final checkpoint. *)
-
 val sync : t -> unit
 (** Flush dirty inodes and checkpoint (keeps mounted).
     @raise State.Out_of_space, State.Fs_error or State.Read_only_device
@@ -83,7 +80,7 @@ val attach_cache : t -> Sero.Bcache.t -> unit
     cache layered over its queue: repeat reads hit with zero sled
     service, sequential reads prefetch, writes are write-behind
     buffered until {!sync}, {!heat}, or cache pressure flushes them.
-    [sync] (and [unmount]) remain durable: they flush the cache
+    [sync] remains durable: it flushes the cache
     through to the medium before returning.  The stack it replaces is
     synced first.
     @raise State.Fs_error if the cache serves a different device. *)
@@ -141,4 +138,3 @@ type stats = {
 }
 
 val stats : t -> stats
-val pp_stats : Format.formatter -> stats -> unit

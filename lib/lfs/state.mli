@@ -106,8 +106,6 @@ val now : t -> float
 val first_data_segment : t -> int
 val seg_of_pba : t -> int -> int
 val pba_of_slot : t -> seg:int -> slot:int -> int
-val slot_of_pba : t -> int -> int * int
-(** [(seg, slot)]. *)
 
 val lines_of_seg : t -> int -> int list
 val free_segments : t -> int
@@ -189,8 +187,6 @@ val segment_owners : t -> int -> Enc.owner array
     remount.  Note that freed slots since the summary was written are
     only reflected once reloaded owners are cross-checked against the
     imap (the cleaner does this). *)
-
-val close_open_segments : t -> unit
 
 val mark_segment_heated : t -> int -> unit
 

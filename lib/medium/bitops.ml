@@ -57,7 +57,6 @@ let clone t medium =
 
 let medium t = t.medium
 let counters t = t.counters
-let profile t = t.profile
 let fault t = t.fault
 let set_fault t inj = t.fault <- inj
 

@@ -46,7 +46,6 @@ val clone : ctx -> Medium.t -> ctx
 val medium : ctx -> Medium.t
 val counters : ctx -> counters
 val reset_counters : ctx -> unit
-val profile : ctx -> Physics.Thermal.profile
 
 val fault : ctx -> Fault.Injector.t option
 val set_fault : ctx -> Fault.Injector.t option -> unit

@@ -13,7 +13,6 @@ type t = Magnetised of direction | Heated
 val equal : t -> t -> bool
 val equal_direction : direction -> direction -> bool
 val pp : Format.formatter -> t -> unit
-val pp_direction : Format.formatter -> direction -> unit
 
 val of_bool : bool -> direction
 (** [true] = [Up] (logical 1), [false] = [Down] (logical 0). *)
@@ -29,9 +28,6 @@ val transition_ewb : t -> t
 (** Electrical write: always lands in [Heated] (one-way). *)
 
 val is_heated : t -> bool
-
-val all_states : t list
-(** The three reachable states, for exhaustive checks. *)
 
 val transition_table : (t * string * t) list
 (** Every (state, operation, state') edge of Figure 2, where operation

@@ -33,12 +33,10 @@ type t = {
   mutable own : states option array;
       (* per segment: this device's private overlay *)
   mutable own_count : int;
-  mutable materialized_total : int; (* own segments ever created *)
   defects : Bytes.t; (* 1 bit per dot; empty when defect_rate = 0 *)
   rows_clean : Bytes.t; (* 1 bit per row: set = no defect in the row *)
   defect_total : int;
   rng : Sim.Prng.t;
-  mutable heated : int;
 }
 
 let default_config ~rows ~cols =
@@ -104,12 +102,10 @@ let create config =
     frozen = Array.make n_segs None;
     own = Array.make n_segs None;
     own_count = 0;
-    materialized_total = 0;
     defects;
     rows_clean;
     defect_total = !defect_total;
     rng;
-    heated = 0;
   }
 
 (* Read view of segment [si]: private overlay, else shared frozen
@@ -135,12 +131,9 @@ let seg_rw t si =
       | None -> Bigarray.Array1.fill s '\x00');
       Array.unsafe_set t.own si (Some s);
       t.own_count <- t.own_count + 1;
-      t.materialized_total <- t.materialized_total + 1;
       s
 
 let owned_segments t = t.own_count
-let total_segments t = Array.length t.frozen
-let materialized_total t = t.materialized_total
 
 (* CoW snapshot.  The parent's private overlay merges into a fresh
    frozen generation shared (read-only, by construction: nothing ever
@@ -162,12 +155,10 @@ let clone t =
     frozen = Array.copy frozen';
     own = Array.make n_segs None;
     own_count = 0;
-    materialized_total = 0;
     defects = t.defects (* immutable after create: shared *);
     rows_clean = t.rows_clean;
     defect_total = t.defect_total;
     rng = Sim.Prng.copy t.rng;
-    heated = t.heated;
   }
 
 let check_range t i =
@@ -196,18 +187,11 @@ let get t i =
 
 let set t i s =
   check_range t i;
-  let was_heated = raw_get t i = 2 in
-  let v =
-    match s with
+  raw_set t i
+    (match s with
     | Dot.Magnetised Dot.Down -> 0
     | Dot.Magnetised Dot.Up -> 1
-    | Dot.Heated -> 2
-  in
-  (match (was_heated, s) with
-  | false, Dot.Heated -> t.heated <- t.heated + 1
-  | true, Dot.Magnetised _ -> t.heated <- t.heated - 1
-  | _ -> ());
-  raw_set t i v
+    | Dot.Heated -> 2)
 
 let is_defect t i =
   check_range t i;
@@ -365,46 +349,8 @@ let count_heated_run t ~start ~len =
       done);
   !n
 
-let recount_heated t = t.heated <- count_heated_run t ~start:0 ~len:(size t)
-
-let get_run t ~start ~len ~dst ~dst_pos =
-  check_run t start len;
-  if dst_pos < 0 || dst_pos + len > Bytes.length dst then
-    invalid_arg "Medium.get_run: destination out of range";
-  for k = 0 to len - 1 do
-    Bytes.unsafe_set dst (dst_pos + k) (Char.unsafe_chr (raw_get t (start + k)))
-  done
-
-let set_run t ~start ~len ~src ~src_pos =
-  check_run t start len;
-  if src_pos < 0 || src_pos + len > Bytes.length src then
-    invalid_arg "Medium.set_run: source out of range";
-  for k = 0 to len - 1 do
-    let v = Char.code (Bytes.get src (src_pos + k)) in
-    if v > 2 then invalid_arg "Medium.set_run: invalid state code";
-    let i = start + k in
-    let old = raw_get t i in
-    if old >= 2 && v < 2 then t.heated <- t.heated - 1
-    else if old < 2 && v = 2 then t.heated <- t.heated + 1;
-    raw_set t i v
-  done
-
-let neighbours t i =
-  check_range t i;
-  let c = t.config.cols in
-  let row = i / c and col = i mod c in
-  let candidates =
-    [ (row, col - 1); (row, col + 1); (row - 1, col); (row + 1, col) ]
-  in
-  List.filter_map
-    (fun (r, cl) ->
-      if r < 0 || r >= t.config.rows || cl < 0 || cl >= c then None
-      else Some ((r * c) + cl))
-    candidates
-
-(* Same visit order as [neighbours] — left, right, up, down — so
-   callers drawing randomness per neighbour keep a bit-identical
-   stream whichever entry point they use. *)
+(* Left, right, up, down: callers draw randomness per neighbour in this
+   order. *)
 let iter_neighbours t i f =
   check_range t i;
   let c = t.config.cols in
@@ -414,18 +360,6 @@ let iter_neighbours t i f =
   if row > 0 then f (i - c);
   if row < t.config.rows - 1 then f (i + c)
 
-let heated_count t = t.heated
-
-let capacity_bits t =
-  let area_cm2 =
-    float_of_int (size t) *. t.config.geometry.pitch *. t.config.geometry.pitch
-    /. 1e-4
-  in
-  area_cm2 *. Physics.Constants.areal_density_bits_per_cm2 t.config.geometry
-
 let note_heated t i =
   check_range t i;
-  if raw_get t i <> 2 then begin
-    t.heated <- t.heated + 1;
-    raw_set t i 2
-  end
+  if raw_get t i <> 2 then raw_set t i 2

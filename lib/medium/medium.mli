@@ -65,14 +65,11 @@ val run_defect_free : t -> start:int -> len:int -> bool
     which only costs callers their fast path, never correctness.
     @raise Invalid_argument if the run is out of range. *)
 
-val neighbours : t -> int -> int list
-(** The 4-neighbourhood (same row ±1, same column ±1 row) — the dots at
-    thermal risk when dot [i] is pulse-heated. *)
-
 val iter_neighbours : t -> int -> (int -> unit) -> unit
-(** Allocation-free {!neighbours}, visiting in the same order (left,
-    right, up, down) so per-neighbour randomness draws stay
-    bit-identical with the list version. *)
+(** [iter_neighbours t i f] calls [f] on each dot of the
+    4-neighbourhood of dot [i] (same row ±1, same column ±1 row) — the
+    dots at thermal risk when [i] is pulse-heated — in the order left,
+    right, up, down. *)
 
 (** {1 Run access}
 
@@ -101,7 +98,7 @@ val iter_chunks :
     written; [~write:true] materialises a private copy first.  Segment
     boundaries are 8-dot-aligned, so chunking never splits a packed byte
     or a packed-kernel byte pair.  This is the bulk-kernel access path
-    ({!Bitops} run kernels); it bypasses the heated-count bookkeeping.
+    ({!Bitops} run kernels).
     @raise Invalid_argument if the run is out of range. *)
 
 val packed_length : t -> int
@@ -114,14 +111,6 @@ val segment_bytes : int
 val owned_segments : t -> int
 (** Segments currently materialised privately in this device. *)
 
-val total_segments : t -> int
-(** Total segments in the store, [ceil (packed_length / segment_bytes)]. *)
-
-val materialized_total : t -> int
-(** Monotonic count of private segment materialisations since this
-    device was created or cloned — the deterministic CoW-cost counter
-    the fleet bench gates on. *)
-
 val blit_packed : t -> pos:int -> dst:Bytes.t -> dst_off:int -> len:int -> unit
 (** Copy [len] packed state bytes starting at packed byte [pos] into
     [dst] — the streaming-image export primitive (chunks of the store,
@@ -130,33 +119,12 @@ val blit_packed : t -> pos:int -> dst:Bytes.t -> dst_off:int -> len:int -> unit
 val load_packed : t -> pos:int -> src:Bytes.t -> src_off:int -> len:int -> unit
 (** Overwrite [len] packed state bytes from [src], collapsing any
     reserved 2-bit code 3 to Heated (the same decoding {!get} applies),
-    so foreign bytes cannot plant an unrepresentable state.  Does {e
-    not} maintain the heated count — stream the whole image in, then
-    call {!recount_heated} once. *)
-
-val recount_heated : t -> unit
-(** Recompute the cached heated-dot total from the state store (after a
-    bulk {!load_packed}). *)
-
-val get_run : t -> start:int -> len:int -> dst:Bytes.t -> dst_pos:int -> unit
-(** Copy the state codes of dots [start, start+len) into [dst] at
-    [dst_pos], one code per byte. *)
-
-val set_run : t -> start:int -> len:int -> src:Bytes.t -> src_pos:int -> unit
-(** Raw bulk override (the run analogue of {!set}): writes the state
-    codes read from [src] and maintains the heated count.
-    @raise Invalid_argument on a code > 2 or an out-of-range run. *)
+    so foreign bytes cannot plant an unrepresentable state. *)
 
 val count_heated_run : t -> start:int -> len:int -> int
 (** Heated dots in [start, start+len), counted a packed state byte at a
     time. *)
 
-val heated_count : t -> int
-
-val capacity_bits : t -> float
-(** Bits the medium would hold at its areal density — reported, not a
-    limit on [size]. *)
-
 val note_heated : t -> int -> unit
-(** Bookkeeping hook for {!Bitops}: records that dot [i] became heated
-    (idempotent). *)
+(** [set t i Heated] for {!Bitops}' pulses, but a no-op on a dot
+    already heated, so re-heating never copies a shared segment. *)

@@ -25,11 +25,7 @@ val write_succeeds :
 (** Does an applied field of magnitude [field] at angle [psi] switch the
     dot? *)
 
-val stability_factor :
-  Constants.material -> Constants.dot_geometry -> k:float -> temp_c:float -> float
-(** Thermal stability ratio [K V / k_B T]; > 40 means a bit retains for
-    years.  The paper's medium at 80 kJ/m³ and 100 nm dots is very
-    comfortably stable. *)
-
 val retains : Constants.material -> Constants.dot_geometry -> k:float -> temp_c:float -> bool
-(** [stability_factor > 40]. *)
+(** Whether the thermal stability ratio [K V / k_B T] exceeds 40, so a
+    bit retains for years.  The paper's medium at 80 kJ/m³ and 100 nm
+    dots is very comfortably stable. *)

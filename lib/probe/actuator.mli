@@ -4,7 +4,7 @@
     always sit over the {e same} (x, y) offset within their own dot
     field.  Position is tracked in dot-pitch units of the tip field;
     seeks charge the shared {!Timing} ledger with distance/velocity plus
-    a settle time, and a wear counter tracks total travel. *)
+    a settle time. *)
 
 type t
 
@@ -16,23 +16,16 @@ val copy : t -> Timing.t -> t
 (** Same geometry and kinematic state, charging the given (normally
     freshly copied) timing ledger. *)
 
-val position : t -> int
-(** Current scan-order offset under the tips (serpentine row-major). *)
-
-val travel : t -> float
-(** Total distance travelled, m (wear figure). *)
-
 val seek : t -> int -> unit
 (** [seek t offset] moves the sled so the tips sit over scan offset
-    [offset].  Moving to the current position is free.  Moving to the
-    {e next} offset in scan order is a continuous scan step and charges
-    one pitch of travel without settle. *)
+    [offset].  Moving to the current position is free, and so is moving
+    to the {e next} offset in scan order: a continuous scan step, whose
+    time is the bit time the caller charges. *)
 
 val scan_run : t -> first:int -> last:int -> unit
 (** [seek t first] followed by continuous scan steps through [last]
-    (inclusive).  The pitch additions accumulate in an unboxed local in
-    the same order a per-offset {!seek} loop would make them, so
-    {!travel} is bit-identical — only the per-step boxing is gone. *)
+    (inclusive, [last >= first]): the same charge and end position as a
+    per-offset {!seek} loop. *)
 
 val xy_of_offset : t -> int -> int * int
 (** Column/row of a scan offset within the tip field (serpentine:

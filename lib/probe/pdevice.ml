@@ -59,9 +59,7 @@ let clone t =
 
 let medium t = t.medium
 let tips t = t.tips
-let timing t = t.timing
 let bitops t = t.bitops
-let config t = t.config
 let size t = Pmedia.Medium.size t.medium
 let elapsed t = Timing.elapsed t.timing
 let energy t = Timing.energy t.timing
@@ -93,26 +91,6 @@ let charge_many t c ~times =
       Timing.charge_bits_times t.timing ~read ~written ~times
   | Cewb n -> Timing.charge_ewb_times t.timing n ~times
 
-(* Wear for every scan row a run touches.  Interior rows are always
-   full rows; only the first and last can be partial.  Wear is integer
-   addition, so banking the full rows in a single call leaves exactly
-   the per-row totals.  Lean path only (record_full_rows requires no
-   remap, which the caller guarantees). *)
-let record_run_wear t ~start ~len =
-  let n = Tips.n_tips t.tips in
-  let first_off = start / n and last_off = (start + len - 1) / n in
-  let lo0 = start - (first_off * n)
-  and hi1 = start + len - 1 - (last_off * n) in
-  if first_off = last_off then Tips.record_use_range t.tips ~lo:lo0 ~hi:hi1
-  else begin
-    let full = ref (last_off - first_off - 1) in
-    if lo0 = 0 then incr full
-    else Tips.record_use_range t.tips ~lo:lo0 ~hi:(n - 1);
-    if hi1 = n - 1 then incr full
-    else Tips.record_use_range t.tips ~lo:0 ~hi:hi1;
-    Tips.record_full_rows t.tips ~count:!full
-  end
-
 let healthy t =
   Tips.remapped_count t.tips = 0 && Tips.all_serving_healthy t.tips
 
@@ -134,11 +112,11 @@ let unfaulted ?read t ~start ~len charge =
 (* Lean dispatch: with no broken or remapped tip and no injector that
    can act on the run, none of those states can change mid-run (no tip
    death comes due, no cut fires between rows), so the per-offset
-   checks hoist out, the seek/charge/wear loops batch (each replays the
-   per-offset float additions in the same order from unboxed locals —
-   see {!Actuator.scan_run} and {!Timing.charge_bits_times} — so the
-   ledgers are bit-identical to the per-offset loop without its
-   boxing), and the kernel takes the whole run in one call, visiting
+   checks hoist out, the seek and charge loops batch (the charge
+   replays the per-offset float additions in the same order from
+   unboxed locals — see {!Timing.charge_bits_times} — so the ledger is
+   bit-identical to the per-offset loop without its boxing), and the
+   kernel takes the whole run in one call, visiting
    dots in address order exactly as the scalar path would.  Charges the
    whole run and returns [true] when the dispatch is lean (or the run
    empty); returns [false] having charged nothing otherwise. *)
@@ -151,7 +129,6 @@ let sweep_lean ?read t ~start ~len charge =
           let first_off = start / n and last_off = (start + len - 1) / n in
           Actuator.scan_run t.actuator ~first:first_off ~last:last_off;
           charge_many t charge ~times:(last_off - first_off + 1);
-          record_run_wear t ~start ~len;
           true
         end
 
@@ -160,8 +137,8 @@ let sweep_lean ?read t ~start ~len charge =
    goes through [bulk] in one call (tip index is [dot - off * n], no
    per-dot [Tips.locate]); a row with any broken serving tip falls back
    to per-dot [f dot tip], which keeps the dead-tip noise semantics.
-   Wear is recorded per row and timing charged per offset, so the
-   ledgers match the lean sweep's exactly. *)
+   Timing is charged per offset, so the ledger matches the lean
+   sweep's exactly. *)
 let run_rows t ~start ~len charge ~bulk f =
   let n = Tips.n_tips t.tips in
   let first_off = start / n and last_off = (start + len - 1) / n in
@@ -180,7 +157,6 @@ let run_rows t ~start ~len charge ~bulk f =
     let row_base = off * n in
     let lo = max start row_base
     and hi = min (start + len - 1) (row_base + n - 1) in
-    Tips.record_use_range t.tips ~lo:(lo - row_base) ~hi:(hi - row_base);
     if Tips.all_serving_healthy t.tips then bulk ~lo ~hi
     else
       for dot = lo to hi do

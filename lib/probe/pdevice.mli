@@ -48,9 +48,7 @@ val clone : t -> t
 
 val medium : t -> Pmedia.Medium.t
 val tips : t -> Tips.t
-val timing : t -> Timing.t
 val bitops : t -> Pmedia.Bitops.ctx
-val config : t -> config
 
 val size : t -> int
 (** Logical dot addresses, = medium size. *)
@@ -65,8 +63,8 @@ val size : t -> int
     read flips, which its kernel replays — and no broken or remapped
     tip) sweeps the whole run through one kernel call;
     anything else walks it row by row, per dot under a broken tip.
-    Both leave identical ledgers, wear, counters, PRNG draws and
-    injector op counts. *)
+    Both leave identical ledgers, counters, PRNG draws and injector op
+    counts. *)
 
 val read_run : t -> start:int -> len:int -> dst:Bytes.t -> unit
 (** Magnetic read into bits [0, len) of [dst]; [true] = up = logical
@@ -97,7 +95,7 @@ val erb_run : ?cycles:int -> t -> start:int -> len:int -> dst:Bytes.t -> unit
     with probability 1/4 (the two verification reads of the paper's
     sequence both agree by luck), so callers that must not miss
     escalate the cycle count on suspicious dots.
-    @raise Invalid_argument, before any seek, charge or wear, if
+    @raise Invalid_argument, before any seek or charge, if
     [cycles] is not positive, the run is out of range or [dst] holds
     fewer than [len] bits. *)
 

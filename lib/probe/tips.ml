@@ -6,11 +6,9 @@ type t = {
   field_cols : int;
   failed : bool array; (* length n_tips + n_spares; raw health *)
   remap : int array; (* length n_tips; spare unit serving the tip, or -1 *)
-  uses : int array; (* length n_tips + n_spares *)
   mutable next_spare : int;
   mutable serving_broken : int; (* logical tips whose serving unit is broken *)
   mutable n_remapped : int;
-  mutable full_uses : int; (* banked whole-row wear, one per logical tip *)
 }
 
 let create ?(spares = 0) ~n_tips medium =
@@ -36,20 +34,12 @@ let create ?(spares = 0) ~n_tips medium =
     field_cols;
     failed = Array.make (n_tips + spares) false;
     remap = Array.make n_tips (-1);
-    uses = Array.make (n_tips + spares) 0;
     next_spare = 0;
     serving_broken = 0;
     n_remapped = 0;
-    full_uses = 0;
   }
 
-let copy t =
-  {
-    t with
-    failed = Array.copy t.failed;
-    remap = Array.copy t.remap;
-    uses = Array.copy t.uses;
-  }
+let copy t = { t with failed = Array.copy t.failed; remap = Array.copy t.remap }
 
 let n_tips t = t.n_tips
 let spares t = t.n_spares
@@ -71,19 +61,6 @@ let dot_of t ~tip ~offset =
 (* The physical unit currently serving a logical tip. *)
 let serving t i = if i < t.n_tips && t.remap.(i) >= 0 then t.remap.(i) else i
 
-(* Whole-row wear (the hot case: every scan row of a bulk run touches
-   every logical tip once) is banked in a single counter and
-   materialised into [uses] only when the serving map is about to
-   change or a count is read. *)
-let flush_full_uses t =
-  if t.full_uses > 0 then begin
-    for i = 0 to t.n_tips - 1 do
-      let u = serving t i in
-      t.uses.(u) <- t.uses.(u) + t.full_uses
-    done;
-    t.full_uses <- 0
-  end
-
 (* Health transitions (fail, remap) are rare; recounting keeps the
    cached summaries trivially consistent with the arrays. *)
 let recount t =
@@ -97,33 +74,15 @@ let recount t =
   t.n_remapped <- !remapped
 
 let fail_tip t i =
-  flush_full_uses t;
   t.failed.(i) <- true;
   recount t
 
-let tip_broken t i = t.failed.(i)
 let tip_failed t i = t.failed.(serving t i)
 let all_serving_healthy t = t.serving_broken = 0
-
-let failed_count t =
-  let n = ref 0 in
-  for i = 0 to t.n_tips - 1 do
-    if t.failed.(i) then incr n
-  done;
-  !n
-
 let remapped_count t = t.n_remapped
-
-let spares_free t =
-  let free = ref 0 in
-  for s = t.next_spare to t.n_spares - 1 do
-    if not t.failed.(t.n_tips + s) then incr free
-  done;
-  !free
 
 let remap_tip t i =
   if i < 0 || i >= t.n_tips then invalid_arg "Tips.remap_tip: bad tip";
-  flush_full_uses t;
   if not (tip_failed t i) then false
   else begin
     (* Scan forward for the next healthy, unassigned spare. *)
@@ -142,37 +101,3 @@ let remap_tip t i =
     in
     pick ()
   end
-
-let record_use t ~tip =
-  let u = serving t tip in
-  t.uses.(u) <- t.uses.(u) + 1
-
-let record_use_range t ~lo ~hi =
-  if lo < 0 || hi >= t.n_tips then
-    invalid_arg "Tips.record_use_range: tip range out of range";
-  if t.n_remapped = 0 then begin
-    if lo = 0 && hi = t.n_tips - 1 then t.full_uses <- t.full_uses + 1
-    else
-      for i = lo to hi do
-        t.uses.(i) <- t.uses.(i) + 1
-      done
-  end
-  else
-    for i = lo to hi do
-      let u = serving t i in
-      t.uses.(u) <- t.uses.(u) + 1
-    done
-
-(* [count] whole rows of wear at once — only valid when no tip is
-   remapped (the caller's lean-path guard), where a full row is exactly
-   one banked increment.  Bit-identical to [count] record_use_range
-   calls with lo=0, hi=n_tips-1. *)
-let record_full_rows t ~count =
-  if count > 0 then begin
-    assert (t.n_remapped = 0);
-    t.full_uses <- t.full_uses + count
-  end
-
-let uses t ~tip =
-  flush_full_uses t;
-  t.uses.(tip)

@@ -8,7 +8,7 @@
     that is the parallelism that lets a 10 µs/bit tip deliver a usable
     device data rate.
 
-    Tips wear and can fail outright; dots under a failed tip read as
+    Tips can fail outright; dots under a failed tip read as
     noise and ignore writes, which the sector-level Reed–Solomon code
     must absorb (this is how bad-block handling is exercised).  A device
     built with [spares > 0] carries extra tips parked outside the data
@@ -34,7 +34,7 @@ val create : ?spares:int -> n_tips:int -> Pmedia.Medium.t -> t
     @raise Invalid_argument if [n_tips <= 0] or [spares < 0]. *)
 
 val copy : t -> t
-(** Independent tip array with the same health, remap and wear state. *)
+(** Independent tip array with the same health and remap state. *)
 
 val n_tips : t -> int
 val spares : t -> int
@@ -64,15 +64,9 @@ val tip_failed : t -> int -> bool
 (** Whether the unit {e currently serving} logical tip [i] is broken —
     false again once the tip is remapped to a healthy spare. *)
 
-val tip_broken : t -> int -> bool
-(** Raw health of physical unit [i], ignoring remapping. *)
-
 val all_serving_healthy : t -> bool
 (** O(1): no logical tip is currently served by a broken unit — the
     whole-row guard for the device's bulk transfer path. *)
-
-val failed_count : t -> int
-(** Broken logical tips (raw, ignoring remaps). *)
 
 (** {1 Spare-tip remapping} *)
 
@@ -82,19 +76,3 @@ val remap_tip : t -> int -> bool
     fine already or no healthy spare remains. *)
 
 val remapped_count : t -> int
-val spares_free : t -> int
-
-val record_use : t -> tip:int -> unit
-(** Wear accrues on the physical unit serving the tip. *)
-
-val record_use_range : t -> lo:int -> hi:int -> unit
-(** [record_use_range t ~lo ~hi] is {!record_use} for every logical tip
-    in [lo..hi] (one scan row's worth of wear in one call). *)
-
-val record_full_rows : t -> count:int -> unit
-(** [count] whole rows of wear ({!record_use_range} with the full tip
-    range) banked in one call.  Only valid while no tip is remapped —
-    the same guard the device's lean bulk path already holds. *)
-
-val uses : t -> tip:int -> int
-(** Operation count per physical unit — tip wear figure. *)

@@ -38,7 +38,6 @@ let fg_ops = 32
    saturating the queue into fiction. *)
 let arrival_mean_s = 0.02
 let migration_period = 0.1
-let lat_name = "det-latency-ms"
 
 (* Array (Mirror_split) sites: a small mirrored pair per site. *)
 let array_member_blocks = 64
@@ -133,7 +132,7 @@ let empty () =
     r_landed = 0;
     r_detected = 0;
     r_undetected = 0;
-    r_det_latency_ms = Sim.Stats.create ~name:lat_name ();
+    r_det_latency_ms = Sim.Stats.create ();
     r_races = 0;
     r_race_wins = 0;
     r_spares_burned = 0;
@@ -155,8 +154,7 @@ let merge = function
         r_detected = sum (fun r -> r.r_detected);
         r_undetected = sum (fun r -> r.r_undetected);
         r_det_latency_ms =
-          Sim.Stats.merge_many ~name:lat_name
-            (List.map (fun r -> r.r_det_latency_ms) rs);
+          Sim.Stats.merge_many (List.map (fun r -> r.r_det_latency_ms) rs);
         r_races = sum (fun r -> r.r_races);
         r_race_wins = sum (fun r -> r.r_race_wins);
         r_spares_burned = sum (fun r -> r.r_spares_burned);
@@ -429,7 +427,7 @@ let run_device_site ~attack ~adv ~def ~rng _i =
   poll_scrub ();
   let landed = Hashtbl.length b.landed in
   let detected = Hashtbl.length b.found in
-  let lat = Sim.Stats.create ~name:lat_name () in
+  let lat = Sim.Stats.create () in
   Hashtbl.iter (fun _ l -> Sim.Stats.add lat (l *. 1000.)) b.found;
   let races, race_wins =
     match attack with
@@ -575,7 +573,7 @@ let run_array_site ~adv ~def ~rng _i =
   land_until infinity;
   let landed = Hashtbl.length b.landed in
   let detected = Hashtbl.length b.found in
-  let lat = Sim.Stats.create ~name:lat_name () in
+  let lat = Sim.Stats.create () in
   Hashtbl.iter (fun _ l -> Sim.Stats.add lat (l *. 1000.)) b.found;
   {
     r_sites = 1;

@@ -42,7 +42,7 @@ type attack =
   | Mirror_split
       (** Against a mirrored {!Sarray.Volume}: rewrite {e every}
           replica of a line's data so no cross-replica divergence
-          exists — only a sampled {!Sarray.Quorum.verify_lines}
+          exists — only a sampled {!Sarray.Quorum.attest_line}
           attestation (each replica self-convicts) can notice. *)
 
 val all_attacks : attack list

@@ -17,7 +17,6 @@ type t = {
   mutable chain : Hash.Sha256.t;  (* rolling digest over all entries *)
 }
 
-let fs t = t.fs
 let dir = "/.selfsec"
 let epoch_path n = Printf.sprintf "%s/epoch-%06d" dir n
 let ( let* ) = Result.bind

@@ -21,8 +21,6 @@ val wrap : ?epoch_len:int -> Lfs.Fs.t -> (t, string) result
 (** Interpose on a mounted file system; journal files live under
     [/.selfsec].  [epoch_len] (default 32) commands per sealed epoch. *)
 
-val fs : t -> Lfs.Fs.t
-
 (** {1 Audited operations} — same contracts as the {!Lfs.Fs} calls they
     wrap, plus journalling. *)
 

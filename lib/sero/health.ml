@@ -50,8 +50,6 @@ let copy t =
     tip_remaps = t.tip_remaps;
   }
 
-let n_lines t = Array.length t.lines
-
 let line t ~line =
   if line < 0 || line >= Array.length t.lines then
     invalid_arg "Health.line: line out of range";

@@ -16,10 +16,6 @@
     write returns, so a health-enabled device with no retirement due is
     bit-identical to a baseline device. *)
 
-val rs_budget : int
-(** Corrected symbols a sector can absorb before the next error is
-    uncorrectable: 12 per RS slice, 3 interleaved slices = 36. *)
-
 type line_health = {
   mutable ewma_corrected : float;
       (** EWMA of corrected symbols per decode (unreadable sectors count
@@ -39,8 +35,6 @@ val create : alpha:float -> n_lines:int -> unit -> t
 val copy : t -> t
 (** Independent ledger with the same per-line state — device cloning
     must not share mutable health entries. *)
-
-val n_lines : t -> int
 
 val line : t -> line:int -> line_health
 (** The raw ledger entry (shared, mutable — used by image persistence

@@ -105,11 +105,11 @@ let restore_endurance_state r (dev : Device.t) =
   in
   Device.restore_endurance dev ~phys_line ~spare_pool ~migrations ~state
 
-let save ?(format = `V4) (dev : Device.t) path =
+let save (dev : Device.t) path =
   let cfg = Device.config dev in
   let medium = Probe.Pdevice.medium (Device.pdevice dev) in
   let w = Codec.Binio.W.create ~capacity:4096 () in
-  Codec.Binio.W.raw w (match format with `V3 -> magic_v3 | `V4 -> magic_v4);
+  Codec.Binio.W.raw w magic_v4;
   Codec.Binio.W.u32 w cfg.Device.n_blocks;
   Codec.Binio.W.u8 w cfg.Device.line_exp;
   Codec.Binio.W.u16 w cfg.Device.n_tips;
@@ -142,7 +142,7 @@ let save ?(format = `V4) (dev : Device.t) path =
   Codec.Binio.W.u16 w 6;
   (* Endurance lifecycle (since format v4): config, remap table, spare
      pool, health ledger, grown-defect list. *)
-  (match format with `V3 -> () | `V4 -> write_endurance w dev);
+  write_endurance w dev;
   (* Dot states: 2 bits per dot, packed as the oracle sees them.  The
      medium's packed store already holds exactly this encoding (codes
      0/1/2, reserved code 3 unrepresentable), so the states section is
@@ -328,7 +328,6 @@ let load path =
                 ~src_off:0 ~len:k;
               pos := !pos + k
             done;
-            Pmedia.Medium.recount_heated medium;
             Device.refresh_heated_cache dev;
             dev
           with

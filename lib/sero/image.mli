@@ -6,12 +6,10 @@
     The PRNG position and the time/energy ledger are not preserved —
     a reloaded device is "powered on" fresh; its medium is bit-exact. *)
 
-val save : ?format:[ `V3 | `V4 ] -> Device.t -> string -> unit
+val save : Device.t -> string -> unit
 (** [save dev path] writes a [SEROIMG4] image: configuration, the
     endurance lifecycle state (remap table, spare pool, health ledger,
-    grown-defect list, device state) and every dot.  [~format:`V3]
-    writes the legacy [SEROIMG3] layout with no endurance section, for
-    exchange with older tools (lifecycle state is dropped).
+    grown-defect list, device state) and every dot.
     @raise Sys_error on IO failure. *)
 
 val load : string -> (Device.t, string) result

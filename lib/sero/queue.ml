@@ -73,11 +73,11 @@ type t = {
   mutable abandoned_reads : int;
 }
 
-let cls_create name =
+let cls_create () =
   {
     pending = [];
-    latency = Sim.Stats.create ~name:(name ^ " latency") ();
-    wait = Sim.Stats.create ~name:(name ^ " wait") ();
+    latency = Sim.Stats.create ();
+    wait = Sim.Stats.create ();
     energy = 0.;
     completed = 0;
     last_completion = 0.;
@@ -102,11 +102,11 @@ let create ?(policy = Probe.Sched.Elevator) ?(coalesce = true)
     busy = false;
     dispatch_armed = false;
     current_offset = 0;
-    fg = cls_create "fg";
-    bg = cls_create "bg";
+    fg = cls_create ();
+    bg = cls_create ();
     arbiter = Tenant_blind;
     by_tenant = Hashtbl.create 8;
-    service = Sim.Stats.create ~name:"service" ();
+    service = Sim.Stats.create ();
     depth_hist = Sim.Stats.Histogram.create ~lo:0. ~hi:64. ~bins:16;
     coalesced = 0;
     retry_pending = 0;

@@ -28,6 +28,5 @@ type verdict =
   | Tampered of evidence list  (** Non-empty list of findings. *)
 
 val equal_verdict : verdict -> verdict -> bool
-val pp_evidence : Format.formatter -> evidence -> unit
 val pp_verdict : Format.formatter -> verdict -> unit
 val is_tampered : verdict -> bool

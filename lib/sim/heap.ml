@@ -60,11 +60,6 @@ let push t key v =
     i := (!i - 1) / 2
   done
 
-let peek t =
-  if t.size = 0 then None
-  else
-    match t.vals.(0) with Some v -> Some (t.keys.(0), v) | None -> None
-
 let min_key t =
   if t.size = 0 then invalid_arg "Heap.min_key: empty heap";
   t.keys.(0)

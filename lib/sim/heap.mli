@@ -11,7 +11,6 @@ val create : unit -> 'a t
 val is_empty : 'a t -> bool
 val size : 'a t -> int
 val push : 'a t -> float -> 'a -> unit
-val peek : 'a t -> (float * 'a) option
 val pop : 'a t -> (float * 'a) option
 
 val min_key : 'a t -> float

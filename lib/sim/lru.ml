@@ -117,12 +117,4 @@ let clear t =
   t.head <- None;
   t.tail <- None
 
-let iter f t = Hashtbl.iter (fun k n -> f k n.value) t.tbl
 let fold f t init = Hashtbl.fold (fun k n acc -> f k n.value acc) t.tbl init
-
-let to_list_mru t =
-  let rec go acc = function
-    | None -> List.rev acc
-    | Some n -> go ((n.key, n.value) :: acc) n.next
-  in
-  go [] t.head

@@ -60,10 +60,4 @@ val add_lru : ('k, 'v) t -> 'k -> 'v -> ('k * 'v) list
 val remove : ('k, 'v) t -> 'k -> unit
 val clear : ('k, 'v) t -> unit
 
-val iter : ('k -> 'v -> unit) -> ('k, 'v) t -> unit
-(** Iteration order is unspecified. *)
-
 val fold : ('k -> 'v -> 'a -> 'a) -> ('k, 'v) t -> 'a -> 'a
-
-val to_list_mru : ('k, 'v) t -> ('k * 'v) list
-(** Bindings most-recently-used first (for tests and debugging). *)

@@ -1,47 +1,23 @@
 type t = {
-  name : string;
   mutable n : int;
   mutable mean : float;
-  mutable m2 : float;
-  mutable minv : float;
-  mutable maxv : float;
   mutable total : float;
   mutable samples : float list; (* kept for percentiles; reversed order *)
   mutable sorted : float array option; (* memoised sort of [samples] *)
 }
 
-let create ?(name = "") () =
-  {
-    name;
-    n = 0;
-    mean = 0.;
-    m2 = 0.;
-    minv = infinity;
-    maxv = neg_infinity;
-    total = 0.;
-    samples = [];
-    sorted = None;
-  }
-
-let name t = t.name
+let create () = { n = 0; mean = 0.; total = 0.; samples = []; sorted = None }
 
 let add t x =
   t.n <- t.n + 1;
   t.total <- t.total +. x;
-  let delta = x -. t.mean in
-  t.mean <- t.mean +. (delta /. float_of_int t.n);
-  t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-  if x < t.minv then t.minv <- x;
-  if x > t.maxv then t.maxv <- x;
+  t.mean <- t.mean +. ((x -. t.mean) /. float_of_int t.n);
   t.samples <- x :: t.samples;
   t.sorted <- None
 
 let count t = t.n
 let total t = t.total
 let mean t = if t.n = 0 then 0. else t.mean
-let stddev t = if t.n < 2 then 0. else sqrt (t.m2 /. float_of_int (t.n - 1))
-let min_value t = if t.n = 0 then 0. else t.minv
-let max_value t = if t.n = 0 then 0. else t.maxv
 
 (* The sorted reservoir, computed at most once per batch of adds: the
    SLO ledgers call p50/p95/p99 on the same counter per report, and the
@@ -96,19 +72,14 @@ let merge_sorted a b =
     out
   end
 
-(* Chan et al.'s pairwise moment combination: exact counts/totals and
-   numerically stable mean/m2 without replaying the sample streams. *)
-let combine_moments (na, ma, m2a) (nb, mb, m2b) =
-  if nb = 0 then (na, ma, m2a)
-  else if na = 0 then (nb, mb, m2b)
+(* Chan et al.'s pairwise combination: exact counts, and the mean
+   without replaying the sample streams. *)
+let combine_means (na, ma) (nb, mb) =
+  if nb = 0 then (na, ma)
+  else if na = 0 then (nb, mb)
   else begin
     let fa = float_of_int na and fb = float_of_int nb in
-    let n = na + nb in
-    let fn = fa +. fb in
-    let delta = mb -. ma in
-    let mean = ma +. (delta *. fb /. fn) in
-    let m2 = m2a +. m2b +. (delta *. delta *. fa *. fb /. fn) in
-    (n, mean, m2)
+    (na + nb, ma +. ((mb -. ma) *. fb /. (fa +. fb)))
   end
 
 (* Deterministic fleet-wide merge: per-shard counters fold left in list
@@ -117,42 +88,22 @@ let combine_moments (na, ma, m2a) (nb, mb, m2b) =
    (each shard sorts once, reusing its memoised cache) and the merged
    counter is born with its own cache warm, so a quantile report on the
    merge costs no further sort. *)
-let merge_many ?name ts =
-  let name =
-    match (name, ts) with
-    | Some n, _ -> n
-    | None, t :: _ -> t.name
-    | None, [] -> ""
+let merge_many ts =
+  let n, mean =
+    List.fold_left (fun acc t -> combine_means acc (t.n, t.mean)) (0, 0.) ts
   in
-  let out = create ~name () in
-  let n, mean, m2 =
-    List.fold_left
-      (fun acc t -> combine_moments acc (t.n, t.mean, t.m2))
-      (0, 0., 0.) ts
-  in
-  out.n <- n;
-  out.mean <- mean;
-  out.m2 <- m2;
-  List.iter
-    (fun t ->
-      out.total <- out.total +. t.total;
-      if t.minv < out.minv then out.minv <- t.minv;
-      if t.maxv > out.maxv then out.maxv <- t.maxv)
-    ts;
   let sorted =
     List.fold_left (fun acc t -> merge_sorted acc (sorted_samples t)) [||] ts
   in
-  out.samples <- Array.fold_left (fun acc x -> x :: acc) [] sorted;
-  out.sorted <- Some sorted;
-  out
+  {
+    n;
+    mean;
+    total = List.fold_left (fun acc t -> acc +. t.total) 0. ts;
+    samples = Array.fold_left (fun acc x -> x :: acc) [] sorted;
+    sorted = Some sorted;
+  }
 
-let merge a b = merge_many ~name:a.name [ a; b ]
-
-let pp ppf t =
-  Format.fprintf ppf
-    "%s: n=%d mean=%.4g sd=%.4g min=%.4g p50=%.4g p99=%.4g max=%.4g" t.name
-    t.n (mean t) (stddev t) (min_value t) (percentile t 0.5)
-    (percentile t 0.99) (max_value t)
+let merge a b = merge_many [ a; b ]
 
 module Histogram = struct
   type h = { lo : float; hi : float; bins : int array }
@@ -176,12 +127,4 @@ module Histogram = struct
     h.lo +. ((float_of_int i +. 0.5) *. (h.hi -. h.lo) /. n)
 
   let total h = Array.fold_left ( + ) 0 h.bins
-
-  let pp ppf h =
-    let tot = max 1 (total h) in
-    Array.iteri
-      (fun i c ->
-        let bar = String.make (60 * c / tot) '#' in
-        Format.fprintf ppf "%8.3f | %5d %s@." (bin_label h i) c bar)
-      h.bins
 end

@@ -1,23 +1,15 @@
-(** Streaming measurement counters used by the experiment harness:
-    mean/variance via Welford's algorithm plus an exact reservoir of all
+(** Streaming measurement counters used by the experiment harness: a
+    count, a total and a running mean, plus an exact reservoir of all
     samples for percentiles (experiments are small enough to keep them). *)
 
 type t
 
-val create : ?name:string -> unit -> t
-val name : t -> string
+val create : unit -> t
 val add : t -> float -> unit
 val count : t -> int
 val total : t -> float
 val mean : t -> float
 (** 0 when empty. *)
-
-val stddev : t -> float
-(** Sample standard deviation; 0 for fewer than 2 samples. *)
-
-val min_value : t -> float
-val max_value : t -> float
-(** Both 0 when empty. *)
 
 val percentile : t -> float -> float
 (** [percentile t 0.99] — nearest-rank on the recorded samples.
@@ -38,17 +30,14 @@ val quantiles : t -> float * float * float
     most once per batch. *)
 
 val merge : t -> t -> t
-(** Combined statistics of two counters (name taken from the first). *)
+(** Combined statistics of two counters. *)
 
-val merge_many : ?name:string -> t list -> t
-(** Deterministic fleet-wide merge: moments combine pairwise (Chan et
-    al.) in list order and sample reservoirs merge sorted-to-sorted, so
-    the result is a pure function of the shard sequence — byte-identical
-    for any worker count — and its quantile cache is already warm.
-    [name] defaults to the first counter's name ("" when empty). *)
-
-val pp : Format.formatter -> t -> unit
-(** One-line summary: n, mean, sd, min, p50, p99, max. *)
+val merge_many : t list -> t
+(** Deterministic fleet-wide merge: counts, totals and means combine
+    pairwise (Chan et al.) in list order and sample reservoirs merge
+    sorted-to-sorted, so the result is a pure function of the shard
+    sequence — byte-identical for any worker count — and its quantile
+    cache is already warm. *)
 
 (** Simple fixed-width histogram for utilisation plots. *)
 module Histogram : sig
@@ -61,5 +50,4 @@ module Histogram : sig
   (** Midpoint of bin [i]. *)
 
   val total : h -> int
-  val pp : Format.formatter -> h -> unit
 end

@@ -20,8 +20,6 @@ type config = {
 
 val default_config : config
 
-val generate : config -> record list
-
 type class_result = {
   class_id : int;
   records_stored : int;

@@ -80,10 +80,6 @@ let decode s =
   | exception Codec.Binio.R.Truncated -> Error "trace truncated"
   | v -> v
 
-let save ops path =
-  Out_channel.with_open_bin path (fun oc ->
-      Out_channel.output_string oc (encode ops))
-
 let load path =
   match
     In_channel.with_open_bin path In_channel.input_all

@@ -20,9 +20,6 @@ type t = op list
 val encode : t -> string
 val decode : string -> (t, string) result
 
-val save : t -> string -> unit
-(** Write to a file.  @raise Sys_error on IO failure. *)
-
 val load : string -> (t, string) result
 
 type outcome = {

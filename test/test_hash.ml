@@ -45,10 +45,16 @@ let million_a =
         "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
         (Hash.Sha256.to_hex (Hash.Sha256.finalize ctx)))
 
+(* The string does not shrink: a block kernel that breaks multi-call
+   feeds fails on strings of every size, and shrinking them one byte at
+   a time takes minutes before the failure is reported.  The chunk size
+   shrinks towards 0, below its range, where it stands for 1 (a chunk of
+   0 bytes would never finish the string). *)
 let streaming_equals_oneshot =
   QCheck.Test.make ~name:"streaming equals one-shot at any chunking" ~count:200
-    QCheck.(pair (string_of_size Gen.(0 -- 500)) (int_range 1 64))
+    QCheck.(pair (set_shrink Shrink.nil (string_of_size Gen.(0 -- 500))) (int_range 1 64))
     (fun (s, chunk) ->
+      let chunk = max 1 chunk in
       let ctx = Hash.Sha256.init () in
       let rec go off =
         if off < String.length s then begin

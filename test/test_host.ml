@@ -76,13 +76,13 @@ let frame_stream_roundtrip =
       decode 0 [] = fs)
 
 let frame_truncation =
-  QCheck.Test.make ~name:"any strict prefix raises Truncated" ~count:200
-    arb_frame (fun f ->
+  QCheck.Test.make ~name:"any strict prefix raises Proto_error" ~count:200
+    QCheck.(pair arb_frame small_nat) (fun (f, k) ->
       let s = P.encode_frame f in
-      let prefix = String.sub s 0 (String.length s - 1) in
+      let prefix = String.sub s 0 (k mod String.length s) in
       match P.decode_frame prefix with
       | _ -> false
-      | exception Codec.Binio.R.Truncated -> true)
+      | exception P.Proto_error _ -> true)
 
 let frame_bad_version =
   QCheck.Test.make ~name:"wrong version raises Proto_error" ~count:100
@@ -92,6 +92,37 @@ let frame_bad_version =
       match P.decode_frame (Bytes.to_string s) with
       | _ -> false
       | exception P.Proto_error _ -> true)
+
+(* Hostile input: random bytes, and valid frames and responses cut short
+   or with one bit flipped.  Each decoder either decodes or raises
+   [Proto_error]; any other exception fails the property. *)
+let gen_hostile =
+  QCheck.Gen.(
+    let valid =
+      oneof [ map P.encode_frame gen_frame; map P.encode_response gen_response ]
+    in
+    oneof
+      [
+        string_size ~gen:char (0 -- 64);
+        (let* s = valid in
+         let* cut = 0 -- (String.length s - 1) in
+         return (String.sub s 0 cut));
+        (let* s = valid in
+         let* bit = 0 -- ((8 * String.length s) - 1) in
+         let b = Bytes.of_string s in
+         Bytes.set_uint8 b (bit / 8)
+           (Bytes.get_uint8 b (bit / 8) lxor (1 lsl (bit mod 8)));
+         return (Bytes.to_string b));
+      ])
+
+let hostile_decode =
+  QCheck.Test.make ~name:"hostile bytes decode or raise Proto_error" ~count:1000
+    (QCheck.make ~print:P.to_hex gen_hostile) (fun s ->
+      let total decode =
+        match decode s with () -> true | exception P.Proto_error _ -> true
+      in
+      total (fun s -> ignore (P.decode_frame s))
+      && total (fun s -> ignore (P.decode_response s)))
 
 let response_roundtrip =
   QCheck.Test.make ~name:"response encode/decode roundtrip" ~count:500
@@ -263,9 +294,9 @@ let test_depth_limit () =
   (* The slot freed at completion: a third command is admitted. *)
   let r = Host.Server.call s (P.Read { pba = 11 }) in
   Alcotest.(check (list int)) "readmitted" [ P.st_ok; P.st_ok ] r.P.r_phases;
-  let slo = Host.Server.slo server ~tenant:3 in
-  Alcotest.(check int) "rejected_depth counter" 1 (Host.Slo.rejected_depth slo);
-  Alcotest.(check int) "completed counter" 2 (Host.Slo.completed slo)
+  let rep = Host.Slo.report (Host.Server.slo server ~tenant:3) in
+  Alcotest.(check int) "rejected_depth counter" 1 rep.Host.Slo.rep_rejected_depth;
+  Alcotest.(check int) "completed counter" 2 rep.Host.Slo.rep_completed
 
 let test_rate_limit () =
   let limits_of _ =
@@ -285,11 +316,11 @@ let test_rate_limit () =
   Alcotest.(check int) "one rate rejection" 1 (List.length rejected);
   Alcotest.(check int) "rejected seq is the third" 2
     (List.hd rejected).P.r_seq;
-  let slo = Host.Server.slo server ~tenant:1 in
-  Alcotest.(check int) "rate counter" 1 (Host.Slo.rejected_rate slo);
+  let rep = Host.Slo.report (Host.Server.slo server ~tenant:1) in
+  Alcotest.(check int) "rate counter" 1 rep.Host.Slo.rep_rejected_rate;
   Alcotest.(check bool) "rejection_pct"
     true
-    (abs_float (Host.Slo.rejection_pct slo -. 100. /. 3.) < 1e-9)
+    (abs_float (rep.Host.Slo.rep_rejection_pct -. 100. /. 3.) < 1e-9)
 
 (* {1 Arbiter fairness}
 
@@ -755,6 +786,7 @@ let () =
             qtest frame_stream_roundtrip;
             qtest frame_truncation;
             qtest frame_bad_version;
+            qtest hostile_decode;
             qtest response_roundtrip;
             qtest trace_roundtrip;
             qtest encode_frame_oracle;

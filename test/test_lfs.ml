@@ -460,7 +460,7 @@ let namespace_cases =
         (* The file system stays usable, and a remount sees the same. *)
         ok "mkdir" (Lfs.Fs.mkdir fs "/d");
         ok "create" (Lfs.Fs.create fs "/d/x");
-        Lfs.Fs.unmount fs;
+        Lfs.Fs.sync fs;
         let fs2 = ok "mount" (Lfs.Fs.mount dev) in
         Alcotest.(check bool) "/d/x after remount" true (Lfs.Fs.exists fs2 "/d/x");
         Alcotest.(check string) "/kept after remount" "kept"
@@ -666,7 +666,7 @@ let persistence_cases =
         ok "mkdir" (Lfs.Fs.mkdir fs "/dir");
         ok "create" (Lfs.Fs.create fs "/dir/file");
         ok "write" (Lfs.Fs.write_file fs "/dir/file" ~offset:0 "survives remount");
-        Lfs.Fs.unmount fs;
+        Lfs.Fs.sync fs;
         let fs2 = ok "mount" (Lfs.Fs.mount dev) in
         Alcotest.(check string) "data" "survives remount"
           (ok "read" (Lfs.Fs.read_file fs2 "/dir/file")));
@@ -676,7 +676,7 @@ let persistence_cases =
         ok "create" (Lfs.Fs.create fs "/h");
         ok "write" (Lfs.Fs.write_file fs "/h" ~offset:0 "frozen");
         let _ = ok "heat" (Lfs.Fs.heat fs "/h") in
-        Lfs.Fs.unmount fs;
+        Lfs.Fs.sync fs;
         let fs2 = ok "mount" (Lfs.Fs.mount dev) in
         Alcotest.(check bool) "still heated" true (ok "is" (Lfs.Fs.is_heated fs2 "/h"));
         match Lfs.Fs.write_file fs2 "/h" ~offset:0 "y" with
@@ -697,7 +697,7 @@ let persistence_cases =
         for i = 0 to 30 do
           ok "w" (Lfs.Fs.write_file fs "/churn" ~offset:0 (String.make 4096 (Char.chr (65 + (i mod 26)))))
         done;
-        Lfs.Fs.unmount fs;
+        Lfs.Fs.sync fs;
         let fs2 = ok "mount" (Lfs.Fs.mount dev) in
         for i = 0 to 30 do
           ok "w" (Lfs.Fs.write_file fs2 "/churn" ~offset:0 (String.make 4096 (Char.chr (97 + (i mod 26)))))
@@ -931,7 +931,7 @@ let memo_cases =
           ok "create" (Lfs.Fs.create fs "/sub/leaf");
           let paths = "/sub/leaf" :: List.map (( ^ ) "/") names in
           ignore (agrees_with_fresh_mount "before" dev fs paths);
-          Lfs.Fs.unmount fs;
+          Lfs.Fs.sync fs;
           let fs = ok "mount" (Lfs.Fs.mount dev) in
           if cached then
             Lfs.Fs.attach_cache fs

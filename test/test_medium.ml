@@ -60,6 +60,21 @@ let mwb_sets_direction =
 
 (* {1 Medium matrix} *)
 
+(* The 4-neighbourhood of dot [i] in the order {!Pmedia.Medium.iter_neighbours}
+   promises: left, right, up, down, off-medium dots dropped. *)
+let neighbours_model m i =
+  let c = Pmedia.Medium.cols m and rows = Pmedia.Medium.rows m in
+  let row = i / c and col = i mod c in
+  List.filter_map
+    (fun (r, cl) ->
+      if r < 0 || r >= rows || cl < 0 || cl >= c then None else Some ((r * c) + cl))
+    [ (row, col - 1); (row, col + 1); (row - 1, col); (row + 1, col) ]
+
+let neighbours m i =
+  let seen = ref [] in
+  Pmedia.Medium.iter_neighbours m i (fun j -> seen := j :: !seen);
+  List.rev !seen
+
 let medium_cases =
   [
     Alcotest.test_case "virgin medium all Down, none heated" `Quick (fun () ->
@@ -69,7 +84,8 @@ let medium_cases =
             (Pmedia.Dot.equal (Pmedia.Medium.get m i)
                (Pmedia.Dot.Magnetised Pmedia.Dot.Down))
         done;
-        Alcotest.(check int) "heated" 0 (Pmedia.Medium.heated_count m));
+        Alcotest.(check int) "heated" 0
+          (Pmedia.Medium.count_heated_run m ~start:0 ~len:64));
     Alcotest.test_case "out-of-range access raises" `Quick (fun () ->
         let m = Pmedia.Medium.create (Pmedia.Medium.default_config ~rows:4 ~cols:4) in
         Alcotest.check_raises "get"
@@ -77,11 +93,11 @@ let medium_cases =
             ignore (Pmedia.Medium.get m 16)));
     Alcotest.test_case "neighbours of corner, edge, interior" `Quick (fun () ->
         let m = Pmedia.Medium.create (Pmedia.Medium.default_config ~rows:4 ~cols:4) in
-        Alcotest.(check (list int)) "corner" [ 1; 4 ] (List.sort compare (Pmedia.Medium.neighbours m 0));
+        Alcotest.(check (list int)) "corner" [ 1; 4 ] (List.sort compare (neighbours m 0));
         Alcotest.(check (list int)) "interior" [ 1; 4; 6; 9 ]
-          (List.sort compare (Pmedia.Medium.neighbours m 5));
+          (List.sort compare (neighbours m 5));
         Alcotest.(check (list int)) "edge" [ 2; 7 ]
-          (List.sort compare (Pmedia.Medium.neighbours m 3)));
+          (List.sort compare (neighbours m 3)));
     Alcotest.test_case "defect rate places defects deterministically" `Quick
       (fun () ->
         let cfg =
@@ -99,11 +115,6 @@ let medium_cases =
         let c1 = count m1 in
         Alcotest.(check int) "same seed, same defects" c1 (count m2);
         Alcotest.(check bool) "rate roughly honoured" true (c1 > 300 && c1 < 700));
-    Alcotest.test_case "capacity equals dot count at 1 bit/dot" `Quick
-      (fun () ->
-        let m = Pmedia.Medium.create (Pmedia.Medium.default_config ~rows:10 ~cols:10) in
-        Alcotest.(check bool) "≈100 bits" true
-          (Float.abs (Pmedia.Medium.capacity_bits m -. 100.) < 1.));
   ]
 
 let set_get_roundtrip =
@@ -114,14 +125,20 @@ let set_get_roundtrip =
       Pmedia.Medium.set m i s;
       Pmedia.Dot.equal (Pmedia.Medium.get m i) s)
 
+(* The heated count is the production [count_heated_run] over the whole
+   medium, against the last state written to each dot. *)
 let heated_count_tracks =
   QCheck.Test.make ~name:"heated_count tracks set operations" ~count:100
-    QCheck.(small_list (int_range 0 63))
-    (fun idxs ->
+    QCheck.(small_list (pair (int_range 0 63) dot_state))
+    (fun writes ->
       let m = Pmedia.Medium.create (Pmedia.Medium.default_config ~rows:8 ~cols:8) in
-      List.iter (fun i -> Pmedia.Medium.set m i Pmedia.Dot.Heated) idxs;
-      let distinct = List.sort_uniq compare idxs in
-      Pmedia.Medium.heated_count m = List.length distinct)
+      List.iter (fun (i, s) -> Pmedia.Medium.set m i s) writes;
+      let last = Hashtbl.create 16 in
+      List.iter (fun (i, s) -> Hashtbl.replace last i s) writes;
+      let heated =
+        Hashtbl.fold (fun _ s n -> if Pmedia.Dot.is_heated s then n + 1 else n) last 0
+      in
+      Pmedia.Medium.count_heated_run m ~start:0 ~len:64 = heated)
 
 (* {1 Bit operations} *)
 
@@ -260,26 +277,6 @@ let run_access_cases =
               !naive
               (Pmedia.Medium.count_heated_run m ~start ~len))
           [ (0, 256); (0, 1); (1, 7); (3, 99); (60, 8); (255, 1); (10, 0) ]);
-    Alcotest.test_case "get_run/set_run roundtrip with heated bookkeeping"
-      `Quick (fun () ->
-        let m = Pmedia.Medium.create (Pmedia.Medium.default_config ~rows:8 ~cols:8) in
-        let codes = Bytes.init 30 (fun i -> Char.chr (i mod 3)) in
-        Pmedia.Medium.set_run m ~start:5 ~len:30 ~src:codes ~src_pos:0;
-        let back = Bytes.create 30 in
-        Pmedia.Medium.get_run m ~start:5 ~len:30 ~dst:back ~dst_pos:0;
-        Alcotest.(check string) "codes back" (Bytes.to_string codes)
-          (Bytes.to_string back);
-        Alcotest.(check int) "heated count" 10 (Pmedia.Medium.heated_count m);
-        Pmedia.Medium.set_run m ~start:5 ~len:30
-          ~src:(Bytes.make 30 '\000') ~src_pos:0;
-        Alcotest.(check int) "un-heated again" 0 (Pmedia.Medium.heated_count m));
-    Alcotest.test_case "set_run rejects an invalid state code" `Quick
-      (fun () ->
-        let m = Pmedia.Medium.create (Pmedia.Medium.default_config ~rows:4 ~cols:4) in
-        Alcotest.check_raises "code 3"
-          (Invalid_argument "Medium.set_run: invalid state code") (fun () ->
-            Pmedia.Medium.set_run m ~start:0 ~len:1 ~src:(Bytes.make 1 '\003')
-              ~src_pos:0));
     Alcotest.test_case "run_defect_free never false-accepts" `Quick (fun () ->
         let cfg =
           { (Pmedia.Medium.default_config ~rows:32 ~cols:32) with
@@ -303,12 +300,9 @@ let run_access_cases =
       `Quick (fun () ->
         let m = Pmedia.Medium.create (Pmedia.Medium.default_config ~rows:5 ~cols:7) in
         for i = 0 to Pmedia.Medium.size m - 1 do
-          let seen = ref [] in
-          Pmedia.Medium.iter_neighbours m i (fun j -> seen := j :: !seen);
           Alcotest.(check (list int))
             (Printf.sprintf "dot %d" i)
-            (Pmedia.Medium.neighbours m i)
-            (List.rev !seen)
+            (neighbours_model m i) (neighbours m i)
         done);
   ]
 
@@ -410,8 +404,8 @@ let packed_string m =
   Bytes.unsafe_to_string b
 
 (* Equality of everything the kernel could disturb: medium state bytes,
-   heated count, op counters, the PRNG stream position, and the
-   injector's op count and ledger. *)
+   op counters, the PRNG stream position, and the injector's op count
+   and ledger. *)
 let twins_agree (m1, ctx1) (m2, ctx2) =
   let c1 = Pmedia.Bitops.counters ctx1 and c2 = Pmedia.Bitops.counters ctx2 in
   let injector ctx =
@@ -421,7 +415,6 @@ let twins_agree (m1, ctx1) (m2, ctx2) =
   in
   injector ctx1 = injector ctx2
   && String.equal (packed_string m1) (packed_string m2)
-  && Pmedia.Medium.heated_count m1 = Pmedia.Medium.heated_count m2
   && c1.Pmedia.Bitops.mrb = c2.Pmedia.Bitops.mrb
   && c1.Pmedia.Bitops.mwb = c2.Pmedia.Bitops.mwb
   && c1.Pmedia.Bitops.ewb = c2.Pmedia.Bitops.ewb
@@ -807,7 +800,6 @@ let cow_matches_deep_copy =
       Pmedia.Medium.load_packed deep ~pos:0
         ~src:(Bytes.of_string image)
         ~src_off:0 ~len:(String.length image);
-      Pmedia.Medium.recount_heated deep;
       apply_dot_writes clone post;
       apply_dot_writes deep post;
       dump clone = dump deep
@@ -825,10 +817,8 @@ let cow_cases =
         let clone = Pmedia.Medium.clone parent in
         Alcotest.(check int) "no private segments" 0
           (Pmedia.Medium.owned_segments clone);
-        Alcotest.(check int) "no materialisations yet" 0
-          (Pmedia.Medium.materialized_total clone);
-        Alcotest.(check int) "same geometry" (Pmedia.Medium.total_segments parent)
-          (Pmedia.Medium.total_segments clone));
+        Alcotest.(check int) "same geometry" (Pmedia.Medium.packed_length parent)
+          (Pmedia.Medium.packed_length clone));
     Alcotest.test_case "a write materialises exactly its segment" `Quick
       (fun () ->
         let parent = cow_medium () in

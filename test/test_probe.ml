@@ -58,28 +58,22 @@ let tips_cases =
         Alcotest.(check bool) "remapped" true (Probe.Tips.remap_tip tips 3);
         Alcotest.(check bool) "serving again" false
           (Probe.Tips.tip_failed tips 3);
-        Alcotest.(check bool) "still broken raw" true
-          (Probe.Tips.tip_broken tips 3);
         Alcotest.(check int) "one remap" 1 (Probe.Tips.remapped_count tips);
-        Alcotest.(check int) "one spare left" 1 (Probe.Tips.spares_free tips);
-        (* Wear accrues on the serving spare, not the corpse. *)
-        let before = Probe.Tips.uses tips ~tip:16 in
-        Probe.Tips.record_use tips ~tip:3;
-        Alcotest.(check int) "spare wears" (before + 1)
-          (Probe.Tips.uses tips ~tip:16));
+        (* The second spare serves the next failed field; a third has
+           none left. *)
+        Probe.Tips.fail_tip tips 5;
+        Probe.Tips.fail_tip tips 7;
+        Alcotest.(check bool) "second spare" true (Probe.Tips.remap_tip tips 5);
+        Alcotest.(check bool) "no spare left" false (Probe.Tips.remap_tip tips 7);
+        Alcotest.(check bool) "still failed" true (Probe.Tips.tip_failed tips 7));
     Alcotest.test_case "failed tips tracked" `Quick (fun () ->
         let tips = Probe.Tips.create ~n_tips:16 (make_medium ()) in
-        Alcotest.(check int) "none" 0 (Probe.Tips.failed_count tips);
+        Alcotest.(check bool) "none" true (Probe.Tips.all_serving_healthy tips);
         Probe.Tips.fail_tip tips 3;
         Probe.Tips.fail_tip tips 9;
-        Alcotest.(check int) "two" 2 (Probe.Tips.failed_count tips);
+        Alcotest.(check bool) "some" false (Probe.Tips.all_serving_healthy tips);
         Alcotest.(check bool) "tip 3" true (Probe.Tips.tip_failed tips 3);
         Alcotest.(check bool) "tip 4" false (Probe.Tips.tip_failed tips 4));
-    Alcotest.test_case "usage counters" `Quick (fun () ->
-        let tips = Probe.Tips.create ~n_tips:16 (make_medium ()) in
-        Probe.Tips.record_use tips ~tip:2;
-        Probe.Tips.record_use tips ~tip:2;
-        Alcotest.(check int) "2 uses" 2 (Probe.Tips.uses tips ~tip:2));
   ]
 
 (* {1 Actuator} *)
@@ -91,12 +85,17 @@ let actuator_cases =
         let act = Probe.Actuator.create timing ~pitch:100e-9 ~field_cols:8 in
         Probe.Actuator.seek act 0;
         Alcotest.(check (float 0.)) "no time" 0. (Probe.Timing.elapsed timing));
-    Alcotest.test_case "scan step accrues wear but no settle" `Quick (fun () ->
+    Alcotest.test_case "scan step pays no settle" `Quick (fun () ->
         let timing = Probe.Timing.create () in
         let act = Probe.Actuator.create timing ~pitch:100e-9 ~field_cols:8 in
         Probe.Actuator.seek act 1;
         Alcotest.(check (float 0.)) "no settle" 0. (Probe.Timing.elapsed timing);
-        Alcotest.(check (float 1e-12)) "one pitch" 100e-9 (Probe.Actuator.travel act));
+        (* A scan run is one seek to its first offset, then scan steps. *)
+        Probe.Actuator.scan_run act ~first:2 ~last:9;
+        Alcotest.(check (float 0.)) "scan run" 0. (Probe.Timing.elapsed timing);
+        Probe.Actuator.seek act 10;
+        Alcotest.(check (float 0.)) "ends on its last offset" 0.
+          (Probe.Timing.elapsed timing));
     Alcotest.test_case "random seek pays settle + travel" `Quick (fun () ->
         let timing = Probe.Timing.create () in
         let act = Probe.Actuator.create timing ~pitch:100e-9 ~field_cols:8 in
@@ -235,7 +234,6 @@ let pdevice_cases =
         let before =
           ( Probe.Pdevice.elapsed p,
             Probe.Pdevice.energy p,
-            Probe.Tips.uses (Probe.Pdevice.tips p) ~tip:0,
             Pmedia.Bitops.primitive_ops
               (Pmedia.Bitops.counters (Probe.Pdevice.bitops p)) )
         in
@@ -245,11 +243,10 @@ let pdevice_cases =
               (Invalid_argument "Pdevice.erb_run: cycles must be positive")
               (fun () -> ignore (erb_bits ~cycles p ~start:16 ~len:32)))
           [ 0; -1 ];
-        Alcotest.(check bool) "ledger, wear and counters unchanged" true
+        Alcotest.(check bool) "ledger and counters unchanged" true
           (before
           = ( Probe.Pdevice.elapsed p,
               Probe.Pdevice.energy p,
-              Probe.Tips.uses (Probe.Pdevice.tips p) ~tip:0,
               Pmedia.Bitops.primitive_ops
                 (Pmedia.Bitops.counters (Probe.Pdevice.bitops p)) )));
     Alcotest.test_case "energy grows with electrical writes" `Quick (fun () ->
@@ -387,15 +384,12 @@ let packed_string m =
 
 let pdev_state p =
   let m = Probe.Pdevice.medium p in
-  let tips = Probe.Pdevice.tips p in
   ( Option.map
       (fun inj -> (Fault.Injector.ops inj, Fault.Injector.ledger_to_string inj))
       (Probe.Pdevice.fault p),
     ( packed_string m,
-      Pmedia.Medium.heated_count m,
       Probe.Pdevice.elapsed p,
       Probe.Pdevice.energy p,
-      List.init (Probe.Tips.n_tips tips) (fun tip -> Probe.Tips.uses tips ~tip),
       Sim.Prng.bits64 (Pmedia.Medium.rng m) ) )
 
 (* [script] on every twin gives one answer, and leaves every twin in

@@ -501,10 +501,10 @@ module Queue_oracle = struct
     mutable abandoned_reads : int;
   }
 
-  let ledger_create name =
+  let ledger_create () =
     {
-      latency = Sim.Stats.create ~name:(name ^ " latency") ();
-      wait = Sim.Stats.create ~name:(name ^ " wait") ();
+      latency = Sim.Stats.create ();
+      wait = Sim.Stats.create ();
       energy = 0.;
       completed = 0;
       last_completion = 0.;
@@ -525,11 +525,11 @@ module Queue_oracle = struct
       busy = false;
       dispatch_armed = false;
       current_offset = 0;
-      fg = ledger_create "fg";
-      bg = ledger_create "bg";
+      fg = ledger_create ();
+      bg = ledger_create ();
       arbiter = None;
       by_tenant = Hashtbl.create 8;
-      service = Sim.Stats.create ~name:"service" ();
+      service = Sim.Stats.create ();
       depth_hist = Sim.Stats.Histogram.create ~lo:0. ~hi:64. ~bins:16;
       coalesced = 0;
       retry_pending = 0;

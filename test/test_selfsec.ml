@@ -77,7 +77,7 @@ let epochs =
         for i = 1 to 10 do
           ok "write" (Selfsec.write_file s "/doc" ~offset:0 (string_of_int i))
         done;
-        Lfs.Fs.unmount fs;
+        Lfs.Fs.sync fs;
         let fs2 = ok "mount" (Lfs.Fs.mount dev) in
         let s2 = ok "rewrap" (Selfsec.wrap ~epoch_len:8 fs2) in
         let h = ok "history" (Selfsec.history s2) in

@@ -46,14 +46,14 @@ let prng_cases =
           (!acc /. 20000. > 3.8 && !acc /. 20000. < 4.2));
     Alcotest.test_case "gaussian moments" `Quick (fun () ->
         let rng = Sim.Prng.create 6 in
-        let st = Sim.Stats.create () in
-        for _ = 1 to 20000 do
-          Sim.Stats.add st (Sim.Prng.gaussian rng ~mu:10. ~sigma:2.)
-        done;
-        Alcotest.(check bool) "mean ≈ 10" true
-          (Float.abs (Sim.Stats.mean st -. 10.) < 0.1);
-        Alcotest.(check bool) "sd ≈ 2" true
-          (Float.abs (Sim.Stats.stddev st -. 2.) < 0.1));
+        let xs = List.init 20000 (fun _ -> Sim.Prng.gaussian rng ~mu:10. ~sigma:2.) in
+        let mean = List.fold_left ( +. ) 0. xs /. 20000. in
+        let var =
+          List.fold_left (fun a x -> a +. ((x -. mean) *. (x -. mean))) 0. xs
+          /. 19999.
+        in
+        Alcotest.(check bool) "mean ≈ 10" true (Float.abs (mean -. 10.) < 0.1);
+        Alcotest.(check bool) "sd ≈ 2" true (Float.abs (sqrt var -. 2.) < 0.1));
     Alcotest.test_case "shuffle permutes" `Quick (fun () ->
         let rng = Sim.Prng.create 8 in
         let a = Array.init 50 (fun i -> i) in
@@ -151,18 +151,18 @@ let bernoulli_mask_bits =
 let stats_cases =
   [
     Alcotest.test_case "known sample moments" `Quick (fun () ->
-        let st = Sim.Stats.create ~name:"t" () in
+        let st = Sim.Stats.create () in
         List.iter (Sim.Stats.add st) [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ];
         Alcotest.(check (float 1e-9)) "mean" 5. (Sim.Stats.mean st);
-        Alcotest.(check (float 1e-6)) "sample sd" 2.13809 (Sim.Stats.stddev st);
-        Alcotest.(check (float 1e-9)) "min" 2. (Sim.Stats.min_value st);
-        Alcotest.(check (float 1e-9)) "max" 9. (Sim.Stats.max_value st);
+        Alcotest.(check (float 1e-9)) "total" 40. (Sim.Stats.total st);
+        Alcotest.(check (float 1e-9)) "min" 2. (Sim.Stats.percentile st 0.);
+        Alcotest.(check (float 1e-9)) "max" 9. (Sim.Stats.percentile st 1.);
         Alcotest.(check (float 1e-9)) "median" 4. (Sim.Stats.percentile st 0.5);
         Alcotest.(check int) "count" 8 (Sim.Stats.count st));
     Alcotest.test_case "empty stats are all zero" `Quick (fun () ->
         let st = Sim.Stats.create () in
         Alcotest.(check (float 0.)) "mean" 0. (Sim.Stats.mean st);
-        Alcotest.(check (float 0.)) "sd" 0. (Sim.Stats.stddev st);
+        Alcotest.(check (float 0.)) "total" 0. (Sim.Stats.total st);
         Alcotest.(check (float 0.)) "p99" 0. (Sim.Stats.percentile st 0.99));
     Alcotest.test_case "merge equals combined stream" `Quick (fun () ->
         let a = Sim.Stats.create () and b = Sim.Stats.create () in
@@ -174,7 +174,8 @@ let stats_cases =
           [ 1.; 2.; 3.; 6.; 7.; 8.; 9. ];
         let m = Sim.Stats.merge a b in
         Alcotest.(check (float 1e-9)) "mean" (Sim.Stats.mean all) (Sim.Stats.mean m);
-        Alcotest.(check (float 1e-9)) "sd" (Sim.Stats.stddev all) (Sim.Stats.stddev m));
+        Alcotest.(check (float 1e-9)) "total" (Sim.Stats.total all) (Sim.Stats.total m);
+        Alcotest.(check int) "count" (Sim.Stats.count all) (Sim.Stats.count m));
     Alcotest.test_case "SLO quantiles by nearest rank" `Quick (fun () ->
         (* 1..100: nearest-rank p is exactly the pth value. *)
         let st = Sim.Stats.create () in
@@ -210,7 +211,8 @@ let percentile_bounds =
       let st = Sim.Stats.create () in
       List.iter (Sim.Stats.add st) xs;
       let v = Sim.Stats.percentile st p in
-      v >= Sim.Stats.min_value st -. 1e-9 && v <= Sim.Stats.max_value st +. 1e-9)
+      v >= List.fold_left Float.min infinity xs
+      && v <= List.fold_left Float.max neg_infinity xs)
 
 let quantiles_match_percentile =
   QCheck.Test.make ~name:"quantiles = (p50, p95, p99)" ~count:200
@@ -265,7 +267,8 @@ let heap_cases =
         let h = Sim.Heap.create () in
         Sim.Heap.push h 2. "b";
         Sim.Heap.push h 1. "a";
-        Alcotest.(check (option (pair (float 0.) string))) "peek" (Some (1., "a")) (Sim.Heap.peek h);
+        Alcotest.(check (pair (float 0.) string)) "peek" (1., "a")
+          (Sim.Heap.min_key h, Sim.Heap.min_value h);
         Alcotest.(check int) "size" 2 (Sim.Heap.size h);
         Alcotest.(check (option (pair (float 0.) string))) "pop" (Some (1., "a")) (Sim.Heap.pop h);
         Alcotest.(check int) "size after" 1 (Sim.Heap.size h));
@@ -496,20 +499,28 @@ let lru_cases =
         Alcotest.(check int) "back to capacity" 2 (Sim.Lru.length l));
     Alcotest.test_case "add_lru inserts cold and is evicted first" `Quick
       (fun () ->
-        let l = Sim.Lru.create ~capacity:3 () in
-        ignore (Sim.Lru.add l 1 10);
-        ignore (Sim.Lru.add l 2 20);
-        ignore (Sim.Lru.add_lru l 9 90);
+        let fresh () =
+          let l = Sim.Lru.create ~capacity:3 () in
+          ignore (Sim.Lru.add l 1 10);
+          ignore (Sim.Lru.add l 2 20);
+          ignore (Sim.Lru.add_lru l 9 90);
+          l
+        in
+        (* Shrinking to one entry evicts everything else, coldest first. *)
         Alcotest.(check (list (pair int int)))
-          "cold end last" [ (2, 20); (1, 10); (9, 90) ] (Sim.Lru.to_list_mru l);
+          "cold end first out" [ (9, 90); (1, 10) ]
+          (Sim.Lru.set_capacity (fresh ()) 1);
         (* A find promotes it like any hit... *)
+        let l = fresh () in
         Alcotest.(check (option int)) "promoted" (Some 90) (Sim.Lru.find l 9);
-        Alcotest.(check (list (pair int int)))
-          "now hottest" [ (9, 90); (2, 20); (1, 10) ] (Sim.Lru.to_list_mru l);
-        (* ...and replacing an existing binding keeps earned recency. *)
+        Alcotest.(check bool) "now hottest" true (Sim.Lru.is_head l 9);
+        (* ...and replacing an existing binding keeps its recency, cold
+           or hot. *)
+        ignore (Sim.Lru.add_lru l 1 11);
         ignore (Sim.Lru.add_lru l 9 91);
         Alcotest.(check (list (pair int int)))
-          "recency kept" [ (9, 91); (2, 20); (1, 10) ] (Sim.Lru.to_list_mru l));
+          "recency kept" [ (1, 11); (2, 20) ] (Sim.Lru.set_capacity l 1);
+        Alcotest.(check (option int)) "replaced" (Some 91) (Sim.Lru.peek l 9));
     Alcotest.test_case "set_capacity sheds LRU-first" `Quick (fun () ->
         let l = Sim.Lru.create ~capacity:4 () in
         List.iter (fun k -> ignore (Sim.Lru.add l k k)) [ 1; 2; 3; 4 ];
@@ -542,27 +553,32 @@ let lru_cases =
         Alcotest.(check int) "len" 2 (Sim.Lru.length l);
         Sim.Lru.clear l;
         Alcotest.(check int) "empty" 0 (Sim.Lru.length l);
+        (* The recency list restarts empty: only the new entries age. *)
+        ignore (Sim.Lru.add l 5 5);
+        ignore (Sim.Lru.add l 6 6);
         Alcotest.(check (list (pair int int)))
-          "no stale list" [] (Sim.Lru.to_list_mru l));
+          "no stale list" [ (5, 5) ] (Sim.Lru.set_capacity l 1));
   ]
 
 (* Model-based check: the intrusive-list implementation against a naive
    MRU-first assoc list with the same soft-capacity eviction rule.
-   Values [v] with [v mod 3 = 0] are pinned. *)
+   Values [v] with [v mod 3 = 0] are pinned.  After every operation the
+   evicted bindings, the length, every binding and the hottest key must
+   agree; at the end, shrinking to one entry must evict the rest in the
+   model's cold-to-hot order. *)
 let lru_matches_model =
   let model_pinned v = v mod 3 = 0 in
+  (* Walk from the cold end evicting unpinned entries: the kept list,
+     MRU first, and the evicted, coldest first. *)
   let model_shrink cap l =
-    let n = List.length l in
-    if n <= cap then l
-    else
-      (* Walk from the cold end evicting unpinned entries. *)
-      let rec go excess = function
-        | [] -> []
-        | (k, v) :: hotter ->
-            if excess > 0 && not (model_pinned v) then go (excess - 1) hotter
-            else (k, v) :: go excess hotter
-      in
-      List.rev (go (n - cap) (List.rev l))
+    let rec go excess kept evicted = function
+      | [] -> (kept, List.rev evicted)
+      | (k, v) :: hotter ->
+          if excess > 0 && not (model_pinned v) then
+            go (excess - 1) kept ((k, v) :: evicted) hotter
+          else go excess ((k, v) :: kept) evicted hotter
+    in
+    go (List.length l - cap) [] [] (List.rev l)
   in
   let apply_model cap l = function
     | `Add (k, v) ->
@@ -574,9 +590,9 @@ let lru_matches_model =
         else model_shrink cap (l @ [ (k, v) ])
     | `Find k -> (
         match List.assoc_opt k l with
-        | None -> l
-        | Some v -> (k, v) :: List.remove_assoc k l)
-    | `Remove k -> List.remove_assoc k l
+        | None -> (l, [])
+        | Some v -> ((k, v) :: List.remove_assoc k l, []))
+    | `Remove k -> (List.remove_assoc k l, [])
   in
   let op_gen =
     QCheck.Gen.(
@@ -608,14 +624,25 @@ let lru_matches_model =
       let model = ref [] in
       List.for_all
         (fun op ->
-          (match op with
-          | `Add (k, v) -> ignore (Sim.Lru.add l k v)
-          | `Add_lru (k, v) -> ignore (Sim.Lru.add_lru l k v)
-          | `Find k -> ignore (Sim.Lru.find l k)
-          | `Remove k -> Sim.Lru.remove l k);
-          model := apply_model cap !model op;
-          Sim.Lru.to_list_mru l = !model)
-        ops)
+          let evicted =
+            match op with
+            | `Add (k, v) -> Sim.Lru.add l k v
+            | `Add_lru (k, v) -> Sim.Lru.add_lru l k v
+            | `Find k ->
+                ignore (Sim.Lru.find l k);
+                []
+            | `Remove k ->
+                Sim.Lru.remove l k;
+                []
+          in
+          let m, m_evicted = apply_model cap !model op in
+          model := m;
+          evicted = m_evicted
+          && Sim.Lru.length l = List.length m
+          && List.for_all (fun k -> Sim.Lru.peek l k = List.assoc_opt k m) (List.init 10 Fun.id)
+          && match m with [] -> true | (k, _) :: _ -> Sim.Lru.is_head l k)
+        ops
+      && Sim.Lru.set_capacity l 1 = snd (model_shrink 1 !model))
 
 let pool_matches_list_map =
   QCheck.Test.make ~name:"parallel_map == List.map for any jobs" ~count:100
@@ -704,7 +731,7 @@ let stats_merge_cases =
     Alcotest.test_case "merge_many matches re-adding every sample" `Quick
       (fun () ->
         let rng = Sim.Prng.create 21 in
-        let parts = List.init 5 (fun i -> Sim.Stats.create ~name:(string_of_int i) ()) in
+        let parts = List.init 5 (fun _ -> Sim.Stats.create ()) in
         let whole = Sim.Stats.create () in
         List.iter
           (fun part ->
@@ -714,48 +741,44 @@ let stats_merge_cases =
               Sim.Stats.add whole x
             done)
           parts;
-        let merged = Sim.Stats.merge_many ~name:"merged" parts in
+        let merged = Sim.Stats.merge_many parts in
         Alcotest.(check int) "count" (Sim.Stats.count whole) (Sim.Stats.count merged);
         Alcotest.(check (float 1e-9)) "mean" (Sim.Stats.mean whole) (Sim.Stats.mean merged);
-        Alcotest.(check (float 1e-6)) "stddev" (Sim.Stats.stddev whole) (Sim.Stats.stddev merged);
-        Alcotest.(check (float 0.)) "min" (Sim.Stats.min_value whole) (Sim.Stats.min_value merged);
-        Alcotest.(check (float 0.)) "max" (Sim.Stats.max_value whole) (Sim.Stats.max_value merged);
+        Alcotest.(check (float 1e-9)) "total" (Sim.Stats.total whole) (Sim.Stats.total merged);
         (* Reservoirs small enough to be lossless => identical quantiles. *)
         Alcotest.(check (float 0.)) "p99" (Sim.Stats.p99 whole) (Sim.Stats.p99 merged));
     Alcotest.test_case "merge_many of nothing is empty" `Quick (fun () ->
-        let m = Sim.Stats.merge_many ~name:"none" [] in
+        let m = Sim.Stats.merge_many [] in
         Alcotest.(check int) "count" 0 (Sim.Stats.count m));
     Alcotest.test_case "merge_many skips empty reservoirs" `Quick (fun () ->
         (* Empty shards are the norm in sparse fleet cells (e.g. a site
            whose attack never landed records no latency samples). *)
-        let full = Sim.Stats.create ~name:"full" () in
+        let full = Sim.Stats.create () in
         List.iter (Sim.Stats.add full) [ 3.; 1.; 2. ];
         let parts =
           [ Sim.Stats.create (); full; Sim.Stats.create (); Sim.Stats.create () ]
         in
-        let m = Sim.Stats.merge_many ~name:"m" parts in
+        let m = Sim.Stats.merge_many parts in
         Alcotest.(check int) "count" 3 (Sim.Stats.count m);
-        Alcotest.(check (float 0.)) "min" 1. (Sim.Stats.min_value m);
-        Alcotest.(check (float 0.)) "max" 3. (Sim.Stats.max_value m);
+        Alcotest.(check (float 0.)) "total" 6. (Sim.Stats.total m);
         Alcotest.(check (float 1e-9)) "mean" 2. (Sim.Stats.mean m);
         Alcotest.(check (float 0.)) "p99" 3. (Sim.Stats.p99 m);
         let all_empty =
-          Sim.Stats.merge_many ~name:"e" [ Sim.Stats.create (); Sim.Stats.create () ]
+          Sim.Stats.merge_many [ Sim.Stats.create (); Sim.Stats.create () ]
         in
         Alcotest.(check int) "all-empty count" 0 (Sim.Stats.count all_empty);
         Alcotest.(check (float 0.)) "all-empty p50" 0. (Sim.Stats.p50 all_empty));
     Alcotest.test_case "single-sample quantiles collapse to the sample" `Quick
       (fun () ->
-        let one = Sim.Stats.create ~name:"one" () in
+        let one = Sim.Stats.create () in
         Sim.Stats.add one 42.5;
         let p50, p95, p99 = Sim.Stats.quantiles one in
         Alcotest.(check (float 0.)) "p50" 42.5 p50;
         Alcotest.(check (float 0.)) "p95" 42.5 p95;
         Alcotest.(check (float 0.)) "p99" 42.5 p99;
-        Alcotest.(check (float 0.)) "stddev" 0. (Sim.Stats.stddev one);
-        let m = Sim.Stats.merge_many ~name:"m" [ Sim.Stats.create (); one ] in
+        let m = Sim.Stats.merge_many [ Sim.Stats.create (); one ] in
         Alcotest.(check (float 0.)) "merged p99" 42.5 (Sim.Stats.p99 m);
-        Alcotest.(check (float 0.)) "merged min" 42.5 (Sim.Stats.min_value m));
+        Alcotest.(check (float 0.)) "merged mean" 42.5 (Sim.Stats.mean m));
   ]
 
 (* merge_many must be insensitive to how shards are grouped: folding
@@ -767,23 +790,22 @@ let stats_merge_associative =
     QCheck.(pair (list_of_size Gen.(0 -- 40) (float_range (-50.) 50.)) (int_range 0 40))
     (fun (samples, cut) ->
       let cut = if samples = [] then 0 else cut mod (List.length samples + 1) in
-      let fill name xs =
-        let s = Sim.Stats.create ~name () in
+      let fill xs =
+        let s = Sim.Stats.create () in
         List.iter (Sim.Stats.add s) xs;
         s
       in
-      let a = fill "a" (List.filteri (fun i _ -> i < cut) samples) in
-      let b = fill "b" (List.filteri (fun i _ -> i >= cut) samples) in
-      let flat = Sim.Stats.merge_many ~name:"m" [ a; b ] in
-      let left = Sim.Stats.merge_many ~name:"m" [ Sim.Stats.merge_many ~name:"m" [ a ]; b ]
-      and right = Sim.Stats.merge_many ~name:"m" [ a; Sim.Stats.merge_many ~name:"m" [ b ] ] in
+      let a = fill (List.filteri (fun i _ -> i < cut) samples) in
+      let b = fill (List.filteri (fun i _ -> i >= cut) samples) in
+      let flat = Sim.Stats.merge_many [ a; b ] in
+      let left = Sim.Stats.merge_many [ Sim.Stats.merge_many [ a ]; b ]
+      and right = Sim.Stats.merge_many [ a; Sim.Stats.merge_many [ b ] ] in
       List.for_all
         (fun m ->
           Sim.Stats.count m = Sim.Stats.count flat
           && Float.abs (Sim.Stats.mean m -. Sim.Stats.mean flat) < 1e-9
-          && Sim.Stats.quantiles m = Sim.Stats.quantiles flat
-          && Sim.Stats.min_value m = Sim.Stats.min_value flat
-          && Sim.Stats.max_value m = Sim.Stats.max_value flat)
+          && Sim.Stats.total m = Sim.Stats.total flat
+          && Sim.Stats.quantiles m = Sim.Stats.quantiles flat)
         [ left; right ])
 
 (* {1 Fleet fan-out} *)
@@ -836,13 +858,13 @@ let fleet_cases =
     Alcotest.test_case "stats merge across shards is deterministic" `Quick
       (fun () ->
         let f ~rng _ =
-          let st = Sim.Stats.create ~name:"lat" () in
+          let st = Sim.Stats.create () in
           for _ = 1 to 20 do
             Sim.Stats.add st (Sim.Prng.exponential rng 2.0)
           done;
           st
         in
-        let merge = Sim.Stats.merge_many ~name:"lat" in
+        let merge = Sim.Stats.merge_many in
         let quantiles jobs =
           Sim.Stats.quantiles (Sim.Fleet.map_merge ~jobs ~seed:3 200 ~f ~merge)
         in
