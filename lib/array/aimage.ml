@@ -127,7 +127,6 @@ let load path =
         seed = geti "seed";
         (* RAS/endurance live inside each member image's device config;
            the manifest only carries the volume-level knobs. *)
-        ras = Sero.Device.active_ras;
         endurance = Sero.Device.active_endurance;
         policy = policy_of_string (Hashtbl.find fields "policy");
         read_retry_limit = geti "retry_limit";

@@ -125,18 +125,9 @@ let attest_line_raw v ~line =
       in
       (att, vote_charges @ conviction_charges, !hash_reads, !data_verifies)
 
-let apply_charges v ~line charges =
+let apply_charges v charges =
   List.iter
     (fun { c_dev; c_charge } ->
-      (match c_charge with
-      | Trust.Divergence ->
-          Volume.log_event v
-            (Printf.sprintf "quorum: device %d outvoted on line %d" c_dev line)
-      | Trust.Conviction ->
-          Volume.log_event v
-            (Printf.sprintf "quorum: device %d convicted by line %d" c_dev
-               line)
-      | Trust.Agreement | Trust.Unreadable -> ());
       Trust.charge (Volume.trust v) ~dev:c_dev c_charge;
       if Trust.status (Volume.trust v) ~dev:c_dev = Trust.Quarantined then
         Volume.quarantine_dev v ~dev:c_dev)
@@ -144,7 +135,7 @@ let apply_charges v ~line charges =
 
 let attest_line v ~line =
   let att, charges, _, _ = attest_line_raw v ~line in
-  apply_charges v ~line charges;
+  apply_charges v charges;
   att
 
 let count_report lines =
@@ -189,7 +180,7 @@ let report_of_raw v all =
       (fun (line, (att, charges, hr, dv)) ->
         hash_reads := !hash_reads + hr;
         data_verifies := !data_verifies + dv;
-        apply_charges v ~line charges;
+        apply_charges v charges;
         (line, att))
       all
   in

@@ -181,14 +181,6 @@ let rebuild_slot ?(force = false) v ~slot =
             Sero.Device.refresh_heated_cache (Volume.device v ~dev:spare);
             Volume.swap_in_spare v ~slot ~spare;
             Volume.note_rebuilt v;
-            Volume.log_event v
-              (Printf.sprintf
-                 "rebuild: slot %d done (%d lines, %d re-burned, %d blocks \
-                  copied, %d unattested, %d failed)"
-                 slot report.lines_scanned report.heated_rebuilt
-                 report.data_blocks_copied
-                 (List.length report.unattested_skipped)
-                 (List.length report.reattest_failed));
             Ok report
         | exception Abort e -> Error e
       end)

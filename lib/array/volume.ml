@@ -7,7 +7,6 @@ type config = {
   member_blocks : int;
   line_exp : int;
   seed : int;
-  ras : Sero.Device.ras;
   endurance : Sero.Device.endurance;
   policy : Probe.Sched.policy;
   read_retry_limit : int;
@@ -17,9 +16,8 @@ type config = {
 
 let default_config ?(slots = 4) ?(replication = 2) ?(spares = 1)
     ?(member_blocks = 128) ?(line_exp = 3) ?(seed = 42)
-    ?(ras = Sero.Device.active_ras) ?(endurance = Sero.Device.active_endurance)
-    ?(policy = Probe.Sched.Elevator) ?(read_retry_limit = 2)
-    ?(retry_backoff = 1e-4) ?(cache_capacity = Some 32) () =
+    ?(endurance = Sero.Device.active_endurance) ?(cache_capacity = Some 32) ()
+    =
   {
     slots;
     replication;
@@ -27,20 +25,14 @@ let default_config ?(slots = 4) ?(replication = 2) ?(spares = 1)
     member_blocks;
     line_exp;
     seed;
-    ras;
     endurance;
-    policy;
-    read_retry_limit;
-    retry_backoff;
+    policy = Probe.Sched.Elevator;
+    read_retry_limit = 2;
+    retry_backoff = 1e-4;
     cache_capacity;
   }
 
-type entry = {
-  e_dev : Sero.Device.t;
-  e_q : Sero.Queue.t;
-  e_bc : Sero.Bcache.t;
-  mutable e_inj : Fault.Injector.t option;
-}
+type entry = { e_dev : Sero.Device.t; e_q : Sero.Queue.t; e_bc : Sero.Bcache.t }
 
 type t = {
   cfg : config;
@@ -55,7 +47,6 @@ type t = {
           invalidated by the device's own mutation listeners. *)
   mutable ops : int;
   mutable pending : Fault.Plan.timed_event list;
-  mutable event_log : string list;  (** Newest first. *)
   mutable reads : int;
   mutable writes : int;
   mutable heats : int;
@@ -85,9 +76,12 @@ let cache v ~dev =
   check_dev v dev;
   v.members.(dev).e_bc
 
-let dev_of_slot v ~slot =
+let check_slot v slot =
   if slot < 0 || slot >= v.cfg.slots then
-    invalid_arg (Printf.sprintf "Volume: slot %d out of range" slot);
+    invalid_arg (Printf.sprintf "Volume: slot %d out of range" slot)
+
+let dev_of_slot v ~slot =
+  check_slot v slot;
   v.slot_dev.(slot)
 
 let slot_of_dev v ~dev =
@@ -100,9 +94,6 @@ let slot_of_dev v ~dev =
 let spare_pool v = v.spare_pool
 let member_states v = Array.copy v.states
 
-let log_event v msg = v.event_log <- msg :: v.event_log
-let events v = List.rev v.event_log
-
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 
@@ -114,7 +105,7 @@ let wrap_device cfg dev =
       des dev
   in
   let capacity = Option.value cfg.cache_capacity ~default:0 in
-  { e_dev = dev; e_q = q; e_bc = Sero.Bcache.create ~capacity q; e_inj = None }
+  { e_dev = dev; e_q = q; e_bc = Sero.Bcache.create ~capacity q }
 
 let make_map cfg lay =
   Amap.create ~slots:cfg.slots ~replication:cfg.replication
@@ -129,7 +120,7 @@ let member_config cfg i =
   {
     base with
     Sero.Device.seed = cfg.seed + i;
-    ras = cfg.ras;
+    ras = Sero.Device.active_ras;
     endurance = cfg.endurance;
   }
 
@@ -147,35 +138,6 @@ let arm_verify_invalidation v =
     v.members;
   v
 
-let create cfg =
-  if cfg.spares < 0 then invalid_arg "Volume.create: spares < 0";
-  let n = cfg.slots + cfg.spares in
-  let members =
-    Array.init n (fun i ->
-        wrap_device cfg (Sero.Device.create (member_config cfg i)))
-  in
-  let map = make_map cfg (Sero.Device.layout members.(0).e_dev) in
-  arm_verify_invalidation
-    {
-      cfg;
-      map;
-      members;
-      slot_dev = Array.init cfg.slots (fun s -> s);
-      spare_pool = List.init cfg.spares (fun i -> cfg.slots + i);
-      states = Array.make n Active;
-      trust = Trust.create ~devices:n;
-      verified = Hashtbl.create 64;
-      ops = 0;
-      pending = [];
-      event_log = [];
-      reads = 0;
-      writes = 0;
-      heats = 0;
-      degraded_reads = 0;
-      read_rejects = 0;
-      rebuilds = 0;
-    }
-
 let of_devices cfg ~devices ~slot_dev ~spare_pool ~states =
   let n = Array.length devices in
   if n < cfg.slots then invalid_arg "Volume.of_devices: too few devices";
@@ -183,14 +145,18 @@ let of_devices cfg ~devices ~slot_dev ~spare_pool ~states =
     invalid_arg "Volume.of_devices: slot_dev length <> slots";
   if Array.length states <> n then
     invalid_arg "Volume.of_devices: states length <> devices";
-  Array.iter
-    (fun d ->
-      if d < 0 || d >= n then invalid_arg "Volume.of_devices: slot_dev range")
-    slot_dev;
-  List.iter
-    (fun d ->
-      if d < 0 || d >= n then invalid_arg "Volume.of_devices: spare range")
-    spare_pool;
+  (* Every slot and every pooled spare names its own device. *)
+  let claimed = Array.make n false in
+  let claim what d =
+    if d < 0 || d >= n then
+      invalid_arg (Printf.sprintf "Volume.of_devices: %s range" what);
+    if claimed.(d) then
+      invalid_arg
+        (Printf.sprintf "Volume.of_devices: device %d named twice" d);
+    claimed.(d) <- true
+  in
+  Array.iter (claim "slot_dev") slot_dev;
+  List.iter (claim "spare") spare_pool;
   let lay0 = Sero.Device.layout devices.(0) in
   Array.iter
     (fun d ->
@@ -213,7 +179,6 @@ let of_devices cfg ~devices ~slot_dev ~spare_pool ~states =
       verified = Hashtbl.create 64;
       ops = 0;
       pending = [];
-      event_log = [];
       reads = 0;
       writes = 0;
       heats = 0;
@@ -221,6 +186,15 @@ let of_devices cfg ~devices ~slot_dev ~spare_pool ~states =
       read_rejects = 0;
       rebuilds = 0;
     }
+
+let create cfg =
+  if cfg.spares < 0 then invalid_arg "Volume.create: spares < 0";
+  let n = cfg.slots + cfg.spares in
+  of_devices cfg
+    ~devices:(Array.init n (fun i -> Sero.Device.create (member_config cfg i)))
+    ~slot_dev:(Array.init cfg.slots Fun.id)
+    ~spare_pool:(List.init cfg.spares (fun i -> cfg.slots + i))
+    ~states:(Array.make n Active)
 
 (* ------------------------------------------------------------------ *)
 (* Member state                                                        *)
@@ -276,24 +250,13 @@ let pp_member_state ppf s =
 
 let fail_slot v ~slot =
   let dev = dev_of_slot v ~slot in
-  if v.states.(dev) = Active then begin
-    v.states.(dev) <- Lost;
-    log_event v (Printf.sprintf "member loss: slot %d (device %d)" slot dev)
-  end
+  if v.states.(dev) = Active then v.states.(dev) <- Lost
 
 let quarantine_dev v ~dev =
   check_dev v dev;
   if v.states.(dev) <> Quarantined_member then begin
     v.states.(dev) <- Quarantined_member;
-    Trust.quarantine v.trust ~dev;
-    log_event v (Printf.sprintf "device %d quarantined" dev)
-  end
-
-let revive_dev v ~dev =
-  check_dev v dev;
-  if v.states.(dev) = Lost then begin
-    v.states.(dev) <- Active;
-    log_event v (Printf.sprintf "device %d revived" dev)
+    Trust.quarantine v.trust ~dev
   end
 
 (* ------------------------------------------------------------------ *)
@@ -303,13 +266,8 @@ let ops v = v.ops
 
 let apply_event v (e : Fault.Plan.array_event) =
   match e with
-  | Fault.Plan.Member_loss { member } ->
-      log_event v
-        (Format.asprintf "plan event @%d: %a" v.ops Fault.Plan.pp_array_event e);
-      fail_slot v ~slot:member
+  | Fault.Plan.Member_loss { member } -> fail_slot v ~slot:member
   | Fault.Plan.Replica_tamper { member; line } ->
-      log_event v
-        (Format.asprintf "plan event @%d: %a" v.ops Fault.Plan.pp_array_event e);
       (* [member] is a replica ordinal within the line's mirror group,
          so the attack always lands on a device that actually holds a
          replica of [line]. *)
@@ -336,9 +294,10 @@ let tick v =
   fire v.pending;
   v.ops <- v.ops + 1
 
-let install_plan v (ap : Fault.Plan.array_plan) =
+let install_plan v events =
   List.iter
-    (fun ({ Fault.Plan.event; _ } : Fault.Plan.timed_event) ->
+    (fun ({ Fault.Plan.at_op; event } : Fault.Plan.timed_event) ->
+      if at_op < 0 then invalid_arg "Volume.install_plan: at_op < 0";
       match event with
       | Fault.Plan.Member_loss { member } ->
           if member < 0 || member >= v.cfg.slots then
@@ -348,31 +307,11 @@ let install_plan v (ap : Fault.Plan.array_plan) =
             invalid_arg "Volume.install_plan: tamper line out of range";
           if member < 0 || member >= v.cfg.replication then
             invalid_arg "Volume.install_plan: tamper replica out of range")
-    ap.Fault.Plan.events;
-  Array.iteri
-    (fun i e ->
-      let plan = Fault.Plan.member_plan ap ~member:i in
-      if not (Fault.Plan.quiet plan) then begin
-        let inj = Fault.Injector.create plan in
-        e.e_inj <- Some inj;
-        Sero.Device.install_fault e.e_dev inj
-      end)
-    v.members;
-  v.pending <- ap.Fault.Plan.events;
-  log_event v (Format.asprintf "installed %a" Fault.Plan.pp_array ap)
-
-let fault_ledger v =
-  let b = Buffer.create 256 in
-  List.iter (fun l -> Buffer.add_string b l; Buffer.add_char b '\n') (events v);
-  Array.iteri
-    (fun i e ->
-      match e.e_inj with
-      | None -> ()
-      | Some inj ->
-          Buffer.add_string b (Printf.sprintf "member %d injector:\n" i);
-          Buffer.add_string b (Fault.Injector.ledger_to_string inj))
-    v.members;
-  Buffer.contents b
+    events;
+  v.pending <-
+    List.stable_sort
+      (fun (a : Fault.Plan.timed_event) b -> compare a.at_op b.at_op)
+      events
 
 (* ------------------------------------------------------------------ *)
 (* Volume IO                                                           *)
@@ -417,13 +356,9 @@ let replica_cleared v ~dev ~local =
         | `Torn _ | `Tampered _ -> false
       in
       Hashtbl.replace v.verified (dev, local) ok;
-      if not ok then
-        log_event v
-          (Printf.sprintf "read verify: device %d fails on local line %d" dev
-             local);
       ok
 
-let read_block ?(prio = Sero.Queue.Foreground) ?(tenant = 0) v ~vba =
+let read_block ?(tenant = 0) v ~vba =
   tick v;
   v.reads <- v.reads + 1;
   let line = Amap.line_of_vba v.map vba in
@@ -450,7 +385,7 @@ let read_block ?(prio = Sero.Queue.Foreground) ?(tenant = 0) v ~vba =
             end
             else (
               match
-                Sero.Bcache.read_block ~prio ~tenant v.members.(dev).e_bc ~pba
+                Sero.Bcache.read_block ~tenant v.members.(dev).e_bc ~pba
               with
               | Ok payload ->
                   if slot <> preferred then
@@ -460,7 +395,7 @@ let read_block ?(prio = Sero.Queue.Foreground) ?(tenant = 0) v ~vba =
       in
       go [] order
 
-let write_block ?(prio = Sero.Queue.Foreground) ?(tenant = 0) v ~vba payload =
+let write_block ?(tenant = 0) v ~vba payload =
   tick v;
   v.writes <- v.writes + 1;
   let line = Amap.line_of_vba v.map vba in
@@ -470,8 +405,8 @@ let write_block ?(prio = Sero.Queue.Foreground) ?(tenant = 0) v ~vba payload =
   List.iter
     (fun slot ->
       match
-        Sero.Bcache.write_block ~prio ~tenant
-          v.members.(v.slot_dev.(slot)).e_bc ~pba payload
+        Sero.Bcache.write_block ~tenant v.members.(v.slot_dev.(slot)).e_bc ~pba
+          payload
       with
       | Ok () -> incr wrote
       | Error Sero.Device.Read_only_device -> ()
@@ -559,14 +494,11 @@ let swap_in_spare v ~slot ~spare =
   check_dev v spare;
   if not (List.mem spare v.spare_pool) then
     invalid_arg "Volume.swap_in_spare: device is not a pooled spare";
-  let old = dev_of_slot v ~slot in
+  check_slot v slot;
   v.spare_pool <- List.filter (fun d -> d <> spare) v.spare_pool;
   v.slot_dev.(slot) <- spare;
   v.states.(spare) <- Active;
-  Trust.reset v.trust ~dev:spare;
-  log_event v
-    (Printf.sprintf "slot %d rebuilt onto device %d (was device %d)" slot
-       spare old)
+  Trust.reset v.trust ~dev:spare
 
 let note_rebuilt v = v.rebuilds <- v.rebuilds + 1
 

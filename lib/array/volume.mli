@@ -15,10 +15,9 @@
     - {b A trust boundary}: the per-device {!Trust} ledger (fed by
       {!Quorum}) decides which replicas are asked first and which are
       dropped from quorums entirely.
-    - {b Scripted multi-device failure}: an installed
-      {!Fault.Plan.array_plan} arms per-member injectors under derived
-      per-member seeds and fires whole-device loss / replica tamper
-      events at volume-operation boundaries — every disaster is
+    - {b Scripted multi-device failure}: installed
+      {!Fault.Plan.timed_event}s fire whole-device loss and replica
+      tamper at volume-operation boundaries — every disaster is
       replayable.
 
     Determinism: members are independent DES worlds, so any fan-out
@@ -39,11 +38,10 @@ type config = {
   member_blocks : int;  (** Blocks per member device. *)
   line_exp : int;
   seed : int;  (** Base seed; member [i] gets [seed + i]. *)
-  ras : Sero.Device.ras;
   endurance : Sero.Device.endurance;
-  policy : Probe.Sched.policy;
-  read_retry_limit : int;
-  retry_backoff : float;
+  policy : Probe.Sched.policy;  (** Member queue scheduling. *)
+  read_retry_limit : int;  (** Member queue read retries. *)
+  retry_backoff : float;  (** Member queue retry backoff, seconds. *)
   cache_capacity : int option;
       (** Per-member bcache capacity; [None] = uncached (capacity 0). *)
 }
@@ -55,23 +53,21 @@ val default_config :
   ?member_blocks:int ->
   ?line_exp:int ->
   ?seed:int ->
-  ?ras:Sero.Device.ras ->
   ?endurance:Sero.Device.endurance ->
-  ?policy:Probe.Sched.policy ->
-  ?read_retry_limit:int ->
-  ?retry_backoff:float ->
   ?cache_capacity:int option ->
   unit ->
   config
 (** 4 slots mirrored in pairs, 1 spare, 128-block members in lines of
-    8, seed 42, active RAS and endurance, elevator scheduling, 2 read
-    retries, per-member 32-block caches. *)
+    8, seed 42, active endurance, elevator scheduling, 2 read retries
+    0.1 ms apart, per-member 32-block caches.  {!create} gives every
+    member active RAS. *)
 
 type t
 
 val create : config -> t
 (** Fresh volume: [slots + spares] new devices, all Active, spares
-    pooled.  @raise Invalid_argument on bad geometry (see {!Amap}). *)
+    pooled, assembled by {!of_devices}.
+    @raise Invalid_argument on bad geometry (see {!Amap}). *)
 
 val of_devices :
   config ->
@@ -83,7 +79,9 @@ val of_devices :
 (** Re-assemble a volume around existing devices (array image load,
     crash-remount tests).  Fresh queues/caches are built per member;
     trust starts clean — restore it via {!trust} + {!Trust.restore}.
-    @raise Invalid_argument on inconsistent geometry or indices. *)
+    @raise Invalid_argument on inconsistent geometry or indices, or if
+    a device serves two slots, is pooled twice, or is both pooled and
+    serving. *)
 
 (** {1 Introspection} *)
 
@@ -129,14 +127,11 @@ val quarantine_dev : t -> dev:int -> unit
 (** Drop a device from service (trust crossing, operator, rebuild).
     Also marks its trust entry Quarantined. *)
 
-val revive_dev : t -> dev:int -> unit
-(** Re-admit a Lost device (power restored) — trust is unchanged. *)
-
 (** {1 Block and line IO}
 
     All addresses are volume addresses ({!Amap}).  Every call ticks the
     volume operation counter, which is the clock for installed
-    array-plan events. *)
+    array events. *)
 
 type replica_fault =
   | Device_error of Sero.Device.read_error
@@ -167,7 +162,6 @@ type heat_error =
           will adjudicate. *)
 
 val read_block :
-  ?prio:Sero.Queue.prio ->
   ?tenant:int ->
   t ->
   vba:int ->
@@ -184,7 +178,6 @@ val read_block :
     {!Quorum}'s job. *)
 
 val write_block :
-  ?prio:Sero.Queue.prio ->
   ?tenant:int ->
   t ->
   vba:int ->
@@ -210,25 +203,16 @@ val flush : t -> unit
 
 (** {1 Fault plans} *)
 
-val install_plan : t -> Fault.Plan.array_plan -> unit
-(** Arm per-member injectors (skipping {!Fault.Plan.quiet} member
-    plans) and schedule the plan's array events against the volume op
-    counter.  Events with [at_op <= ops] already passed fire on the
-    next operation. *)
+val install_plan : t -> Fault.Plan.timed_event list -> unit
+(** Schedule the events, in [at_op] order (stable), against the volume
+    op counter, replacing any still pending.  Events with [at_op <= ops]
+    already passed fire on the next operation.
+    @raise Invalid_argument on a negative [at_op], a loss of a slot
+    outside the volume, or a tamper of a line or replica ordinal
+    outside it. *)
 
 val ops : t -> int
 (** Volume operations since creation (the array-event clock). *)
-
-val fault_ledger : t -> string
-(** Replayable merged ledger: array events in firing order, then each
-    member's injector ledger. *)
-
-val log_event : t -> string -> unit
-(** Append a line to the volume event log (quorum and rebuild use
-    this). *)
-
-val events : t -> string list
-(** Volume event log, oldest first. *)
 
 (** {1 Statistics} *)
 

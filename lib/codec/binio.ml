@@ -39,6 +39,7 @@ module R = struct
   type t = { s : string; mutable pos : int }
 
   exception Truncated
+  exception Overflow
 
   let of_string ?(off = 0) s = { s; pos = off }
 
@@ -56,10 +57,11 @@ module R = struct
     let hi = u16 t in
     (hi lsl 16) lor u16 t
 
+  (* A non-negative int holds 62 bits: the top two must be clear. *)
   let u64 t =
     let hi = u32 t in
+    if hi lsr 30 <> 0 then raise Overflow;
     (hi lsl 32) lor u32 t
-
 
   let f64 t =
     let bits = ref 0L in

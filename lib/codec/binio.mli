@@ -31,11 +31,18 @@ module R : sig
 
   exception Truncated
 
+  exception Overflow
+  (** A [u64] field holds 2^62 or more, which no non-negative [int]
+      can carry. *)
+
   val of_string : ?off:int -> string -> t
   val u8 : t -> int
   val u16 : t -> int
   val u32 : t -> int
+
   val u64 : t -> int
+  (** @raise Overflow if the value does not fit a non-negative [int]. *)
+
   val f64 : t -> float
   val str : t -> string
   val raw : t -> int -> string

@@ -340,12 +340,12 @@ let probably_clean c cw ~off ~len =
     (s0 lxor (s0 lsr 8)) land 0xFF lor !s = 0
   end
 
-(* Berlekamp–Massey over syn.(off .. off+n-1): the shortest LFSR that
+(* Berlekamp–Massey over syn.(0 .. n-1): the shortest LFSR that
    generates them.  Leaves its connection polynomial (the locator),
    lowest degree first, in s.lam.(0 .. n) and returns its length.
    [top_c] and [top_b] bound the nonzero coefficients of [c] and [b], so
    an update skips [b]'s zero tail. *)
-let berlekamp_massey syn ~off ~n s =
+let berlekamp_massey syn ~n s =
   let c = s.lam and b = s.prev in
   Array.fill c 0 (n + 1) 0;
   Array.fill b 0 (n + 1) 0;
@@ -353,9 +353,9 @@ let berlekamp_massey syn ~off ~n s =
   b.(0) <- 1;
   let l = ref 0 and m = ref 1 and bb = ref 1 and top_c = ref 0 and top_b = ref 0 in
   for i = 0 to n - 1 do
-    let d = ref syn.(off + i) in
+    let d = ref syn.(i) in
     for j = 1 to !l do
-      d := !d lxor gmul c.(j) syn.(off + i - j)
+      d := !d lxor gmul c.(j) syn.(i - j)
     done;
     if !d = 0 then incr m
     else begin
@@ -474,44 +474,8 @@ let decode c cw =
   let s = Domain.DLS.get scratch_key in
   if syndromes c cw ~off:0 ~n s then Ok_clean
   else
-    let deg = berlekamp_massey s.synd ~off:0 ~n:c.npar s in
+    let deg = berlekamp_massey s.synd ~n:c.npar s in
     if 2 * deg > c.npar then Uncorrectable else correct c cw ~n s ~deg
-
-(* Erasure-and-error decoding: build the erasure-locator polynomial,
-   compute the modified (Forney) syndromes, run Berlekamp–Massey on
-   those for the unknown errors, then correct at the roots of the
-   combined locator with the same Chien/Forney core. *)
-let decode_with_erasures c cw ~erasures =
-  let n = Bytes.length cw in
-  if n > 255 then invalid_arg "Rs.decode_with_erasures: codeword too long";
-  List.iter
-    (fun p ->
-      if p < 0 || p >= n then
-        invalid_arg "Rs.decode_with_erasures: erasure position out of range")
-    erasures;
-  let erasures = List.sort_uniq compare erasures in
-  let e = List.length erasures and npar = c.npar in
-  let s = Domain.DLS.get scratch_key in
-  if e > npar then Uncorrectable
-  else if syndromes c cw ~off:0 ~n s then Ok_clean
-  else begin
-    (* Polynomials lowest degree first ([Gf256.poly_mul] convolves either
-       way round).  Erasure locator: prod (1 + alpha^(n-1-p) x). *)
-    let gamma =
-      List.fold_left
-        (fun g p -> Gf256.poly_mul g [| 1; exp_t.(n - 1 - p) |])
-        [| 1 |] erasures
-    in
-    (* Modified syndromes S * gamma; BM skips the first e. *)
-    let t = Gf256.poly_mul (Array.sub s.synd 0 npar) gamma in
-    let nerrors = berlekamp_massey t ~off:e ~n:(npar - e) s in
-    if (2 * nerrors) + e > npar then Uncorrectable
-    else begin
-      let psi = Gf256.poly_mul (Array.sub s.lam 0 (nerrors + 1)) gamma in
-      Array.blit psi 0 s.lam 0 (Array.length psi);
-      correct c cw ~n s ~deg:(nerrors + e)
-    end
-  end
 
 let nslices c data_len =
   let m = max_data c in

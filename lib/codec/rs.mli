@@ -56,14 +56,6 @@ val probably_clean : code -> bytes -> off:int -> len:int -> bool
     whenever anything downstream disagrees.
     @raise Invalid_argument if the range is out of bounds. *)
 
-val decode_with_erasures : code -> bytes -> erasures:int list -> decode_outcome
-(** Like {!decode}, but [erasures] lists byte positions known to be
-    unreliable (e.g. symbols served by a failed probe tip).  Known
-    locations cost one parity symbol instead of two, so the code
-    corrects [e] erasures plus [t] unknown errors whenever
-    [e + 2t <= nparity].  Positions out of range raise
-    [Invalid_argument]; duplicates are ignored. *)
-
 val encoded_length : code -> int -> int
 (** [encoded_length c data_len] is the size of [data_len] bytes cut
     into [max_data c]-byte slices, each followed by its parity. *)

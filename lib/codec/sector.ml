@@ -134,7 +134,9 @@ let decode_fast_sub coded base =
     | None -> None
     | Some kind ->
         let stored = get_u32 coded (base + image_pos (framed_bytes - crc_bytes)) in
-        if framed_crc coded base <> stored then None
+        let pba_hi = get_u32 coded (base + 4) in
+        (* A PBA past max_int is the slow path's [Bad_header]. *)
+        if pba_hi lsr 30 <> 0 || framed_crc coded base <> stored then None
         else begin
           let payload = Bytes.create payload_bytes in
           each_run
@@ -144,7 +146,7 @@ let decode_fast_sub coded base =
             header_bytes (header_bytes + payload_bytes);
           Some
             {
-              pba = (get_u32 coded (base + 4) lsl 32) lor get_u32 coded (base + 8);
+              pba = (pba_hi lsl 32) lor get_u32 coded (base + 8);
               kind;
               generation = get_u32 coded (base + 12);
               payload = Bytes.unsafe_to_string payload;
@@ -188,7 +190,7 @@ let decode_slow_sub coded base =
         let crc = Binio.R.u32 r in
         (m, kind_code, pba, generation, payload, crc)
       with
-      | exception Binio.R.Truncated -> Error Bad_header
+      | exception (Binio.R.Truncated | Binio.R.Overflow) -> Error Bad_header
       | m, kind_code, pba, generation, payload, crc ->
           if m <> magic then Error Bad_header
           else

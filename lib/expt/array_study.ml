@@ -1,7 +1,7 @@
 (* E23 — sharded-array robustness at fleet scale.
 
    Every cell is one scripted disaster on a fresh volume: seeded tamper
-   and loss events land through a replayable array plan, a full read
+   and loss events land through replayable array events, a full read
    sweep measures what still serves (and counts degraded fall-through
    reads), a full quorum audit measures what gets flagged and what it
    costs, and a rebuild-onto-spare must reproduce the pre-failure
@@ -76,8 +76,7 @@ let make_plan c ~heated ~base =
           event = Fault.Plan.Member_loss { member = Sim.Prng.int rng c.slots };
         })
   in
-  Fault.Plan.array_make ~seed:(1 + c.slots + c.tampers)
-    ~events:(tamper_events @ loss_events) ()
+  tamper_events @ loss_events
 
 let run_cell c =
   let v = mk_volume c in
@@ -219,10 +218,10 @@ let run_cell c =
     post_rebuild_attested = post_attested;
   }
 
-let sweep ?(grid = default_grid) () =
+let sweep () =
   (* Cells are pure functions of their parameters: byte-identical
      output for any worker count. *)
-  Sim.Pool.parallel_map run_cell grid
+  Sim.Pool.parallel_map run_cell default_grid
 
 type headline = {
   h_undetected : float;
@@ -232,8 +231,8 @@ type headline = {
   h_audit_per_line : float;
 }
 
-let headline ?(grid = default_grid) () =
-  let rows = sweep ~grid () in
+let headline () =
+  let rows = sweep () in
   let sumi f = float_of_int (List.fold_left (fun a r -> a + f r) 0 rows) in
   let cells = float_of_int (List.length rows) in
   let rebuilds_ok =

@@ -3,8 +3,8 @@
 
     A grid of (array size × replication factor) × (tamper count ×
     loss count) cells.  Each cell builds a fresh volume, fills and
-    heats it, scripts its disaster as a replayable
-    {!Fault.Plan.array_plan}, then measures:
+    heats it, scripts its disaster as replayable
+    {!Fault.Plan.timed_event}s, then measures:
 
     - {b durability}: records whose bytes are wrong or missing {e
       without} the quorum flagging the line — the undetected-loss
@@ -56,5 +56,5 @@ type headline = {
   h_audit_per_line : float;  (** Audit ops per logical line. *)
 }
 
-val headline : ?grid:cell list -> unit -> headline
+val headline : unit -> headline
 val print : Format.formatter -> unit

@@ -170,11 +170,11 @@ type headline = {
   headline_hit_pct : float;
 }
 
-let headline ?(ops = 400) () =
+let headline () =
   let cells =
     Sim.Pool.parallel_map
       (fun (cache_lines, read_ahead) ->
-        run_cell ~ops ~cache_lines ~read_ahead ~theta:0.99 ())
+        run_cell ~ops:400 ~cache_lines ~read_ahead ~theta:0.99 ())
       [ (0, 0); (4, 8) ]
   in
   match cells with

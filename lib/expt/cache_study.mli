@@ -30,7 +30,7 @@ type headline = {
   headline_hit_pct : float;
 }
 
-val headline : ?ops:int -> unit -> headline
+val headline : unit -> headline
 (** The acceptance-criterion cell pair: Zipf 0.99, 4-line cache with
     read-ahead 8, against the bare pipeline at the same skew. *)
 

@@ -81,7 +81,8 @@ type headline = {
 let quantiles_or_zero s =
   if Sim.Stats.count s > 0 then Sim.Stats.quantiles s else (0., 0., 0.)
 
-let headline ?(sites = headline_sites) () =
+let headline () =
+  let sites = headline_sites in
   let reference =
     C.merge
       (List.map

@@ -33,7 +33,7 @@ type headline = {
   h_spares_burned : int;
 }
 
-val headline : ?sites:int -> unit -> headline
-(** The bench-gated summary at [sites] (default 4) sites per cell. *)
+val headline : unit -> headline
+(** The bench-gated summary at 4 sites per cell. *)
 
 val print : Format.formatter -> unit

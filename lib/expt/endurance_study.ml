@@ -180,8 +180,8 @@ type headline = {
   audit_pct : float;
 }
 
-let headline ?(trials = 2) () =
-  let rows = sweep ~trials () in
+let headline () =
+  let rows = sweep ~trials:2 () in
   let sum f = float_of_int (List.fold_left (fun a r -> a + f r) 0 rows) in
   let lost_off = sum (fun r -> r.off.lost) in
   let lost_on = sum (fun r -> r.on_.lost) in

@@ -36,7 +36,7 @@ type headline = {
   audit_pct : float;  (** Migrated heated lines verifying [Intact]. *)
 }
 
-val headline : ?trials:int -> unit -> headline
+val headline : unit -> headline
 (** The acceptance-criterion aggregate over a small trial set — the
     bench gate's deterministic E22 metrics. *)
 

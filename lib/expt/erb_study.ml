@@ -1,6 +1,6 @@
 type miss_row = { cycles : int; measured_miss : float; theory_miss : float }
 
-let miss_sweep ?(trials = 20000) ?(cycles_list = [ 1; 2; 3; 4; 6; 8 ]) () =
+let miss_sweep ?(trials = 20000) () =
   (* Each cell gets its own freshly seeded medium (rather than all cells
      sharing one RNG stream), so cells are independent and the sweep
      parallelises with bit-identical output in any execution order. *)
@@ -20,7 +20,7 @@ let miss_sweep ?(trials = 20000) ?(cycles_list = [ 1; 2; 3; 4; 6; 8 ]) () =
         measured_miss = float_of_int !missed /. float_of_int trials;
         theory_miss = 0.25 ** float_of_int cycles;
       })
-    cycles_list
+    [ 1; 2; 3; 4; 6; 8 ]
 
 type area_row = {
   strategy : string;

@@ -19,7 +19,9 @@ type miss_row = {
   theory_miss : float;  (** 4^-cycles. *)
 }
 
-val miss_sweep : ?trials:int -> ?cycles_list:int list -> unit -> miss_row list
+val miss_sweep : ?trials:int -> unit -> miss_row list
+(** Cycle counts 1, 2, 3, 4, 6 and 8, [trials] (default 20000) reads of
+    one heated dot each. *)
 
 type area_row = {
   strategy : string;

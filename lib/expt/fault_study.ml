@@ -94,7 +94,7 @@ let run_cell ?(n_blocks = 64) ?(sectors = 56) ~ber ~dead_tips ~ras_on
   in
   { row1 with deterministic = String.equal ledger1 ledger2 }
 
-let sweep ?(bers = [ 0.; 1e-4; 2e-3; 5e-3 ]) ?(dead = [ 0; 1; 2 ]) () =
+let sweep () =
   (* Each cell builds its own devices and injector from (ber, dead,
      ras, seed) alone, so the flattened grid fans out on the pool with
      sequential-identical output. *)
@@ -110,8 +110,8 @@ let sweep ?(bers = [ 0.; 1e-4; 2e-3; 5e-3 ]) ?(dead = [ 0; 1; 2 ]) () =
             List.map
               (fun ras_on -> (ber, dead_tips, ras_on, plan_seed))
               [ false; true ])
-          dead)
-      bers
+          [ 0; 1; 2 ])
+      [ 0.; 1e-4; 2e-3; 5e-3 ]
   in
   Sim.Pool.parallel_map
     (fun (ber, dead_tips, ras_on, plan_seed) ->

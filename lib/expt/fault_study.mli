@@ -43,9 +43,9 @@ val run_cell :
   unit ->
   row
 
-val sweep : ?bers:float list -> ?dead:int list -> unit -> row list
-(** The full grid, each (ber, dead) cell with RAS off then on, same
-    plan seed per pair. *)
+val sweep : unit -> row list
+(** The full grid — raw BER 0, 1e-4, 2e-3 and 5e-3 by 0, 1 and 2 dead
+    tips — each cell with RAS off then on, same plan seed per pair. *)
 
 type torn_demo = {
   cut_after_cells : int;  (** ewb pulses delivered before the cut. *)

@@ -247,9 +247,9 @@ let headline_of ~fleet ~clone =
       /. float_of_int (max 1 fleet.f_devices);
   }
 
-let headline ?(devices = 512) ?ops () =
+let headline () =
   let clone = measure_clones () in
-  let fleet = run_fleet ?ops devices in
+  let fleet = run_fleet 512 in
   headline_of ~fleet ~clone
 
 let print ppf =

@@ -50,7 +50,7 @@ type headline = {
   h_cow_kib_per_device : float;
 }
 
-val headline : ?devices:int -> ?ops:int -> unit -> headline
-(** Both cells at bench scale (default 512 devices). *)
+val headline : unit -> headline
+(** Both cells at bench scale (512 devices). *)
 
 val print : Format.formatter -> unit

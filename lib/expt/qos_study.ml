@@ -198,7 +198,7 @@ let headline_of rows =
        else 100. *. float_of_int over.rejected /. float_of_int offered);
   }
 
-let headline ?ops () = headline_of (sweep ?ops ())
+let headline () = headline_of (sweep ())
 
 let print ppf =
   let rows = sweep () in

@@ -37,5 +37,5 @@ type headline = {
   overload_rejection_pct : float;
 }
 
-val headline : ?ops:int -> unit -> headline
+val headline : unit -> headline
 val print : Format.formatter -> unit

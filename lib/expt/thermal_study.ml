@@ -92,17 +92,15 @@ let dot_risks m profile ~pitch pattern =
 let worst_dot_risk risks = Array.fold_left Float.max 0. risks
 let expected_collateral risks = Array.fold_left ( +. ) 0. risks
 
-let spreading ?(aggressive = true) () =
+let spreading () =
   let m = Physics.Constants.co_pt_low_temp in
   let g = Physics.Constants.dot_100nm in
   let profile =
-    if aggressive then
-      {
-        (Physics.Thermal.default_profile g) with
-        Physics.Thermal.peak_temp_c = 2500.;
-        decay_length = 8. *. g.Physics.Constants.pitch;
-      }
-    else Physics.Thermal.default_profile g
+    {
+      (Physics.Thermal.default_profile g) with
+      Physics.Thermal.peak_temp_c = 2500.;
+      decay_length = 8. *. g.Physics.Constants.pitch;
+    }
   in
   let payload = String.init 32 (fun i -> Char.chr ((i * 37) mod 256)) in
   let manchester = Codec.Manchester.encode payload in

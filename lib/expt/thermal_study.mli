@@ -31,9 +31,9 @@ type spreading_row = {
           the same superposition. *)
 }
 
-val spreading : ?aggressive:bool -> unit -> spreading_row list
-(** [aggressive] uses a poorly heat-sunk profile to make the effect
-    visible; the default profile keeps both encodings near zero, which
-    is itself the paper's point about substrate design. *)
+val spreading : unit -> spreading_row list
+(** Both encodings under a poorly heat-sunk profile, which makes the
+    effect visible; the default profile keeps both near zero, which is
+    itself the paper's point about substrate design. *)
 
 val print : Format.formatter -> unit

@@ -82,22 +82,12 @@ val flip_free : t -> first_dot:int -> n_dots:int -> bool
     nonzero [ber] overlaps the range.  Such reads draw nothing from the
     injector's stream. *)
 
-val quiet : t -> bool
-(** Whether the plan can never inject anything (all rates zero, no tip
-    deaths, no power cut) — its seed aside, it is the empty plan.  Quiet plans
-    need no injector: installing one anyway would still change device
-    behaviour (caches bypass while a fault plan is armed), so array
-    members skip them. *)
+(** {1 Array events}
 
-(** {1 Array plans}
-
-    One replayable plan for a whole array of devices.  Each member gets
-    its own fault plan and its own seed (derived from the array seed
-    when not given explicitly), so per-member injector ledgers replay
-    independently; on top of that the plan scripts {e array-level}
-    events — whole-device loss and targeted replica tamper — at volume
-    operation boundaries, so a multi-device failure scenario is one
-    declarative, replayable object. *)
+    A scripted multi-device failure: {e array-level} events — whole-device
+    loss and targeted replica tamper — at volume operation boundaries,
+    so a disaster is a list of data that replays exactly
+    ([Sarray.Volume.install_plan] validates and arms it). *)
 
 type array_event =
   | Member_loss of { member : int }
@@ -113,33 +103,3 @@ type array_event =
 
 type timed_event = { at_op : int; event : array_event }
 (** [event] fires at the boundary after [at_op] volume operations. *)
-
-type array_plan = {
-  array_seed : int;
-  member_plans : (int * t) list;
-      (** Explicit per-member device plans; members not listed get
-          the empty plan under their derived seed. *)
-  events : timed_event list;  (** Sorted by [at_op], stable. *)
-}
-
-val array_make :
-  ?seed:int ->
-  ?member_plans:(int * t) list ->
-  ?events:timed_event list ->
-  unit ->
-  array_plan
-(** @raise Invalid_argument on a negative member index, [at_op] or
-    tamper line, or a duplicate member entry. *)
-
-val member_seed : array_plan -> member:int -> int
-(** The member's private seed: a splitmix64 derivation of
-    [(array_seed, member)], stable across runs and independent of how
-    many members the plan names. *)
-
-val member_plan : array_plan -> member:int -> t
-(** The member's device plan: its explicit entry if listed, otherwise
-    the empty plan; either way the plan's seed 0 is replaced by
-    {!member_seed} so that every member draws from its own stream. *)
-
-val pp_array_event : Format.formatter -> array_event -> unit
-val pp_array : Format.formatter -> array_plan -> unit

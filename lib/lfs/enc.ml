@@ -99,7 +99,7 @@ let decode_inode s =
             }
     end
   with
-  | exception Codec.Binio.R.Truncated -> None
+  | exception (Codec.Binio.R.Truncated | Codec.Binio.R.Overflow) -> None
   | v -> v
 
 let encode_pointer_block ptrs =
@@ -120,7 +120,7 @@ let decode_pointer_block s =
       done;
       a
     with
-    | exception Codec.Binio.R.Truncated -> None
+    | exception (Codec.Binio.R.Truncated | Codec.Binio.R.Overflow) -> None
     | a -> Some a
 
 (* {1 Directory payloads} *)
@@ -387,5 +387,5 @@ let decode_checkpoint s =
       end
     end
   with
-  | exception Codec.Binio.R.Truncated -> None
+  | exception (Codec.Binio.R.Truncated | Codec.Binio.R.Overflow) -> None
   | v -> v

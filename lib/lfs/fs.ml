@@ -12,8 +12,8 @@ let format ?policy ?icache_cap ?pcache_cap dev =
   State.write_checkpoint st;
   { st }
 
-let mount ?policy ?icache_cap ?pcache_cap dev =
-  let st = State.create ?policy ?icache_cap ?pcache_cap dev in
+let mount ?policy dev =
+  let st = State.create ?policy dev in
   match State.read_latest_checkpoint dev st.State.policy with
   | None -> Error "no valid checkpoint found"
   | Some cp ->

@@ -28,13 +28,9 @@ val format :
     on a fresh device.  [icache_cap] / [pcache_cap] bound the in-memory
     inode and pointer caches (see {!State.create}). *)
 
-val mount :
-  ?policy:State.policy ->
-  ?icache_cap:int ->
-  ?pcache_cap:int ->
-  Sero.Device.t ->
-  (t, string) result
-(** Load the latest checkpoint. *)
+val mount : ?policy:State.policy -> Sero.Device.t -> (t, string) result
+(** Load the latest checkpoint, with the inode and pointer caches at
+    their default bounds. *)
 
 type recovery = {
   fs : t;

@@ -329,13 +329,9 @@ let run_overwrite_unheated env =
           Undetected "unheated file rewritten without trace"
       | Ok _ | Error _ -> Ineffective "overwrite did not land")
 
-let run_splice ?seed ~strict () =
-  let env = make_env ?seed ~strict () in
-  run_splice_on env
+let run_splice ~strict () = run_splice_on (make_env ~strict ())
 
-let run ?seed attack =
-  let env = make_env ?seed () in
-  match attack with
+let run_in env = function
   | Mwb_hash -> run_mwb_hash env
   | Mwb_data -> run_mwb_data env
   | Ewb_hash -> run_ewb_hash env
@@ -349,7 +345,8 @@ let run ?seed attack =
   | Bulk_erase -> run_bulk_erase env
   | Overwrite_unheated -> run_overwrite_unheated env
 
-let matrix ?seed () = List.map (fun a -> (a, run ?seed a)) all
+let run attack = run_in (make_env ()) attack
+let matrix ?seed () = List.map (fun a -> (a, run_in (make_env ?seed ()) a)) all
 
 let matrix_matches_paper results =
   List.for_all

@@ -44,10 +44,10 @@ val pp_outcome : Format.formatter -> outcome -> unit
 val expected : attack -> [ `Refused | `Ineffective | `Detected | `Undetected ]
 (** The verdict the paper's analysis predicts. *)
 
-val run : ?seed:int -> attack -> outcome
+val run : attack -> outcome
 (** Build a fresh environment, execute the attack, judge it. *)
 
-val run_splice : ?seed:int -> strict:bool -> unit -> outcome
+val run_splice : strict:bool -> unit -> outcome
 (** The splice attack against a device with ([strict = true]) or
     without the known-physical-address discipline — the E10 ablation:
     strict detects, non-strict is fooled. *)

@@ -73,6 +73,7 @@ let decode_entries ~chain blob =
               { seq; at; op; path; offset; before_digest; after_digest }
             with
             | exception Codec.Binio.R.Truncated -> Error "entry truncated"
+            | exception Codec.Binio.R.Overflow -> Error "entry offset out of range"
             | e -> go recorded_chain (e :: acc)
           end
   in

@@ -1336,8 +1336,26 @@ let refresh_heated_cache t =
 
 let restore_endurance t ~phys_line ~spare_pool ~migrations ~state =
   let n_lines = Layout.n_lines t.layout in
-  if Array.length phys_line <> n_lines then
-    invalid_arg "Device.restore_endurance: remap table arity mismatch";
+  let bad what = invalid_arg ("Device.restore_endurance: " ^ what) in
+  if Array.length phys_line <> n_lines then bad "remap table arity mismatch";
+  (* Remap entries, pooled spares and migration ends index the per-line
+     tables, so each lies in range, distinct within its list; n distinct
+     entries make the remap table a permutation. *)
+  let distinct what lines =
+    let seen = Array.make n_lines false in
+    List.iter
+      (fun l ->
+        if l < 0 || l >= n_lines || seen.(l) then bad what;
+        seen.(l) <- true)
+      lines
+  in
+  distinct "remap table is not a permutation" (Array.to_list phys_line);
+  distinct "bad spare pool" spare_pool;
+  distinct "bad migration sources" (List.map (fun m -> m.m_from) migrations);
+  distinct "bad migration targets" (List.map (fun m -> m.m_to) migrations);
+  List.iter
+    (fun m -> if m.m_line < 0 || m.m_line >= n_lines then bad "bad migration line")
+    migrations;
   Array.blit phys_line 0 t.phys_line 0 n_lines;
   Array.iteri (fun l p -> t.log_of_phys.(p) <- l) t.phys_line;
   Array.fill t.retired 0 n_lines false;

@@ -489,4 +489,7 @@ val restore_endurance :
   unit
 (** Overwrite the remap table, spare pool, grown-defect list and state
     machine from a loaded image (the inverse permutation and carcass
-    flags are rebuilt).  Follow with {!refresh_heated_cache}. *)
+    flags are rebuilt).  Follow with {!refresh_heated_cache}.
+    @raise Invalid_argument unless [phys_line] is a permutation of the
+    line range, the spare pool names distinct lines in range, and the
+    migrations name lines in range, no source or target twice. *)

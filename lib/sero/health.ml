@@ -101,10 +101,7 @@ let reset_line t ~line ~defect_dots =
   h.defect_dots <- defect_dots
 
 (* The weakest line of [0, limit): the retirement scheduler's pick. *)
-let weakest ?limit t =
-  let limit =
-    match limit with None -> Array.length t.lines | Some l -> l
-  in
+let weakest ~limit t =
   let best = ref None in
   for l = 0 to min limit (Array.length t.lines) - 1 do
     let m = margin t ~line:l in
@@ -114,10 +111,7 @@ let weakest ?limit t =
   done;
   !best
 
-let lines_at_or_below ?limit t threshold =
-  let limit =
-    match limit with None -> Array.length t.lines | Some l -> l
-  in
+let lines_at_or_below ~limit t threshold =
   let acc = ref [] in
   for l = min limit (Array.length t.lines) - 1 downto 0 do
     if margin t ~line:l <= threshold then acc := l :: !acc

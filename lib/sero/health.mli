@@ -60,11 +60,11 @@ val margin : t -> line:int -> float
     RS budget.  Defect dots count as permanently at-risk symbols (worst
     case: all in one sector). *)
 
-val weakest : ?limit:int -> t -> (int * float) option
-(** Line with the smallest margin among lines [0, limit) (default: all),
-    ties to the lowest line number. *)
+val weakest : limit:int -> t -> (int * float) option
+(** Line with the smallest margin among lines [0, limit), ties to the
+    lowest line number. *)
 
-val lines_at_or_below : ?limit:int -> t -> float -> int list
+val lines_at_or_below : limit:int -> t -> float -> int list
 (** Ascending lines of [0, limit) whose margin is at or below the
     threshold. *)
 

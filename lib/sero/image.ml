@@ -103,7 +103,10 @@ let restore_endurance_state r (dev : Device.t) =
         let m_timestamp = read_float r in
         { Device.m_line; m_from; m_to; m_heated; m_hash; m_timestamp })
   in
-  Device.restore_endurance dev ~phys_line ~spare_pool ~migrations ~state
+  (* A table that would index outside the device is a bad image. *)
+  match Device.restore_endurance dev ~phys_line ~spare_pool ~migrations ~state with
+  | () -> ()
+  | exception Invalid_argument e -> failwith e
 
 let save (dev : Device.t) path =
   let cfg = Device.config dev in

@@ -11,10 +11,9 @@ type shard = { first : int; count : int }
 
 let default_shards = 64
 
-let shards ?(shards = default_shards) n =
+let shards n =
   if n < 0 then invalid_arg "Fleet.shards: negative count";
-  if shards < 1 then invalid_arg "Fleet.shards: shards must be positive";
-  let k = min shards (max 1 n) in
+  let k = min default_shards (max 1 n) in
   if n = 0 then []
   else
     (* Same split for any worker count: shard s gets the ceiling share
@@ -23,22 +22,7 @@ let shards ?(shards = default_shards) n =
         let first = s * n / k and next = (s + 1) * n / k in
         { first; count = next - first })
 
-let device_rng ~seed i = Prng.stream ~seed i
-
-let map ?jobs ?shards:ns ~seed n f =
-  let plan = shards ?shards:ns n in
-  let per_shard =
-    Pool.parallel_map ?jobs
-      (fun { first; count } ->
-        List.init count (fun k ->
-            let i = first + k in
-            f ~rng:(Prng.stream ~seed i) i))
-      plan
-  in
-  List.concat per_shard
-
-let map_merge ?jobs ?shards:ns ~seed n ~f ~merge =
-  let plan = shards ?shards:ns n in
+let map_merge ?jobs ~seed n ~f ~merge =
   let per_shard =
     Pool.parallel_map ?jobs
       (fun { first; count } ->
@@ -46,6 +30,6 @@ let map_merge ?jobs ?shards:ns ~seed n ~f ~merge =
             let i = first + k in
             f ~rng:(Prng.stream ~seed i) i)
         |> merge)
-      plan
+      (shards n)
   in
   merge per_shard

@@ -11,7 +11,7 @@ type ('k, 'v) node = {
 type ('k, 'v) t = {
   tbl : ('k, ('k, 'v) node) Hashtbl.t;
   evictable : 'k -> 'v -> bool;
-  mutable capacity : int;
+  capacity : int;
   mutable head : ('k, 'v) node option;
   mutable tail : ('k, 'v) node option;
 }
@@ -20,7 +20,6 @@ let create ?(evictable = fun _ _ -> true) ~capacity () =
   if capacity < 1 then invalid_arg "Lru.create: capacity must be positive";
   { tbl = Hashtbl.create 64; evictable; capacity; head = None; tail = None }
 
-let capacity t = t.capacity
 let length t = Hashtbl.length t.tbl
 let mem t k = Hashtbl.mem t.tbl k
 
@@ -90,27 +89,7 @@ let add t k v =
       push_front t n);
   shrink t
 
-let push_back t n =
-  n.next <- None;
-  n.prev <- t.tail;
-  (match t.tail with Some l -> l.next <- Some n | None -> t.head <- Some n);
-  t.tail <- Some n
-
-let add_lru t k v =
-  (match Hashtbl.find_opt t.tbl k with
-  | Some n -> n.value <- v (* known entry: keep its earned recency *)
-  | None ->
-      let n = { key = k; value = v; prev = None; next = None } in
-      Hashtbl.replace t.tbl k n;
-      push_back t n);
-  shrink t
-
 let trim t = shrink t
-
-let set_capacity t capacity =
-  if capacity < 1 then invalid_arg "Lru.set_capacity: capacity must be positive";
-  t.capacity <- capacity;
-  shrink t
 
 let clear t =
   Hashtbl.reset t.tbl;

@@ -19,11 +19,6 @@ val create :
     guards entries against eviction; pinned entries still count against
     the capacity. *)
 
-val capacity : ('k, 'v) t -> int
-val set_capacity : ('k, 'v) t -> int -> ('k * 'v) list
-(** Resize; returns the entries evicted to fit the new bound (LRU
-    first). *)
-
 val trim : ('k, 'v) t -> ('k * 'v) list
 (** Run the eviction walk now.  Eviction otherwise happens only on
     insertion, so a map whose excess entries were all pinned stays over
@@ -50,12 +45,6 @@ val add : ('k, 'v) t -> 'k -> 'v -> ('k * 'v) list
 (** Insert or replace (either way the entry becomes most-recently
     used), then evict least-recently-used evictable entries until
     within capacity.  Returns the evicted bindings, LRU first. *)
-
-val add_lru : ('k, 'v) t -> 'k -> 'v -> ('k * 'v) list
-(** Insert at the {e least}-recently-used end — for speculative entries
-    (prefetches) that have not earned recency yet: they are first in
-    line for eviction until a {!find} promotes them.  Replacing an
-    existing binding keeps its current recency. *)
 
 val remove : ('k, 'v) t -> 'k -> unit
 val clear : ('k, 'v) t -> unit

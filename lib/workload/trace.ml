@@ -78,6 +78,7 @@ let decode s =
     end
   with
   | exception Codec.Binio.R.Truncated -> Error "trace truncated"
+  | exception Codec.Binio.R.Overflow -> Error "trace offset out of range"
   | v -> v
 
 let load path =
@@ -89,30 +90,21 @@ let load path =
 
 type outcome = { applied : int; refused : int }
 
-let apply ?strategy fs op =
+let apply fs op =
   match op with
   | Mkdir p -> Lfs.Fs.mkdir fs p
   | Create { path; heat_group } -> Lfs.Fs.create fs ~heat_group path
   | Write { path; offset; data } -> Lfs.Fs.write_file fs path ~offset data
   | Append { path; data } -> Lfs.Fs.append fs path data
   | Unlink p -> Lfs.Fs.unlink fs p
-  | Heat p -> Result.map (fun _ -> ()) (Lfs.Fs.heat fs ?strategy p)
+  | Heat p -> Result.map (fun _ -> ()) (Lfs.Fs.heat fs p)
   | Sync -> Lfs.Fs.guard (fun () -> Lfs.Fs.sync fs)
 
-let replay ?strategy fs ops =
+let replay fs ops =
   List.fold_left
     (fun acc op ->
-      match apply ?strategy fs op with
+      match apply fs op with
       | Ok () -> { acc with applied = acc.applied + 1 }
       | Error _ -> { acc with refused = acc.refused + 1 })
     { applied = 0; refused = 0 }
     ops
-
-let recorder fs =
-  let ops = ref [] in
-  let exec op =
-    ops := op :: !ops;
-    apply fs op
-  in
-  let captured () = List.rev !ops in
-  (exec, captured)

@@ -1,4 +1,4 @@
-(** File-system operation traces: record, serialise, replay.
+(** File-system operation traces: serialise and replay.
 
     Experiments that compare allocation policies need the {e same}
     operation stream applied to differently configured file systems; a
@@ -27,13 +27,7 @@ type outcome = {
   refused : int;  (** Operations the FS rejected (e.g. writes to heated files). *)
 }
 
-val replay : ?strategy:Lfs.Heat.strategy -> Lfs.Fs.t -> t -> outcome
+val replay : Lfs.Fs.t -> t -> outcome
 (** Apply every operation in order; refusals are counted, not fatal —
     a trace captured on one policy may legitimately see refusals on
     another. *)
-
-val recorder : Lfs.Fs.t -> (op -> (unit, string) result) * (unit -> t)
-(** [(exec, captured) = recorder fs]: [exec op] applies [op] to [fs]
-    and appends it to the trace being built (refused operations are
-    recorded too — they are part of the workload); [captured ()]
-    returns the trace so far. *)

@@ -1,8 +1,9 @@
 (* The sharded SERO array: address-map bijectivity, degraded reads
    byte-identical to healthy ones, quorum outvoting of tampered and
    substituted replicas, typed volume states, crash-ordered rebuild
-   onto a spare that reproduces the pre-failure burned hashes, and
-   replayable multi-device fault plans. *)
+   onto a spare that reproduces the pre-failure burned hashes,
+   replayable multi-device fault plans, and assembly that refuses a
+   device named twice. *)
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -14,6 +15,13 @@ let mk_volume ?(slots = 4) ?(replication = 2) ?(spares = 1)
   Sarray.Volume.create
     (Sarray.Volume.default_config ~slots ~replication ~spares ~member_blocks
        ~seed ?cache_capacity ())
+
+(* What a run leaves behind beyond its report: every member's state and
+   trust entry. *)
+let member_ledger v =
+  ( Sarray.Volume.member_states v,
+    List.init (Sarray.Volume.n_devices v) (fun dev ->
+        Sarray.Trust.entry (Sarray.Volume.trust v) ~dev) )
 
 (* Write every data block of [lines] and heat them. *)
 let fill_and_heat v lines =
@@ -289,11 +297,11 @@ let quorum_parallel_deterministic () =
     let v = mk_volume ~slots:4 ~replication:2 () in
     fill_and_heat v [ 0; 3; 5 ];
     let report = Sarray.Quorum.verify_volume ~jobs v in
-    (report, Sarray.Volume.events v)
+    (report, member_ledger v)
   in
-  let r1, e1 = run 1 and r4, e4 = run 4 in
+  let r1, l1 = run 1 and r4, l4 = run 4 in
   Alcotest.(check bool) "reports identical for any jobs" true (r1 = r4);
-  Alcotest.(check (list string)) "event logs identical" e1 e4
+  Alcotest.(check bool) "member states and trust identical" true (l1 = l4)
 
 (* ------------------------------------------------------------------ *)
 (* Volume states *)
@@ -315,11 +323,9 @@ let state_transitions () =
   (* Group 0 offline: its lines are unreadable, group 1's still serve. *)
   let m = Sarray.Volume.map v in
   let vba_g0 = Sarray.Amap.vba_of m ~line:0 ~offset:0 in
-  (match Sarray.Volume.read_block v ~vba:vba_g0 with
+  match Sarray.Volume.read_block v ~vba:vba_g0 with
   | Error Sarray.Volume.Volume_offline -> ()
-  | _ -> Alcotest.fail "group 0 should be offline");
-  Sarray.Volume.revive_dev v ~dev:(Sarray.Volume.dev_of_slot v ~slot:1);
-  check "revival recovers to degraded" Sarray.Volume.Degraded
+  | _ -> Alcotest.fail "group 0 should be offline"
 
 (* ------------------------------------------------------------------ *)
 (* Rebuild *)
@@ -441,27 +447,25 @@ let plan_replay () =
   let mk () =
     let v = mk_volume ~slots:2 ~replication:2 ~spares:1 () in
     fill_and_heat v [ 0; 1 ];
-    let plan =
-      Fault.Plan.array_make ~seed:7
-        ~events:
-          [
-            { Fault.Plan.at_op = 30; event = Fault.Plan.Replica_tamper { member = 0; line = 1 } };
-            { Fault.Plan.at_op = 40; event = Fault.Plan.Member_loss { member = 1 } };
-          ]
-        ()
-    in
-    Sarray.Volume.install_plan v plan;
+    (* Listed out of order: the volume fires them by [at_op]. *)
+    Sarray.Volume.install_plan v
+      [
+        { Fault.Plan.at_op = 40; event = Fault.Plan.Member_loss { member = 1 } };
+        { Fault.Plan.at_op = 30; event = Fault.Plan.Replica_tamper { member = 0; line = 1 } };
+      ];
     let m = Sarray.Volume.map v in
-    for vba = 0 to 50 do
-      ignore (Sarray.Volume.read_block v ~vba:(vba mod Sarray.Amap.n_blocks m))
-    done;
-    (v, Sarray.Volume.fault_ledger v)
+    let reads =
+      List.init 51 (fun vba ->
+          Sarray.Volume.read_block v ~vba:(vba mod Sarray.Amap.n_blocks m))
+    in
+    let report = Sarray.Quorum.verify_volume v in
+    (v, (reads, report, member_ledger v))
   in
-  let v, ledger = mk () in
+  let v, run = mk () in
+  let _, report, _ = run in
   Alcotest.(check bool) "member loss fired" true
     ((Sarray.Volume.member_states v).(Sarray.Volume.dev_of_slot v ~slot:1)
     = Sarray.Volume.Lost);
-  let report = Sarray.Quorum.verify_volume v in
   Alcotest.(check int) "tamper event detected" 1
     report.counts.convicted_replicas;
   (* With the mirror lost, the tampered line's only replica convicts
@@ -469,14 +473,25 @@ let plan_replay () =
   Alcotest.(check int) "healthy line still attested" 1 report.counts.attested;
   Alcotest.(check int) "tampered line surfaced unattested" 1
     report.counts.unattested;
-  (* Replay: identical plan, identical op trace, identical ledger. *)
-  let _, ledger' = mk () in
-  Alcotest.(check string) "fault ledger replays byte-identically" ledger
-    ledger';
-  (* Per-member seeds differ. *)
-  let p = Fault.Plan.array_make ~seed:7 () in
-  Alcotest.(check bool) "member seeds are distinct" true
-    (Fault.Plan.member_seed p ~member:0 <> Fault.Plan.member_seed p ~member:1)
+  (* Replay: identical events, identical op trace, identical reads,
+     report, member states and trust. *)
+  let _, run' = mk () in
+  Alcotest.(check bool) "the disaster replays identically" true (run = run');
+  let v = mk_volume ~slots:2 ~replication:2 () in
+  List.iter
+    (fun (what, event) ->
+      match Sarray.Volume.install_plan v [ { Fault.Plan.at_op = 0; event } ] with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.failf "accepted %s" what)
+    [
+      ("a loss of slot 2", Fault.Plan.Member_loss { member = 2 });
+      ("a tamper of replica 2", Fault.Plan.Replica_tamper { member = 2; line = 0 });
+      ("a tamper of line -1", Fault.Plan.Replica_tamper { member = 0; line = -1 });
+    ];
+  Alcotest.check_raises "negative at_op"
+    (Invalid_argument "Volume.install_plan: at_op < 0") (fun () ->
+      Sarray.Volume.install_plan v
+        [ { Fault.Plan.at_op = -1; event = Fault.Plan.Member_loss { member = 0 } } ])
 
 (* ------------------------------------------------------------------ *)
 (* Image round-trip *)
@@ -520,8 +535,29 @@ let image_roundtrip () =
           | _ -> Alcotest.fail "read disagreement after reload")
         (List.init (Sarray.Amap.n_blocks m) Fun.id)
 
+(* Re-assembly around a filled volume's devices with a membership that
+   names one device twice. *)
+let reassemble_twice ~slot_dev ~spare_pool () =
+  let v = mk_volume ~slots:2 ~replication:2 ~spares:2 () in
+  fill_and_heat v [ 0 ];
+  let devices =
+    Array.init (Sarray.Volume.n_devices v) (fun dev ->
+        Sarray.Volume.device v ~dev)
+  in
+  Alcotest.check_raises "refused"
+    (Invalid_argument "Volume.of_devices: device 0 named twice") (fun () ->
+      ignore
+        (Sarray.Volume.of_devices (Sarray.Volume.cfg v) ~devices ~slot_dev
+           ~spare_pool ~states:(Sarray.Volume.member_states v)))
+
 let volume_cases =
   [
+    Alcotest.test_case "of_devices refuses one device in two slots" `Quick
+      (reassemble_twice ~slot_dev:[| 0; 0 |] ~spare_pool:[ 2; 3 ]);
+    Alcotest.test_case "of_devices refuses a spare pooled twice" `Quick
+      (reassemble_twice ~slot_dev:[| 1; 2 |] ~spare_pool:[ 0; 3; 0 ]);
+    Alcotest.test_case "of_devices refuses a serving device as a spare" `Quick
+      (reassemble_twice ~slot_dev:[| 0; 1 |] ~spare_pool:[ 2; 0 ]);
     Alcotest.test_case "quorum outvotes a tampered replica" `Quick
       outvote_tampered;
     Alcotest.test_case "tampered bytes never served (verify-on-read)" `Quick

@@ -590,91 +590,6 @@ let rs_parity_cases =
           Alcotest.failf "300 parity_into calls allocated %.0f words (gate 0)" words);
   ]
 
-let rs_erasures_correct =
-  QCheck.Test.make ~name:"corrects up to nparity known erasures" ~count:100
-    QCheck.(pair (string_of_size Gen.(50 -- 200)) (int_range 0 24))
-    (fun (data, nerase) ->
-      let cw = Bytes.of_string (data ^ Codec.Rs.parity rs data) in
-      let rng = Sim.Prng.create (Hashtbl.hash (data, nerase, "era")) in
-      let chosen = Hashtbl.create 8 in
-      while Hashtbl.length chosen < nerase do
-        Hashtbl.replace chosen (Sim.Prng.int rng (Bytes.length cw)) ()
-      done;
-      let erasures = Hashtbl.fold (fun k () acc -> k :: acc) chosen [] in
-      List.iter
-        (fun i ->
-          Bytes.set cw i
-            (Char.chr (Char.code (Bytes.get cw i) lxor (1 + Sim.Prng.int rng 254))))
-        erasures;
-      match Codec.Rs.decode_with_erasures rs cw ~erasures with
-      | Codec.Rs.Ok_clean -> nerase = 0
-      | Codec.Rs.Corrected _ ->
-          String.equal (Bytes.sub_string cw 0 (String.length data)) data
-      | Codec.Rs.Uncorrectable -> false)
-
-let rs_erasures_plus_errors =
-  QCheck.Test.make ~name:"e erasures + t errors while e + 2t <= nparity"
-    ~count:100
-    QCheck.(triple (string_of_size Gen.(50 -- 180)) (int_range 0 12) (int_range 0 6))
-    (fun (data, nerase, nerr) ->
-      QCheck.assume (nerase + (2 * nerr) <= 24);
-      let cw = Bytes.of_string (data ^ Codec.Rs.parity rs data) in
-      let rng = Sim.Prng.create (Hashtbl.hash (data, nerase, nerr)) in
-      let chosen = Hashtbl.create 8 in
-      while Hashtbl.length chosen < nerase + nerr do
-        Hashtbl.replace chosen (Sim.Prng.int rng (Bytes.length cw)) ()
-      done;
-      let all = Hashtbl.fold (fun k () acc -> k :: acc) chosen [] in
-      List.iter
-        (fun i ->
-          Bytes.set cw i
-            (Char.chr (Char.code (Bytes.get cw i) lxor (1 + Sim.Prng.int rng 254))))
-        all;
-      let erasures = List.filteri (fun i _ -> i < nerase) all in
-      match Codec.Rs.decode_with_erasures rs cw ~erasures with
-      | Codec.Rs.Ok_clean -> nerase + nerr = 0
-      | Codec.Rs.Corrected _ ->
-          String.equal (Bytes.sub_string cw 0 (String.length data)) data
-      | Codec.Rs.Uncorrectable -> false)
-
-let rs_erasure_cases =
-  [
-    Alcotest.test_case "erasure positions beyond plain-decode limit" `Quick
-      (fun () ->
-        (* 20 corrupted known positions: plain decode fails (t=10 > 12 is
-           fine actually, use 26 > 24/2*2...); use 20: plain decode can
-           only fix 12, erasure decode fixes all 20. *)
-        let data = String.init 100 (fun i -> Char.chr (i + 32)) in
-        let cw = Bytes.of_string (data ^ Codec.Rs.parity rs data) in
-        let erasures = List.init 20 (fun i -> 3 * i) in
-        List.iter (fun i -> Bytes.set cw i '\xEE') erasures;
-        (match Codec.Rs.decode rs (Bytes.copy cw) with
-        | Codec.Rs.Uncorrectable -> ()
-        | _ -> Alcotest.fail "plain decode should fail at 20 errors");
-        match Codec.Rs.decode_with_erasures rs cw ~erasures with
-        | Codec.Rs.Corrected _ ->
-            Alcotest.(check string) "restored" data
-              (Bytes.sub_string cw 0 (String.length data))
-        | _ -> Alcotest.fail "erasure decode failed");
-    Alcotest.test_case "too many erasures refused" `Quick (fun () ->
-        let data = "x" in
-        let cw = Bytes.of_string (data ^ Codec.Rs.parity rs data) in
-        Bytes.set cw 0 'y';
-        match
-          Codec.Rs.decode_with_erasures rs cw
-            ~erasures:(List.init 25 (fun i -> i mod Bytes.length cw))
-        with
-        | Codec.Rs.Uncorrectable -> ()
-        | _ -> Alcotest.fail "accepted 25 erasures");
-    Alcotest.test_case "out-of-range erasure raises" `Quick (fun () ->
-        let data = "x" in
-        let cw = Bytes.of_string (data ^ Codec.Rs.parity rs data) in
-        Alcotest.check_raises "range"
-          (Invalid_argument "Rs.decode_with_erasures: erasure position out of range")
-          (fun () ->
-            ignore (Codec.Rs.decode_with_erasures rs cw ~erasures:[ 999 ])));
-  ]
-
 let rs_cases =
   [
     Alcotest.test_case "parity length" `Quick (fun () ->
@@ -916,7 +831,9 @@ let oracle_sector_decode image =
       let magic = Codec.Binio.R.u16 r in
       let kind = Codec.Binio.R.u8 r in
       let _reserved = Codec.Binio.R.u8 r in
-      let pba = Codec.Binio.R.u64 r in
+      match Codec.Binio.R.u64 r with
+      | exception Codec.Binio.R.Overflow -> Error Codec.Sector.Bad_header
+      | pba ->
       let generation = Codec.Binio.R.u32 r in
       let payload = Codec.Binio.R.raw r 512 in
       let crc = Codec.Binio.R.u32 r in
@@ -980,7 +897,9 @@ module Sector_oracle = struct
       let magic = Codec.Binio.R.u16 r in
       let kind_code = Codec.Binio.R.u8 r in
       let _reserved = Codec.Binio.R.u8 r in
-      let pba = Codec.Binio.R.u64 r in
+      match Codec.Binio.R.u64 r with
+      | exception Codec.Binio.R.Overflow -> None
+      | pba ->
       let generation = Codec.Binio.R.u32 r in
       let payload = Codec.Binio.R.raw r 512 in
       let crc = Codec.Binio.R.u32 r in
@@ -1074,6 +993,19 @@ let sector_decode_fast_oracle =
       (* Up to 12 errors a slice are corrected: only the slow path can. *)
       | Errors (_, n), Ok d -> n <= 12 && d.Codec.Sector.corrected_symbols = n
       | Errors (_, n), Error _ -> n > 12)
+
+let sector_pba_wrap =
+  Alcotest.test_case "a header PBA past max_int is a bad header" `Quick
+    (fun () ->
+      (* [min_int] writes the u64 2^62, with a valid CRC and parity:
+         both decode paths must refuse it rather than wrap. *)
+      let image =
+        Bytes.of_string
+          (oracle_sector_encode ~pba:min_int ~kind:Codec.Sector.Data
+             ~generation:0 "wrapped")
+      in
+      Alcotest.(check bool) "bad header" true
+        (Codec.Sector.decode_sub image ~off:0 = Error Codec.Sector.Bad_header))
 
 let sector_cases =
   [
@@ -1235,6 +1167,20 @@ let binio_cases =
         let r = Codec.Binio.R.of_string "abcd" in
         Alcotest.check_raises "raw" Codec.Binio.R.Truncated (fun () ->
             ignore (Codec.Binio.R.raw r (-1))));
+    Alcotest.test_case "u64 past max_int raises, never wraps" `Quick
+      (fun () ->
+        List.iter
+          (fun (what, bytes) ->
+            Alcotest.check_raises what Codec.Binio.R.Overflow (fun () ->
+                ignore (Codec.Binio.R.u64 (Codec.Binio.R.of_string bytes))))
+          [
+            ("2^62", "\x40\x00\x00\x00\x00\x00\x00\x00");
+            ("2^63 + 5", "\x80\x00\x00\x00\x00\x00\x00\x05");
+            ("2^64 - 1", String.make 8 '\xff');
+          ];
+        Alcotest.(check int) "max_int fits" max_int
+          (Codec.Binio.R.u64
+             (Codec.Binio.R.of_string "\x3f\xff\xff\xff\xff\xff\xff\xff")));
   ]
 
 (* A slice whose [off + len] wraps past max_int is out of bounds too:
@@ -1282,10 +1228,9 @@ let () =
         crc_cases @ [ qtest crc_detects_flip; qtest crc_update_chains; crc_bounds ] );
       ("gf256", List.map qtest gf_tests);
       ( "reed-solomon",
-        rs_cases @ rs_erasure_cases
+        rs_cases
         @ List.map qtest
-            [ rs_corrects; rs_overload; rs_blocks_roundtrip;
-              rs_erasures_correct; rs_erasures_plus_errors; rs_oracle_errors;
+            [ rs_corrects; rs_overload; rs_blocks_roundtrip; rs_oracle_errors;
               rs_oracle_random; rs_oracle_codes; rs_parity_into;
               screen_every_length; screen_few_errors; screen_each_syndrome ]
         @ screen_cases @ [ screen_bounds ] );
@@ -1296,7 +1241,7 @@ let () =
             [ sector_roundtrip; sector_error_correction; sector_oracle;
               sector_encode_oracle ]
         @ sector_encode_cases
-        @ [ qtest sector_decode_fast_oracle ] );
+        @ [ qtest sector_decode_fast_oracle; sector_pba_wrap ] );
       ("wom", wom_cases @ List.map qtest [ wom_two_generations; wom_monotone ]);
       ("binio", binio_cases @ [ qtest binio_roundtrip ]);
     ]

@@ -710,8 +710,13 @@ let replay_fresh ?limits_of frames =
   let server = Host.Server.create ?limits_of (Host.Server.Device q) in
   Host.Server.format_replay (Host.Server.replay server frames)
 
+(* [dune runtest] runs in the test directory, beside its copy of the
+   fixtures; [dune exec test/test_host.exe] runs from the root. *)
+let fixture_dir =
+  if Sys.file_exists "golden" then "golden" else Filename.concat "test" "golden"
+
 let read_fixture name =
-  In_channel.with_open_bin (Filename.concat "golden" name)
+  In_channel.with_open_bin (Filename.concat fixture_dir name)
     In_channel.input_all
 
 let test_golden_basic () =

@@ -1186,6 +1186,67 @@ let wound dev ~line ~corrected =
     Sero.Health.note_decode h ~line ~corrected
   done
 
+(* Hostile images: a saved endurance image with a migration on it,
+   truncated, bit-flipped or overwritten at 1-4 bytes, its CRC
+   recomputed half the time.  Three mutations in four land before the
+   packed states, in the geometry, config and endurance tables.  The
+   loader must answer [Ok] or [Error], never raise. *)
+let hostile_images =
+  let image =
+    lazy
+      (let dev = make_edev ~n_blocks:64 () in
+       fill_line dev 1;
+       ignore (heat_ok dev 1);
+       wound dev ~line:1 ~corrected:30;
+       ignore (Sero.Device.maintenance dev ());
+       let path = Filename.temp_file "sero" ".img" in
+       let data =
+         Fun.protect
+           ~finally:(fun () -> Sys.remove path)
+           (fun () ->
+             Sero.Image.save dev path;
+             In_channel.with_open_bin path In_channel.input_all)
+       in
+       let states =
+         Pmedia.Medium.packed_length (Probe.Pdevice.medium (Sero.Device.pdevice dev))
+       in
+       (data, String.length data - 4 - states))
+  in
+  QCheck.Test.make ~name:"mutated images load as Ok or Error" ~count:400
+    QCheck.(triple (int_range 0 2) bool (int_range 0 0x3FFFFFFF))
+    (fun (kind, recrc, seed) ->
+      let good, header = Lazy.force image in
+      let rng = Random.State.make [| seed |] in
+      let pos () =
+        Random.State.int rng
+          (if Random.State.int rng 4 < 3 then header else String.length good)
+      in
+      let b =
+        match kind with
+        | 0 -> Bytes.of_string (String.sub good 0 (pos ()))
+        | _ ->
+            let b = Bytes.of_string good in
+            for _ = 1 to 1 + Random.State.int rng 4 do
+              let at = pos () in
+              let v =
+                if kind = 1 then
+                  Char.code (Bytes.get b at) lxor (1 lsl Random.State.int rng 8)
+                else Random.State.int rng 256
+              in
+              Bytes.set b at (Char.chr v)
+            done;
+            b
+      in
+      let tl = Bytes.length b - 4 in
+      if recrc && tl >= 0 then
+        Bytes.set_int32_be b tl (Codec.Crc32.bytes b 0 tl);
+      let path = Filename.temp_file "sero" ".img" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b);
+          match Sero.Image.load path with Ok _ | Error _ -> true))
+
 let read_all_data dev line =
   List.map
     (fun pba ->
@@ -2114,7 +2175,7 @@ let () =
       ("tamper", tamper_cases);
       ("verify-region", region_cases);
       ("whole-device", whole_device_cases);
-      ("image", image_cases);
+      ("image", image_cases @ [ qtest hostile_images ]);
       ("bcache", bcache_cases @ [ qtest twin_equivalence ]);
       ("endurance", endurance_cases @ [ qtest endurance_twin ]);
       ("clone",

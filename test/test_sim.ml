@@ -497,37 +497,6 @@ let lru_cases =
         Alcotest.(check (list (pair int int)))
           "unpinned entry evicted" [ (2, 20) ] (Sim.Lru.add l 2 20);
         Alcotest.(check int) "back to capacity" 2 (Sim.Lru.length l));
-    Alcotest.test_case "add_lru inserts cold and is evicted first" `Quick
-      (fun () ->
-        let fresh () =
-          let l = Sim.Lru.create ~capacity:3 () in
-          ignore (Sim.Lru.add l 1 10);
-          ignore (Sim.Lru.add l 2 20);
-          ignore (Sim.Lru.add_lru l 9 90);
-          l
-        in
-        (* Shrinking to one entry evicts everything else, coldest first. *)
-        Alcotest.(check (list (pair int int)))
-          "cold end first out" [ (9, 90); (1, 10) ]
-          (Sim.Lru.set_capacity (fresh ()) 1);
-        (* A find promotes it like any hit... *)
-        let l = fresh () in
-        Alcotest.(check (option int)) "promoted" (Some 90) (Sim.Lru.find l 9);
-        Alcotest.(check bool) "now hottest" true (Sim.Lru.is_head l 9);
-        (* ...and replacing an existing binding keeps its recency, cold
-           or hot. *)
-        ignore (Sim.Lru.add_lru l 1 11);
-        ignore (Sim.Lru.add_lru l 9 91);
-        Alcotest.(check (list (pair int int)))
-          "recency kept" [ (1, 11); (2, 20) ] (Sim.Lru.set_capacity l 1);
-        Alcotest.(check (option int)) "replaced" (Some 91) (Sim.Lru.peek l 9));
-    Alcotest.test_case "set_capacity sheds LRU-first" `Quick (fun () ->
-        let l = Sim.Lru.create ~capacity:4 () in
-        List.iter (fun k -> ignore (Sim.Lru.add l k k)) [ 1; 2; 3; 4 ];
-        Alcotest.(check (list (pair int int)))
-          "two evicted, coldest first" [ (1, 1); (2, 2) ]
-          (Sim.Lru.set_capacity l 2);
-        Alcotest.(check int) "resized" 2 (Sim.Lru.capacity l));
     Alcotest.test_case "trim sheds excess once pins release" `Quick (fun () ->
         let pinned = Hashtbl.create 8 in
         let l =
@@ -554,18 +523,17 @@ let lru_cases =
         Sim.Lru.clear l;
         Alcotest.(check int) "empty" 0 (Sim.Lru.length l);
         (* The recency list restarts empty: only the new entries age. *)
-        ignore (Sim.Lru.add l 5 5);
-        ignore (Sim.Lru.add l 6 6);
+        List.iter (fun k -> ignore (Sim.Lru.add l k k)) [ 5; 6; 7; 8 ];
         Alcotest.(check (list (pair int int)))
-          "no stale list" [ (5, 5) ] (Sim.Lru.set_capacity l 1));
+          "no stale list" [ (5, 5) ] (Sim.Lru.add l 9 9));
   ]
 
 (* Model-based check: the intrusive-list implementation against a naive
    MRU-first assoc list with the same soft-capacity eviction rule.
    Values [v] with [v mod 3 = 0] are pinned.  After every operation the
    evicted bindings, the length, every binding and the hottest key must
-   agree; at the end, shrinking to one entry must evict the rest in the
-   model's cold-to-hot order. *)
+   agree; at the end, [capacity] fresh unpinned keys must evict every
+   unpinned entry in the model's cold-to-hot order. *)
 let lru_matches_model =
   let model_pinned v = v mod 3 = 0 in
   (* Walk from the cold end evicting unpinned entries: the kept list,
@@ -584,10 +552,6 @@ let lru_matches_model =
     | `Add (k, v) ->
         let l = List.remove_assoc k l in
         model_shrink cap ((k, v) :: l)
-    | `Add_lru (k, v) ->
-        if List.mem_assoc k l then
-          model_shrink cap (List.map (fun (k', v') -> (k', if k' = k then v else v')) l)
-        else model_shrink cap (l @ [ (k, v) ])
     | `Find k -> (
         match List.assoc_opt k l with
         | None -> (l, [])
@@ -599,14 +563,12 @@ let lru_matches_model =
       oneof
         [
           map2 (fun k v -> `Add (k, v)) (int_range 0 9) (int_range 0 99);
-          map2 (fun k v -> `Add_lru (k, v)) (int_range 0 9) (int_range 0 99);
           map (fun k -> `Find k) (int_range 0 9);
           map (fun k -> `Remove k) (int_range 0 9);
         ])
   in
   let print_op = function
     | `Add (k, v) -> Printf.sprintf "add %d %d" k v
-    | `Add_lru (k, v) -> Printf.sprintf "add_lru %d %d" k v
     | `Find k -> Printf.sprintf "find %d" k
     | `Remove k -> Printf.sprintf "remove %d" k
   in
@@ -627,7 +589,6 @@ let lru_matches_model =
           let evicted =
             match op with
             | `Add (k, v) -> Sim.Lru.add l k v
-            | `Add_lru (k, v) -> Sim.Lru.add_lru l k v
             | `Find k ->
                 ignore (Sim.Lru.find l k);
                 []
@@ -641,8 +602,7 @@ let lru_matches_model =
           && Sim.Lru.length l = List.length m
           && List.for_all (fun k -> Sim.Lru.peek l k = List.assoc_opt k m) (List.init 10 Fun.id)
           && match m with [] -> true | (k, _) :: _ -> Sim.Lru.is_head l k)
-        ops
-      && Sim.Lru.set_capacity l 1 = snd (model_shrink 1 !model))
+        (ops @ List.init cap (fun i -> `Add (10 + i, 1))))
 
 let pool_matches_list_map =
   QCheck.Test.make ~name:"parallel_map == List.map for any jobs" ~count:100
@@ -810,12 +770,16 @@ let stats_merge_associative =
 
 (* {1 Fleet fan-out} *)
 
+(* The fan-out in its map shape: [List.concat] merges per-index
+   singletons back into index order. *)
 let fleet_jobs_invariant =
   QCheck.Test.make ~name:"Fleet.map byte-identical for any jobs" ~count:60
     QCheck.(pair (int_range 0 70) (int_range 1 8))
     (fun (n, jobs) ->
-      let f ~rng i = (i, Sim.Prng.int rng 1000, Sim.Prng.uniform rng) in
-      Sim.Fleet.map ~jobs ~seed:5 n f = Sim.Fleet.map ~jobs:1 ~seed:5 n f)
+      let f ~rng i = [ (i, Sim.Prng.int rng 1000, Sim.Prng.uniform rng) ] in
+      let run jobs = Sim.Fleet.map_merge ~jobs ~seed:5 n ~f ~merge:List.concat in
+      let got = run jobs in
+      got = run 1 && List.map (fun (i, _, _) -> i) got = List.init n Fun.id)
 
 let fleet_cases =
   [
@@ -841,7 +805,7 @@ let fleet_cases =
         let f ~rng i = float_of_int i +. Sim.Prng.uniform rng in
         let merge xs = List.fold_left ( +. ) 0. xs in
         let direct =
-          merge (List.init 100 (fun i -> f ~rng:(Sim.Fleet.device_rng ~seed:9 i) i))
+          merge (List.init 100 (fun i -> f ~rng:(Sim.Prng.stream ~seed:9 i) i))
         in
         List.iter
           (fun jobs ->

@@ -133,6 +133,19 @@ let trace_cases =
         match Workload.Trace.decode "not a trace" with
         | Error _ -> ()
         | Ok _ -> Alcotest.fail "accepted");
+    Alcotest.test_case "an offset past max_int is rejected, not wrapped"
+      `Quick (fun () ->
+        let b =
+          Bytes.of_string
+            (Workload.Trace.encode
+               [ Workload.Trace.Write { path = "/x"; offset = 5; data = "!" } ])
+        in
+        (* Magic, op count, tag and the framed path precede the u64
+           offset: its top byte set makes it 2^63 + 5. *)
+        Bytes.set b (8 + 4 + 1 + 4 + 2) '\x80';
+        match Workload.Trace.decode (Bytes.to_string b) with
+        | Error _ -> ()
+        | Ok _ -> Alcotest.fail "2^63 + 5 accepted");
     Alcotest.test_case "replay is deterministic: identical media" `Quick
       (fun () ->
         let mk () =
@@ -142,24 +155,32 @@ let trace_cases =
           in
           (dev, Lfs.Fs.format dev)
         in
-        (* Record a workload through the recorder on one instance. *)
-        let dev1, fs1 = mk () in
-        let exec, captured = Workload.Trace.recorder fs1 in
-        let ok = function Ok () -> () | Error e -> Alcotest.failf "rec: %s" e in
-        ok (exec (Workload.Trace.Create { path = "/a"; heat_group = 1 }));
-        for i = 0 to 9 do
-          ok (exec (Workload.Trace.Write
-                 { path = "/a"; offset = 512 * i; data = String.make 512 (Char.chr (65 + i)) }))
-        done;
-        ok (exec (Workload.Trace.Heat "/a"));
-        ok (exec (Workload.Trace.Create { path = "/b"; heat_group = 0 }));
-        ok (exec (Workload.Trace.Append { path = "/b"; data = "tail" }));
-        ok (exec Workload.Trace.Sync);
-        let trace = captured () in
-        (* Replay onto a fresh instance: media must be bit-identical. *)
-        let dev2, fs2 = mk () in
-        let outcome = Workload.Trace.replay fs2 trace in
-        Alcotest.(check int) "all applied" (List.length trace) outcome.Workload.Trace.applied;
+        let trace =
+          Workload.Trace.(
+            [ Create { path = "/a"; heat_group = 1 } ]
+            @ List.init 10 (fun i ->
+                  Write
+                    {
+                      path = "/a";
+                      offset = 512 * i;
+                      data = String.make 512 (Char.chr (65 + i));
+                    })
+            @ [
+                Heat "/a";
+                Create { path = "/b"; heat_group = 0 };
+                Append { path = "/b"; data = "tail" };
+                Sync;
+              ])
+        in
+        (* Replay onto two fresh instances: media must be bit-identical. *)
+        let replay () =
+          let dev, fs = mk () in
+          let outcome = Workload.Trace.replay fs trace in
+          Alcotest.(check int) "all applied" (List.length trace)
+            outcome.Workload.Trace.applied;
+          dev
+        in
+        let dev1 = replay () and dev2 = replay () in
         let digest dev =
           let medium = Probe.Pdevice.medium (Sero.Device.pdevice dev) in
           let buf = Buffer.create 4096 in
