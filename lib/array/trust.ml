@@ -74,8 +74,25 @@ let reset t ~dev =
   check t dev;
   t.(dev) <- fresh
 
+(* Only what [charge], [quarantine] and [reset] can leave: counters that
+   are not negative and sum to the votes, no strike on a trusted device
+   and 1 or 2 on a suspect one.  A quarantined device may hold any. *)
 let restore t ~dev e =
   check t dev;
+  let strikes = e.divergences + e.convictions in
+  let possible =
+    e.agreements >= 0 && e.divergences >= 0 && e.convictions >= 0
+    && e.unreadable >= 0
+    && e.votes = e.agreements + strikes + e.unreadable
+    &&
+    match e.status with
+    | Trusted -> strikes = 0
+    | Suspect -> strikes > 0 && strikes < quarantine_threshold
+    | Quarantined -> true
+  in
+  if not possible then
+    invalid_arg
+      (Printf.sprintf "Trust.restore: no charges leave device %d's ledger" dev);
   t.(dev) <- e
 
 let status_string = function

@@ -57,6 +57,11 @@ val reset : t -> dev:int -> unit
 (** Fresh [Trusted] entry — used when a spare takes over a slot. *)
 
 val restore : t -> dev:int -> entry -> unit
-(** Install a persisted entry verbatim (array image load). *)
+(** Install a persisted entry verbatim (array image load).
+    @raise Invalid_argument on an entry no sequence of {!charge},
+    {!quarantine} and {!reset} can produce: a negative counter, [votes]
+    other than the sum of the four charge counters, a [Trusted] entry
+    with divergences or convictions, or a [Suspect] one with none or
+    with 3 or more. *)
 
 val pp_entry : Format.formatter -> entry -> unit

@@ -25,17 +25,6 @@ let log a =
 
 let mul a b = if a = 0 || b = 0 then 0 else exp_table.(log_table.(a) + log_table.(b))
 
-let inv a = if a = 0 then raise Division_by_zero else exp_table.(255 - log_table.(a))
-let div a b = if b = 0 then raise Division_by_zero else mul a (inv b)
-
-let rec pow a n =
-  if n = 0 then 1
-  else if a = 0 then 0
-  else
-    let half = pow a (n / 2) in
-    let sq = mul half half in
-    if n land 1 = 1 then mul sq a else sq
-
 let poly_mul a b =
   let la = Array.length a and lb = Array.length b in
   if la = 0 || lb = 0 then [||]

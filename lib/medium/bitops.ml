@@ -6,12 +6,20 @@ type counters = {
   mutable collateral : int;
 }
 
+(* How {!erb_run}'s native walk (erb_stubs.c) draws its windows:
+   [Vector] where CPUID reports AVX-512DQ, checked once here. *)
+type window = Scalar | Vector
+
+external vector_present : unit -> bool = "sero_erb_vector_present" [@@noalloc]
+
+let native_window = if vector_present () then Some Vector else None
+
 type ctx = {
   medium : Medium.t;
   counters : counters;
-  profile : Physics.Thermal.profile;
   neighbour_damage_p : float;
   mutable fault : Fault.Injector.t option;
+  window : window;
 }
 
 let make ?profile medium =
@@ -28,9 +36,9 @@ let make ?profile medium =
   {
     medium;
     counters = { mrb = 0; mwb = 0; ewb = 0; erb = 0; collateral = 0 };
-    profile;
     neighbour_damage_p;
     fault = None;
+    window = Option.value native_window ~default:Scalar;
   }
 
 (* Context for a cloned medium: fresh counters snapshotting the
@@ -50,9 +58,9 @@ let clone t medium =
         erb = c.erb;
         collateral = c.collateral;
       };
-    profile = t.profile;
     neighbour_damage_p = t.neighbour_damage_p;
     fault = None;
+    window = t.window;
   }
 
 let medium t = t.medium
@@ -512,7 +520,8 @@ let clear_bits buf pos len =
    draw and [cycles = c] ([c = 5] stands for every [cycles >= 5]):
    draws consumed in bits 0-3, rounds run in bits 4-6, detected in bit
    7 — or 0 when twelve draws do not settle it, which takes four
-   passing rounds (probability 1/256) with [cycles > 4]. *)
+   passing rounds (probability 1/256) with [cycles > 4].  The native
+   walk reads it. *)
 let erb_outcomes =
   String.init (5 * 4096) (fun idx ->
       let cycles = (idx lsr 12) + 1 and w = idx land 4095 in
@@ -528,138 +537,26 @@ let erb_outcomes =
       in
       Char.chr (round 0 0))
 
-let[@inline] outcome table win =
-  Char.code (String.unsafe_get erb_outcomes (table lor (win land 4095)))
-
-(* For each 4-bit mask of heated dots, its population (bits 0-2) and
-   its set bits' offsets, ascending, two bits each from bit 3. *)
-let mask_dots =
-  Array.init 16 (fun m ->
-      let e = ref 0 and k = ref 0 in
-      for j = 0 to 3 do
-        if m land (1 lsl j) <> 0 then begin
-          e := !e lor (j lsl (3 + (2 * !k)));
-          incr k
-        end
-      done;
-      !e lor !k)
-
-(* Where an electrical run stands.  [win] holds the next [avail] draws'
-   bits, bit 0 first, out of the [limit] bits the last refill loaded;
-   the PRNG itself still stands [limit - avail] draws behind them and
-   catches up (exactly, by [skip]) before each refill and at the end of
-   the run.  [rem] lists the heated dots of the state byte at dot [q4]
-   not yet visited, as {!mask_dots} does. *)
-type erb_walk = {
-  mutable q4 : int;
-  mutable rem : int;
-  mutable win : int;
-  mutable avail : int;
-  mutable limit : int;
-  mutable clean : int;
-  mutable heated_mrb : int;
-  mutable heated_mwb : int;
-}
-
-(* The heated dots of the state byte at dot [q4] within [lo, hi). *)
-let[@inline] heated_dots (states : Medium.states) ~base q4 ~lo ~hi =
-  Array.unsafe_get mask_dots
-    (Array.unsafe_get heated_mask
-       (Char.code (Bigarray.Array1.unsafe_get states ((q4 lsr 2) - base)))
-    land ((1 lsl hi) - (1 lsl lo)))
-
-(* [rem] without its first dot. *)
-let[@inline] next_dot rem = ((rem lsr 2) land lnot 7) lor ((rem land 7) - 1)
-
-(* Catch the PRNG up with the draws taken from the window. *)
-let commit rng walk =
-  let used = walk.limit - walk.avail in
-  Sim.Prng.skip rng used;
-  walk.heated_mrb <- walk.heated_mrb + used;
-  walk.limit <- walk.avail
-
-(* One chunk of the electrical run: dot [d] lands on bit [d + dst_off]
-   of [dst].  State bytes are taken four dots at a time and only their
-   heated dots visited, so the Manchester pattern (one heated dot per
-   cell) costs no per-dot branch.  [step] settles heated dots from the
-   window for as long as it can; it makes no call, so the walk stays in
-   registers, and it returns (storing the walk) at the end of the chunk
-   or at a dot the window cannot settle.  Every heated dot's draws are
-   its mrb charges, so those are counted at each [commit]. *)
-let erb_chunk ~cycles ~table rng walk dst ~dst_off states ~base ~start ~len =
-  let stop = start + len in
-  let rec step q4 rem win avail clean mwb =
-    let k = rem land 7 in
-    if k = 0 && q4 + 4 < stop then begin
-      let q4 = q4 + 4 in
-      let hi = if stop - q4 < 4 then stop - q4 else 4 in
-      let rem = heated_dots states ~base q4 ~lo:0 ~hi in
-      step q4 rem win avail (clean + hi - (rem land 7)) mwb
-    end
-    else begin
-      let e = if k = 0 then 0 else outcome table win in
-      let n = e land 15 in
-      if n = 0 || n > avail then begin
-        walk.q4 <- q4;
-        walk.rem <- rem;
-        walk.win <- win;
-        walk.avail <- avail;
-        walk.clean <- clean;
-        walk.heated_mwb <- mwb
-      end
-      else begin
-        if e land 0x80 <> 0 then
-          set_bit dst (q4 + ((rem lsr 3) land 3) + dst_off) true;
-        step q4 (next_dot rem) (win lsr n) (avail - n) clean
-          (mwb + (2 * ((e lsr 4) land 7)))
-      end
-    end
-  in
-  let q4 = start land lnot 3 in
-  let hi = if stop - q4 < 4 then stop - q4 else 4 in
-  let rem = heated_dots states ~base q4 ~lo:(start - q4) ~hi in
-  walk.q4 <- q4;
-  walk.rem <- rem;
-  walk.clean <- walk.clean + hi - (start - q4) - (rem land 7);
-  let continue = ref true in
-  while !continue do
-    step walk.q4 walk.rem walk.win walk.avail walk.clean walk.heated_mwb;
-    if walk.rem land 7 = 0 then continue := false
-    else begin
-      commit rng walk;
-      walk.win <- Sim.Prng.bool_window rng;
-      walk.avail <- 62;
-      walk.limit <- 62;
-      if outcome table walk.win = 0 then begin
-        (* Past four passing rounds: the rounds one by one, straight
-           from the PRNG (which the commit left at this dot's first
-           draw). *)
-        let detected = ref false in
-        let cyc = ref 0 in
-        while (not !detected) && !cyc < cycles do
-          incr cyc;
-          let original = Sim.Prng.bool rng in
-          let check1 = Sim.Prng.bool rng in
-          walk.heated_mwb <- walk.heated_mwb + 2;
-          if check1 = original then begin
-            walk.heated_mrb <- walk.heated_mrb + 2;
-            detected := true
-          end
-          else begin
-            let check2 = Sim.Prng.bool rng in
-            walk.heated_mrb <- walk.heated_mrb + 3;
-            if check2 <> original then detected := true
-          end
-        done;
-        if !detected then
-          set_bit dst (walk.q4 + ((walk.rem lsr 3) land 3) + dst_off) true;
-        walk.rem <- next_dot walk.rem;
-        walk.win <- 0;
-        walk.avail <- 0;
-        walk.limit <- 0
-      end
-    end
-  done
+(* [erb_chunk states base start len dst dst_off table cycles rng acc
+   vector] settles the heated dots of the chunk [start, start+len) of a
+   segment (packed byte [base] first) through [table], sets bit
+   [d + dst_off] of [dst] for each dot [d] it detects, advances [rng]
+   by the draws it used and adds the chunk's clean dots, draws and
+   heated mwb to [acc.(0)], [acc.(1)] and [acc.(2)]. *)
+external erb_chunk :
+  Medium.states ->
+  int ->
+  int ->
+  int ->
+  Bytes.t ->
+  int ->
+  string ->
+  int ->
+  Sim.Prng.t ->
+  int array ->
+  bool ->
+  unit = "sero_erb_chunk_byte" "sero_erb_chunk"
+[@@noalloc]
 
 let erb_run ?(cycles = 1) t ~start ~len ~dst ~dst_pos =
   if cycles <= 0 then invalid_arg "Bitops.erb_run: cycles must be positive";
@@ -675,27 +572,29 @@ let erb_run ?(cycles = 1) t ~start ~len ~dst ~dst_pos =
     t.counters.erb <- t.counters.erb + len;
     clear_bits dst dst_pos len;
     let rng = Medium.rng t.medium in
-    let walk =
-      {
-        q4 = 0;
-        rem = 0;
-        win = 0;
-        avail = 0;
-        limit = 0;
-        clean = 0;
-        heated_mrb = 0;
-        heated_mwb = 0;
-      }
-    in
+    (* Clean dots, heated-dot draws (their mrb) and heated-dot mwb, summed
+       over the chunks by the kernel. *)
+    let acc = [| 0; 0; 0 |] in
+    let dst_off = dst_pos - start and vector = t.window = Vector in
     Medium.iter_chunks t.medium ~write:false ~start ~len
-      (erb_chunk ~cycles ~table:((min cycles 5 - 1) lsl 12) rng walk dst
-         ~dst_off:(dst_pos - start));
-    commit rng walk;
+      (fun states ~base ~start ~len ->
+        erb_chunk states base start len dst dst_off erb_outcomes cycles rng acc
+          vector);
     (* A healthy dot passes every round (the invert/restore writes
        cancel out), so only its op charges remain.  The charges are int
        sums, so landing them once leaves exactly the per-dot totals. *)
+    let clean = acc.(0) and heated_mrb = acc.(1) and heated_mwb = acc.(2) in
     let c = t.counters in
-    credit t ((5 * cycles * walk.clean) + walk.heated_mrb + walk.heated_mwb);
-    c.mrb <- c.mrb + (3 * cycles * walk.clean) + walk.heated_mrb;
-    c.mwb <- c.mwb + (2 * cycles * walk.clean) + walk.heated_mwb
+    credit t ((5 * cycles * clean) + heated_mrb + heated_mwb);
+    c.mrb <- c.mrb + (3 * cycles * clean) + heated_mrb;
+    c.mwb <- c.mwb + (2 * cycles * clean) + heated_mwb
   end
+
+module Window = struct
+  type t = window
+
+  let scalar = Scalar
+  let vector = native_window
+  let name = function Scalar -> "scalar" | Vector -> "avx512"
+  let make w medium = { (make medium) with window = w }
+end

@@ -28,7 +28,8 @@ type counters = {
 }
 
 type ctx
-(** A medium together with its counters and thermal write profile. *)
+(** A medium together with its counters and the neighbour-damage
+    probability of its thermal write profile. *)
 
 val make : ?profile:Physics.Thermal.profile -> Medium.t -> ctx
 (** [profile] defaults to {!Physics.Thermal.default_profile} of the
@@ -149,8 +150,32 @@ val erb_run :
     [dst] (same packing as {!mrb_run}): a set bit means dot [start + k]
     is detected heated.  Equivalent to [len] calls of {!erb}; every bit
     of the range is written, the bits around it are left alone.  The
-    fast path settles each heated dot from the next twelve draws'
-    bits through a per-[cycles] outcome table ({!Sim.Prng.bool_window}),
-    running the rounds one by one only when twelve draws leave it open.
+    fast path is one native kernel call per segment chunk: it settles
+    each heated dot from the next twelve draws' bits through a
+    per-[cycles] outcome table, running the rounds one by one only when
+    twelve draws leave it open, and advances the medium PRNG by exactly
+    the draws it used.
     @raise Invalid_argument if [cycles] is not positive, or the run or
     the bit range is out of range. *)
+
+(** The two ways the native {!erb_run} kernel draws its bits, 64 draws
+    at a time, for tests that race them against each other; contexts
+    from {!make} get the vector window when it is present. *)
+module Window : sig
+  type t
+
+  val scalar : t
+  (** One splitmix64 draw after another, in portable C, present
+      everywhere. *)
+
+  val vector : t option
+  (** Eight draws per step on AVX-512DQ; [None] unless this CPU (by
+      CPUID and XCR0) and build have it. *)
+
+  val name : t -> string
+  (** ["scalar"] or ["avx512"]. *)
+
+  val make : t -> Medium.t -> ctx
+  (** [make w m] is [Bitops.make m] with its electrical runs drawn
+      through [w]. *)
+end

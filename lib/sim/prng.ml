@@ -2,7 +2,10 @@
    [s0 + n * golden].  It lives in 8 bytes rather than a mutable
    [int64] field, whose every store would box; through the unboxed
    accessors below the step allocates nothing, and every draw that
-   returns an immediate ([bool], [int]) is allocation-free. *)
+   returns an immediate ([bool], [int]) is allocation-free.  The native
+   electrical-read kernel (lib/medium/erb_stubs.c) reads and writes
+   these 8 native-endian state bytes too: it draws a run's bits itself
+   and stores the state its draws leave. *)
 type t = Bytes.t
 
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
@@ -52,18 +55,6 @@ let[@inline] uniform t =
 
 let float t x = uniform t *. x
 let bool t = Int64.logand (next t) 1L = 1L
-
-let bool_window t =
-  let z = ref (get64 t 0) in
-  let w = ref 0 in
-  for k = 0 to 61 do
-    z := Int64.add !z golden;
-    w := !w lor ((Int64.to_int (mix !z) land 1) lsl k)
-  done;
-  !w
-
-let skip t n =
-  set64 t 0 (Int64.add (get64 t 0) (Int64.mul (Int64.of_int n) golden))
 
 let bernoulli t p =
   if p <= 0. then false else if p >= 1. then true else uniform t < p

@@ -30,17 +30,6 @@ val float : t -> float -> float
 val bool : t -> bool
 (** Bit 0 of the next draw.  [bool] and [int] allocate nothing. *)
 
-val bool_window : t -> int
-(** Bit [k] (for [k < 62]) is the bit 0 of the [(k+1)]-th next draw,
-    i.e. the [k]-th {!bool} from here; bits 62 and up are 0.  Does not
-    advance [t]. *)
-
-val skip : t -> int -> unit
-(** [skip t n] advances [t] by [n] draws in O(1), leaving it exactly
-    where [n] calls of {!bits64} would: the state is a Weyl counter,
-    [s_n = s_0 + n * gamma] modulo 2{^64} (Steele, Lea and Flood,
-    OOPSLA 2014). *)
-
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p] (clamped to [0,1]). *)
 

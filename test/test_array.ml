@@ -535,6 +535,68 @@ let image_roundtrip () =
           | _ -> Alcotest.fail "read disagreement after reload")
         (List.init (Sarray.Amap.n_blocks m) Fun.id)
 
+(* A saved manifest whose trust line for device 0 is replaced by each
+   of [lines]: ledgers that [charge], [quarantine] and [reset] cannot
+   produce must not load (the first is the one that used to load and
+   report the volume optimal at -1 votes); a quarantined device's
+   ledger may hold any consistent counts. *)
+let impossible_trust_ledgers () =
+  let dir = Filename.temp_file "sarray" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let path = Filename.concat dir "vol.arr" in
+  let v = mk_volume ~slots:2 ~replication:2 ~spares:1 () in
+  Sarray.Aimage.save v path;
+  let manifest =
+    In_channel.with_open_bin path In_channel.input_all |> String.split_on_char '\n'
+  in
+  let load_with line =
+    Out_channel.with_open_bin path (fun oc ->
+        output_string oc
+          (String.concat "\n"
+             (List.map
+                (fun l ->
+                  if String.starts_with ~prefix:"trust 0 " l then line else l)
+                manifest)));
+    Sarray.Aimage.load path
+  in
+  List.iter
+    (fun line ->
+      match load_with line with
+      | Ok _ -> Alcotest.failf "loaded %S" line
+      | Error _ -> ())
+    [
+      "trust 0 trusted -1 0 0 0 0";
+      "trust 0 trusted 0 0 0 0 -1";
+      "trust 0 quarantined 1 2 -1 0 0";
+      "trust 0 trusted 2 1 0 0 0";
+      "trust 0 quarantined 3 1 1 0 0";
+      "trust 0 trusted 1 0 1 0 0";
+      "trust 0 suspect 0 0 0 0 0";
+      "trust 0 suspect 5 2 0 0 3";
+      "trust 0 suspect 3 0 2 1 0";
+    ];
+  List.iter
+    (fun (line, entry) ->
+      match load_with line with
+      | Error e -> Alcotest.failf "refused %S: %s" line e
+      | Ok v2 ->
+          Alcotest.(check bool) line true
+            (Sarray.Trust.entry (Sarray.Volume.trust v2) ~dev:0 = entry))
+    [
+      ( "trust 0 suspect 4 2 1 1 0",
+        { Sarray.Trust.votes = 4; agreements = 2; divergences = 1;
+          convictions = 1; unreadable = 0; status = Sarray.Trust.Suspect } );
+      ( "trust 0 quarantined 6 1 2 2 1",
+        { Sarray.Trust.votes = 6; agreements = 1; divergences = 2;
+          convictions = 2; unreadable = 1; status = Sarray.Trust.Quarantined } );
+      ( "trust 0 quarantined 0 0 0 0 0",
+        { Sarray.Trust.votes = 0; agreements = 0; divergences = 0;
+          convictions = 0; unreadable = 0; status = Sarray.Trust.Quarantined } );
+    ];
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
 (* Re-assembly around a filled volume's devices with a membership that
    names one device twice. *)
 let reassemble_twice ~slot_dev ~spare_pool () =
@@ -575,6 +637,8 @@ let volume_cases =
       crash_mid_rebuild;
     Alcotest.test_case "array fault plan fires and replays" `Quick plan_replay;
     Alcotest.test_case "array image round-trip" `Quick image_roundtrip;
+    Alcotest.test_case "impossible trust ledgers do not load" `Quick
+      impossible_trust_ledgers;
   ]
 
 let () =

@@ -178,6 +178,26 @@ let crc_update_chains =
 let byte = QCheck.int_range 0 255
 let nonzero = QCheck.int_range 1 255
 
+(* The field operations only these tests and the RS oracle use, built
+   on the library's [mul], [exp] and [log]. *)
+module Gf = struct
+  let add a b = a lxor b
+
+  let inv a =
+    if a = 0 then raise Division_by_zero
+    else Codec.Gf256.exp (255 - Codec.Gf256.log a)
+
+  let div a b = if b = 0 then raise Division_by_zero else Codec.Gf256.mul a (inv b)
+
+  let rec pow a n =
+    if n = 0 then 1
+    else if a = 0 then 0
+    else
+      let half = pow a (n / 2) in
+      let sq = Codec.Gf256.mul half half in
+      if n land 1 = 1 then Codec.Gf256.mul sq a else sq
+end
+
 let gf_tests =
   [
     QCheck.Test.make ~name:"mul commutative" ~count:500 (QCheck.pair byte byte)
@@ -188,19 +208,19 @@ let gf_tests =
         = Codec.Gf256.mul (Codec.Gf256.mul a b) c);
     QCheck.Test.make ~name:"distributive over add" ~count:500
       (QCheck.triple byte byte byte) (fun (a, b, c) ->
-        Codec.Gf256.mul a (Codec.Gf256.add b c)
-        = Codec.Gf256.add (Codec.Gf256.mul a b) (Codec.Gf256.mul a c));
+        Codec.Gf256.mul a (Gf.add b c)
+        = Gf.add (Codec.Gf256.mul a b) (Codec.Gf256.mul a c));
     QCheck.Test.make ~name:"inverse" ~count:500 nonzero (fun a ->
-        Codec.Gf256.mul a (Codec.Gf256.inv a) = 1);
+        Codec.Gf256.mul a (Gf.inv a) = 1);
     QCheck.Test.make ~name:"div is mul by inverse" ~count:500
       (QCheck.pair byte nonzero) (fun (a, b) ->
-        Codec.Gf256.div a b = Codec.Gf256.mul a (Codec.Gf256.inv b));
+        Gf.div a b = Codec.Gf256.mul a (Gf.inv b));
     QCheck.Test.make ~name:"exp/log inverse" ~count:500 nonzero (fun a ->
         Codec.Gf256.exp (Codec.Gf256.log a) = a);
     QCheck.Test.make ~name:"pow matches repeated mul" ~count:200
       (QCheck.pair byte (QCheck.int_range 0 10)) (fun (a, n) ->
         let rec naive acc k = if k = 0 then acc else naive (Codec.Gf256.mul acc a) (k - 1) in
-        Codec.Gf256.pow a n = if n = 0 then 1 else naive 1 n);
+        Gf.pow a n = if n = 0 then 1 else naive 1 n);
   ]
 
 (* {1 Reed–Solomon} *)
@@ -218,7 +238,7 @@ module Rs_oracle = struct
       (fun ch ->
         for i = 0 to npar - 1 do
           synd.(i) <-
-            Codec.Gf256.add
+            Gf.add
               (Codec.Gf256.mul synd.(i) (Codec.Gf256.exp i))
               (Char.code ch)
         done)
@@ -234,14 +254,14 @@ module Rs_oracle = struct
     for i = 0 to n - 1 do
       let d = ref synd.(i) in
       for j = 1 to !l do
-        d := Codec.Gf256.add !d (Codec.Gf256.mul c.(j) synd.(i - j))
+        d := Gf.add !d (Codec.Gf256.mul c.(j) synd.(i - j))
       done;
       if !d = 0 then incr m
       else begin
         let t = Array.copy c in
-        let coef = Codec.Gf256.div !d !bb in
+        let coef = Gf.div !d !bb in
         for j = 0 to n - !m do
-          c.(j + !m) <- Codec.Gf256.add c.(j + !m) (Codec.Gf256.mul coef b.(j))
+          c.(j + !m) <- Gf.add c.(j + !m) (Codec.Gf256.mul coef b.(j))
         done;
         if 2 * !l <= i then begin
           l := i + 1 - !l;
@@ -258,7 +278,7 @@ module Rs_oracle = struct
     let v = ref 0 and xp = ref 1 in
     Array.iter
       (fun coef ->
-        v := Codec.Gf256.add !v (Codec.Gf256.mul coef !xp);
+        v := Gf.add !v (Codec.Gf256.mul coef !xp);
         xp := Codec.Gf256.mul !xp x)
       p;
     !v
@@ -282,7 +302,7 @@ module Rs_oracle = struct
             Array.init npar (fun i ->
                 let s = ref 0 in
                 for j = 0 to min i (Array.length locator - 1) do
-                  s := Codec.Gf256.add !s (Codec.Gf256.mul locator.(j) synd.(i - j))
+                  s := Gf.add !s (Codec.Gf256.mul locator.(j) synd.(i - j))
                 done;
                 !s)
           in
@@ -301,10 +321,10 @@ module Rs_oracle = struct
                 let magnitude =
                   Codec.Gf256.mul
                     (Codec.Gf256.exp ((n - 1 - pos) mod 255))
-                    (Codec.Gf256.div num den)
+                    (Gf.div num den)
                 in
                 Bytes.set cw pos
-                  (Char.chr (Codec.Gf256.add (Char.code (Bytes.get cw pos)) magnitude)))
+                  (Char.chr (Gf.add (Char.code (Bytes.get cw pos)) magnitude)))
             !positions;
           if !ok && snd (syndromes npar cw) then Codec.Rs.Corrected nerrors
           else Codec.Rs.Uncorrectable

@@ -363,8 +363,9 @@ let run_plan fault ~start ~len ~ops0 ~ticks =
            ())
   | _ -> None
 
-(* Twin setups for the equivalence properties, both under [plan]. *)
-let make_twin ?plan (seed, dr_idx) ops =
+(* Twin setups for the equivalence properties, both under [plan], with
+   their electrical runs drawn through [window] if one is given. *)
+let make_twin ?plan ?window (seed, dr_idx) ops =
   let defect_rate = [| 0.; 0.02; 0.1 |].(dr_idx) in
   let cfg =
     { (Pmedia.Medium.default_config ~rows:16 ~cols:16) with
@@ -372,7 +373,11 @@ let make_twin ?plan (seed, dr_idx) ops =
   in
   let make () =
     let m = Pmedia.Medium.create cfg in
-    let ctx = Pmedia.Bitops.make m in
+    let ctx =
+      match window with
+      | None -> Pmedia.Bitops.make m
+      | Some w -> Pmedia.Bitops.Window.make w m
+    in
     Option.iter
       (fun p -> Pmedia.Bitops.set_fault ctx (Some (Fault.Injector.create p)))
       plan;
@@ -404,8 +409,8 @@ let packed_string m =
   Bytes.unsafe_to_string b
 
 (* Equality of everything the kernel could disturb: medium state bytes,
-   op counters, the PRNG stream position, and the injector's op count
-   and ledger. *)
+   op counters, the PRNG stream position (read from copies, so a twin
+   can be compared again), and the injector's op count and ledger. *)
 let twins_agree (m1, ctx1) (m2, ctx2) =
   let c1 = Pmedia.Bitops.counters ctx1 and c2 = Pmedia.Bitops.counters ctx2 in
   let injector ctx =
@@ -420,8 +425,8 @@ let twins_agree (m1, ctx1) (m2, ctx2) =
   && c1.Pmedia.Bitops.ewb = c2.Pmedia.Bitops.ewb
   && c1.Pmedia.Bitops.erb = c2.Pmedia.Bitops.erb
   && c1.Pmedia.Bitops.collateral = c2.Pmedia.Bitops.collateral
-  && Sim.Prng.bits64 (Pmedia.Medium.rng m1)
-     = Sim.Prng.bits64 (Pmedia.Medium.rng m2)
+  && Sim.Prng.bits64 (Sim.Prng.copy (Pmedia.Medium.rng m1))
+     = Sim.Prng.bits64 (Sim.Prng.copy (Pmedia.Medium.rng m2))
 
 (* The second component is a {!run_plan} variant (three values in
    sixteen install no injector).  The last is (start, length), an erb
@@ -437,7 +442,7 @@ let equiv_arb =
       (quad (pair (int_range 0 255) (int_range 0 255)) (int_range 0 4)
          (int_range 0 15) bool))
 
-(* Up to four cycles the lookahead table settles every heated dot; from
+(* Up to four cycles the outcome table settles every heated dot; from
    five on it leaves four passing rounds to the per-round loop. *)
 let erb_cycles = [| 1; 2; 3; 8; 24 |]
 
@@ -461,6 +466,202 @@ let test_bit b i = Char.code (Bytes.get b (i / 8)) land (0x80 lsr (i mod 8)) <> 
 let put_bit b i v =
   let m = 0x80 lsr (i mod 8) and c = Char.code (Bytes.get b (i / 8)) in
   Bytes.set b (i / 8) (Char.chr (if v then c lor m else c land lnot m))
+
+(* Every window the native erb kernel can draw through on this CPU: the
+   scalar one everywhere, the AVX-512DQ one where CPUID reports it.
+   The erb twins race each of them. *)
+let windows =
+  Pmedia.Bitops.Window.scalar :: Option.to_list Pmedia.Bitops.Window.vector
+
+(* The OCaml lookahead walk, the native kernel's oracle.  It loads bit
+   0 of the next 62 draws into a window without advancing the PRNG
+   ([bool_window], from a copy), settles each heated dot from the next
+   twelve of them through the per-[cycles] outcome table, runs the
+   rounds one by one from the PRNG itself when twelve draws leave a dot
+   open, and catches the PRNG up ([skip], draw by draw) before each
+   refill and at the end.  Only the fast path is modelled: callers run
+   it without an injector, over defect-free runs. *)
+module Erb_oracle = struct
+  let bool_window rng =
+    let c = Sim.Prng.copy rng and w = ref 0 in
+    for k = 0 to 61 do
+      if Sim.Prng.bool c then w := !w lor (1 lsl k)
+    done;
+    !w
+
+  let skip rng n =
+    for _ = 1 to n do
+      ignore (Sim.Prng.bits64 rng)
+    done
+
+  (* Heated dots of a state byte as a mask, bit [j] = dot [j]. *)
+  let heated_mask =
+    Array.init 256 (fun b ->
+        let m = ref 0 in
+        for j = 0 to 3 do
+          m := !m lor (((b lsr ((2 * j) + 1)) land 1) lsl j)
+        done;
+        !m)
+
+  (* Entry [(c - 1) * 4096 + w]: the outcome when bit [k] of [w] is the
+     [k]-th draw and [cycles = c] ([c = 5] for every [cycles >= 5]):
+     draws in bits 0-3, rounds in bits 4-6, detected in bit 7, or 0
+     when twelve draws do not settle it. *)
+  let erb_outcomes =
+    String.init (5 * 4096) (fun idx ->
+        let cycles = (idx lsr 12) + 1 and w = idx land 4095 in
+        let bit k = (w lsr k) land 1 in
+        let rec round r pos =
+          if r = cycles then pos lor (r lsl 4)
+          else if pos + 3 > 12 then 0
+          else if bit (pos + 1) = bit pos then
+            (pos + 2) lor ((r + 1) lsl 4) lor 0x80
+          else if bit (pos + 2) <> bit pos then
+            (pos + 3) lor ((r + 1) lsl 4) lor 0x80
+          else round (r + 1) (pos + 3)
+        in
+        Char.chr (round 0 0))
+
+  let outcome table win =
+    Char.code (String.unsafe_get erb_outcomes (table lor (win land 4095)))
+
+  (* For each 4-bit mask of heated dots, its population (bits 0-2) and
+     its set bits' offsets, ascending, two bits each from bit 3. *)
+  let mask_dots =
+    Array.init 16 (fun m ->
+        let e = ref 0 and k = ref 0 in
+        for j = 0 to 3 do
+          if m land (1 lsl j) <> 0 then begin
+            e := !e lor (j lsl (3 + (2 * !k)));
+            incr k
+          end
+        done;
+        !e lor !k)
+
+  (* [win] holds the next [avail] draws' bits out of the [limit] the
+     last refill loaded; the PRNG stands [limit - avail] draws behind
+     them.  [rem] lists the heated dots of the state byte at dot [q4]
+     not yet visited, as {!mask_dots} does. *)
+  type walk = {
+    mutable q4 : int;
+    mutable rem : int;
+    mutable win : int;
+    mutable avail : int;
+    mutable limit : int;
+    mutable clean : int;
+    mutable heated_mrb : int;
+    mutable heated_mwb : int;
+  }
+
+  let heated_dots (states : Pmedia.Medium.states) ~base q4 ~lo ~hi =
+    mask_dots.(heated_mask.(Char.code states.{(q4 lsr 2) - base})
+               land ((1 lsl hi) - (1 lsl lo)))
+
+  let next_dot rem = ((rem lsr 2) land lnot 7) lor ((rem land 7) - 1)
+
+  let commit rng walk =
+    let used = walk.limit - walk.avail in
+    skip rng used;
+    walk.heated_mrb <- walk.heated_mrb + used;
+    walk.limit <- walk.avail
+
+  (* One chunk: dot [d] lands on bit [d + dst_off] of [dst]. *)
+  let chunk ~cycles ~table rng walk dst ~dst_off states ~base ~start ~len =
+    let stop = start + len in
+    let rec step q4 rem win avail clean mwb =
+      let k = rem land 7 in
+      if k = 0 && q4 + 4 < stop then begin
+        let q4 = q4 + 4 in
+        let hi = if stop - q4 < 4 then stop - q4 else 4 in
+        let rem = heated_dots states ~base q4 ~lo:0 ~hi in
+        step q4 rem win avail (clean + hi - (rem land 7)) mwb
+      end
+      else begin
+        let e = if k = 0 then 0 else outcome table win in
+        let n = e land 15 in
+        if n = 0 || n > avail then begin
+          walk.q4 <- q4;
+          walk.rem <- rem;
+          walk.win <- win;
+          walk.avail <- avail;
+          walk.clean <- clean;
+          walk.heated_mwb <- mwb
+        end
+        else begin
+          if e land 0x80 <> 0 then
+            Pmedia.Bitops.set_bit dst (q4 + ((rem lsr 3) land 3) + dst_off) true;
+          step q4 (next_dot rem) (win lsr n) (avail - n) clean
+            (mwb + (2 * ((e lsr 4) land 7)))
+        end
+      end
+    in
+    let q4 = start land lnot 3 in
+    let hi = if stop - q4 < 4 then stop - q4 else 4 in
+    let rem = heated_dots states ~base q4 ~lo:(start - q4) ~hi in
+    walk.q4 <- q4;
+    walk.rem <- rem;
+    walk.clean <- walk.clean + hi - (start - q4) - (rem land 7);
+    let continue = ref true in
+    while !continue do
+      step walk.q4 walk.rem walk.win walk.avail walk.clean walk.heated_mwb;
+      if walk.rem land 7 = 0 then continue := false
+      else begin
+        commit rng walk;
+        walk.win <- bool_window rng;
+        walk.avail <- 62;
+        walk.limit <- 62;
+        if outcome table walk.win = 0 then begin
+          let detected = ref false and cyc = ref 0 in
+          while (not !detected) && !cyc < cycles do
+            incr cyc;
+            let original = Sim.Prng.bool rng in
+            let check1 = Sim.Prng.bool rng in
+            walk.heated_mwb <- walk.heated_mwb + 2;
+            if check1 = original then begin
+              walk.heated_mrb <- walk.heated_mrb + 2;
+              detected := true
+            end
+            else begin
+              let check2 = Sim.Prng.bool rng in
+              walk.heated_mrb <- walk.heated_mrb + 3;
+              if check2 <> original then detected := true
+            end
+          done;
+          if !detected then
+            Pmedia.Bitops.set_bit dst
+              (walk.q4 + ((walk.rem lsr 3) land 3) + dst_off)
+              true;
+          walk.rem <- next_dot walk.rem;
+          walk.win <- 0;
+          walk.avail <- 0;
+          walk.limit <- 0
+        end
+      end
+    done
+
+  let erb_run ~cycles ctx ~start ~len ~dst ~dst_pos =
+    let m = Pmedia.Bitops.medium ctx in
+    assert (Pmedia.Bitops.fault ctx = None);
+    assert (Pmedia.Medium.run_defect_free m ~start ~len);
+    let c = Pmedia.Bitops.counters ctx in
+    c.Pmedia.Bitops.erb <- c.Pmedia.Bitops.erb + len;
+    for k = 0 to len - 1 do
+      put_bit dst (dst_pos + k) false
+    done;
+    let rng = Pmedia.Medium.rng m in
+    let walk =
+      { q4 = 0; rem = 0; win = 0; avail = 0; limit = 0; clean = 0;
+        heated_mrb = 0; heated_mwb = 0 }
+    in
+    Pmedia.Medium.iter_chunks m ~write:false ~start ~len
+      (chunk ~cycles ~table:((min cycles 5 - 1) lsl 12) rng walk dst
+         ~dst_off:(dst_pos - start));
+    commit rng walk;
+    c.Pmedia.Bitops.mrb <-
+      c.Pmedia.Bitops.mrb + (3 * cycles * walk.clean) + walk.heated_mrb;
+    c.Pmedia.Bitops.mwb <-
+      c.Pmedia.Bitops.mwb + (2 * cycles * walk.clean) + walk.heated_mwb
+end
 
 let mrb_run_equiv =
   QCheck.Test.make ~name:"mrb_run == per-dot mrb loop" ~count:400 equiv_arb
@@ -550,7 +751,8 @@ let erb_loop ~cycles ctx ~start ~len dst ~off =
   d
 
 (* A plan's ticks are placed against the kernel's bound, five a cycle
-   per dot: the exact count is only known after the run. *)
+   per dot: the exact count is only known after the run.  The kernel
+   runs under every window. *)
 let erb_run_equiv =
   QCheck.Test.make ~name:"erb_run == per-dot erb loop" ~count:200 equiv_arb
     (fun (((seed, _) as seeds), fault, ops, ((start, len_raw), cyc, off, _)) ->
@@ -560,17 +762,23 @@ let erb_run_equiv =
         run_plan fault ~start ~len ~ops0:(List.length ops)
           ~ticks:(5 * cycles * len)
       in
-      let ((_, ctx1) as t1), ((_, ctx2) as t2) = make_twin ?plan seeds ops in
-      let d1 = noise_bytes seed ~off ~len in
-      let d2 = Bytes.copy d1 in
-      let cut1 =
-        cut_op ctx1 (fun () ->
-            Pmedia.Bitops.erb_run ~cycles ctx1 ~start ~len ~dst:d1 ~dst_pos:off)
-      in
-      let cut2 =
-        cut_op ctx2 (fun () -> erb_loop_into ~cycles ctx2 ~start ~len d2 ~off)
-      in
-      cut1 = cut2 && Bytes.equal d1 d2 && twins_agree t1 t2)
+      List.for_all
+        (fun window ->
+          let ((_, ctx1) as t1), ((_, ctx2) as t2) =
+            make_twin ?plan ~window seeds ops
+          in
+          let d1 = noise_bytes seed ~off ~len in
+          let d2 = Bytes.copy d1 in
+          let cut1 =
+            cut_op ctx1 (fun () ->
+                Pmedia.Bitops.erb_run ~cycles ctx1 ~start ~len ~dst:d1
+                  ~dst_pos:off)
+          in
+          let cut2 =
+            cut_op ctx2 (fun () -> erb_loop_into ~cycles ctx2 ~start ~len d2 ~off)
+          in
+          cut1 = cut2 && Bytes.equal d1 d2 && twins_agree t1 t2)
+        windows)
 
 (* Which plans the packed read kernel may run under: only those that
    cannot act on the run's own ticks and dots other than by read flips. *)
@@ -594,40 +802,46 @@ let inert_keeps_packed =
           (13, true);
         ])
 
-(* A mostly heated medium, read over and over: thousands of heated dots
-   per cycle count, so the window refills mid-byte, pairs fall back to
-   single dots and, from five cycles on, dozens of dots need the
+(* A mostly heated medium, read over and over under every window:
+   thousands of heated dots per cycle count, so the draws run out
+   mid-byte and, from five cycles on, dozens of dots need the
    per-round loop. *)
 let erb_run_dense =
   Alcotest.test_case "erb_run == per-dot erb loop over dense heat" `Quick
     (fun () ->
       Array.iter
         (fun cycles ->
-          let make () =
-            let m =
-              Pmedia.Medium.create
-                (Pmedia.Medium.default_config ~rows:16 ~cols:16)
-            in
-            let ctx = Pmedia.Bitops.make m in
-            for i = 0 to 255 do
-              if i mod 7 <> 3 then Pmedia.Bitops.ewb ctx i
-            done;
-            (m, ctx)
-          in
-          let ((_, ctx1) as t1), ((_, ctx2) as t2) = (make (), make ()) in
-          for pass = 0 to 39 do
-            let start = pass mod 5 and off = pass mod 11 in
-            let len = 256 - start - (pass mod 3) in
-            let d1 = noise_bytes pass ~off ~len in
-            let d2 = erb_loop ~cycles ctx2 ~start ~len d1 ~off in
-            Pmedia.Bitops.erb_run ~cycles ctx1 ~start ~len ~dst:d1 ~dst_pos:off;
-            Alcotest.(check bool)
-              (Printf.sprintf "cycles %d pass %d bits" cycles pass)
-              true (Bytes.equal d1 d2)
-          done;
-          Alcotest.(check bool)
-            (Printf.sprintf "cycles %d twins" cycles)
-            true (twins_agree t1 t2))
+          List.iter
+            (fun window ->
+              let make ctx_of =
+                let m =
+                  Pmedia.Medium.create
+                    (Pmedia.Medium.default_config ~rows:16 ~cols:16)
+                in
+                let ctx = ctx_of m in
+                for i = 0 to 255 do
+                  if i mod 7 <> 3 then Pmedia.Bitops.ewb ctx i
+                done;
+                (m, ctx)
+              in
+              let ((_, ctx1) as t1), ((_, ctx2) as t2) =
+                (make (Pmedia.Bitops.Window.make window), make Pmedia.Bitops.make)
+              in
+              let name = Pmedia.Bitops.Window.name window in
+              for pass = 0 to 39 do
+                let start = pass mod 5 and off = pass mod 11 in
+                let len = 256 - start - (pass mod 3) in
+                let d1 = noise_bytes pass ~off ~len in
+                let d2 = erb_loop ~cycles ctx2 ~start ~len d1 ~off in
+                Pmedia.Bitops.erb_run ~cycles ctx1 ~start ~len ~dst:d1 ~dst_pos:off;
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s cycles %d pass %d bits" name cycles pass)
+                  true (Bytes.equal d1 d2)
+              done;
+              Alcotest.(check bool)
+                (Printf.sprintf "%s cycles %d twins" name cycles)
+                true (twins_agree t1 t2))
+            windows)
         erb_cycles)
 
 (* {1 Word kernels across segments}
@@ -757,6 +971,95 @@ let word_kernel_cases =
         Alcotest.(check bool) (Printf.sprintf "mrb_run %.1f words <= 9" r) true (r <= 9.));
   ]
 
+(* {1 Electrical runs across segments}
+
+   The native erb kernel is called once per segment chunk, so a run
+   that straddles a segment boundary is two calls, which must hand the
+   PRNG position over exactly and write every dot's bit at the run's
+   own offset.  These twins race [erb_run] under every window against
+   the per-dot loop and the oracle walk on CoW clones of a parent of
+   {!word_config}'s four segments, over Manchester-burned areas (one
+   heated dot per cell, some cells heated whole, the HH of a tampered
+   cell) and blank ones, with odd starts, lengths and destination
+   offsets and every cycle count of {!erb_cycles}. *)
+
+(* Areas of 64-4,158 dots over [lo, hi), burned and blank in turn. *)
+let erb_parent rng ~seed ~lo ~hi ~hh =
+  let m = Pmedia.Medium.create { word_config with Pmedia.Medium.seed } in
+  let magnetise i =
+    Pmedia.Medium.set m i (Pmedia.Dot.Magnetised (Pmedia.Dot.of_bool (Sim.Prng.bool rng)))
+  in
+  let heat i = Pmedia.Medium.set m i Pmedia.Dot.Heated in
+  let burned = ref (Sim.Prng.bool rng) and i = ref lo in
+  while !i < hi do
+    let stop = min hi (!i + 64 + (2 * Sim.Prng.int rng 2048)) in
+    for cell = 0 to ((stop - !i) / 2) - 1 do
+      let d = !i + (2 * cell) in
+      if not !burned then begin
+        magnetise d;
+        magnetise (d + 1)
+      end
+      else if Sim.Prng.int rng 100 < hh then begin
+        heat d;
+        heat (d + 1)
+      end
+      else if Sim.Prng.bool rng then begin
+        heat d;
+        magnetise (d + 1)
+      end
+      else begin
+        magnetise d;
+        heat (d + 1)
+      end
+    done;
+    burned := not !burned;
+    i := stop
+  done;
+  m
+
+(* (seed, boundary), (dots before it, half the dots after it), (cycles
+   index, per cent of HH cells) and half the destination offset. *)
+let erb_segment_arb =
+  QCheck.(
+    quad
+      (pair (int_range 0 1_000_000) (int_range 1 3))
+      (pair (int_range 0 1023) (int_range 1 1023))
+      (pair (int_range 0 4) (int_range 0 20))
+      (int_range 0 31))
+
+let erb_segment_twins =
+  QCheck.Test.make
+    ~name:"erb_run == per-dot loop and oracle walk across segments"
+    ~count:200 ~long_factor:20 erb_segment_arb
+    (fun ((seed, bnd), (b, a), (cyc, hh), half_off) ->
+      let size = 8 * 6200 and bnd = bnd * seg_dots in
+      let start = bnd - ((2 * b) + 1) in
+      let len = (2 * b) + 1 + (2 * min a ((size - bnd - 1) / 2)) in
+      let off = (2 * half_off) + 1 and cycles = erb_cycles.(cyc) in
+      let lo = max 0 (start - 64) and hi = min size (start + len + 64) in
+      let rng = Sim.Prng.create seed in
+      let parent = erb_parent rng ~seed ~lo ~hi ~hh in
+      let image = packed_string parent in
+      let twin ctx_of =
+        let m = Pmedia.Medium.clone parent in
+        (m, ctx_of m)
+      in
+      List.for_all
+        (fun window ->
+          let ((m1, k1) as t1) = twin (Pmedia.Bitops.Window.make window) in
+          let ((_, k2) as t2) = twin Pmedia.Bitops.make in
+          let ((_, k3) as t3) = twin Pmedia.Bitops.make in
+          let d1 = noise_bytes seed ~off ~len in
+          let d3 = Bytes.copy d1 in
+          let d2 = erb_loop ~cycles k2 ~start ~len d1 ~off in
+          Pmedia.Bitops.erb_run ~cycles k1 ~start ~len ~dst:d1 ~dst_pos:off;
+          Erb_oracle.erb_run ~cycles k3 ~start ~len ~dst:d3 ~dst_pos:off;
+          Bytes.equal d1 d2 && Bytes.equal d1 d3 && twins_agree t1 t2
+          && twins_agree t1 t3
+          && Pmedia.Medium.owned_segments m1 = 0)
+        windows
+      && String.equal (packed_string parent) image)
+
 (* {1 CoW segments} *)
 
 let cow_medium () =
@@ -864,6 +1167,8 @@ let packed_bounds =
         [ (1, 1, max_int); (max_int, 0, 1); (0, max_int, 1); (5, 0, 0); (0, 0, 5) ])
 
 let () =
+  Printf.printf "erb_run windows raced against the per-dot loop: %s\n%!"
+    (String.concat ", " (List.map Pmedia.Bitops.Window.name windows));
   Alcotest.run "medium"
     [
       ("dot", dot_cases @ List.map qtest [ heated_absorbing; mwb_sets_direction ]);
@@ -878,6 +1183,6 @@ let () =
             [ mrb_run_equiv; mrb_run_flips_equiv; mwb_run_equiv; erb_run_equiv ]
         @ [ erb_run_dense; inert_keeps_packed ]
         @ word_kernel_cases
-        @ [ qtest word_kernel_twins ] );
+        @ [ qtest word_kernel_twins; qtest erb_segment_twins ] );
       ("cow", cow_cases @ [ qtest cow_matches_deep_copy ]);
     ]

@@ -106,27 +106,6 @@ let stream_pins =
         Alcotest.(check (float 0.)) "minor words" 0. (Gc.minor_words () -. before));
   ]
 
-let window_and_skip =
-  QCheck.Test.make ~name:"bool_window is the next bools; skip n is n draws"
-    ~count:300
-    QCheck.(pair int (int_range 0 62))
-    (fun (seed, n) ->
-      let rng = Sim.Prng.create seed in
-      let seq = Sim.Prng.copy rng in
-      let w = Sim.Prng.bool_window rng in
-      let window_ok =
-        List.for_all
-          (fun k -> (w lsr k) land 1 = 1 = Sim.Prng.bool seq)
-          (List.init 62 Fun.id)
-        && w lsr 62 = 0
-      in
-      let seq = Sim.Prng.copy rng in
-      for _ = 1 to n do
-        ignore (Sim.Prng.bits64 seq)
-      done;
-      Sim.Prng.skip rng n;
-      window_ok && Sim.Prng.bits64 rng = Sim.Prng.bits64 seq)
-
 let bernoulli_mask_bits =
   QCheck.Test.make ~name:"bernoulli_mask is one bernoulli per set bit"
     ~count:500
@@ -847,7 +826,7 @@ let () =
     [
       ( "prng",
         prng_cases @ stream_cases @ [ qtest int_in_range ] @ stream_pins
-        @ [ qtest window_and_skip; qtest bernoulli_mask_bits ] );
+        @ [ qtest bernoulli_mask_bits ] );
       ("stats",
        stats_cases @ stats_merge_cases
        @ [
