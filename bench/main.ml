@@ -378,7 +378,7 @@ let e24_zero_copy =
     Test.make ~name:"e24 read_blocks span (7 sectors, 1 pass)"
       (Staged.stage (fun () ->
            ignore (Sero.Device.read_blocks dev ~pba:first ~n)));
-    Test.make ~name:"e24 crc32 532B (slicing-by-8)"
+    Test.make ~name:"e24 crc32 532B"
       (let framed = String.sub payload_4k 0 532 in
        Staged.stage (fun () -> ignore (Codec.Crc32.string framed)));
   ]

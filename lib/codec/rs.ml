@@ -1,14 +1,11 @@
 type code = {
   npar : int;
-  lanes : int; (* ceil(npar / 6): 48-bit lanes holding the remainder *)
-  table : int array;
-      (* [rows] x 256 x [lanes]: entry ((m * 256) + u) * lanes + l is
-         lane l of u * (x^(npar+m) mod g).  Eight rows for a four-lane
-         code, one for any other. *)
+  table : string;
+      (* [rows] x 256 entries of [lanes] little-endian 64-bit lanes:
+         entry (m * 256) + u, at byte ((m * 256) + u) * 8 * lanes, holds
+         u * (x^(npar+m) mod g), coefficient of x^(npar-1-j) at byte j.
+         Eight rows for a three-lane code, one for any other. *)
 }
-
-let lane_bytes = 6
-let mask48 = 0xFFFFFFFFFFFF
 
 let make ~nparity =
   if nparity <= 0 || nparity >= 255 then
@@ -19,13 +16,13 @@ let make ~nparity =
     gen := Gf256.poly_mul !gen [| 1; Gf256.exp i |]
   done;
   let gen = !gen in
-  let lanes = (nparity + lane_bytes - 1) / lane_bytes in
-  let rows = if lanes = 4 then 8 else 1 in
+  let lanes = (nparity + 7) / 8 in
+  let rows = if lanes = 3 then 8 else 1 in
   (* [p] holds x^(npar+m) mod g, coefficient of x^(npar-1-j) at j: the
      remainder's byte order.  Row 0 is g minus its lead; each next row
      multiplies by x. *)
   let p = Array.init nparity (fun j -> gen.(j + 1)) in
-  let table = Array.make (rows * 256 * lanes) 0 in
+  let table = Bytes.make (rows * 256 * lanes * 8) '\x00' in
   for m = 0 to rows - 1 do
     if m > 0 then begin
       let lead = p.(0) in
@@ -35,131 +32,43 @@ let make ~nparity =
       done
     end;
     for u = 0 to 255 do
-      let row = ((m * 256) + u) * lanes in
+      let entry = ((m * 256) + u) * lanes * 8 in
       for j = 0 to nparity - 1 do
-        let l = row + (j / lane_bytes) in
-        table.(l) <- table.(l) lor (Gf256.mul u p.(j) lsl (8 * (j mod lane_bytes)))
+        Bytes.set table (entry + j) (Char.unsafe_chr (Gf256.mul u p.(j)))
       done
     done
   done;
-  { npar = nparity; lanes; table }
+  { npar = nparity; table = Bytes.unsafe_to_string table }
 
 let nparity c = c.npar
 let max_data c = 255 - c.npar
 
-external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external bswap64 : int64 -> int64 = "%bswap_int64"
+(* The kernels in codec_stubs.c.  [parity_kernel table npar b n o0 l0
+   o1 l1 o2 l2] writes the parity of each of the first [n] slices
+   [o_i, o_i + l_i) of [b] right after it; [remainder_kernel table npar
+   src off len dst] writes the remainder of [src[off, off + len)] at
+   the start of [dst]; [screen_kernel b n o0 l0 o1 l1 o2 l2] is true
+   when S0-S3 of each of the first [n] words [o_i, o_i + l_i) are zero.
+   The slices' dependent chains run interleaved.  Callers check every
+   range first. *)
+external parity_kernel :
+  string -> int -> Bytes.t -> int -> int -> int -> int -> int -> int -> int -> unit
+  = "sero_rs_parity_byte" "sero_rs_parity"
+[@@noalloc]
 
-(* Polynomial long division of src[off, off+len) * x^npar by the
-   generator, leaving the remainder in [rem]'s first [c.lanes] lanes.
+external remainder_kernel : string -> int -> Bytes.t -> int -> int -> Bytes.t -> unit
+  = "sero_rs_remainder_byte" "sero_rs_remainder"
+[@@noalloc]
 
-   The remainder R_0 .. R_(npar-1), R_0 the coefficient of x^(npar-1),
-   lives in little-endian 48-bit integer lanes: R_i at bits
-   8 (i mod 6) of lane i / 6, pad bytes zero.  A data byte d makes the
-   factor u = d xor R_0; the remainder shifts down one symbol and takes
-   u * (x^npar mod g), row 0 of the table.
+external screen_kernel :
+  Bytes.t -> int -> int -> int -> int -> int -> int -> int -> bool
+  = "sero_rs_screen_byte" "sero_rs_screen"
+[@@noalloc]
 
-   Eight bytes d_0 .. d_7 at once:
+(* Builds the screen's tables, before any worker domain exists. *)
+external screen_init : unit -> unit = "sero_rs_init" [@@noalloc]
 
-     R' = (x^8 R + sum_j d_j x^(npar+7-j)) mod g
-        = (R shifted down eight symbols) + sum_j u_j (x^(npar+7-j) mod g)
-
-   with u_j = d_j xor R_j, so byte j goes through row 7 - j.  The eight
-   lookups per lane do not depend on each other: the loop-carried chain
-   is one lookup deep per eight bytes, where the byte step is eight. *)
-let remainder c src ~off ~len rem =
-  let t = c.table in
-  if c.lanes = 4 then begin
-    (* The sector code's shape (npar 19 to 24): four lanes in locals. *)
-    let r0 = ref 0 and r1 = ref 0 and r2 = ref 0 and r3 = ref 0 in
-    let head = len land 7 in
-    for i = off to off + head - 1 do
-      let b = (Char.code (Bytes.unsafe_get src i) lxor (!r0 land 0xFF)) lsl 2 in
-      let n0 = (!r0 lsr 8) lor ((!r1 land 0xFF) lsl 40) lxor Array.unsafe_get t b
-      and n1 = (!r1 lsr 8) lor ((!r2 land 0xFF) lsl 40) lxor Array.unsafe_get t (b + 1)
-      and n2 = (!r2 lsr 8) lor ((!r3 land 0xFF) lsl 40) lxor Array.unsafe_get t (b + 2)
-      and n3 = (!r3 lsr 8) lxor Array.unsafe_get t (b + 3) in
-      r0 := n0;
-      r1 := n1;
-      r2 := n2;
-      r3 := n3
-    done;
-    (* Then one 64-bit load per step, d_0 in its low byte, so [u] packs
-       u_0 .. u_5 in the bit places of lane 0 and [v] u_6 and u_7 in
-       those of lane 1's low two bytes.  Byte j's table entry starts at
-       row 7 - j (offset (7 - j) lsl 10) plus u_j lsl 2. *)
-    let j = ref (off + head) and stop = off + len in
-    while !j < stop do
-      let w = get64u src !j in
-      let w = if Sys.big_endian then bswap64 w else w in
-      let u = (Int64.to_int w lxor !r0) land mask48
-      and v = (Int64.to_int (Int64.shift_right_logical w 48) lxor !r1) land 0xFFFF in
-      let b0 = 0x1C00 lor ((u lsl 2) land 0x3FC)
-      and b1 = 0x1800 lor ((u lsr 6) land 0x3FC)
-      and b2 = 0x1400 lor ((u lsr 14) land 0x3FC)
-      and b3 = 0x1000 lor ((u lsr 22) land 0x3FC)
-      and b4 = 0x0C00 lor ((u lsr 30) land 0x3FC)
-      and b5 = 0x0800 lor ((u lsr 38) land 0x3FC)
-      and b6 = 0x0400 lor ((v lsl 2) land 0x3FC)
-      and b7 = (v lsr 6) land 0x3FC in
-      let n0 =
-        (!r1 lsr 16) lor ((!r2 land 0xFFFF) lsl 32)
-        lxor (Array.unsafe_get t b0 lxor Array.unsafe_get t b1)
-        lxor (Array.unsafe_get t b2 lxor Array.unsafe_get t b3)
-        lxor (Array.unsafe_get t b4 lxor Array.unsafe_get t b5)
-        lxor (Array.unsafe_get t b6 lxor Array.unsafe_get t b7)
-      and n1 =
-        (!r2 lsr 16) lor ((!r3 land 0xFFFF) lsl 32)
-        lxor (Array.unsafe_get t (b0 + 1) lxor Array.unsafe_get t (b1 + 1))
-        lxor (Array.unsafe_get t (b2 + 1) lxor Array.unsafe_get t (b3 + 1))
-        lxor (Array.unsafe_get t (b4 + 1) lxor Array.unsafe_get t (b5 + 1))
-        lxor (Array.unsafe_get t (b6 + 1) lxor Array.unsafe_get t (b7 + 1))
-      and n2 =
-        (!r3 lsr 16)
-        lxor (Array.unsafe_get t (b0 + 2) lxor Array.unsafe_get t (b1 + 2))
-        lxor (Array.unsafe_get t (b2 + 2) lxor Array.unsafe_get t (b3 + 2))
-        lxor (Array.unsafe_get t (b4 + 2) lxor Array.unsafe_get t (b5 + 2))
-        lxor (Array.unsafe_get t (b6 + 2) lxor Array.unsafe_get t (b7 + 2))
-      and n3 =
-        Array.unsafe_get t (b0 + 3) lxor Array.unsafe_get t (b1 + 3)
-        lxor (Array.unsafe_get t (b2 + 3) lxor Array.unsafe_get t (b3 + 3))
-        lxor (Array.unsafe_get t (b4 + 3) lxor Array.unsafe_get t (b5 + 3))
-        lxor (Array.unsafe_get t (b6 + 3) lxor Array.unsafe_get t (b7 + 3))
-      in
-      r0 := n0;
-      r1 := n1;
-      r2 := n2;
-      r3 := n3;
-      j := !j + 8
-    done;
-    rem.(0) <- !r0;
-    rem.(1) <- !r1;
-    rem.(2) <- !r2;
-    rem.(3) <- !r3
-  end
-  else begin
-    let n_lanes = c.lanes in
-    Array.fill rem 0 n_lanes 0;
-    for i = off to off + len - 1 do
-      let base =
-        (Char.code (Bytes.unsafe_get src i) lxor (Array.unsafe_get rem 0 land 0xFF))
-        * n_lanes
-      in
-      for l = 0 to n_lanes - 2 do
-        Array.unsafe_set rem l
-          ((Array.unsafe_get rem l lsr 8)
-           lor ((Array.unsafe_get rem (l + 1) land 0xFF) lsl 40)
-          lxor Array.unsafe_get t (base + l))
-      done;
-      Array.unsafe_set rem (n_lanes - 1)
-        ((Array.unsafe_get rem (n_lanes - 1) lsr 8)
-        lxor Array.unsafe_get t (base + n_lanes - 1))
-    done
-  end
-
-(* Byte [i] of the npar-byte remainder, highest degree first. *)
-let rem_byte rem i =
-  (rem.(i / lane_bytes) lsr (8 * (i mod lane_bytes))) land 0xFF
+let () = screen_init ()
 
 type decode_outcome = Ok_clean | Corrected of int | Uncorrectable
 
@@ -183,7 +92,7 @@ let[@inline] add_mod255 e d = if e + d >= 255 then e + d - 255 else e + d
    by every domain (the sector code is a global), so it cannot carry
    mutable buffers; {!Domain.DLS.get} finds these without allocating. *)
 type scratch = {
-  rem : int array; (* remainder lanes *)
+  rem : Bytes.t; (* the data's remainder, R_0 first *)
   synd : int array; (* S_i = r(alpha^i) *)
   lam : int array; (* error locator, lowest degree first *)
   prev : int array; (* Berlekamp–Massey's last locator before a length change *)
@@ -199,7 +108,7 @@ let scratch_key =
   Domain.DLS.new_key (fun () ->
       let a () = Array.make 256 0 in
       {
-        rem = a ();
+        rem = Bytes.create 256;
         synd = a ();
         lam = a ();
         prev = a ();
@@ -214,11 +123,7 @@ let scratch_key =
 let parity_into c b ~off ~len =
   if off < 0 || len < 0 || len > max_data c || len + c.npar > Bytes.length b - off
   then invalid_arg "Rs.parity_into: out of bounds";
-  let rem = (Domain.DLS.get scratch_key).rem in
-  remainder c b ~off ~len rem;
-  for i = 0 to c.npar - 1 do
-    Bytes.unsafe_set b (off + len + i) (Char.unsafe_chr (rem_byte rem i))
-  done
+  parity_kernel c.table c.npar b 1 off len 0 0 0 0
 
 let parity c data =
   let len = String.length data in
@@ -231,17 +136,18 @@ let parity c data =
    cw[off, off+n) into [s.synd]; [true] when all are zero.  Since
    r = q g + (r mod g) and g(alpha^i) = 0, S_i is the remainder
    evaluated at alpha^i, and the remainder is the data's recomputed
-   parity xor the received parity: one lane-packed division plus
+   parity xor the received parity: one division plus
    npar^2 log-domain steps instead of n * npar.  A word shorter than the
    parity is its own remainder (leading zeros change no polynomial).  A
    zero remainder is a codeword: a clean word skips the table steps. *)
 let syndromes c cw ~off ~n s =
   let npar = c.npar and d = s.tmp and nonzero = ref 0 in
-  remainder c cw ~off ~len:(max 0 (n - npar)) s.rem;
+  remainder_kernel c.table npar cw off (max 0 (n - npar)) s.rem;
   for m = 0 to npar - 1 do
     let j = n - npar + m in
     d.(m) <-
-      rem_byte s.rem m lxor if j < 0 then 0 else Char.code (Bytes.get cw (off + j));
+      Char.code (Bytes.unsafe_get s.rem m)
+      lxor if j < 0 then 0 else Char.code (Bytes.get cw (off + j));
     nonzero := !nonzero lor d.(m)
   done;
   !nonzero = 0
@@ -262,83 +168,66 @@ let syndromes c cw ~off ~n s =
        false
      end
 
-(* How many leading syndromes [probably_clean] evaluates. *)
-let quick_syndromes = 4
-
-(* The screen's S1-S3 travel packed one byte each in an int: S_i in
-   bits 8(i-1) .. 8i-1.  Every code's generator has the roots alpha^0 ..
-   alpha^(npar-1), so for npar >= 4 these syndromes are the same
-   functions of the word whatever the code, and the tables are global.
-   Eight bytes b_0 .. b_7 advance the Horner evaluation in one dependent
-   step,
-
-     S_i <- S_i alpha^(8i) + sum_k b_k alpha^((7-k)i),
-
-   where [screen_byte] row k holds byte b's three terms
-   b alpha^k | b alpha^(2k) lsl 8 | b alpha^(3k) lsl 16, and
-   [screen_shift] row i-1 holds s alpha^(8i) already at lane i.  Built
-   at module initialisation, before any worker domain exists. *)
-let screen_byte =
-  Array.init (8 * 256) (fun j ->
-      let k = j lsr 8 and b = j land 0xFF in
-      Gf256.mul b (Gf256.exp k)
-      lor (Gf256.mul b (Gf256.exp (2 * k)) lsl 8)
-      lor (Gf256.mul b (Gf256.exp (3 * k)) lsl 16))
-
-let screen_shift =
-  Array.init (3 * 256) (fun j ->
-      let i = (j lsr 8) + 1 and s = j land 0xFF in
-      Gf256.mul s (Gf256.exp (8 * i)) lsl (8 * (i - 1)))
-
+(* For npar >= 4 the screen is the kernel's S0-S3: every generator has
+   the roots alpha^0 .. alpha^(npar-1), so these four syndromes are the
+   same functions of a word whatever the code. *)
 let probably_clean c cw ~off ~len =
   if off < 0 || len < 0 || len > Bytes.length cw - off then
     invalid_arg "Rs.probably_clean: out of bounds";
-  if c.npar < quick_syndromes then
-    syndromes c cw ~off ~n:len (Domain.DLS.get scratch_key)
-  else begin
-    let pk = screen_byte and q = screen_shift in
-    (* alpha^0 = 1, so syndrome 0 is a plain running XOR.  The first
-       [len mod 8] bytes start from zero syndromes: byte p of them lands
-       through row [head - 1 - p] with no dependent step. *)
-    let head = len land 7 in
-    let s0 = ref 0 and s = ref 0 in
-    for p = 0 to head - 1 do
-      let b = Char.code (Bytes.unsafe_get cw (off + p)) in
-      s0 := !s0 lxor b;
-      s := !s lxor Array.unsafe_get pk (((head - 1 - p) lsl 8) lor b)
-    done;
-    (* Then one 64-bit load per step, b_0 in its low byte.  [lo] holds
-       b_0 .. b_3 in bits 0-31 (its bits from 32 up are never read) and
-       [hi] holds b_4 .. b_7; S0 accumulates [lo lxor hi], whose bits
-       0-31 are the four bytewise xors, and folds them at the end. *)
-    let j = ref (off + head) and stop = off + len in
-    while !j < stop do
-      let p = !j in
-      let w = get64u cw p in
-      let w = if Sys.big_endian then bswap64 w else w in
-      let lo = Int64.to_int w and hi = Int64.to_int (Int64.shift_right_logical w 32) in
-      s0 := !s0 lxor lo lxor hi;
-      (* The bytes' terms combine off the one dependent step. *)
-      let x =
-        Array.unsafe_get pk (0x700 lor (lo land 0xFF))
-        lxor Array.unsafe_get pk (0x600 lor ((lo lsr 8) land 0xFF))
-        lxor (Array.unsafe_get pk (0x500 lor ((lo lsr 16) land 0xFF))
-             lxor Array.unsafe_get pk (0x400 lor ((lo lsr 24) land 0xFF)))
-        lxor (Array.unsafe_get pk (0x300 lor (hi land 0xFF))
-             lxor Array.unsafe_get pk (0x200 lor ((hi lsr 8) land 0xFF))
-             lxor (Array.unsafe_get pk (0x100 lor ((hi lsr 16) land 0xFF))
-                  lxor Array.unsafe_get pk (hi lsr 24)))
-      in
-      let v = !s in
-      s :=
-        Array.unsafe_get q (v land 0xFF)
-        lxor Array.unsafe_get q (0x100 lor ((v lsr 8) land 0xFF))
-        lxor (Array.unsafe_get q (0x200 lor (v lsr 16)) lxor x);
-      j := p + 8
-    done;
-    let s0 = !s0 lxor (!s0 lsr 16) in
-    (s0 lxor (s0 lsr 8)) land 0xFF lor !s = 0
-  end
+  if c.npar < 4 then syndromes c cw ~off ~n:len (Domain.DLS.get scratch_key)
+  else screen_kernel cw 1 off len 0 0 0 0
+
+let nslices c data_len =
+  let m = max_data c in
+  (data_len + m - 1) / m
+
+let encoded_length c data_len =
+  if data_len = 0 then 0 else data_len + (nslices c data_len * c.npar)
+
+(* The image of [len] data bytes at [off]: slice [k]'s data starts at
+   [off + k (max_data c + npar)] and holds [slice_len c len k] bytes.
+   The first guard bounds [len], so no sum below can wrap. *)
+let check_slices name c b ~off ~len =
+  if off < 0 || len < 0 || len > Bytes.length b - off
+     || encoded_length c len > Bytes.length b - off
+  then invalid_arg name
+
+let slice_off c off k = off + (k * (max_data c + c.npar))
+let slice_len c len k = max 0 (min (max_data c) (len - (k * max_data c)))
+
+let parity_slices c b ~off ~len =
+  check_slices "Rs.parity_slices: out of bounds" c b ~off ~len;
+  let slices = nslices c len in
+  let k = ref 0 in
+  while !k < slices do
+    let k0 = !k in
+    parity_kernel c.table c.npar b (min 3 (slices - k0))
+      (slice_off c off k0) (slice_len c len k0)
+      (slice_off c off (k0 + 1)) (slice_len c len (k0 + 1))
+      (slice_off c off (k0 + 2)) (slice_len c len (k0 + 2));
+    k := k0 + 3
+  done
+
+let probably_clean_slices c b ~off ~len =
+  check_slices "Rs.probably_clean_slices: out of bounds" c b ~off ~len;
+  let p = c.npar and slices = nslices c len in
+  let k = ref 0 and clean = ref true in
+  while !clean && !k < slices do
+    let k0 = !k in
+    if p < 4 then begin
+      clean := probably_clean c b ~off:(slice_off c off k0) ~len:(slice_len c len k0 + p);
+      k := k0 + 1
+    end
+    else begin
+      clean :=
+        screen_kernel b (min 3 (slices - k0))
+          (slice_off c off k0) (slice_len c len k0 + p)
+          (slice_off c off (k0 + 1)) (slice_len c len (k0 + 1) + p)
+          (slice_off c off (k0 + 2)) (slice_len c len (k0 + 2) + p);
+      k := k0 + 3
+    end
+  done;
+  !clean
 
 (* Berlekamp–Massey over syn.(0 .. n-1): the shortest LFSR that
    generates them.  Leaves its connection polynomial (the locator),
@@ -476,10 +365,3 @@ let decode c cw =
   else
     let deg = berlekamp_massey s.synd ~n:c.npar s in
     if 2 * deg > c.npar then Uncorrectable else correct c cw ~n s ~deg
-
-let nslices c data_len =
-  let m = max_data c in
-  (data_len + m - 1) / m
-
-let encoded_length c data_len =
-  if data_len = 0 then 0 else data_len + (nslices c data_len * c.npar)

@@ -56,8 +56,8 @@ let rec runs_crc image base crc p stop =
 let framed_crc image base = runs_crc image base 0 0 (framed_bytes - crc_bytes)
 
 (* No intermediate copies: header and payload go straight to their
-   image positions, the CRC runs over the framed runs, and each slice's
-   parity is computed in place. *)
+   image positions, the CRC runs over the framed runs, and the three
+   slices' parity is computed in place by one kernel call. *)
 let encode_into image ~pba ~kind ~generation payload =
   let len = String.length payload in
   if len > payload_bytes then
@@ -82,9 +82,7 @@ let encode_into image ~pba ~kind ~generation payload =
   let at = image_pos (framed_bytes - crc_bytes) in
   set_u16 image at (crc lsr 16);
   set_u16 image (at + 2) crc;
-  each_run
-    (fun p take -> Rs.parity_into rs_code image ~off:(image_pos p) ~len:take)
-    0 framed_bytes
+  Rs.parity_slices rs_code image ~off:0 ~len:framed_bytes
 
 let encode ~pba ~kind ~generation payload =
   let image = Bytes.create physical_bytes in
@@ -108,51 +106,68 @@ let pp_error ppf e =
     | Bad_crc -> "bad-crc"
     | Bad_header -> "bad-header")
 
-(* Fast accept for the overwhelmingly common healthy sector, read in
-   place: every RS slice passes the cheap {!Rs.probably_clean} test,
-   the header parses at its slice-0 image positions (the PBA rebuilt as
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+(* Every byte of the image at [base] is zero; the caller has checked
+   that the image lies inside [b]. *)
+let all_zero b base =
+  let rec words i =
+    if i + 8 > physical_bytes then bytes i
+    else get64u b (base + i) = 0L && words (i + 8)
+  and bytes i =
+    i >= physical_bytes || (Bytes.unsafe_get b (base + i) = '\x00' && bytes (i + 1))
+  in
+  words 0
+
+(* The fast path's answer for a blank image, built once. *)
+let blank = Some (Error Bad_header)
+
+(* Fast answer for the overwhelmingly common healthy sector, read in
+   place: every RS slice passes the cheap screen (one
+   {!Rs.probably_clean_slices} call over the three slices), the header
+   parses at its slice-0 image positions (the PBA rebuilt as
    {!Binio.R.u64} builds it), and the CRC over the three framed runs
    matches the one stored after them.  Only the payload is copied, run
-   by run, into one fresh buffer.  Any disagreement at any stage returns
-   [None] and the caller falls through to the full slice-by-slice
-   decode, so every error path (and the ~2^-32 residual of a corruption
-   that fools the quick syndromes) keeps the slow path's exact
-   semantics; a wrong accept additionally needs a CRC32 collision. *)
+   by run, into one fresh buffer.  A blank (all-zero) image is a clean
+   RS codeword whose magic is 0: the slow path can only end in
+   [Bad_header] for it, so that is the answer here too.  Any other
+   disagreement at any stage returns [None] and the caller falls
+   through to the full slice-by-slice decode, so every error path (and
+   the ~2^-32 residual of a corruption that fools the quick syndromes)
+   keeps the slow path's exact semantics; a wrong accept additionally
+   needs a CRC32 collision. *)
 let decode_fast_sub coded base =
-  let npar = Rs.nparity rs_code in
-  let clean = ref true and p = ref 0 in
-  while !clean && !p < framed_bytes do
-    let take = min slice_data (framed_bytes - !p) in
-    clean :=
-      Rs.probably_clean rs_code coded ~off:(base + image_pos !p)
-        ~len:(take + npar);
-    p := !p + take
-  done;
-  if not !clean || Bytes.get_uint16_be coded base <> magic then None
+  if not (Rs.probably_clean_slices rs_code coded ~off:base ~len:framed_bytes)
+  then None
   else
-    match kind_of_int (Bytes.get_uint8 coded (base + 2)) with
-    | None -> None
-    | Some kind ->
-        let stored = get_u32 coded (base + image_pos (framed_bytes - crc_bytes)) in
-        let pba_hi = get_u32 coded (base + 4) in
-        (* A PBA past max_int is the slow path's [Bad_header]. *)
-        if pba_hi lsr 30 <> 0 || framed_crc coded base <> stored then None
-        else begin
-          let payload = Bytes.create payload_bytes in
-          each_run
-            (fun p take ->
-              Bytes.blit coded (base + image_pos p) payload (p - header_bytes)
-                take)
-            header_bytes (header_bytes + payload_bytes);
-          Some
-            {
-              pba = (pba_hi lsl 32) lor get_u32 coded (base + 8);
-              kind;
-              generation = get_u32 coded (base + 12);
-              payload = Bytes.unsafe_to_string payload;
-              corrected_symbols = 0;
-            }
-        end
+    let m = Bytes.get_uint16_be coded base in
+    if m = 0 && all_zero coded base then blank
+    else if m <> magic then None
+    else
+      match kind_of_int (Bytes.get_uint8 coded (base + 2)) with
+      | None -> None
+      | Some kind ->
+          let stored = get_u32 coded (base + image_pos (framed_bytes - crc_bytes)) in
+          let pba_hi = get_u32 coded (base + 4) in
+          (* A PBA past max_int is the slow path's [Bad_header]. *)
+          if pba_hi lsr 30 <> 0 || framed_crc coded base <> stored then None
+          else begin
+            let payload = Bytes.create payload_bytes in
+            each_run
+              (fun p take ->
+                Bytes.blit coded (base + image_pos p) payload (p - header_bytes)
+                  take)
+              header_bytes (header_bytes + payload_bytes);
+            Some
+              (Ok
+                 {
+                   pba = (pba_hi lsl 32) lor get_u32 coded (base + 8);
+                   kind;
+                   generation = get_u32 coded (base + 12);
+                   payload = Bytes.unsafe_to_string payload;
+                   corrected_symbols = 0;
+                 })
+          end
 
 (* Count corrections by decoding slice-by-slice ourselves.  Each slice
    is copied out before {!Rs.decode} corrects it in place, so [coded]
@@ -205,10 +220,10 @@ let decode_slow_sub coded base =
   end
 
 let decode_sub buf ~off =
-  if off < 0 || off + physical_bytes > Bytes.length buf then Error Bad_header
+  if off < 0 || off > Bytes.length buf - physical_bytes then Error Bad_header
   else
     match decode_fast_sub buf off with
-    | Some d -> Ok d
+    | Some r -> r
     | None -> decode_slow_sub buf off
 
 let decode image =

@@ -183,12 +183,14 @@ let primitive_ops c = c.mrb + c.mwb
    ledger and both PRNG streams all stay bit-identical.  Anything else
    runs a literal per-dot loop over the scalar ops. *)
 
+(* Both guards compare without a sum that could wrap: the kernels read
+   and write unchecked once they pass. *)
 let check_run t start len =
-  if start < 0 || len < 0 || start + len > Medium.size t.medium then
+  if start < 0 || len < 0 || start > Medium.size t.medium - len then
     invalid_arg "Bitops: run out of range"
 
 let check_bits name buf pos len =
-  if pos < 0 || pos + len > 8 * Bytes.length buf then
+  if pos < 0 || len < 0 || pos > (8 * Bytes.length buf) - len then
     invalid_arg (name ^ ": buffer out of range")
 
 let get_bit buf i =
@@ -219,18 +221,6 @@ let fast_read_ok ?read t ~start ~len ~ops =
 
 let mrb_run_fast t ~start ~len =
   aligned ~start ~len && fast_read_ok ~read:true t ~start ~len ~ops:len
-
-(* For a state byte with no heated field (byte land 0xAA = 0), the four
-   dots' logical bits (Up = code 1 = pair bit 0) reversed into the top
-   or bottom nibble of an MSB-first output byte.  Like every table here,
-   built at module initialisation: worker domains share it, and a lazy
-   forced by two of them at once raises [CamlinternalLazy.Undefined]. *)
-let rev_up_nibble =
-  Array.init 256 (fun b ->
-      ((b land 1) lsl 3)
-      lor (((b lsr 2) land 1) lsl 2)
-      lor (((b lsr 4) land 1) lsl 1)
-      lor ((b lsr 6) land 1))
 
 (* Heated dots of a state byte as a mask, bit [j] = dot [j] of the
    byte. *)
@@ -280,27 +270,39 @@ and replay_window inj ~ber ~op_off states ~base dst ~dst_off d e =
     replay_window inj ~ber ~op_off states ~base dst ~dst_off hi e
   end
 
-external get64u : Medium.states -> int -> int64 = "%caml_bigstring_get64u"
-external set64u : Medium.states -> int -> int64 -> unit = "%caml_bigstring_set64u"
-external bswap64 : int64 -> int64 = "%bswap_int64"
+(* [mrb_clean states first dst dpos n] reads the pairs 0 .. n-1 of a
+   chunk (pair p: state bytes first + 2p and first + 2p + 1) into image
+   bytes dpos + p of [dst], eight state bytes per step, and returns the
+   index of the first word (or, past the chunk's last whole word, the
+   first pair) with a heated field, or [n].  [mwb_words states first src
+   spos n] writes image bytes spos + p of [src] over the pairs
+   0 .. n-1, leaving every heated field as it is.  Both are in
+   word_stubs.c; the caller checks the run and the buffer range. *)
+external mrb_clean : Medium.states -> int -> Bytes.t -> int -> int -> int
+  = "sero_mrb_clean"
+[@@noalloc]
 
-(* The MSB-first image byte of the state-byte pair [s0], [s1]: two
-   nibble lookups when neither holds a heated field, otherwise one bit
-   per dot in address order, a heated dot's from the medium PRNG, as the
-   scalar path draws it. *)
+external mwb_words : Medium.states -> int -> Bytes.t -> int -> int -> unit
+  = "sero_mwb_words"
+[@@noalloc]
+
+(* Builds the kernels' tables, before any worker domain exists. *)
+external word_init : unit -> unit = "sero_word_init" [@@noalloc]
+
+let () = word_init ()
+
+(* The MSB-first image byte of the state-byte pair [s0], [s1], one bit
+   per dot in address order, a heated dot's from the medium PRNG, as
+   the scalar path draws it. *)
 let read_pair rng s0 s1 =
-  if (s0 lor s1) land 0xAA = 0 then
-    (Array.unsafe_get rev_up_nibble s0 lsl 4) lor Array.unsafe_get rev_up_nibble s1
-  else begin
-    let acc = ref 0 in
-    for j = 0 to 7 do
-      let byte = if j < 4 then s0 else s1 in
-      let c = (byte lsr (2 * (j land 3))) land 3 in
-      let bit = if c < 2 then c = 1 else Sim.Prng.bool rng in
-      if bit then acc := !acc lor (1 lsl (7 - j))
-    done;
-    !acc
-  end
+  let acc = ref 0 in
+  for j = 0 to 7 do
+    let byte = if j < 4 then s0 else s1 in
+    let c = (byte lsr (2 * (j land 3))) land 3 in
+    let bit = if c < 2 then c = 1 else Sim.Prng.bool rng in
+    if bit then acc := !acc lor (1 lsl (7 - j))
+  done;
+  !acc
 
 let mrb_run t ~start ~len ~dst ~dst_pos =
   check_run t start len;
@@ -310,68 +312,33 @@ let mrb_run t ~start ~len ~dst ~dst_pos =
     credit t len;
     t.counters.mrb <- t.counters.mrb + len;
     let rng = Medium.rng t.medium in
-    let tbl = rev_up_nibble in
     (* Segment boundaries are 8-dot-aligned, so every chunk keeps the
-       byte-pair framing of the flat kernel; a chunk's words of eight
-       state bytes (32 dots, four image bytes) stay inside its
-       segment. *)
+       byte-pair framing of the flat kernel; a chunk's words stay
+       inside its segment. *)
     Medium.iter_chunks t.medium ~write:false ~start ~len
       (fun states ~base ~start:cstart ~len:clen ->
         let dpos = (dst_pos + (cstart - start)) lsr 3 in
         let first = (cstart lsr 2) - base in
         let n = clen lsr 3 in
         let b = ref 0 in
-        while !b + 4 <= n do
-          let p = !b in
-          let w = get64u states (first + (2 * p)) in
-          let w = if Sys.big_endian then bswap64 w else w in
-          (* State bytes 0-3 in bits 0-31 of [lo] (its bits from 32 up
-             are never read), 4-7 in [hi]. *)
-          let lo = Int64.to_int w
-          and hi = Int64.to_int (Int64.shift_right_logical w 32) in
-          let d = dpos + p in
-          if (lo lor hi) land 0xAAAAAAAA = 0 then begin
-            Bytes.unsafe_set dst d
-              (Char.unsafe_chr
-                 ((Array.unsafe_get tbl (lo land 0xFF) lsl 4)
-                 lor Array.unsafe_get tbl ((lo lsr 8) land 0xFF)));
-            Bytes.unsafe_set dst (d + 1)
-              (Char.unsafe_chr
-                 ((Array.unsafe_get tbl ((lo lsr 16) land 0xFF) lsl 4)
-                 lor Array.unsafe_get tbl ((lo lsr 24) land 0xFF)));
-            Bytes.unsafe_set dst (d + 2)
-              (Char.unsafe_chr
-                 ((Array.unsafe_get tbl (hi land 0xFF) lsl 4)
-                 lor Array.unsafe_get tbl ((hi lsr 8) land 0xFF)));
-            Bytes.unsafe_set dst (d + 3)
-              (Char.unsafe_chr
-                 ((Array.unsafe_get tbl ((hi lsr 16) land 0xFF) lsl 4)
-                 lor Array.unsafe_get tbl (hi lsr 24)))
-          end
-          else begin
-            (* A heated field somewhere in the word: pair by pair, so
-               the coin flips come in address order. *)
-            Bytes.unsafe_set dst d
-              (Char.unsafe_chr (read_pair rng (lo land 0xFF) ((lo lsr 8) land 0xFF)));
-            Bytes.unsafe_set dst (d + 1)
-              (Char.unsafe_chr
-                 (read_pair rng ((lo lsr 16) land 0xFF) ((lo lsr 24) land 0xFF)));
-            Bytes.unsafe_set dst (d + 2)
-              (Char.unsafe_chr (read_pair rng (hi land 0xFF) ((hi lsr 8) land 0xFF)));
-            Bytes.unsafe_set dst (d + 3)
-              (Char.unsafe_chr (read_pair rng ((hi lsr 16) land 0xFF) (hi lsr 24)))
-          end;
-          b := p + 4
-        done;
         while !b < n do
-          let p = !b in
-          let i = first + (2 * p) in
-          Bytes.unsafe_set dst (dpos + p)
-            (Char.unsafe_chr
-               (read_pair rng
-                  (Char.code (Bigarray.Array1.unsafe_get states i))
-                  (Char.code (Bigarray.Array1.unsafe_get states (i + 1)))));
-          b := p + 1
+          let p = !b + mrb_clean states (first + (2 * !b)) dst (dpos + !b) (n - !b) in
+          if p = n then b := n
+          else begin
+            (* A heated field in the word (or the last pairs' pair) at
+               [p]: pair by pair, so the coin flips come in address
+               order, then the kernel again from the next word. *)
+            let stop = if p + 4 <= n then p + 4 else p + 1 in
+            for q = p to stop - 1 do
+              let i = first + (2 * q) in
+              Bytes.unsafe_set dst (dpos + q)
+                (Char.unsafe_chr
+                   (read_pair rng
+                      (Char.code (Bigarray.Array1.unsafe_get states i))
+                      (Char.code (Bigarray.Array1.unsafe_get states (i + 1)))))
+            done;
+            b := stop
+          end
         done);
     match t.fault with
     | None -> ()
@@ -391,46 +358,6 @@ let mrb_run t ~start ~len ~dst ~dst_pos =
       set_bit dst (dst_pos + k) (Dot.to_bool (mrb t (start + k)))
     done
 
-(* Inverse of [rev_up_nibble]: an MSB-first nibble of logical bits
-   (bit 3 = lowest dot address) as a state byte of Up/Down codes. *)
-let nibble_states =
-  Array.init 16 (fun nib ->
-      ((nib lsr 3) land 1)
-      lor (((nib lsr 2) land 1) lsl 2)
-      lor (((nib lsr 1) land 1) lsl 4)
-      lor ((nib land 1) lsl 6))
-
-(* An image byte as its two state bytes, the high nibble's in bits 0-7
-   and the low nibble's in bits 8-15. *)
-let expand =
-  Array.init 256 (fun v ->
-      nibble_states.(v lsr 4) lor (nibble_states.(v land 15) lsl 8))
-
-(* Image byte [v] over the state-byte pair at [i0]. *)
-let write_pair states i0 v =
-  let s0 = Char.code (Bigarray.Array1.unsafe_get states i0)
-  and s1 = Char.code (Bigarray.Array1.unsafe_get states (i0 + 1)) in
-  if (s0 lor s1) land 0xAA = 0 then begin
-    (* No heated dot in either state byte: overwrite all eight. *)
-    Bigarray.Array1.unsafe_set states i0
-      (Char.unsafe_chr (Array.unsafe_get nibble_states (v lsr 4)));
-    Bigarray.Array1.unsafe_set states (i0 + 1)
-      (Char.unsafe_chr (Array.unsafe_get nibble_states (v land 15)))
-  end
-  else
-    (* A heated dot ignores the write (no perpendicular axis); the
-       magnetised fields around it are still overwritten. *)
-    for j = 0 to 7 do
-      let idx = i0 + (j lsr 2) in
-      let byte = Char.code (Bigarray.Array1.unsafe_get states idx) in
-      let shift = 2 * (j land 3) in
-      if (byte lsr shift) land 2 = 0 then begin
-        let bit = (v lsr (7 - j)) land 1 in
-        Bigarray.Array1.unsafe_set states idx
-          (Char.unsafe_chr (byte land lnot (3 lsl shift) lor (bit lsl shift)))
-      end
-    done
-
 let mwb_run t ~start ~len ~src ~src_pos =
   check_run t start len;
   check_bits "Bitops.mwb_run" src src_pos len;
@@ -441,53 +368,13 @@ let mwb_run t ~start ~len ~src ~src_pos =
   then begin
     credit t len;
     t.counters.mwb <- t.counters.mwb + len;
-    let ex = expand in
     (* [~write:true] makes each chunk's segment private before the
        first store. *)
     Medium.iter_chunks t.medium ~write:true ~start ~len
       (fun states ~base ~start:cstart ~len:clen ->
-        let spos = (src_pos + (cstart - start)) lsr 3 in
-        let first = (cstart lsr 2) - base in
-        let n = clen lsr 3 in
-        let b = ref 0 in
-        while !b + 4 <= n do
-          let p = !b in
-          let i0 = first + (2 * p) and s = spos + p in
-          (* The heated test reads every byte alike: no byte swap. *)
-          let w = get64u states i0 in
-          if
-            (Int64.to_int w lor Int64.to_int (Int64.shift_right_logical w 32))
-            land 0xAAAAAAAA
-            = 0
-          then begin
-            (* The word is built from two 32-bit halves: an int with bit
-               62 set is negative, and [Int64.of_int] of the whole word
-               would copy that bit into bit 63, the last dot's heated
-               bit. *)
-            let lo =
-              Array.unsafe_get ex (Char.code (Bytes.unsafe_get src s))
-              lor (Array.unsafe_get ex (Char.code (Bytes.unsafe_get src (s + 1))) lsl 16)
-            and hi =
-              Array.unsafe_get ex (Char.code (Bytes.unsafe_get src (s + 2)))
-              lor (Array.unsafe_get ex (Char.code (Bytes.unsafe_get src (s + 3))) lsl 16)
-            in
-            let w =
-              Int64.logor (Int64.of_int lo) (Int64.shift_left (Int64.of_int hi) 32)
-            in
-            set64u states i0 (if Sys.big_endian then bswap64 w else w)
-          end
-          else
-            for k = 0 to 3 do
-              write_pair states (i0 + (2 * k)) (Char.code (Bytes.unsafe_get src (s + k)))
-            done;
-          b := p + 4
-        done;
-        while !b < n do
-          let p = !b in
-          write_pair states (first + (2 * p))
-            (Char.code (Bytes.unsafe_get src (spos + p)));
-          b := p + 1
-        done)
+        mwb_words states ((cstart lsr 2) - base) src
+          ((src_pos + (cstart - start)) lsr 3)
+          (clen lsr 3))
   end
   else
     for k = 0 to len - 1 do

@@ -105,13 +105,13 @@ val primitive_ops : counters -> int
       the [mrb + mwb] it charged) and the run defect-free (any start,
       length and bit offset).
 
-    Both packed kernels take eight state bytes (32 dots, four image
-    bytes) per step, with one 64-bit load, while a segment chunk has
-    that many left.  A word with no heated field maps through nibble
-    tables (a write stores the whole word); a word with one goes pair
-    by pair, so a read's coin flips keep address order and a write
-    leaves heated dots alone.  The rest of a chunk goes pair by
-    pair. *)
+    Both packed kernels run each segment chunk through a native loop
+    that takes eight state bytes (32 dots, four image bytes) per step,
+    with one 64-bit load, while the chunk has that many left, and the
+    rest pair by pair.  A read stops at a word (or pair) with a heated
+    field, reads it pair by pair in OCaml, so the coin flips keep
+    address order, and resumes at the next word; a write merges every
+    word under its heated fields' mask, leaving heated dots alone. *)
 
 val get_bit : Bytes.t -> int -> bool
 (** [get_bit buf i] is bit [i] of [buf] in the kernels' MSB-first

@@ -199,7 +199,7 @@ let is_defect t i =
   && Char.code (Bytes.get t.defects (i / 8)) land (1 lsl (i mod 8)) <> 0
 
 let check_run t start len =
-  if len < 0 || start < 0 || start + len > size t then
+  if len < 0 || start < 0 || start > size t - len then
     invalid_arg "Medium: run out of range"
 
 let run_defect_free t ~start ~len =

@@ -173,6 +173,34 @@ let crc_update_chains =
       && Codec.Crc32.bytes ~crc:(Int32.of_int (Codec.Crc32.update 0 b 0 k)) b k (n - k)
          = Codec.Crc32.string s)
 
+(* The checksum bit by bit, the kernel's oracle: one shift and one
+   conditional xor of the reflected polynomial per input bit. *)
+let crc_oracle crc b off len =
+  let c = ref (lnot crc land 0xFFFFFFFF) in
+  for i = off to off + len - 1 do
+    c := !c lxor Char.code (Bytes.get b i);
+    for _ = 1 to 8 do
+      c := if !c land 1 = 1 then (!c lsr 1) lxor 0xEDB88320 else !c lsr 1
+    done
+  done;
+  lnot !c land 0xFFFFFFFF
+
+(* Random bytes, a slice of them of any length (the kernel's sixteen-,
+   eight- and four-byte steps and its byte tail) at any offset, and any
+   starting checksum. *)
+let crc_kernel_oracle =
+  QCheck.Test.make ~name:"update == bitwise oracle: random slices and CRCs"
+    ~count:500 ~long_factor:20
+    QCheck.(triple (int_range 0 1_000_000) (int_range 0 600) (int_range 0 0xFFFFFFFF))
+    (fun (seed, len, crc) ->
+      let rng = Sim.Prng.create seed in
+      let off = Sim.Prng.int rng 24 in
+      let b =
+        Bytes.init (off + len + Sim.Prng.int rng 24) (fun _ ->
+            Char.chr (Sim.Prng.int rng 256))
+      in
+      Codec.Crc32.update crc b off len = crc_oracle crc b off len)
+
 (* {1 GF(256)} *)
 
 let byte = QCheck.int_range 0 255
@@ -545,7 +573,7 @@ let rs_parity_into =
       && Bytes.for_all (fun ch -> ch = '\xA5')
            (Bytes.sub b (before + len + npar) after))
 
-(* Every four-lane code (npar 19-24) takes the eight-symbol loop; 8 and
+(* Every three-lane code (npar 17-24) takes the eight-symbol loop; 8 and
    32 keep the byte step.  Each case runs every data length of each
    code at a random offset into random bytes, and the bytes outside
    the parity must come through untouched. *)
@@ -583,6 +611,41 @@ let rs_parity_oracle =
           done;
           !ok)
         parity_codes)
+
+(* {!Codec.Rs.parity_slices} against the byte-step oracle slice by
+   slice: 0-999 data bytes or a sector's 532, so 0-5 slices and up to
+   two kernel calls, at random offsets into random bytes; every byte
+   outside the parity must come through untouched. *)
+let parity_slices_oracle =
+  QCheck.Test.make
+    ~name:"parity_slices == byte-step oracle per slice: npar 8, 17-24, 32"
+    ~count:100 ~long_factor:20
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Sim.Prng.create seed in
+      List.for_all
+        (fun npar ->
+          let c = Codec.Rs.make ~nparity:npar in
+          let m = Codec.Rs.max_data c in
+          let len = if Sim.Prng.bool rng then 532 else Sim.Prng.int rng 1000 in
+          let off = Sim.Prng.int rng 16 in
+          let b =
+            Bytes.init
+              (off + Codec.Rs.encoded_length c len + Sim.Prng.int rng 16)
+              (fun _ -> Char.chr (Sim.Prng.int rng 256))
+          in
+          let expect = Bytes.copy b in
+          let k = ref 0 in
+          while !k * m < len do
+            let at = off + (!k * (m + npar)) and take = min m (len - (!k * m)) in
+            Bytes.blit_string
+              (Rs_parity_oracle.parity npar b ~off:at ~len:take)
+              0 expect (at + take) npar;
+            incr k
+          done;
+          Codec.Rs.parity_slices c b ~off ~len;
+          Bytes.equal b expect)
+        [ 8; 17; 18; 19; 20; 21; 22; 23; 24; 32 ])
 
 let rs_parity_cases =
   [
@@ -727,6 +790,61 @@ let screen_each_syndrome =
           && Array.for_all Fun.id
                (Array.mapi (fun j v -> (v <> 0) = (j = i)) synd))
         [ 0; 1; 2; 3 ])
+
+(* {!Codec.Rs.probably_clean_slices} against each slice's own screen
+   from the full Horner syndromes: the first four, or all of them for a
+   code with fewer.  Half the images are a sector's 532 data bytes, the
+   rest 0-900 (up to four slices, so a second kernel call); the
+   corruption, 0-6 symbol errors, lies in exactly one slice. *)
+let screen_slice_codes =
+  List.map (fun npar -> (npar, Codec.Rs.make ~nparity:npar)) [ 2; 8; 17; 20; 24; 32 ]
+
+let oracle_screen_slices c image ~off ~len =
+  let m = Codec.Rs.max_data c and npar = Codec.Rs.nparity c in
+  let rec go k =
+    let rest = len - (k * m) in
+    rest <= 0
+    ||
+    let cw = Bytes.sub image (off + (k * (m + npar))) (min m rest + npar) in
+    let synd, _ = Rs_oracle.syndromes npar cw in
+    Array.for_all (( = ) 0) (Array.sub synd 0 (min 4 npar)) && go (k + 1)
+  in
+  go 0
+
+let screen_slices_oracle =
+  QCheck.Test.make
+    ~name:"screen_slices == full syndromes, errors in one slice" ~count:300
+    ~long_factor:20
+    QCheck.(triple (int_range 0 1_000_000) (int_range 0 5) (int_range 0 6))
+    (fun (seed, code, nerr) ->
+      let npar, c = List.nth screen_slice_codes code in
+      let rng = Sim.Prng.create seed in
+      let len = if Sim.Prng.bool rng then 532 else Sim.Prng.int rng 901 in
+      let m = Codec.Rs.max_data c in
+      let image =
+        Bytes.of_string
+          (encode_blocks c (String.init len (fun _ -> Char.chr (Sim.Prng.int rng 256))))
+      in
+      let off = Sim.Prng.int rng 16 in
+      let buf =
+        Bytes.init (off + Bytes.length image + Sim.Prng.int rng 16) (fun _ ->
+            Char.chr (Sim.Prng.int rng 256))
+      in
+      Bytes.blit image 0 buf off (Bytes.length image);
+      let slices = (len + m - 1) / m in
+      if slices > 0 then begin
+        let k = Sim.Prng.int rng slices in
+        let at = off + (k * (m + npar)) and n = min m (len - (k * m)) + npar in
+        let cw = Bytes.sub buf at n in
+        corrupt rng cw (min nerr n);
+        Bytes.blit cw 0 buf at n
+      end;
+      let expect = oracle_screen_slices c buf ~off ~len in
+      Codec.Rs.probably_clean_slices c buf ~off ~len = expect
+      (* The oracle itself: clean without errors; a distance-5 screen
+         sees any 1-4. *)
+      && (nerr > 0 && slices > 0 || expect)
+      && (nerr = 0 || nerr > 4 || npar < 4 || slices = 0 || not expect))
 
 let screen_cases =
   [
@@ -1027,6 +1145,37 @@ let sector_pba_wrap =
       Alcotest.(check bool) "bad header" true
         (Codec.Sector.decode_sub image ~off:0 = Error Codec.Sector.Bad_header))
 
+(* An all-zero image is an RS codeword whose magic is 0: the fast path
+   answers [Bad_header] for it, as the slow path (here the oracle
+   composed around the RS oracle) does.  One nonzero byte anywhere, or
+   none (one case in seven), at a random offset into random bytes. *)
+let sector_blank_fast =
+  QCheck.Test.make ~name:"blank images: decode_sub == slow path" ~count:500
+    QCheck.(quad (int_range 0 704) (int_range 1 255) (int_range 0 40) (int_range 0 1_000_000))
+    (fun (pos, v, off, seed) ->
+      let rng = Sim.Prng.create seed in
+      let buf =
+        Bytes.init (off + 604 + Sim.Prng.int rng 40) (fun _ ->
+            Char.chr (Sim.Prng.int rng 256))
+      in
+      Bytes.fill buf off 604 '\x00';
+      if pos < 604 then Bytes.set buf (off + pos) (Char.chr v);
+      let got = Codec.Sector.decode_sub buf ~off in
+      got = oracle_sector_decode (Bytes.sub_string buf off 604)
+      && (pos < 604 || got = Error Codec.Sector.Bad_header))
+
+(* A window whose end would wrap past max_int is out of range too: the
+   screen reads unchecked once this guard passes. *)
+let sector_decode_bounds =
+  Alcotest.test_case "decode_sub past max_int is a bad header" `Quick
+    (fun () ->
+      let b = Bytes.make 700 '\x00' in
+      List.iter
+        (fun off ->
+          Alcotest.(check bool) (string_of_int off) true
+            (Codec.Sector.decode_sub b ~off = Error Codec.Sector.Bad_header))
+        [ max_int - 100; max_int - 603; max_int; 97; -1; min_int ])
+
 let sector_cases =
   [
     Alcotest.test_case "overhead about 15%" `Quick (fun () ->
@@ -1227,6 +1376,20 @@ let rs_parity_bounds =
               Codec.Rs.parity_into rs b ~off ~len))
         [ (max_int - 10, 8); (max_int, 0); (41, 0); (1, 40) ])
 
+(* The image of [len] data bytes is [encoded_length] bytes long: 64 of
+   them at 0 hold 40 data bytes and their parity. *)
+let slices_bounds =
+  Alcotest.test_case "slice kernels past the end of the bytes raise" `Quick
+    (fun () ->
+      let b = Bytes.make 64 'x' in
+      List.iter
+        (fun (off, len) ->
+          raises_out_of_bounds "Rs.parity_slices: out of bounds" (fun () ->
+              Codec.Rs.parity_slices rs b ~off ~len);
+          raises_out_of_bounds "Rs.probably_clean_slices: out of bounds" (fun () ->
+              ignore (Codec.Rs.probably_clean_slices rs b ~off ~len)))
+        [ (max_int - 10, 8); (max_int, 0); (65, 0); (1, 40); (0, 41); (1, max_int) ])
+
 let screen_bounds =
   Alcotest.test_case "screen past the end of the bytes raises" `Quick (fun () ->
       let b = Bytes.make 64 'x' in
@@ -1245,7 +1408,9 @@ let () =
             [ manchester_roundtrip; manchester_spreading; manchester_density;
               manchester_tamper; manchester_oracle ] );
       ( "crc32",
-        crc_cases @ [ qtest crc_detects_flip; qtest crc_update_chains; crc_bounds ] );
+        crc_cases
+        @ [ qtest crc_detects_flip; qtest crc_update_chains; crc_bounds;
+            qtest crc_kernel_oracle ] );
       ("gf256", List.map qtest gf_tests);
       ( "reed-solomon",
         rs_cases
@@ -1253,15 +1418,20 @@ let () =
             [ rs_corrects; rs_overload; rs_blocks_roundtrip; rs_oracle_errors;
               rs_oracle_random; rs_oracle_codes; rs_parity_into;
               screen_every_length; screen_few_errors; screen_each_syndrome ]
-        @ screen_cases @ [ screen_bounds ] );
-      ("rs-parity", rs_parity_cases @ [ qtest rs_parity_oracle; rs_parity_bounds ]);
+        @ screen_cases
+        @ [ screen_bounds; qtest screen_slices_oracle ] );
+      ( "rs-parity",
+        rs_parity_cases
+        @ [ qtest rs_parity_oracle; rs_parity_bounds; qtest parity_slices_oracle;
+            slices_bounds ] );
       ( "sector",
         sector_cases
         @ List.map qtest
             [ sector_roundtrip; sector_error_correction; sector_oracle;
               sector_encode_oracle ]
         @ sector_encode_cases
-        @ [ qtest sector_decode_fast_oracle; sector_pba_wrap ] );
+        @ [ qtest sector_decode_fast_oracle; sector_pba_wrap;
+            qtest sector_blank_fast; sector_decode_bounds ] );
       ("wom", wom_cases @ List.map qtest [ wom_two_generations; wom_monotone ]);
       ("binio", binio_cases @ [ qtest binio_roundtrip ]);
     ]

@@ -879,6 +879,38 @@ let word_parent rng ~ones ~lo ~hi heated =
   List.iter (fun i -> Pmedia.Medium.set m i Pmedia.Dot.Heated) heated;
   m
 
+(* [mrb_run] and [mwb_run] over [start, start+len) of CoW clones of
+   [parent] against the per-dot loops, at bit offset [off] into noise.
+   Reads: the same bits inside the noise, the same clones, counters and
+   PRNG position, and the packed kernel taken.  Writes: the same
+   clones, and each segment the run touches made private by the kernel.
+   The parent must come through untouched. *)
+let race_word_kernels parent ~seed ~start ~len ~off =
+  let image = packed_string parent in
+  let twin () =
+    let m = Pmedia.Medium.clone parent in
+    (m, Pmedia.Bitops.make m)
+  in
+  let ((_, r1) as t1), ((_, r2) as t2) = (twin (), twin ()) in
+  let d1 = noise_bytes seed ~off ~len in
+  let d2 = Bytes.copy d1 in
+  let packed = Pmedia.Bitops.mrb_run_fast r1 ~start ~len in
+  Pmedia.Bitops.mrb_run r1 ~start ~len ~dst:d1 ~dst_pos:off;
+  for k = 0 to len - 1 do
+    put_bit d2 (off + k) (Pmedia.Dot.to_bool (Pmedia.Bitops.mrb r2 (start + k)))
+  done;
+  let reads = packed && Bytes.equal d1 d2 && twins_agree t1 t2 in
+  let ((m3, w3) as t3), ((_, w4) as t4) = (twin (), twin ()) in
+  let src = noise_bytes (seed + 1) ~off ~len in
+  Pmedia.Bitops.mwb_run w3 ~start ~len ~src ~src_pos:off;
+  for k = 0 to len - 1 do
+    Pmedia.Bitops.mwb w4 (start + k) (Pmedia.Dot.of_bool (test_bit src (off + k)))
+  done;
+  let segments = ((start + len - 1) / seg_dots) - (start / seg_dots) + 1 in
+  reads && twins_agree t3 t4
+  && Pmedia.Medium.owned_segments m3 = segments
+  && String.equal (packed_string parent) image
+
 (* (seed, boundary), (length in bytes, bytes of it before the boundary),
    (heated position in the first word, random heat density, data
    density), and the buffer's byte offset. *)
@@ -910,35 +942,7 @@ let word_kernel_twins =
       in
       let heated = (start + q) :: (whole @ scattered) in
       let parent = word_parent rng ~ones ~lo ~hi heated in
-      let image = packed_string parent in
-      let twin () =
-        let m = Pmedia.Medium.clone parent in
-        (m, Pmedia.Bitops.make m)
-      in
-      let off = 8 * byte_off in
-      (* Reads: the same bits inside noise, the same clones, counters
-         and PRNG position, and the packed kernel taken. *)
-      let ((_, r1) as t1), ((_, r2) as t2) = (twin (), twin ()) in
-      let d1 = noise_bytes seed ~off ~len in
-      let d2 = Bytes.copy d1 in
-      let packed = Pmedia.Bitops.mrb_run_fast r1 ~start ~len in
-      Pmedia.Bitops.mrb_run r1 ~start ~len ~dst:d1 ~dst_pos:off;
-      for k = 0 to len - 1 do
-        put_bit d2 (off + k) (Pmedia.Dot.to_bool (Pmedia.Bitops.mrb r2 (start + k)))
-      done;
-      let reads = packed && Bytes.equal d1 d2 && twins_agree t1 t2 in
-      (* Writes: the same clones, and each segment the run touches made
-         private by the kernel. *)
-      let ((m3, w3) as t3), ((_, w4) as t4) = (twin (), twin ()) in
-      let src = noise_bytes (seed + 1) ~off ~len in
-      Pmedia.Bitops.mwb_run w3 ~start ~len ~src ~src_pos:off;
-      for k = 0 to len - 1 do
-        Pmedia.Bitops.mwb w4 (start + k) (Pmedia.Dot.of_bool (test_bit src (off + k)))
-      done;
-      let segments = ((start + len - 1) / seg_dots) - (start / seg_dots) + 1 in
-      reads && twins_agree t3 t4
-      && Pmedia.Medium.owned_segments m3 = segments
-      && String.equal (packed_string parent) image)
+      race_word_kernels parent ~seed ~start ~len ~off:(8 * byte_off))
 
 let word_kernel_cases =
   [
@@ -970,6 +974,44 @@ let word_kernel_cases =
         Alcotest.(check bool) (Printf.sprintf "mwb_run %.1f words <= 8" w) true (w <= 8.);
         Alcotest.(check bool) (Printf.sprintf "mrb_run %.1f words <= 9" r) true (r <= 9.));
   ]
+
+(* Heat where the read kernel stops and resumes: the kernel takes a
+   chunk's words from the chunk's first dot (the run's start, or the
+   segment boundary the run straddles), returns at the first word with a
+   heated field, and OCaml draws that word's coin flips before calling
+   it again from the next word.  Each word edge of either chunk gets no
+   heat, its word's first dot, the previous word's last dot or both, so
+   heated words come alone, in runs and between clean ones; the run's
+   last pairs, past its last whole word, get heat in some cases too. *)
+let word_boundary_twins =
+  QCheck.Test.make
+    ~name:"word kernels stop and resume at heated word edges across segments"
+    ~count:300 ~long_factor:20
+    QCheck.(
+      quad
+        (pair (int_range 0 1_000_000) (int_range 1 3))
+        (pair (int_range 5 400) (int_range 0 400))
+        (int_range 0 3) (int_range 0 7))
+    (fun ((seed, bnd), (len8, before), ones, byte_off) ->
+      let len = 8 * len8 and size = 8 * 6200 and bnd = bnd * seg_dots in
+      let start = min (bnd - (8 * (before mod (len8 + 1)))) (size - len) in
+      let lo = max 0 (start - 64) and hi = min size (start + len + 64) in
+      let rng = Sim.Prng.create seed in
+      let edges first = List.init ((len / 32) + 2) (fun k -> first + (32 * k)) in
+      let heated =
+        List.concat_map
+          (fun e ->
+            match Sim.Prng.int rng 4 with
+            | 0 -> []
+            | 1 -> [ e ]
+            | 2 -> [ e - 1 ]
+            | _ -> [ e - 1; e ])
+          (edges start @ edges bnd)
+        @ (if Sim.Prng.bool rng then [ start + len - 1 - Sim.Prng.int rng 24 ] else [])
+      in
+      let heated = List.filter (fun d -> d >= lo && d < hi) heated in
+      let parent = word_parent rng ~ones ~lo ~hi heated in
+      race_word_kernels parent ~seed ~start ~len ~off:(8 * byte_off))
 
 (* {1 Electrical runs across segments}
 
@@ -1183,6 +1225,7 @@ let () =
             [ mrb_run_equiv; mrb_run_flips_equiv; mwb_run_equiv; erb_run_equiv ]
         @ [ erb_run_dense; inert_keeps_packed ]
         @ word_kernel_cases
-        @ [ qtest word_kernel_twins; qtest erb_segment_twins ] );
+        @ [ qtest word_kernel_twins; qtest erb_segment_twins;
+            qtest word_boundary_twins ] );
       ("cow", cow_cases @ [ qtest cow_matches_deep_copy ]);
     ]
